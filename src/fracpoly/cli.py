@@ -2,8 +2,10 @@
 
 Output goes to stdout in text, CSV (RFC 4180) or JSON; diagnostics go to
 stderr.  Exit codes: 0 success / all suites pass, 1 verification failure,
-2 usage or parameter error.  Identical invocations produce byte-identical
-output.  FRACPOLY_PRECISION overrides the default precision (bits).
+2 usage or parameter error, including every FracPolyError and
+ArithmeticError a subcommand raises.  Identical invocations produce
+byte-identical output.  FRACPOLY_PRECISION overrides the default precision
+(bits).
 """
 
 from __future__ import annotations
@@ -120,7 +122,19 @@ def _common_options(fn):
     return fn
 
 
-@click.group()
+class _Cli(click.Group):
+    """Reports the package's errors from any subcommand as exit 2, without a
+    traceback; exit 1 stays reserved for a failed verification suite."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FracPolyError, ArithmeticError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Cli)
 def cli():
     """Exact and arbitrary-precision generalized Bernoulli/Euler/Genocchi
     polynomial families, fractional operators on them, and machine
@@ -195,19 +209,15 @@ def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
 def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
     """Evaluate the two-parameter Mittag-Leffler function."""
     precision = _resolve_precision(precision)
-    try:
-        p = MLParams(alpha, beta)
-        value = ml_eval(p, z, tol, precision)
-        rows = [["series", str(value)]]
-        if closed_form:
-            if alpha != 1 or not beta.is_integer() or int(beta) < 2:
-                raise click.UsageError(
-                    "--closed-form requires alpha = 1 and integer beta >= 2"
-                )
-            rows.append(["closed-form", str(ml_one_m_closed(int(beta), z, precision))])
-    except FracPolyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    p = MLParams(alpha, beta)
+    value = ml_eval(p, z, tol, precision)
+    rows = [["series", str(value)]]
+    if closed_form:
+        if alpha != 1 or not beta.is_integer() or int(beta) < 2:
+            raise click.UsageError(
+                "--closed-form requires alpha = 1 and integer beta >= 2"
+            )
+        rows.append(["closed-form", str(ml_one_m_closed(int(beta), z, precision))])
     _emit_table(["route", "value"], rows, fmt)
 
 
@@ -232,22 +242,18 @@ def fracderiv(family, alpha, lam, h, precision, fmt, degree, order, at_):
     if degree < 0:
         raise click.UsageError("--degree must be nonnegative")
     p = _family_params(family, alpha, lam, h)
-    try:
-        ord_ = CaputoOrder(order)
-        polynomial = family_polynomial(p, degree, precision)
-        if degree < ord_.n:
-            click.echo(
-                f"note: degree {degree} < ceil(order) = {ord_.n}; the derivative "
-                "vanishes termwise and no closed-form expansion applies",
-                err=True,
-            )
-            expansion = caputo_derivative_poly(polynomial, ord_, precision)
-        else:
-            expansion = _closed_form_expansion(p, degree, ord_, precision)
-        _emit_expansion(expansion, _route_values(expansion, polynomial, ord_, at_, precision), fmt)
-    except FracPolyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    ord_ = CaputoOrder(order)
+    polynomial = family_polynomial(p, degree, precision)
+    if degree < ord_.n:
+        click.echo(
+            f"note: degree {degree} < ceil(order) = {ord_.n}; the derivative "
+            "vanishes termwise and no closed-form expansion applies",
+            err=True,
+        )
+        expansion = caputo_derivative_poly(polynomial, ord_, precision)
+    else:
+        expansion = _closed_form_expansion(p, degree, ord_, precision)
+    _emit_expansion(expansion, _route_values(expansion, polynomial, ord_, at_, precision), fmt)
 
 
 def _route_values(expansion, polynomial, ord_, at_, precision):
@@ -287,13 +293,9 @@ def fracint(family, alpha, lam, h, precision, fmt, degree, order, at_):
     if degree < 0:
         raise click.UsageError("--degree must be nonnegative")
     p = _family_params(family, alpha, lam, h)
-    try:
-        polynomial = family_polynomial(p, degree, precision)
-        expansion = rl_integral_poly(polynomial, order, precision)
-        _emit_expansion(expansion, _route_values(expansion, polynomial, None, at_, precision), fmt)
-    except FracPolyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    polynomial = family_polynomial(p, degree, precision)
+    expansion = rl_integral_poly(polynomial, order, precision)
+    _emit_expansion(expansion, _route_values(expansion, polynomial, None, at_, precision), fmt)
 
 
 @cli.command()
@@ -333,11 +335,7 @@ def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance,
         precision=precision,
         tolerance=tolerance.as_fraction() if tolerance is not None else None,
     )
-    try:
-        reports = [run_suite(name, cfg) for name in selected]
-    except FracPolyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    reports = [run_suite(name, cfg) for name in selected]
     if fmt == "json":
         click.echo(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

@@ -381,10 +381,11 @@ def caputo_quadrature_oracle(
     """Evaluate the Caputo derivative of q at t by singular quadrature.
 
     Integrates q^(n)(s) (t-s)^(n-alpha-1) / gamma(n-alpha) over [0, t] with
-    a Gauss-Jacobi rule whose weight absorbs the endpoint singularity; the
-    polynomial factor is integrated exactly by construction (node count
-    deg(q) + 2 >= ceil((deg+1)/2)).  Integer orders bypass to the ordinary
-    derivative.
+    a Gauss-Jacobi rule whose weight absorbs the endpoint singularity.  The
+    rule has (d + 2) // 2 + 1 nodes for d = deg(q^(n)): the exactness minimum
+    ceil((d + 1) / 2) plus one guard node, so the polynomial factor is
+    integrated exactly by construction.  Integer orders bypass to the
+    ordinary derivative.
     """
     check_precision(precision)
     ts = as_scalar(t)
@@ -401,7 +402,7 @@ def caputo_quadrature_oracle(
     wp = precision + 32
     a_exp = ord.alpha.as_fraction()
     weight_exp = Fraction(n) - a_exp - 1
-    npoints = q.degree + 2
+    npoints = (dq.degree + 2) // 2 + 1
     nodes, weights = gauss_jacobi_rule(weight_exp, npoints, precision)
     with working_precision(wp):
         tm = ts.as_mpf(wp)

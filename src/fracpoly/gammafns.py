@@ -6,6 +6,10 @@ consequence of the construction rather than a hope.  Arguments are shifted
 into [1, 2) by the functional equation first: the alternating Spouge sum
 cancels more and more bits as the argument grows, and the shift pins that
 loss at roughly 0.17*precision bits, which the guard bits absorb.
+
+Spouge evaluations are memoized on (argument, precision, working
+precision), so a hit returns the very bits a fresh evaluation would; the
+error bound is untouched.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _spouge_coeffs(a: int, wp: int):
 
 
 def _gamma_positive(x, precision: int):
-    """Gamma of an mpf x > 0 at the current (elevated) working precision."""
+    """Gamma of an mpf x > 0 at the current (elevated) working precision, uncached."""
     num = mp.mpf(1)
     den = mp.mpf(1)
     while x >= 2:
@@ -83,6 +87,18 @@ def _gamma_positive(x, precision: int):
         s += coeffs[k] / (z + k)
     g = mp.power(z + a, z + mp.mpf(1) / 2) * mp.exp(-(z + a)) * s
     return g * num / den
+
+
+@lru_cache(maxsize=4096)
+def _spouge_memo(x, precision: int, wp: int):
+    # wp is the caller's mp.prec: every step of the core rounds to it, so it
+    # belongs in the key alongside the argument and the target precision
+    return _gamma_positive(x, precision)
+
+
+def _spouge(x, precision: int):
+    """Memoized _gamma_positive(x, precision) at the current working precision."""
+    return _spouge_memo(x, precision, mp.prec)
 
 
 def _integer_pole(x: Scalar) -> int | None:
@@ -115,9 +131,9 @@ def gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
     with working_precision(wp):
         xm = xs.as_mpf(wp)
         if xm > 0:
-            v = _gamma_positive(xm, precision)
+            v = _spouge(xm, precision)
         else:
-            v = mp.pi / (mp.sinpi(xm) * _gamma_positive(1 - xm, precision))
+            v = mp.pi / (mp.sinpi(xm) * _spouge(1 - xm, precision))
     return Scalar.big(v, precision)
 
 
@@ -154,10 +170,10 @@ def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scala
     with working_precision(wp):
         xm = xs.as_mpf(wp)
         if xm > mp.mpf(1) / 2:
-            v = 1 / _gamma_positive(xm, precision)
+            v = 1 / _spouge(xm, precision)
         else:
             # sin(pi x) * gamma(1-x) / pi is entire, hence smooth across poles
-            v = mp.sinpi(xm) * _gamma_positive(1 - xm, precision) / mp.pi
+            v = mp.sinpi(xm) * _spouge(1 - xm, precision) / mp.pi
     return Scalar.big(v, precision)
 
 

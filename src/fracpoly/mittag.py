@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
-from .gammafns import _gamma_positive, _spouge_wp
+from .gammafns import _spouge, _spouge_wp
 from .scalars import DEFAULT_PRECISION, Scalar, ScalarLike, as_scalar, check_precision, working_precision
 from .series import TruncatedSeries
 
@@ -74,7 +74,7 @@ def _term_gamma_inv(arg, precision):
     """1/gamma(arg) for arg > 0 at the current working precision."""
     if arg == mp.floor(arg):
         return 1 / mp.mpf(math.factorial(int(arg) - 1))
-    return 1 / _gamma_positive(arg, precision)
+    return 1 / _spouge(arg, precision)
 
 
 def ml_eval(

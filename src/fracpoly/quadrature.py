@@ -1,12 +1,17 @@
 """Gauss-Jacobi rules with the endpoint singularity folded into the weight.
 
 Rules integrate (1-u)^a * poly(u) over [-1, 1] exactly for polynomial
-degree <= 2Q - 1.  Nodes start from float64 estimates (scipy) and are
-polished by Newton iteration on the Jacobi three-term recurrence at the
-working precision; weights come from the Christoffel function of the
-orthonormalized polynomials.  Everything here deliberately leans on
-mpmath's own gamma so the quadrature route shares no code with the
-package's Spouge gamma or series machinery.
+degree <= 2Q - 1.  They are built by the Golub-Welsch method (Math. Comp.
+23, 1969): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix of the weight's three-term recurrence, and the weights are the
+squared first eigenvector components times the weight's total mass.  The
+eigensolver runs 32 bits above the requested precision.  Each rule is
+checked before it is handed out: its weights must add up to the mass
+2^(a+1)/(a+1), and its nodes must increase strictly inside (-1, 1).
+
+Everything here deliberately leans on mpmath's own eigensolver and gamma,
+so the quadrature route shares no code with the package's Spouge gamma or
+series machinery.
 """
 
 from __future__ import annotations
@@ -14,79 +19,42 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 from mpmath import mp
-from scipy.special import roots_jacobi
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceUnreachable
 from .scalars import working_precision
 
-__all__ = ["gauss_jacobi_rule", "jacobi_value", "jacobi_norm"]
-
-
-def jacobi_value(n: int, a, b, x):
-    """P_n^{(a,b)}(x) by the three-term recurrence at the current precision."""
-    if n == 0:
-        return mp.mpf(1)
-    pkm1 = mp.mpf(1)
-    pk = (a - b) / 2 + (a + b + 2) * x / 2
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c2 = (2 * k + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
-        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        pk, pkm1 = ((c2 + c3 * x) * pk - c4 * pkm1) / c1, pk
-    return pk
-
-
-def _jacobi_derivative(n: int, a, b, x):
-    if n == 0:
-        return mp.mpf(0)
-    return (n + a + b + 1) / 2 * jacobi_value(n - 1, a + 1, b + 1, x)
-
-
-def jacobi_norm(k: int, a, b):
-    """Squared weighted L2 norm of P_k^{(a,b)}."""
-    num = mp.mpf(2) ** (a + b + 1) * mpmath.gamma(k + a + 1) * mpmath.gamma(k + b + 1)
-    den = (2 * k + a + b + 1) * mpmath.gamma(k + a + b + 1) * mpmath.factorial(k)
-    return num / den
+__all__ = ["gauss_jacobi_rule"]
 
 
 @lru_cache(maxsize=128)
 def _rule_cached(a_key, npoints: int, precision: int):
     a_fr = Fraction(a_key)
-    wp = precision + 32
-    with working_precision(wp):
+    with working_precision(precision + 32):
         a = mp.mpf(a_fr.numerator) / a_fr.denominator
-        b = mp.mpf(0)
-        guesses = roots_jacobi(npoints, float(a_fr), 0.0)[0]
-        eps = mp.mpf(2) ** (-(wp - 8))
-        nodes = []
-        for g in sorted(guesses):
-            x = mp.mpf(g)
-            for _ in range(60):
-                f = jacobi_value(npoints, a, b, x)
-                df = _jacobi_derivative(npoints, a, b, x)
-                step = f / df
-                x -= step
-                if abs(step) < eps * max(mp.mpf(1), abs(x)):
-                    break
-            nodes.append(x)
-        norms = [jacobi_norm(k, a, b) for k in range(npoints)]
-        weights = []
-        for x in nodes:
-            s = mp.mpf(0)
-            for k in range(npoints):
-                pk = jacobi_value(k, a, b, x)
-                s += pk * pk / norms[k]
-            weights.append(1 / s)
-        return tuple(nodes), tuple(weights)
+        xs, ws = mp.gauss_quadrature(npoints, "jacobi", a, 0)
+        nodes, weights = zip(*sorted(zip(xs, ws)))
+        mass = mp.mpf(2) ** (a + 1) / (a + 1)
+        if abs(mp.fsum(weights) - mass) > mp.mpf(2) ** (16 - precision) * mass:
+            raise ToleranceUnreachable(
+                f"Gauss-Jacobi rule (a={a_fr}, {npoints} nodes) misses its weight "
+                f"mass at {precision} bits"
+            )
+        if not (-1 < nodes[0] and nodes[-1] < 1
+                and all(x < y for x, y in zip(nodes, nodes[1:]))):
+            raise ToleranceUnreachable(
+                f"Gauss-Jacobi rule (a={a_fr}, {npoints} nodes) has nodes that are "
+                f"not strictly increasing inside (-1, 1) at {precision} bits"
+            )
+        return nodes, weights
 
 
 def gauss_jacobi_rule(a_exponent: Fraction, npoints: int, precision: int):
-    """Nodes and weights for weight (1-u)^a on [-1, 1].
+    """Nodes (ascending) and weights for weight (1-u)^a on [-1, 1].
 
-    Requires a > -1 (integrable singularity) and npoints >= 1.
+    Requires a > -1 (integrable singularity) and npoints >= 1.  Raises
+    ToleranceUnreachable if the built rule fails its weight-mass or node
+    ordering check.
     """
     a_fr = Fraction(a_exponent)
     if a_fr <= -1:

@@ -1,0 +1,108 @@
+"""The Spouge memo hands out the bits a fresh evaluation computes, keyed per
+working precision, also under threads mixing precisions."""
+
+import sys
+import threading
+from fractions import Fraction
+
+import pytest
+
+from fracpoly.gammafns import _gamma_positive, _spouge, _spouge_memo, _spouge_wp, gamma, reciprocal_gamma
+from fracpoly.mittag import MLParams, ml_eval, ml_series
+from fracpoly.scalars import working_precision
+
+# both reflection branches of gamma (x <= 0) and reciprocal_gamma (x <= 1/2)
+ARGS = (Fraction(1, 3), Fraction(-7, 5), Fraction(11, 4), Fraction(5, 2))
+ML = MLParams(Fraction(1, 3), Fraction(6, 5))
+# dyadic parameters: every term argument alpha*n + beta is the same mpf at
+# ml_eval's precision + 16 and at ml_series' Spouge working precision
+ML_DYADIC = MLParams(Fraction(1, 2), Fraction(1, 4))
+
+ROUTES = {
+    "gamma": lambda prec: [gamma(x, prec) for x in ARGS],
+    "reciprocal_gamma": lambda prec: [reciprocal_gamma(x, prec) for x in ARGS],
+    "ml_series": lambda prec: list(ml_series(ML, 8, prec).coeffs),
+    "ml_eval": lambda prec: [ml_eval(ML, Fraction(3, 2), precision=prec)],
+}
+
+
+def _bits(scalars):
+    return [s.value._mpf_ for s in scalars]
+
+
+@pytest.mark.parametrize("prec", (64, 128, 512))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_memo_hit_equals_fresh_evaluation(route, prec):
+    _spouge_memo.cache_clear()
+    fresh = ROUTES[route](prec)
+    hits = _spouge_memo.cache_info().hits
+    memoized = ROUTES[route](prec)
+    assert _spouge_memo.cache_info().hits > hits
+    assert [s.value for s in memoized] == [s.value for s in fresh]
+    assert _bits(memoized) == _bits(fresh)
+
+
+def test_working_precision_is_part_of_the_key():
+    prec = 128
+    x = Fraction(3, 4)
+    values = {}
+    _spouge_memo.cache_clear()
+    for wp in (prec + 16, _spouge_wp(prec)):
+        with working_precision(wp) as ctx:
+            xm = ctx.mpf(x.numerator) / x.denominator
+            values[wp] = (_spouge(xm, prec), _gamma_positive(xm, prec))
+    (memo_lo, fresh_lo), (memo_hi, fresh_hi) = values[prec + 16], values[_spouge_wp(prec)]
+    assert memo_lo._mpf_ == fresh_lo._mpf_
+    assert memo_hi._mpf_ == fresh_hi._mpf_
+    assert memo_lo._mpf_ != memo_hi._mpf_
+
+
+def test_ml_eval_and_ml_series_keep_their_own_values():
+    prec = 128
+    _spouge_memo.cache_clear()
+    series_alone = _bits(ml_series(ML_DYADIC, 10, prec).coeffs)
+    _spouge_memo.cache_clear()
+    eval_alone = ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec).value._mpf_
+    # each route first, then the other one on the same shared arguments
+    _spouge_memo.cache_clear()
+    assert ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec).value._mpf_ == eval_alone
+    assert _bits(ml_series(ML_DYADIC, 10, prec).coeffs) == series_alone
+    _spouge_memo.cache_clear()
+    assert _bits(ml_series(ML_DYADIC, 10, prec).coeffs) == series_alone
+    assert ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec).value._mpf_ == eval_alone
+
+
+def test_concurrent_mixed_precision_memo():
+    precs = (64, 128, 192, 256)
+    jobs = [(kind, prec) for kind in ("reciprocal_gamma", "ml_series") for prec in precs]
+    serial = {}
+    for kind, prec in jobs:
+        _spouge_memo.cache_clear()
+        serial[(kind, prec)] = _bits(ROUTES[kind](prec))
+    _spouge_memo.cache_clear()
+    results = []
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(len(jobs)):
+                kind, prec = jobs[(i + offset) % len(jobs)]
+                results.append(((kind, prec), _bits(ROUTES[kind](prec))))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 6 * len(jobs)
+    for key, bits in results:
+        assert bits == serial[key]

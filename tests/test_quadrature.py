@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fracpoly.errors import DomainError
+import fracpoly.fractional as fractional
+from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.families import FamilyParams, Polynomial, family_polynomial
 from fracpoly.fractional import CaputoOrder, caputo_derivative_poly, caputo_quadrature_oracle, eval_frac_expansion
-from fracpoly.quadrature import gauss_jacobi_rule
+from fracpoly.quadrature import _rule_cached, gauss_jacobi_rule
 from fracpoly.scalars import mpf_to_fraction, working_precision
+from fracpoly.verify import RunConfig, run_suite
 
 HALF = Fraction(1, 2)
 
@@ -108,3 +110,79 @@ def test_oracle_agrees_with_closed_forms_on_family_grid():
                     a = eval_frac_expansion(expansion, t).as_fraction()
                     b = caputo_quadrature_oracle(poly, ord_, t).as_fraction()
                     assert abs(a - b) <= tol * max(1, abs(b))
+
+
+def test_rule_26_nodes_at_511_bits_integrates_degree_51_exactly():
+    prec = 511
+    for a in (Fraction(-1, 2), Fraction(-6, 7), Fraction(1, 3)):
+        nodes, weights = gauss_jacobi_rule(a, 26, prec)
+        for k in range(52):
+            with working_precision(prec + 32):
+                got = mpf_to_fraction(mp.fsum(w * x ** k for x, w in zip(nodes, weights)))
+            # the alternating binomial sum cancels about k bits, hence the guard
+            want = exact_weighted_monomial_integral(a, k, prec + 160)
+            assert abs(got - want) <= Fraction(1, 2 ** (prec - 10)) * max(1, abs(want))
+
+
+@pytest.fixture()
+def oracle_rules(monkeypatch):
+    """The (a, npoints, precision) of every rule the oracle asks for, in order."""
+    keys = []
+
+    def recording_rule(a_exponent, npoints, precision):
+        keys.append((Fraction(a_exponent), npoints, precision))
+        return gauss_jacobi_rule(a_exponent, npoints, precision)
+
+    monkeypatch.setattr(fractional, "gauss_jacobi_rule", recording_rule)
+    return keys
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1, 3), HALF, Fraction(13, 7)))
+def test_oracle_reduced_node_count_matches_power_rule(alpha, oracle_rules):
+    ord_ = CaputoOrder(alpha)
+    t = Fraction(3, 2)
+    for k in range(ord_.n, 25):
+        got = caputo_quadrature_oracle(Polynomial([0] * k + [1]), ord_, t).as_fraction()
+        # the exactness minimum for degree k - n, plus one guard node
+        assert oracle_rules[-1][1] == (k - ord_.n + 2) // 2 + 1
+        with working_precision(200):
+            am = mp.mpf(alpha.numerator) / alpha.denominator
+            want = mpf_to_fraction(
+                mp.gamma(k + 1) / mp.gamma(k + 1 - am) * (mp.mpf(3) / 2) ** (k - am)
+            )
+        assert abs(got - want) <= Fraction(1, 10 ** 30) * max(1, abs(want))
+
+
+def test_rules_built_by_the_suites_meet_the_invariant(oracle_rules):
+    for suite in ("theorem4", "theorem5", "theorem6"):
+        run_suite(suite, RunConfig())
+    assert oracle_rules
+    for a, npoints, prec in set(oracle_rules):
+        nodes, weights = gauss_jacobi_rule(a, npoints, prec)
+        assert len(nodes) == len(weights) == npoints
+        assert -1 < nodes[0] and nodes[-1] < 1
+        assert all(x < y for x, y in zip(nodes, nodes[1:]))
+        with working_precision(prec + 32):
+            total = mpf_to_fraction(mp.fsum(weights))
+        mass = exact_weighted_monomial_integral(a, 0, prec + 64)
+        assert abs(total - mass) <= Fraction(1, 2 ** (prec - 16)) * mass
+
+
+@pytest.mark.parametrize("defect", ("mass", "order"))
+def test_rule_invariant_violation_raises(defect, monkeypatch):
+    real = mp.gauss_quadrature
+
+    def broken(n, qtype, a, b):
+        xs, ws = real(n, qtype, a, b)
+        if defect == "mass":
+            ws = [w * (1 + mp.mpf(2) ** -40) for w in ws]
+        else:
+            xs = [xs[0]] + list(xs[:-1])
+        return xs, ws
+
+    monkeypatch.setattr(mp, "gauss_quadrature", broken)
+    try:
+        with pytest.raises(ToleranceUnreachable):
+            gauss_jacobi_rule(Fraction(-1, 9), 5, 97)
+    finally:
+        _rule_cached.cache_clear()

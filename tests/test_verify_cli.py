@@ -268,3 +268,30 @@ def test_cross_process_determinism():
 def test_run_suite_api_rejects_unknown():
     with pytest.raises(KeyError):
         run_suite("not-a-suite", RunConfig())
+
+
+@pytest.mark.parametrize("args", [
+    ["numbers", "--max", "4", "--precision", "10"],
+    ["poly", "--degree", "4", "--precision", "10"],
+    ["eval", "--degree", "4", "--at", "1/2", "--precision", "10"],
+    ["verify", "specialization", "--lambda", "1"],
+])
+def test_package_errors_exit_two_without_traceback(runner, args):
+    r = runner.invoke(cli, args)
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert r.output.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, fracpoly.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         text=True, env=env).stdout
+    assert out.strip() == "[]"
