@@ -28,11 +28,9 @@ from .errors import (
 )
 from .scalars import DEFAULT_PRECISION, Scalar, as_scalar, working_precision
 from .gammafns import (
-    GammaValue,
     beta,
     binomial,
     gamma,
-    gamma_value,
     generalized_binomial,
     multinomial,
     reciprocal_gamma,
@@ -63,10 +61,8 @@ from .fractional import (
     CaputoOrder,
     FracExpansion,
     FracTerm,
-    caputo_apostol_bernoulli,
-    caputo_apostol_bernoulli_higher,
+    caputo_closed_form,
     caputo_derivative_poly,
-    caputo_family_poly,
     caputo_power_rule,
     caputo_quadrature_oracle,
     composition_check,
@@ -85,8 +81,6 @@ __all__ = [
     "as_scalar",
     "working_precision",
     "gamma",
-    "gamma_value",
-    "GammaValue",
     "reciprocal_gamma",
     "beta",
     "binomial",
@@ -122,9 +116,7 @@ __all__ = [
     "rl_derivative_term",
     "composition_check",
     "leibniz_product",
-    "caputo_apostol_bernoulli",
-    "caputo_apostol_bernoulli_higher",
-    "caputo_family_poly",
+    "caputo_closed_form",
     "caputo_quadrature_oracle",
     "eval_frac_expansion",
     "RunConfig",

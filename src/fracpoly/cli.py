@@ -22,10 +22,8 @@ from .errors import FracPolyError
 from .families import FamilyKind, FamilyParams, family_numbers, family_polynomial
 from .fractional import (
     CaputoOrder,
-    caputo_apostol_bernoulli,
-    caputo_apostol_bernoulli_higher,
+    caputo_closed_form,
     caputo_derivative_poly,
-    caputo_family_poly,
     caputo_quadrature_oracle,
     eval_frac_expansion,
     rl_integral_poly,
@@ -221,14 +219,6 @@ def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
     _emit_table(["route", "value"], rows, fmt)
 
 
-def _closed_form_expansion(p: FamilyParams, degree: int, ord_: CaputoOrder, precision: int):
-    if p.kind is FamilyKind.BERNOULLI and p.alpha == 1:
-        if p.h > 1:
-            return caputo_apostol_bernoulli_higher(degree, p.h, p.lam, ord_, precision)
-        return caputo_apostol_bernoulli(degree, p.lam, ord_, precision)
-    return caputo_family_poly(p, degree, ord_, precision)
-
-
 @cli.command()
 @_family_options
 @_common_options
@@ -252,7 +242,7 @@ def fracderiv(family, alpha, lam, h, precision, fmt, degree, order, at_):
         )
         expansion = caputo_derivative_poly(polynomial, ord_, precision)
     else:
-        expansion = _closed_form_expansion(p, degree, ord_, precision)
+        expansion = caputo_closed_form(p, degree, ord_, precision)
     _emit_expansion(expansion, _route_values(expansion, polynomial, ord_, at_, precision), fmt)
 
 

@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import CompositionMismatch, DegreeTooLow, DomainError
-from .families import FamilyKind, FamilyParams, Polynomial, family_numbers, multinomial_number_product
+from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import binomial, gamma, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
 from .scalars import DEFAULT_PRECISION, Scalar, ScalarLike, as_scalar, check_precision, working_precision
@@ -38,12 +38,10 @@ __all__ = [
     "rl_derivative_term",
     "composition_check",
     "leibniz_product",
-    "caputo_apostol_bernoulli",
-    "caputo_apostol_bernoulli_higher",
-    "caputo_family_poly",
-    "caputo_family_poly_literal",
+    "caputo_closed_form",
     "caputo_quadrature_oracle",
     "eval_frac_expansion",
+    "aligned_terms",
     "expansion_mismatches",
 ]
 
@@ -214,18 +212,23 @@ def _rl_derivative_expansion(e: FracExpansion, alpha: ScalarLike, precision: int
     return FracExpansion(out)
 
 
+def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple[Fraction, Scalar, Scalar]]:
+    """(exponent, coefficient in a, coefficient in b) over the union of the
+    exponents, with an exact zero where one side has no term."""
+    amap = {t.exponent.as_fraction(): t.coefficient for t in a}
+    bmap = {t.exponent.as_fraction(): t.coefficient for t in b}
+    zero = Scalar.exact(0)
+    return [(e, amap.get(e, zero), bmap.get(e, zero)) for e in sorted(set(amap) | set(bmap))]
+
+
 def expansion_mismatches(
     a: FracExpansion, b: FracExpansion, rel_tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """(exponent, relative error) pairs where the two expansions disagree."""
-    amap = {t.exponent.as_fraction(): t.coefficient.as_fraction() for t in a}
-    bmap = {t.exponent.as_fraction(): t.coefficient.as_fraction() for t in b}
     out = []
-    for e in sorted(set(amap) | set(bmap)):
-        ca = amap.get(e, Fraction(0))
-        cb = bmap.get(e, Fraction(0))
-        scale = max(Fraction(1), abs(ca), abs(cb))
-        rel = abs(ca - cb) / scale
+    for e, ca, cb in aligned_terms(a, b):
+        ca, cb = ca.as_fraction(), cb.as_fraction()
+        rel = abs(ca - cb) / max(Fraction(1), abs(ca), abs(cb))
         if rel > rel_tol:
             out.append((e, rel))
     return out
@@ -295,32 +298,6 @@ def leibniz_product(
     return FracExpansion(terms)
 
 
-def _closed_form_sum(
-    m: int,
-    ord: CaputoOrder,
-    numbers: Sequence[Scalar] | None,
-    fixed_number: Scalar | None,
-    precision: int,
-) -> FracExpansion:
-    """Shared shape of the closed-form theorems.
-
-    gamma(m+1)/gamma(m-n+1) * sum_k k! binom(m-n,k) N_k / gamma(n+k-alpha+1)
-    * t^(k-alpha+n), where N_k is numbers[m-n-k] (corrected indexing) or a
-    fixed number (literal mode).
-    """
-    n = ord.n
-    if m < n:
-        raise DegreeTooLow(f"degree {m} below ceil(order) = {n}")
-    pref = _gamma_ratio(as_scalar(m), as_scalar(n), precision)
-    terms = []
-    for k in range(m - n + 1):
-        num = numbers[m - n - k] if numbers is not None else fixed_number
-        rg = _reciprocal_gamma_scalar(as_scalar(n + k + 1) - ord.alpha, precision)
-        coeff = pref * math.factorial(k) * binomial(m - n, k) * num * rg
-        terms.append(FracTerm(coeff, as_scalar(k + n) - ord.alpha))
-    return FracExpansion(terms)
-
-
 def _reciprocal_gamma_scalar(x: Scalar, precision: int) -> Scalar:
     """1/gamma(x) staying exact for integer x (zero at the poles)."""
     if x.is_exact and x.is_integer():
@@ -331,48 +308,35 @@ def _reciprocal_gamma_scalar(x: Scalar, precision: int) -> Scalar:
     return reciprocal_gamma(x, precision)
 
 
-def caputo_apostol_bernoulli(
-    m: int, lam: ScalarLike, ord: CaputoOrder, precision: int = DEFAULT_PRECISION
+def caputo_closed_form(
+    p: FamilyParams,
+    m: int,
+    ord: CaputoOrder,
+    precision: int = DEFAULT_PRECISION,
+    numbers: Sequence[Scalar] | None = None,
 ) -> FracExpansion:
-    """Closed form of the Caputo derivative of the lambda-weighted Bernoulli polynomial."""
-    check_precision(precision)
-    numbers = family_numbers(
-        FamilyParams(FamilyKind.BERNOULLI, 1, lam), max(m - ord.n, 0), precision
-    )
-    return _closed_form_sum(m, ord, numbers, None, precision)
+    """Closed-form Caputo derivative of the degree-m family polynomial.
 
-
-def caputo_apostol_bernoulli_higher(
-    m: int, h: int, lam: ScalarLike, ord: CaputoOrder, precision: int = DEFAULT_PRECISION
-) -> FracExpansion:
-    """Higher-order variant: the family number is the multinomial convolution sum."""
-    check_precision(precision)
-    numbers = [
-        multinomial_number_product(lam, h, r, precision) for r in range(max(m - ord.n, 0) + 1)
-    ]
-    return _closed_form_sum(m, ord, numbers, None, precision)
-
-
-def caputo_family_poly(
-    p: FamilyParams, m: int, ord: CaputoOrder, precision: int = DEFAULT_PRECISION
-) -> FracExpansion:
-    """Closed form for any family kind, with the corrected number index m-n-k."""
-    check_precision(precision)
-    numbers = family_numbers(p, max(m - ord.n, 0), precision)
-    return _closed_form_sum(m, ord, numbers, None, precision)
-
-
-def caputo_family_poly_literal(
-    p: FamilyParams, m: int, ord: CaputoOrder, precision: int = DEFAULT_PRECISION
-) -> FracExpansion:
-    """The uncorrected variant: the family number index is pinned at n.
-
-    Kept only so the verifier can demonstrate that this variant fails;
-    see the theorem6-literal suite.
+    The shared shape of theorems 4-6, with n = ceil(alpha):
+    gamma(m+1)/gamma(m-n+1) * sum_k k! binom(m-n,k) N_{m-n-k}
+    / gamma(n+k-alpha+1) * t^(k-alpha+n).  The numbers N_0..N_{m-n} default
+    to family_numbers(p); passing them lets a caller reach them by another
+    route (theorem 5's multinomial sums, or the verifier's pinned-index
+    literal variant).
     """
     check_precision(precision)
-    numbers = family_numbers(p, ord.n, precision)
-    return _closed_form_sum(m, ord, None, numbers[ord.n], precision)
+    n = ord.n
+    if m < n:
+        raise DegreeTooLow(f"degree {m} below ceil(order) = {n}")
+    if numbers is None:
+        numbers = family_numbers(p, m - n, precision)
+    pref = _gamma_ratio(as_scalar(m), as_scalar(n), precision)
+    terms = []
+    for k in range(m - n + 1):
+        rg = _reciprocal_gamma_scalar(as_scalar(n + k + 1) - ord.alpha, precision)
+        coeff = pref * math.factorial(k) * binomial(m - n, k) * numbers[m - n - k] * rg
+        terms.append(FracTerm(coeff, as_scalar(k + n) - ord.alpha))
+    return FracExpansion(terms)
 
 
 def caputo_quadrature_oracle(

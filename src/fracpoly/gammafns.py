@@ -15,7 +15,6 @@ error bound is untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,9 +31,7 @@ from .scalars import (
 )
 
 __all__ = [
-    "GammaValue",
     "gamma",
-    "gamma_value",
     "reciprocal_gamma",
     "beta",
     "binomial",
@@ -135,24 +132,6 @@ def gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
         else:
             v = mp.pi / (mp.sinpi(xm) * _spouge(1 - xm, precision))
     return Scalar.big(v, precision)
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """A gamma evaluation together with its argument and precision.
-
-    For positive integer arguments the value is (n-1)! correctly rounded
-    at the working precision.
-    """
-
-    argument: Scalar
-    value: Scalar
-    precision: int
-
-
-def gamma_value(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> GammaValue:
-    xs = as_scalar(x)
-    return GammaValue(xs, gamma(xs, precision), precision)
 
 
 def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:

@@ -1,10 +1,18 @@
 """Identity-verification suites: every structural identity becomes pass/fail.
 
-Each suite runs one identity over its default parameter grid (narrowable
-through RunConfig), comparing two independent computation routes and
-accumulating exact error statistics.  Error bookkeeping happens in exact
-rational arithmetic (floats are dyadic rationals), so reports are
-deterministic bit for bit.
+A suite is a generator over its default parameter grid (narrowable through
+RunConfig).  It yields one comparison of two independent computation routes
+at a time, ``(got, want)`` or ``(got, want, float_tol)``, where got and want
+are two scalars or two FracExpansions (compared exponent by exponent), and
+returns the parameters its report shows.  One runner turns the comparisons
+into a VerificationReport.  Error bookkeeping happens in exact rational
+arithmetic (floats are dyadic rationals), so reports are deterministic bit
+for bit.
+
+One tolerance policy covers every comparison: RunConfig.tolerance, when
+set, applies to all of them; otherwise two exact values must agree exactly,
+and a float on either side gets the float tolerance (the comparison's own,
+else the suite's).  A report shows the largest tolerance applied.
 
 The two ``*-literal`` suites re-check uncorrected variants of identities
 that circulate with index slips (a wrong subscript in the unit-interval
@@ -18,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, Sequence
 
-from .errors import CompositionMismatch
+from .errors import CompositionMismatch, DomainError
 from .families import (
     FamilyKind,
     FamilyParams,
@@ -36,11 +45,9 @@ from .families import (
 from .fractional import (
     CaputoOrder,
     FracExpansion,
-    caputo_apostol_bernoulli,
-    caputo_apostol_bernoulli_higher,
+    aligned_terms,
+    caputo_closed_form,
     caputo_derivative_poly,
-    caputo_family_poly,
-    caputo_family_poly_literal,
     caputo_quadrature_oracle,
     composition_check,
     eval_frac_expansion,
@@ -100,48 +107,117 @@ class VerificationReport:
         }
 
 
-class _Check:
-    """Accumulates |got - want| statistics in exact rational arithmetic."""
+_EXACT = Fraction(0)
+_TOL_QUADRATURE = Fraction(1, 10**10)
+_TOL_ML = Fraction(1, 10**12)
+# bounded by the order-60 truncation tail, not by arithmetic precision
+_TOL_TRUNCATION = Fraction(1, 10**14)
 
-    def __init__(self, tolerance: Fraction):
-        self.tolerance = Fraction(tolerance)
+
+def _tol_identity(precision: int) -> Fraction:
+    # 2^(48-p): below 1e-24 at the default 128 bits, and scaling with the
+    # arithmetic instead of demanding digits the precision cannot express
+    return Fraction(1, 2 ** (precision - 48))
+
+
+def _tolerance(got: Scalar, want: Scalar, float_tol: Fraction, override: Fraction | None) -> Fraction:
+    """The tolerance policy: an override applies to every comparison;
+    otherwise two exact values must agree exactly, and a float on either
+    side gets the float tolerance."""
+    if override is not None:
+        return override
+    return _EXACT if got.is_exact and want.is_exact else float_tol
+
+
+class _Check:
+    """Error statistics of one suite run, in exact rational arithmetic."""
+
+    def __init__(self, override: Fraction | None):
+        self.override = override
         self.comparisons = 0
+        self.failures = 0
         self.max_abs = Fraction(0)
         self.max_rel = Fraction(0)
-        self.failures = 0
+        self.max_tol = Fraction(0) if override is None else override
 
-    def values(self, got, want):
-        a = as_scalar(got).as_fraction()
-        b = as_scalar(want).as_fraction()
+    def values(self, got, want, float_tol: Fraction):
+        got, want = as_scalar(got), as_scalar(want)
+        tol = _tolerance(got, want, float_tol, self.override)
+        a, b = got.as_fraction(), want.as_fraction()
         abs_err = abs(a - b)
         rel_err = abs_err / max(Fraction(1), abs(a), abs(b))
         self.comparisons += 1
         self.max_abs = max(self.max_abs, abs_err)
         self.max_rel = max(self.max_rel, rel_err)
-        if rel_err > self.tolerance:
+        self.max_tol = max(self.max_tol, tol)
+        if rel_err > tol:
             self.failures += 1
 
-    def expansions(self, got: FracExpansion, want: FracExpansion):
-        gmap = {t.exponent.as_fraction(): t.coefficient.as_fraction() for t in got}
-        wmap = {t.exponent.as_fraction(): t.coefficient.as_fraction() for t in want}
-        for e in sorted(set(gmap) | set(wmap)):
-            self.values(
-                Scalar.exact(gmap.get(e, Fraction(0))),
-                Scalar.exact(wmap.get(e, Fraction(0))),
-            )
 
-    def report(self, identity: str, params: dict, verdict: str | None = None) -> VerificationReport:
-        if verdict is None:
-            verdict = "pass" if self.failures == 0 else "fail"
-        return VerificationReport(
-            identity=identity,
-            params=params,
-            comparisons=self.comparisons,
-            max_abs_err=float(self.max_abs),
-            max_rel_err=float(self.max_rel),
-            tolerance=float(self.tolerance),
-            verdict=verdict,
-        )
+def _run(
+    identity: str,
+    body: Callable[[RunConfig], Iterator],
+    float_tol: Fraction | None,
+    literal: bool,
+    cfg: RunConfig,
+) -> VerificationReport:
+    """Drive one suite's comparisons and turn them into its report.
+
+    A suite may yield a CompositionMismatch instead of a comparison; that
+    forces the verdict ``fail`` without counting a comparison.
+    """
+    check = _Check(None if cfg.tolerance is None else Fraction(cfg.tolerance))
+    suite_tol = _tol_identity(cfg.precision) if float_tol is None else float_tol
+    mismatch = False
+    comparisons = body(cfg)
+    while True:
+        try:
+            item = next(comparisons)
+        except StopIteration as done:
+            params = done.value
+            break
+        if isinstance(item, CompositionMismatch):
+            mismatch = True
+            continue
+        got, want, tol = item if len(item) == 3 else (*item, suite_tol)
+        if isinstance(got, FracExpansion):
+            for _, a, b in aligned_terms(got, want):
+                check.values(a, b, tol)
+        else:
+            check.values(got, want, tol)
+    if mismatch:
+        verdict = "fail"
+    elif literal:
+        verdict = "known-discrepancy" if check.failures else "fail"
+    else:
+        verdict = "fail" if check.failures else "pass"
+    return VerificationReport(
+        identity=identity,
+        params=params,
+        comparisons=check.comparisons,
+        max_abs_err=float(check.max_abs),
+        max_rel_err=float(check.max_rel),
+        tolerance=float(check.max_tol),
+        verdict=verdict,
+    )
+
+
+SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {}
+
+
+def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = False):
+    """Register a comparison generator as the suite ``identity``.
+
+    ``float_tol`` is the suite's float tolerance (default 2^(48-p), the
+    float-identity tolerance); ``literal`` marks a suite expected to report
+    ``known-discrepancy``.
+    """
+
+    def register(body):
+        SUITES[identity] = lambda cfg: _run(identity, body, float_tol, literal, cfg)
+        return body
+
+    return register
 
 
 # -- independent recurrence oracles (no generating-function machinery) -----
@@ -173,82 +249,47 @@ def genocchi_oracle(max_index: int) -> list[Fraction]:
     return [Fraction(2) * (1 - 2 ** n) * bern[n] for n in range(max_index + 1)]
 
 
-# -- grid helpers -----------------------------------------------------------
-
-
-def _kinds(cfg: RunConfig) -> list[FamilyKind]:
-    if cfg.family is not None:
-        return [FamilyKind(cfg.family)]
-    return [FamilyKind.BERNOULLI, FamilyKind.EULER, FamilyKind.GENOCCHI]
-
-
-def _alphas(cfg: RunConfig, default: Sequence) -> list[Scalar]:
-    if cfg.alpha is not None:
-        return [cfg.alpha]
-    return [as_scalar(a) for a in default]
-
-
-def _lams(cfg: RunConfig, default: Sequence) -> list[Scalar]:
-    if cfg.lam is not None:
-        return [cfg.lam]
-    return [as_scalar(l) for l in default]
-
-
-def _orders(cfg: RunConfig, default: Sequence) -> list[Scalar]:
-    if cfg.orders is not None:
-        return list(cfg.orders)
-    return [as_scalar(o) for o in default]
-
-
-def _tol(cfg: RunConfig, default: Fraction) -> Fraction:
-    return Fraction(cfg.tolerance) if cfg.tolerance is not None else Fraction(default)
-
-
-def _grid_params(cfg: RunConfig, **extra) -> dict:
-    out = {}
-    for key, val in extra.items():
-        out[key] = val
-    return out
-
-
-_EXACT = Fraction(0)
-_TOL_QUADRATURE = Fraction(1, 10**10)
-_TOL_ML = Fraction(1, 10**12)
-
-
-def _tol_float_identity(precision: int) -> Fraction:
-    # 2^(48-p): below 1e-24 at the default 128 bits, and scaling with the
-    # arithmetic instead of demanding digits the precision cannot express
-    return Fraction(1, 2 ** (precision - 48))
+_ORACLES = {
+    FamilyKind.BERNOULLI: bernoulli_oracle,
+    FamilyKind.EULER: euler_at_zero_oracle,
+    FamilyKind.GENOCCHI: genocchi_oracle,
+}
 
 
 # -- suites -----------------------------------------------------------------
 
 
-def suite_classical_numbers(cfg: RunConfig) -> VerificationReport:
+def _grid(narrowed, default: Sequence, convert=as_scalar) -> list:
+    """The suite's default grid, or what RunConfig narrows it to: one value,
+    or a tuple of them."""
+    if narrowed is None:
+        narrowed = default
+    elif not isinstance(narrowed, tuple):
+        narrowed = (narrowed,)
+    return [convert(v) for v in narrowed]
+
+
+def _classical(cfg: RunConfig, n_max: int):
+    for kind in _grid(cfg.family, FamilyKind, FamilyKind):
+        nums = family_numbers(FamilyParams(kind, 1, 1), n_max, cfg.precision)
+        yield from zip(nums, _ORACLES[kind](n_max))
+
+
+@_suite("classical-numbers")
+def suite_classical_numbers(cfg: RunConfig):
     """Family numbers at alpha = lambda = 1 against the recurrence oracles."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 24
-    check = _Check(_tol(cfg, _EXACT))
-    oracles = {
-        FamilyKind.BERNOULLI: bernoulli_oracle(n_max),
-        FamilyKind.EULER: euler_at_zero_oracle(n_max),
-        FamilyKind.GENOCCHI: genocchi_oracle(n_max),
-    }
-    for kind in _kinds(cfg):
-        nums = family_numbers(FamilyParams(kind, 1, 1), n_max, cfg.precision)
-        for n in range(n_max + 1):
-            check.values(nums[n], Scalar.exact(oracles[kind][n]))
-    return check.report("classical-numbers", {"max_index": n_max})
+    yield from _classical(cfg, n_max)
+    return {"max_index": n_max}
 
 
-def suite_theorem1(cfg: RunConfig) -> VerificationReport:
+@_suite("theorem1")
+def suite_theorem1(cfg: RunConfig):
     """Binomial-sum polynomial equals the e^{xz}-multiplied series extraction."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 16
-    alphas = _alphas(cfg, (1, 2, 3))
-    lams = _lams(cfg, (Fraction(1, 2), 1, 2))
-    exact_grid = all(a.is_exact and a.is_integer() for a in alphas)
-    check = _Check(_tol(cfg, _EXACT if exact_grid else _tol_float_identity(cfg.precision)))
-    for kind in _kinds(cfg):
+    alphas = _grid(cfg.alpha, (1, 2, 3))
+    lams = _grid(cfg.lam, (Fraction(1, 2), 1, 2))
+    for kind in _grid(cfg.family, FamilyKind, FamilyKind):
         for a in alphas:
             for lam in lams:
                 p = FamilyParams(kind, a, lam)
@@ -257,103 +298,82 @@ def suite_theorem1(cfg: RunConfig) -> VerificationReport:
                     lifted = series * exp_series(x, n_max)
                     for n in range(x, n_max + 1):
                         poly = family_polynomial(p, n, cfg.precision)
-                        want = lifted.coeff(n) * math.factorial(n)
-                        check.values(poly.evaluate(x), want)
-    return check.report(
-        "theorem1",
-        {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]},
-    )
+                        yield poly.evaluate(x), lifted.coeff(n) * math.factorial(n)
+    return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
 
 
-def suite_appell(cfg: RunConfig) -> VerificationReport:
+@_suite("appell")
+def suite_appell(cfg: RunConfig):
     """d/dx P_n = n P_{n-1} coefficientwise."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 16
-    alphas = _alphas(cfg, (1, 2, 3))
-    lams = _lams(cfg, (Fraction(1, 2), 1, 2, 3))
-    exact_grid = all(a.is_exact and a.is_integer() for a in alphas)
-    check = _Check(_tol(cfg, _EXACT if exact_grid else _tol_float_identity(cfg.precision)))
-    for kind in _kinds(cfg):
+    alphas = _grid(cfg.alpha, (1, 2, 3))
+    lams = _grid(cfg.lam, (Fraction(1, 2), 1, 2, 3))
+    for kind in _grid(cfg.family, FamilyKind, FamilyKind):
         for a in alphas:
             for lam in lams:
                 p = FamilyParams(kind, a, lam)
                 polys = [family_polynomial(p, n, cfg.precision) for n in range(n_max + 1)]
                 for n in range(1, n_max + 1):
                     deriv = poly_derivative(polys[n])
-                    want = polys[n - 1].scale(n)
-                    top = max(len(deriv.coeffs), len(want.coeffs))
-                    for k in range(top):
-                        dc = deriv.coeffs[k] if k < len(deriv.coeffs) else Scalar.exact(0)
-                        wc = want.coeffs[k] if k < len(want.coeffs) else Scalar.exact(0)
-                        check.values(dc, wc)
-    return check.report(
-        "appell",
-        {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]},
-    )
+                    yield from zip_longest(deriv.coeffs, polys[n - 1].scale(n).coeffs, fillvalue=0)
+    return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
+
+
+_THEOREM3_XS = tuple(as_scalar(x) for x in (0, Fraction(1, 2), -1, 3))
 
 
 def _theorem3_grid(cfg: RunConfig):
     n_max = cfg.max_degree if cfg.max_degree is not None else 12
-    alphas = _alphas(cfg, (1, 2))
-    lams = _lams(cfg, (1, 2))
-    xs = [as_scalar(0), as_scalar(Fraction(1, 2)), as_scalar(-1), as_scalar(3)]
-    return n_max, alphas, lams, xs
+    alphas = _grid(cfg.alpha, (1, 2))
+    lams = _grid(cfg.lam, (1, 2))
+    families = [
+        FamilyParams(kind, a, lam)
+        for kind in _grid(cfg.family, FamilyKind, FamilyKind)
+        for a in alphas
+        for lam in lams
+    ]
+    return n_max, alphas, lams, families
 
 
-def suite_theorem3(cfg: RunConfig) -> VerificationReport:
+@_suite("theorem3")
+def suite_theorem3(cfg: RunConfig):
     """Unit-interval integral equals (P_{n+1}(x+1) - P_{n+1}(x)) / (n+1)."""
-    n_max, alphas, lams, xs = _theorem3_grid(cfg)
-    check = _Check(_tol(cfg, _EXACT))
-    for kind in _kinds(cfg):
-        for a in alphas:
-            for lam in lams:
-                p = FamilyParams(kind, a, lam)
-                for n in range(n_max + 1):
-                    nxt = family_polynomial(p, n + 1, cfg.precision)
-                    for x in xs:
-                        got = integral_over_unit_interval(p, n, x, cfg.precision)
-                        want = (nxt.evaluate(x + 1) - nxt.evaluate(x)) / (n + 1)
-                        check.values(got, want)
-    return check.report(
-        "theorem3",
-        {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]},
-    )
+    n_max, alphas, lams, families = _theorem3_grid(cfg)
+    for p in families:
+        for n in range(n_max + 1):
+            nxt = family_polynomial(p, n + 1, cfg.precision)
+            for x in _THEOREM3_XS:
+                got = integral_over_unit_interval(p, n, x, cfg.precision)
+                yield got, (nxt.evaluate(x + 1) - nxt.evaluate(x)) / (n + 1)
+    return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
 
 
-def suite_theorem3_literal(cfg: RunConfig) -> VerificationReport:
+@_suite("theorem3-literal", literal=True)
+def suite_theorem3_literal(cfg: RunConfig):
     """The printed form with P_n in the subtrahend; must fail somewhere."""
-    n_max, alphas, lams, xs = _theorem3_grid(cfg)
-    check = _Check(_tol(cfg, _EXACT))
-    for kind in _kinds(cfg):
-        for a in alphas:
-            for lam in lams:
-                p = FamilyParams(kind, a, lam)
-                for n in range(min(n_max, 3) + 1):
-                    cur = family_polynomial(p, n, cfg.precision)
-                    nxt = family_polynomial(p, n + 1, cfg.precision)
-                    for x in xs:
-                        got = integral_over_unit_interval(p, n, x, cfg.precision)
-                        want = (nxt.evaluate(x + 1) - cur.evaluate(x)) / (n + 1)
-                        check.values(got, want)
-    verdict = "known-discrepancy" if check.failures > 0 else "fail"
-    return check.report("theorem3-literal", {"max_degree": min(n_max, 3)}, verdict=verdict)
+    n_max, _, _, families = _theorem3_grid(cfg)
+    for p in families:
+        for n in range(min(n_max, 3) + 1):
+            cur = family_polynomial(p, n, cfg.precision)
+            nxt = family_polynomial(p, n + 1, cfg.precision)
+            for x in _THEOREM3_XS:
+                got = integral_over_unit_interval(p, n, x, cfg.precision)
+                yield got, (nxt.evaluate(x + 1) - cur.evaluate(x)) / (n + 1)
+    return {"max_degree": min(n_max, 3)}
 
 
-def suite_eq5(cfg: RunConfig) -> VerificationReport:
+@_suite("eq5", _TOL_ML)
+def suite_eq5(cfg: RunConfig):
     """Series evaluation against the subtracted-exponential closed forms."""
-    check = _Check(_tol(cfg, _TOL_ML))
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2]
     for m in range(2, 7):
         for z in zs:
-            a = ml_eval(MLParams(1, m), z, precision=cfg.precision)
-            b = ml_one_m_closed(m, z, precision=cfg.precision)
-            check.values(a, b)
+            yield ml_eval(MLParams(1, m), z, precision=cfg.precision), ml_one_m_closed(m, z, precision=cfg.precision)
         # cancellation fallback region: compare against a high-precision
         # direct subtraction, which is only trustworthy with extra bits
         z_small = Fraction(1, 10**6)
-        got = ml_one_m_closed(m, z_small, precision=cfg.precision)
-        ref = _ml_one_m_direct(m, z_small, cfg.precision + 200)
-        check.values(got, ref)
-    return check.report("eq5", {"m": "2..6", "z": [str(z) for z in zs] + ["1/10^6"]})
+        yield ml_one_m_closed(m, z_small, precision=cfg.precision), _ml_one_m_direct(m, z_small, cfg.precision + 200)
+    return {"m": "2..6", "z": [str(z) for z in zs] + ["1/10^6"]}
 
 
 def _ml_one_m_direct(m: int, z: Fraction, precision: int) -> Scalar:
@@ -365,10 +385,9 @@ def _ml_one_m_direct(m: int, z: Fraction, precision: int) -> Scalar:
         return Scalar.big((mp.exp(zm) - partial) / zm ** (m - 1), precision)
 
 
-def suite_ml_consistency(cfg: RunConfig) -> VerificationReport:
+@_suite("ml-consistency", _TOL_TRUNCATION)
+def suite_ml_consistency(cfg: RunConfig):
     """Truncated-series partial sums agree with adaptive evaluation."""
-    # bounded by the order-60 truncation tail, not by arithmetic precision
-    check = _Check(_tol(cfg, Fraction(1, 10**14)))
     order = 60
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2]
     for a in (Fraction(1, 2), 1, Fraction(3, 2), 2):
@@ -382,52 +401,45 @@ def suite_ml_consistency(cfg: RunConfig) -> VerificationReport:
                 for k in range(order + 1):
                     acc = acc + series.coeff(k) * power
                     power = power * zs_scalar
-                check.values(acc, ml_eval(p, z, precision=cfg.precision))
-    return check.report("ml-consistency", {"order": order})
+                yield acc, ml_eval(p, z, precision=cfg.precision)
+    return {"order": order}
 
 
-def suite_mleval_exp(cfg: RunConfig) -> VerificationReport:
+@_suite("mleval-exp", _TOL_ML)
+def suite_mleval_exp(cfg: RunConfig):
     """E_{1,1} equals the exponential on a grid in [-2, 2]."""
-    check = _Check(_tol(cfg, _TOL_ML))
     p = MLParams(1, 1)
     for num in range(-8, 9):
         z = Fraction(num, 4)
         got = ml_eval(p, z, precision=cfg.precision)
         with working_precision(cfg.precision + 16):
             ref = Scalar.big(mp.exp(mp.mpf(z.numerator) / z.denominator), cfg.precision)
-        check.values(got, ref)
-    return check.report("mleval-exp", {"z": "-2..2 step 1/4"})
+        yield got, ref
+    return {"z": "-2..2 step 1/4"}
 
 
-def suite_eq8(cfg: RunConfig) -> VerificationReport:
+@_suite("eq8")
+def suite_eq8(cfg: RunConfig):
     """Integrate-then-differentiate composition equals the direct operator."""
-    check = _Check(_tol(cfg, _tol_float_identity(cfg.precision)))
-    orders = _orders(cfg, (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2)))
+    orders = _grid(cfg.orders, (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2)))
     n_max = cfg.max_degree if cfg.max_degree is not None else 12
-    mismatch = 0
     for a in orders:
         ord_ = CaputoOrder(a)
         for j in range(ord_.n, n_max + 1):
             mono = Polynomial([0] * j + [1])
             try:
                 composed = composition_check(mono, ord_, cfg.precision)
-            except CompositionMismatch:
-                mismatch += 1
-                continue
-            direct = caputo_derivative_poly(mono, ord_, cfg.precision)
-            check.expansions(composed, direct)
-    verdict = None if mismatch == 0 else "fail"
-    return check.report(
-        "eq8",
-        {"max_degree": n_max, "orders": [str(a) for a in orders]},
-        verdict=verdict,
-    )
+            except CompositionMismatch as mismatch:
+                yield mismatch
+            else:
+                yield composed, caputo_derivative_poly(mono, ord_, cfg.precision)
+    return {"max_degree": n_max, "orders": [str(a) for a in orders]}
 
 
-def suite_eq10(cfg: RunConfig) -> VerificationReport:
+@_suite("eq10")
+def suite_eq10(cfg: RunConfig):
     """Product-rule expansion equals the direct derivative of the product."""
-    check = _Check(_tol(cfg, _tol_float_identity(cfg.precision)))
-    orders = _orders(cfg, (Fraction(1, 2), Fraction(3, 2)))
+    orders = _grid(cfg.orders, (Fraction(1, 2), Fraction(3, 2)))
     top = cfg.max_degree if cfg.max_degree is not None else 8
     for a in orders:
         for i in range(top + 1):
@@ -435,120 +447,77 @@ def suite_eq10(cfg: RunConfig) -> VerificationReport:
                 f = Polynomial([0] * i + [1])
                 g = Polynomial([0] * j + [1])
                 got = leibniz_product(f, g, a, cfg.precision)
-                want_term = rl_derivative_term(i + j, a, cfg.precision)
-                want = FracExpansion([want_term])
-                check.expansions(got, want)
-    return check.report(
-        "eq10", {"max_total_degree": top, "orders": [str(a) for a in orders]}
-    )
+                yield got, FracExpansion([rl_derivative_term(i + j, a, cfg.precision)])
+    return {"max_total_degree": top, "orders": [str(a) for a in orders]}
 
 
-def _order_grid(cfg: RunConfig):
-    return _orders(cfg, (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))
-
-
+_CLOSED_FORM_ORDERS = (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
 _EVAL_POINTS = (Fraction(1, 2), 1, 2)
 
 
-def _check_closed_form(
-    check_coeff: _Check,
-    check_quad: _Check,
-    closed: FracExpansion,
-    poly: Polynomial,
-    ord_: CaputoOrder,
-    precision: int,
-):
-    direct = caputo_derivative_poly(poly, ord_, precision)
-    check_coeff.expansions(closed, direct)
-    for t in _EVAL_POINTS:
-        got = eval_frac_expansion(closed, t, precision)
-        want = caputo_quadrature_oracle(poly, ord_, t, precision)
-        check_quad.values(got, want)
-
-
-def _merge_reports(identity, params, coeff: _Check, quad: _Check, verdict=None) -> VerificationReport:
-    rep_c = coeff.report(identity, params)
-    rep_q = quad.report(identity, params)
-    failures = coeff.failures + quad.failures
-    if verdict is None:
-        verdict = "pass" if failures == 0 else "fail"
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        comparisons=rep_c.comparisons + rep_q.comparisons,
-        max_abs_err=max(rep_c.max_abs_err, rep_q.max_abs_err),
-        max_rel_err=max(rep_c.max_rel_err, rep_q.max_rel_err),
-        tolerance=max(rep_c.tolerance, rep_q.tolerance),
-        verdict=verdict,
-    )
-
-
-def suite_theorem4(cfg: RunConfig) -> VerificationReport:
-    """Closed-form Caputo derivative of the lambda-weighted Bernoulli family."""
-    lams = _lams(cfg, (2, 3))
-    orders = _order_grid(cfg)
-    m_max = cfg.max_degree if cfg.max_degree is not None else 8
-    check_coeff = _Check(_tol(cfg, _tol_float_identity(cfg.precision)))
-    check_quad = _Check(_tol(cfg, _TOL_QUADRATURE))
-    for lam in lams:
-        p = FamilyParams(FamilyKind.BERNOULLI, 1, lam)
+def _closed_forms(cfg: RunConfig, families: Sequence[FamilyParams], orders, m_max: int, numbers=None):
+    """Each closed form against the termwise operator, coefficientwise at the
+    float-identity tolerance, and against the quadrature oracle at
+    _EVAL_POINTS.  ``numbers(p, top)``, when given, supplies N_0..N_top."""
+    precision = cfg.precision
+    for p in families:
         for a in orders:
             ord_ = CaputoOrder(a)
             for m in range(ord_.n, m_max + 1):
-                closed = caputo_apostol_bernoulli(m, lam, ord_, cfg.precision)
-                poly = family_polynomial(p, m, cfg.precision)
-                _check_closed_form(check_coeff, check_quad, closed, poly, ord_, cfg.precision)
-    return _merge_reports(
-        "theorem4",
-        {"lambdas": [str(l) for l in lams], "orders": [str(a) for a in orders], "max_degree": m_max},
-        check_coeff,
-        check_quad,
-    )
+                nums = None if numbers is None else numbers(p, m - ord_.n)
+                closed = caputo_closed_form(p, m, ord_, precision, nums)
+                poly = family_polynomial(p, m, precision)
+                yield closed, caputo_derivative_poly(poly, ord_, precision), _tol_identity(precision)
+                for t in _EVAL_POINTS:
+                    yield eval_frac_expansion(closed, t, precision), caputo_quadrature_oracle(poly, ord_, t, precision)
 
 
-def suite_theorem5(cfg: RunConfig) -> VerificationReport:
-    """Higher-order closed form with the multinomial convolution inside."""
-    lams = _lams(cfg, (1, 2, 3))
-    hs = [cfg.h] if cfg.h is not None else [1, 2]
-    orders = _order_grid(cfg)
+@_suite("theorem4", _TOL_QUADRATURE)
+def suite_theorem4(cfg: RunConfig):
+    """Closed-form Caputo derivative of the lambda-weighted Bernoulli family."""
+    lams = _grid(cfg.lam, (2, 3))
+    orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
     m_max = cfg.max_degree if cfg.max_degree is not None else 8
-    check_coeff = _Check(_tol(cfg, _tol_float_identity(cfg.precision)))
-    check_quad = _Check(_tol(cfg, _TOL_QUADRATURE))
-    for lam in lams:
-        for h in hs:
-            p = FamilyParams(FamilyKind.BERNOULLI, 1, lam, h)
-            for a in orders:
-                ord_ = CaputoOrder(a)
-                for m in range(ord_.n, m_max + 1):
-                    closed = caputo_apostol_bernoulli_higher(m, h, lam, ord_, cfg.precision)
-                    poly = family_polynomial(p, m, cfg.precision)
-                    _check_closed_form(check_coeff, check_quad, closed, poly, ord_, cfg.precision)
-    return _merge_reports(
-        "theorem5",
-        {
-            "lambdas": [str(l) for l in lams],
-            "h": hs,
-            "orders": [str(a) for a in orders],
-            "max_degree": m_max,
-        },
-        check_coeff,
-        check_quad,
-    )
+    families = [FamilyParams(FamilyKind.BERNOULLI, 1, lam) for lam in lams]
+    yield from _closed_forms(cfg, families, orders, m_max)
+    return {"lambdas": [str(l) for l in lams], "orders": [str(a) for a in orders], "max_degree": m_max}
 
 
-def suite_theorem6(cfg: RunConfig) -> VerificationReport:
+@_suite("theorem5", _TOL_QUADRATURE)
+def suite_theorem5(cfg: RunConfig):
+    """Higher-order closed form with the multinomial convolution inside."""
+    lams = _grid(cfg.lam, (1, 2, 3))
+    hs = _grid(cfg.h, (1, 2), int)
+    orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
+    m_max = cfg.max_degree if cfg.max_degree is not None else 8
+    families = [FamilyParams(FamilyKind.BERNOULLI, 1, lam, h) for lam in lams for h in hs]
+
+    def multinomial_numbers(p, top):
+        return [multinomial_number_product(p.lam, p.h, r, cfg.precision) for r in range(top + 1)]
+
+    yield from _closed_forms(cfg, families, orders, m_max, multinomial_numbers)
+    return {
+        "lambdas": [str(l) for l in lams],
+        "h": hs,
+        "orders": [str(a) for a in orders],
+        "max_degree": m_max,
+    }
+
+
+@_suite("theorem6", _TOL_QUADRATURE)
+def suite_theorem6(cfg: RunConfig):
     """Corrected-index closed form for all three family kinds."""
-    orders = _order_grid(cfg)
+    orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
     m_max = cfg.max_degree if cfg.max_degree is not None else 8
     if cfg.family is not None or cfg.alpha is not None or cfg.lam is not None:
-        fam_grid = [
+        families = [
             FamilyParams(kind, a, lam)
-            for kind in _kinds(cfg)
-            for a in _alphas(cfg, (1,))
-            for lam in _lams(cfg, (2, 3))
+            for kind in _grid(cfg.family, FamilyKind, FamilyKind)
+            for a in _grid(cfg.alpha, (1,))
+            for lam in _grid(cfg.lam, (2, 3))
         ]
     else:
-        fam_grid = [
+        families = [
             FamilyParams(FamilyKind.BERNOULLI, 1, 2),
             FamilyParams(FamilyKind.EULER, 1, 2),
             FamilyParams(FamilyKind.EULER, 1, 3),
@@ -559,117 +528,74 @@ def suite_theorem6(cfg: RunConfig) -> VerificationReport:
             FamilyParams(FamilyKind.GENOCCHI, 1, 1),
             FamilyParams(FamilyKind.BERNOULLI, 1, 1),
         ]
-    check_coeff = _Check(_tol(cfg, _tol_float_identity(cfg.precision)))
-    check_quad = _Check(_tol(cfg, _TOL_QUADRATURE))
-    for p in fam_grid:
-        for a in orders:
-            ord_ = CaputoOrder(a)
-            for m in range(ord_.n, m_max + 1):
-                closed = caputo_family_poly(p, m, ord_, cfg.precision)
-                poly = family_polynomial(p, m, cfg.precision)
-                _check_closed_form(check_coeff, check_quad, closed, poly, ord_, cfg.precision)
-    return _merge_reports(
-        "theorem6",
-        {
-            "families": [f"{p.kind.value}(alpha={p.alpha},lambda={p.lam})" for p in fam_grid],
-            "orders": [str(a) for a in orders],
-            "max_degree": m_max,
-        },
-        check_coeff,
-        check_quad,
-    )
+    yield from _closed_forms(cfg, families, orders, m_max)
+    return {
+        "families": [f"{p.kind.value}(alpha={p.alpha},lambda={p.lam})" for p in families],
+        "orders": [str(a) for a in orders],
+        "max_degree": m_max,
+    }
 
 
-def suite_theorem6_literal(cfg: RunConfig) -> VerificationReport:
+@_suite("theorem6-literal", literal=True)
+def suite_theorem6_literal(cfg: RunConfig):
     """The printed fixed-index variant; reproduces the documented defect."""
-    check = _Check(_tol(cfg, _tol_float_identity(cfg.precision)))
     p = FamilyParams(FamilyKind.EULER, 1, 2)
     ord_ = CaputoOrder(Fraction(1, 2))
+    pinned = family_numbers(p, ord_.n, cfg.precision)[ord_.n]
     for m in (2, 3, 4):
-        literal = caputo_family_poly_literal(p, m, ord_, cfg.precision)
-        direct = caputo_derivative_poly(family_polynomial(p, m, cfg.precision), ord_, cfg.precision)
-        check.expansions(literal, direct)
-    verdict = "known-discrepancy" if check.failures > 0 else "fail"
-    return check.report(
-        "theorem6-literal", {"family": "euler(alpha=1,lambda=2)", "order": "1/2"}, verdict=verdict
-    )
+        literal = caputo_closed_form(p, m, ord_, cfg.precision, [pinned] * (m - ord_.n + 1))
+        yield literal, caputo_derivative_poly(family_polynomial(p, m, cfg.precision), ord_, cfg.precision)
+    return {"family": "euler(alpha=1,lambda=2)", "order": "1/2"}
 
 
-def suite_specialization(cfg: RunConfig) -> VerificationReport:
+@_suite("specialization")
+def suite_specialization(cfg: RunConfig):
     """lambda-weighted closed forms and the classical reduction, exactly."""
-    check = _Check(_tol(cfg, _EXACT))
-    for lam in _lams(cfg, (2, 3, Fraction(1, 2))):
+    lams = _grid(cfg.lam, (2, 3, Fraction(1, 2)))
+    for lam in lams:
+        if lam == 1:
+            raise DomainError(
+                "specialization needs lambda != 1: B_1(lambda) = 1/(lambda - 1) has a pole at lambda = 1"
+            )
         nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), 2, cfg.precision)
         lf = lam.as_fraction()
-        check.values(nums[0], Scalar.exact(0))
-        check.values(nums[1], Scalar.exact(Fraction(1) / (lf - 1)))
-        check.values(nums[2], Scalar.exact(Fraction(-2) * lf / (lf - 1) ** 2))
+        yield nums[0], 0
+        yield nums[1], 1 / (lf - 1)
+        yield nums[2], -2 * lf / (lf - 1) ** 2
     n_max = cfg.max_degree if cfg.max_degree is not None else 24
-    oracles = {
-        FamilyKind.BERNOULLI: bernoulli_oracle(n_max),
-        FamilyKind.EULER: euler_at_zero_oracle(n_max),
-        FamilyKind.GENOCCHI: genocchi_oracle(n_max),
-    }
-    for kind in _kinds(cfg):
-        nums = family_numbers(FamilyParams(kind, 1, 1), n_max, cfg.precision)
-        for n in range(n_max + 1):
-            check.values(nums[n], Scalar.exact(oracles[kind][n]))
-    return check.report("specialization", {"lambdas": ["2", "3", "1/2"], "max_index": n_max})
+    yield from _classical(cfg, n_max)
+    return {"lambdas": [str(l) for l in lams], "max_index": n_max}
 
 
-def suite_higher_order(cfg: RunConfig) -> VerificationReport:
+@_suite("higher-order")
+def suite_higher_order(cfg: RunConfig):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
-    check = _Check(_tol(cfg, _EXACT))
     r_max = cfg.max_degree if cfg.max_degree is not None else 10
-    hs = [cfg.h] if cfg.h is not None else [1, 2, 3, 4]
-    for lam in _lams(cfg, (1, 2)):
+    hs = _grid(cfg.h, (1, 2, 3, 4), int)
+    for lam in _grid(cfg.lam, (1, 2)):
         for h in hs:
             if lam == 1 and r_max < h:
                 continue
             nums = higher_order_numbers(lam, h, r_max, cfg.precision)
             for r in range(r_max + 1):
-                check.values(multinomial_number_product(lam, h, r, cfg.precision), nums[r])
-    return check.report("higher-order", {"h": hs, "max_index": r_max})
+                yield multinomial_number_product(lam, h, r, cfg.precision), nums[r]
+    return {"h": hs, "max_index": r_max}
 
 
-def suite_genocchi_euler(cfg: RunConfig) -> VerificationReport:
+@_suite("genocchi-euler")
+def suite_genocchi_euler(cfg: RunConfig):
     """G_n(x) = n E_{n-1}(x) coefficientwise (z * the Euler generator)."""
-    check = _Check(_tol(cfg, _EXACT))
     n_max = cfg.max_degree if cfg.max_degree is not None else 16
-    for a in _alphas(cfg, (1, 2)):
-        for lam in _lams(cfg, (1, 2, 3)):
+    for a in _grid(cfg.alpha, (1, 2)):
+        for lam in _grid(cfg.lam, (1, 2, 3)):
             pg = FamilyParams(FamilyKind.GENOCCHI, a, lam)
             pe = FamilyParams(FamilyKind.EULER, a, lam)
             for n in range(1, n_max + 1):
                 g = family_polynomial(pg, n, cfg.precision)
                 e = family_polynomial(pe, n - 1, cfg.precision).scale(n)
-                top = max(len(g.coeffs), len(e.coeffs))
-                for k in range(top):
-                    gc = g.coeffs[k] if k < len(g.coeffs) else Scalar.exact(0)
-                    ec = e.coeffs[k] if k < len(e.coeffs) else Scalar.exact(0)
-                    check.values(gc, ec)
-    return check.report("genocchi-euler", {"max_degree": n_max})
+                yield from zip_longest(g.coeffs, e.coeffs, fillvalue=0)
+    return {"max_degree": n_max}
 
-
-SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {
-    "classical-numbers": suite_classical_numbers,
-    "theorem1": suite_theorem1,
-    "appell": suite_appell,
-    "theorem3": suite_theorem3,
-    "theorem3-literal": suite_theorem3_literal,
-    "eq5": suite_eq5,
-    "ml-consistency": suite_ml_consistency,
-    "mleval-exp": suite_mleval_exp,
-    "eq8": suite_eq8,
-    "eq10": suite_eq10,
-    "theorem4": suite_theorem4,
-    "theorem5": suite_theorem5,
-    "theorem6": suite_theorem6,
-    "theorem6-literal": suite_theorem6_literal,
-    "specialization": suite_specialization,
-    "higher-order": suite_higher_order,
-    "genocchi-euler": suite_genocchi_euler,
-}
 
 # aliases used in build-contract examples
 SUITE_ALIASES = {

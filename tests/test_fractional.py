@@ -5,16 +5,20 @@ import pytest
 from mpmath import mp
 
 from fracpoly.errors import CompositionMismatch, DegreeTooLow, DomainError
-from fracpoly.families import FamilyKind, FamilyParams, Polynomial, family_polynomial
+from fracpoly.families import (
+    FamilyKind,
+    FamilyParams,
+    Polynomial,
+    family_numbers,
+    family_polynomial,
+    multinomial_number_product,
+)
 from fracpoly.fractional import (
     CaputoOrder,
     FracExpansion,
     FracTerm,
-    caputo_apostol_bernoulli,
-    caputo_apostol_bernoulli_higher,
+    caputo_closed_form,
     caputo_derivative_poly,
-    caputo_family_poly,
-    caputo_family_poly_literal,
     caputo_power_rule,
     caputo_quadrature_oracle,
     composition_check,
@@ -32,6 +36,15 @@ TOL = Fraction(1, 10 ** 24)
 
 def monomial(j):
     return Polynomial([0] * j + [1])
+
+
+def bernoulli(lam, h=1):
+    return FamilyParams(FamilyKind.BERNOULLI, 1, lam, h)
+
+
+def multinomial_numbers(lam, h, top):
+    """Theorem 5's route to the numbers: the multinomial convolution sums."""
+    return [multinomial_number_product(lam, h, r) for r in range(top + 1)]
 
 
 def assert_expansions_close(a, b, tol=TOL):
@@ -203,24 +216,21 @@ def test_theorem4_example_m2_lambda2():
     # B_0(2) = 0, B_1(2) = 1 so only the t^{1/2} term survives
     with working_precision(168):
         want = 2 * (2 / mp.sqrt(mp.pi))
-    e = caputo_apostol_bernoulli(2, 2, CaputoOrder(HALF))
+    e = caputo_closed_form(bernoulli(2), 2, CaputoOrder(HALF))
     assert len(e) == 1
     assert_term(e.terms[0], want, HALF)
 
 
 def test_theorem4_m1_lambda2_zero():
-    e = caputo_apostol_bernoulli(1, 2, CaputoOrder(HALF))
+    e = caputo_closed_form(bernoulli(2), 1, CaputoOrder(HALF))
     assert e.is_zero()
 
 
 def test_theorem4_integer_reduction():
     for m in range(1, 7):
         for lam in (1, 2, 3):
-            e = caputo_apostol_bernoulli(m, lam, CaputoOrder(1))
-            want = caputo_derivative_poly(
-                family_polynomial(FamilyParams(FamilyKind.BERNOULLI, 1, lam), m),
-                CaputoOrder(1),
-            )
+            e = caputo_closed_form(bernoulli(lam), m, CaputoOrder(1))
+            want = caputo_derivative_poly(family_polynomial(bernoulli(lam), m), CaputoOrder(1))
             assert not expansion_mismatches(e, want, Fraction(0))  # exact
 
 
@@ -229,25 +239,27 @@ def test_theorem4_matches_direct():
         for alpha in (Fraction(3, 10), HALF, Fraction(3, 2), Fraction(5, 2)):
             ord_ = CaputoOrder(alpha)
             for m in range(ord_.n, 9):
-                closed = caputo_apostol_bernoulli(m, lam, ord_)
-                direct = caputo_derivative_poly(
-                    family_polynomial(FamilyParams(FamilyKind.BERNOULLI, 1, lam), m), ord_
-                )
+                closed = caputo_closed_form(bernoulli(lam), m, ord_)
+                direct = caputo_derivative_poly(family_polynomial(bernoulli(lam), m), ord_)
                 assert_expansions_close(closed, direct)
 
 
 def test_theorem4_degree_too_low():
     with pytest.raises(DegreeTooLow):
-        caputo_apostol_bernoulli(1, 2, CaputoOrder(Fraction(3, 2)))
+        caputo_closed_form(bernoulli(2), 1, CaputoOrder(Fraction(3, 2)))
 
 
 def test_theorem5_reduces_to_theorem4():
-    for lam in (2, 3):
-        ord_ = CaputoOrder(HALF)
-        for m in range(1, 7):
-            a = caputo_apostol_bernoulli_higher(m, 1, lam, ord_)
-            b = caputo_apostol_bernoulli(m, lam, ord_)
-            assert not expansion_mismatches(a, b, Fraction(0))
+    # theorem 5's multinomial numbers against the default family numbers:
+    # at h = 1 this is theorem 4, and at h = 2 the multinomial sums equal
+    # the convolution numbers, so both routes agree exactly
+    ord_ = CaputoOrder(HALF)
+    for h in (1, 2):
+        for lam in (1, 2, 3):
+            for m in range(1, 7):
+                a = caputo_closed_form(bernoulli(lam, h), m, ord_, numbers=multinomial_numbers(lam, h, m - 1))
+                b = caputo_closed_form(bernoulli(lam, h), m, ord_)
+                assert not expansion_mismatches(a, b, Fraction(0))
 
 
 def test_theorem5_example_h2_lambda1():
@@ -255,7 +267,7 @@ def test_theorem5_example_h2_lambda1():
     with working_precision(200):
         g52 = mpf_to_fraction(mp.gamma(mp.mpf(5) / 2))
         g32 = mpf_to_fraction(mp.gamma(mp.mpf(3) / 2))
-    e = caputo_apostol_bernoulli_higher(2, 2, 1, CaputoOrder(HALF))
+    e = caputo_closed_form(bernoulli(1, 2), 2, CaputoOrder(HALF), numbers=multinomial_numbers(1, 2, 1))
     assert len(e) == 2
     t_low, t_high = e.terms
     assert t_low.exponent.as_fraction() == HALF
@@ -270,9 +282,9 @@ def test_theorem5_matches_direct():
             for alpha in (HALF, Fraction(3, 2)):
                 ord_ = CaputoOrder(alpha)
                 for m in range(ord_.n, 8):
-                    closed = caputo_apostol_bernoulli_higher(m, h, lam, ord_)
-                    poly = family_polynomial(FamilyParams(FamilyKind.BERNOULLI, 1, lam, h), m)
-                    direct = caputo_derivative_poly(poly, ord_)
+                    numbers = multinomial_numbers(lam, h, m - ord_.n)
+                    closed = caputo_closed_form(bernoulli(lam, h), m, ord_, numbers=numbers)
+                    direct = caputo_derivative_poly(family_polynomial(bernoulli(lam, h), m), ord_)
                     assert_expansions_close(closed, direct)
 
 
@@ -281,8 +293,8 @@ def test_theorem5_integer_order_eq20():
     for lam in (1, 2):
         for h in (1, 2):
             for m in range(1, 7):
-                closed = caputo_apostol_bernoulli_higher(m, h, lam, CaputoOrder(1))
-                p = FamilyParams(FamilyKind.BERNOULLI, 1, lam, h)
+                p = bernoulli(lam, h)
+                closed = caputo_closed_form(p, m, CaputoOrder(1), numbers=multinomial_numbers(lam, h, m - 1))
                 want_poly = family_polynomial(p, m - 1).scale(m)
                 want = FracExpansion(
                     [FracTerm(c, as_scalar(k)) for c, k in want_poly.monomials()]
@@ -294,7 +306,7 @@ def test_theorem6_euler_example():
     with working_precision(168):
         want = 2 / mp.sqrt(mp.pi)  # E_0 / gamma(3/2)
     p = FamilyParams(FamilyKind.EULER, 1, 1)
-    e = caputo_family_poly(p, 1, CaputoOrder(HALF))
+    e = caputo_closed_form(p, 1, CaputoOrder(HALF))
     assert len(e) == 1
     assert_term(e.terms[0], want, HALF)
 
@@ -302,15 +314,15 @@ def test_theorem6_euler_example():
 def test_theorem6_degree_precondition():
     p = FamilyParams(FamilyKind.GENOCCHI, 1, 2)
     with pytest.raises(DegreeTooLow):
-        caputo_family_poly(p, 1, CaputoOrder(Fraction(5, 2)))
+        caputo_closed_form(p, 1, CaputoOrder(Fraction(5, 2)))
 
 
 def test_theorem6_matches_bernoulli_route():
-    p = FamilyParams(FamilyKind.BERNOULLI, 1, 1)
-    a = caputo_family_poly(p, 2, CaputoOrder(HALF))
+    p = bernoulli(1)
+    a = caputo_closed_form(p, 2, CaputoOrder(HALF))
     b = caputo_derivative_poly(family_polynomial(p, 2), CaputoOrder(HALF))
     assert_expansions_close(a, b)
-    c = caputo_apostol_bernoulli(2, 1, CaputoOrder(HALF))
+    c = caputo_closed_form(p, 2, CaputoOrder(HALF), numbers=multinomial_numbers(1, 1, 1))
     assert_expansions_close(a, c)
 
 
@@ -322,17 +334,19 @@ def test_theorem6_all_kinds_match_direct():
                 for alpha in (Fraction(3, 10), Fraction(3, 2)):
                     ord_ = CaputoOrder(alpha)
                     for m in range(ord_.n, 7):
-                        closed = caputo_family_poly(p, m, ord_)
+                        closed = caputo_closed_form(p, m, ord_)
                         direct = caputo_derivative_poly(family_polynomial(p, m), ord_)
                         assert_expansions_close(closed, direct)
 
 
 def test_theorem6_literal_disagrees():
+    # the printed variant pins the number index at n = ceil(order)
     p = FamilyParams(FamilyKind.EULER, 1, 2)
     ord_ = CaputoOrder(HALF)
+    pinned = family_numbers(p, ord_.n)[ord_.n]
     broke = False
     for m in (2, 3):
-        literal = caputo_family_poly_literal(p, m, ord_)
+        literal = caputo_closed_form(p, m, ord_, numbers=[pinned] * (m - ord_.n + 1))
         direct = caputo_derivative_poly(family_polynomial(p, m), ord_)
         if expansion_mismatches(literal, direct, Fraction(1, 10 ** 10)):
             broke = True

@@ -10,7 +10,6 @@ from fracpoly.gammafns import (
     beta,
     binomial,
     gamma,
-    gamma_value,
     generalized_binomial,
     multinomial,
     reciprocal_gamma,
@@ -35,6 +34,7 @@ def test_gamma_positive_integers_exact():
 def test_gamma_half():
     for prec in (64, 128, 256):
         got = gamma(Fraction(1, 2), prec)
+        assert got.precision == prec
         with working_precision(prec + 40):
             want = mpf_to_fraction(mp.sqrt(mp.pi))
         assert rel_err(got, want) <= Fraction(1, 2 ** (prec - 8))
@@ -211,12 +211,3 @@ def test_multinomial_composition_sum():
 def test_multinomial_rejects_negative():
     with pytest.raises(DomainError):
         multinomial([1, -1])
-
-
-def test_gamma_value_record():
-    gv = gamma_value(7, 128)
-    assert gv.argument.value == 7
-    assert gv.precision == 128
-    assert gv.value.as_fraction() == math.factorial(6)
-    gv = gamma_value(Fraction(1, 2), 64)
-    assert gv.value.precision == 64

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +13,9 @@ from fracpoly.verify import RunConfig, run_suite
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(runner, *args, env=None):
@@ -206,12 +210,35 @@ def test_verify_literal_known_discrepancy(runner):
 
 
 def test_verify_all_exit_zero(runner):
-    r = invoke(runner, "verify", "all")
+    r = invoke(runner, "verify", "all", env={"FRACPOLY_PRECISION": None})
     assert r.exit_code == 0
     lines = r.output.strip().splitlines()
     verdicts = {line.split()[-1] for line in lines[1:]}
     assert verdicts <= {"pass", "known-discrepancy"}
     assert "known-discrepancy" in verdicts  # the two literal suites
+    # the output contract: comparisons, errors and tolerances to the digit
+    assert r.output == (GOLDEN / "verify_all.txt").read_text()
+
+
+@pytest.mark.parametrize("suite", ["theorem3", "genocchi-euler"])
+def test_verify_float_alpha_passes(runner, suite):
+    # a float family alpha makes both routes floats: they get the float
+    # tolerance, not the exact one
+    r = invoke(runner, "verify", suite, "--alpha", "1/2", "--format", "json")
+    assert r.exit_code == 0
+    (report,) = json.loads(r.output)
+    assert report["verdict"] == "pass"
+    assert 0 < report["max_rel_err"] <= report["tolerance"] == 2.0 ** (48 - 128)
+
+
+def test_verify_exact_comparisons_report_zero_tolerance(runner):
+    # at an integer order every coefficient is an exact rational
+    r = invoke(runner, "verify", "eq8", "--order", "1", "--format", "json")
+    assert r.exit_code == 0
+    (report,) = json.loads(r.output)
+    assert report["verdict"] == "pass"
+    assert report["comparisons"] > 0
+    assert report["tolerance"] == 0.0
 
 
 def test_verify_unknown_suite(runner):
@@ -282,6 +309,12 @@ def test_package_errors_exit_two_without_traceback(runner, args):
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert r.output.startswith("error: ")
+
+
+def test_specialization_refuses_lambda_one(runner):
+    r = runner.invoke(cli, ["verify", "specialization", "--lambda", "1"])
+    assert r.exit_code == 2
+    assert "pole at lambda = 1" in r.output
 
 
 def test_cli_import_leaves_scipy_unloaded():
