@@ -24,7 +24,6 @@ from .errors import (
     ToleranceUnreachable,
     ValuationError,
     ZeroConstantTerm,
-    ZeroSeries,
 )
 from .scalars import DEFAULT_PRECISION, Scalar, as_scalar, working_precision
 from .gammafns import (
@@ -38,7 +37,6 @@ from .gammafns import (
 from .series import (
     TruncatedSeries,
     cauchy_product,
-    divide_with_valuation,
     egf_coefficient,
     multiply_exp,
     reciprocal,
@@ -90,7 +88,6 @@ __all__ = [
     "series_add",
     "cauchy_product",
     "reciprocal",
-    "divide_with_valuation",
     "multiply_exp",
     "egf_coefficient",
     "MLParams",
@@ -128,7 +125,6 @@ __all__ = [
     "PoleError",
     "OrderMismatch",
     "ZeroConstantTerm",
-    "ZeroSeries",
     "ValuationError",
     "IndexOutOfOrder",
     "DegenerateDenominator",

@@ -30,7 +30,7 @@ from .fractional import (
 )
 from .mittag import MLParams, ml_eval, ml_one_m_closed
 from .scalars import DEFAULT_PRECISION, Scalar, as_scalar
-from .verify import SUITES, SUITE_ALIASES, RunConfig, run_suite
+from .verify import SUITES, SUITE_ALIASES, RunConfig, run_suite, unread_fields
 
 FORMATS = ("text", "csv", "json")
 
@@ -325,6 +325,11 @@ def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance,
         precision=precision,
         tolerance=tolerance.as_fraction() if tolerance is not None else None,
     )
+    flags = {p.name: p.opts[0] for p in click.get_current_context().command.params}
+    unread = [flags[f] for f in unread_fields(selected, cfg)]
+    if unread:
+        click.echo(f"error: no selected suite reads {', '.join(unread)}", err=True)
+        sys.exit(2)
     reports = [run_suite(name, cfg) for name in selected]
     if fmt == "json":
         click.echo(json.dumps([r.to_dict() for r in reports], indent=2))

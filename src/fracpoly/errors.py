@@ -23,10 +23,6 @@ class ZeroConstantTerm(FracPolyError, ZeroDivisionError):
     """Reciprocal of a series whose constant term vanishes."""
 
 
-class ZeroSeries(FracPolyError, ZeroDivisionError):
-    """Division by a series that vanishes through its whole truncation order."""
-
-
 class ValuationError(FracPolyError, ValueError):
     """A series division cannot cancel the denominator's leading power."""
 

@@ -14,19 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable
 
-from .errors import DegenerateDenominator, DomainError, ValuationError, ZeroConstantTerm, ZeroSeries
+from .errors import DegenerateDenominator, DomainError, ValuationError, ZeroConstantTerm
 from .gammafns import binomial, multinomial
 from .mittag import MLParams, ml_series
-from .scalars import DEFAULT_PRECISION, Scalar, ScalarLike, as_scalar, check_precision
-from .series import (
-    TruncatedSeries,
-    cauchy_product,
-    divide_with_valuation,
-    egf_coefficient,
-    multiply_exp,
-)
+from .scalars import (DEFAULT_PRECISION, ZERO, Coefficients, Scalar, ScalarLike, as_scalar,
+                      check_precision, domain_scope, join_precision)
+from .series import TruncatedSeries, cauchy_product, egf_coefficient, reciprocal
 
 __all__ = [
     "FamilyKind",
@@ -80,127 +76,104 @@ class FamilyParams:
         return (self.kind.value, self.alpha.cache_key(), self.lam.cache_key(), self.h)
 
 
-class Polynomial:
-    """Dense polynomial in one variable, coefficients ascending by degree."""
+class Polynomial(Coefficients):
+    """Dense polynomial in one variable, coefficients ascending by degree,
+    in one coefficient domain (see :class:`~fracpoly.scalars.Coefficients`)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[ScalarLike]):
-        cs = [as_scalar(c) for c in coeffs]
-        if not cs:
-            cs = [as_scalar(0)]
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        return self._coeffs
+        super().__init__(list(coeffs) or [0])
 
     @property
     def degree(self) -> int:
         """Index of the last stored coefficient (trailing zeros tolerated)."""
-        return len(self._coeffs) - 1
+        return len(self._values) - 1
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coeffs)
+        return not any(self._values)
 
     def evaluate(self, x: ScalarLike) -> Scalar:
         xs = as_scalar(x)
-        acc = as_scalar(0)
-        for c in reversed(self._coeffs):
-            acc = acc * xs + c
-        return acc
+        prec = join_precision(self._prec, xs.precision)
+        xv = xs.raw_in(prec)
+        acc = 0
+        with domain_scope(prec):
+            for c in reversed(self._values_in(prec)):
+                acc = acc * xv + c
+        return Scalar(acc, prec)
 
     def derivative(self) -> "Polynomial":
-        if len(self._coeffs) == 1:
+        if len(self._values) == 1:
             return Polynomial([0])
-        return Polynomial([c * k for k, c in enumerate(self._coeffs) if k >= 1])
+        with domain_scope(self._prec):
+            return self._raw([c * k for k, c in enumerate(self._values) if k], self._prec)
 
     def antiderivative(self) -> "Polynomial":
-        out = [as_scalar(0)]
-        for k, c in enumerate(self._coeffs):
-            out.append(c / (k + 1))
-        return Polynomial(out)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self._coeffs), len(other._coeffs))
-        out = []
-        for k in range(n):
-            a = self._coeffs[k] if k < len(self._coeffs) else as_scalar(0)
-            b = other._coeffs[k] if k < len(other._coeffs) else as_scalar(0)
-            out.append(a + b)
-        return Polynomial(out)
+        with domain_scope(self._prec):
+            out = [c / (k + 1) for k, c in enumerate(self._values)]
+        return self._raw([ZERO.raw_in(self._prec)] + out, self._prec)
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = [as_scalar(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                for j, b in enumerate(other._coeffs):
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        xs, ys, prec = self._joined(other)
+        out = [ZERO.raw_in(prec)] * (len(xs) + len(ys) - 1)
+        with domain_scope(prec):
+            for i, a in enumerate(xs):
+                for j, b in enumerate(ys):
                     out[i + j] = out[i + j] + a * b
-            return Polynomial(out)
-        return self.scale(other)
+        return self._raw(out, prec)
 
     __rmul__ = __mul__
 
-    def scale(self, factor: ScalarLike) -> "Polynomial":
-        f = as_scalar(factor)
-        return Polynomial([f * c for c in self._coeffs])
-
     def monomials(self):
         """Yield (coefficient, power) pairs for nonzero coefficients."""
-        for k, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                yield c, k
+        for k, c in enumerate(self._values):
+            if c:
+                yield Scalar(c, self._prec), k
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        za = list(self._coeffs) + [as_scalar(0)] * (n - len(self._coeffs))
-        zb = list(other._coeffs) + [as_scalar(0)] * (n - len(other._coeffs))
-        return all(a == b for a, b in zip(za, zb))
+        return all(a == b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO))
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __repr__(self):
-        return f"Polynomial({[str(c) for c in self._coeffs]})"
+        return f"Polynomial({[str(c) for c in self.coeffs]})"
+
+
+# (c, k): the numerator c * z^k over lambda * E_alpha(z) -+ 1
+_NUMERATORS = {FamilyKind.BERNOULLI: (1, 1), FamilyKind.EULER: (2, 0), FamilyKind.GENOCCHI: (2, 1)}
 
 
 def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
-    """Ordinary-coefficient series of the number generating function."""
-    if p.kind is FamilyKind.BERNOULLI:
-        den_const_shift = -1
-    else:
-        den_const_shift = 1
+    """Ordinary-coefficient series of the number generating function
+    c z^k / (lambda E_alpha(z) -+ 1), as c z^(k-v) times the reciprocal of
+    the denominator over z^v, its valuation."""
+    c, k = _NUMERATORS[p.kind]
+    shift = -1 if p.kind is FamilyKind.BERNOULLI else 1
     # the z coefficient of lambda*E_alpha -+ 1 is lambda/gamma(alpha+1) != 0,
     # so the denominator valuation is 1 exactly when the constant term dies
     v = 1 if (p.kind is FamilyKind.BERNOULLI and p.lam == 1) else 0
     m = order + v
     e_alpha = ml_series(MLParams(p.alpha, 1), m, precision)
-    den_coeffs = [c * p.lam for c in e_alpha.coeffs]
-    den = TruncatedSeries(den_coeffs)
-    den = TruncatedSeries([den.coeff(0) + den_const_shift] + list(den.coeffs[1:]))
-    if p.kind is FamilyKind.BERNOULLI:
-        num = TruncatedSeries.monomial(1, 1, m)
-    elif p.kind is FamilyKind.EULER:
-        num = TruncatedSeries.constant(2, m)
-    else:
-        num = TruncatedSeries.monomial(2, 1, m)
+    den = e_alpha.scale(p.lam) + TruncatedSeries.constant(shift, m)
     try:
-        return divide_with_valuation(num, den)
-    except (ZeroSeries, ZeroConstantTerm) as exc:
+        inverse = reciprocal(den.shift_down(v))
+    except ZeroConstantTerm as exc:
         raise DegenerateDenominator(
             f"generating denominator vanishes through order {m} for {p}"
         ) from exc
+    return inverse.scale(c).shift_up(k - v)
 
 
 @lru_cache(maxsize=256)
 def _family_series_cached(key, p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
     del key
-    if p.h == 1:
-        return _number_series(p, order, precision)
-    base = _number_series(FamilyParams(p.kind, p.alpha, p.lam), order, precision)
-    out = base
+    out = base = _number_series(p, order, precision)
     for _ in range(p.h - 1):
         out = cauchy_product(out, base)
     return out
@@ -217,7 +190,7 @@ def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISIO
 def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRECISION) -> tuple[Scalar, ...]:
     """EGF coefficients of the number generating function, indices 0..max_index."""
     s = family_series(p, max_index, precision)
-    return tuple(egf_coefficient(s, k) for k in range(max_index + 1))
+    return tuple([egf_coefficient(s, k) for k in range(max_index + 1)])
 
 
 def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
@@ -225,10 +198,7 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     nums = family_numbers(p, n, precision)
-    coeffs = [as_scalar(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = binomial(n, k) * nums[k]
-    return Polynomial(coeffs)
+    return Polynomial([binomial(n, k) * nums[k] for k in range(n, -1, -1)])
 
 
 def eval_polynomial(q: Polynomial, x: ScalarLike) -> Scalar:

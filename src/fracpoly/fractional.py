@@ -370,14 +370,9 @@ def caputo_quadrature_oracle(
     nodes, weights = gauss_jacobi_rule(weight_exp, npoints, precision)
     with working_precision(wp):
         tm = ts.as_mpf(wp)
-        coeffs = [c.as_mpf(wp) for c in dq.coeffs]
         acc = mp.mpf(0)
         for x, w in zip(nodes, weights):
-            s = tm * (1 + x) / 2
-            val = mp.mpf(0)
-            for c in reversed(coeffs):
-                val = val * s + c
-            acc += w * val
+            acc += w * dq.evaluate(Scalar(tm * (1 + x) / 2, wp)).value
         front = (tm / 2) ** (mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
         total = acc * front / mpmath.gamma(mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
     return Scalar.big(total, precision)

@@ -91,10 +91,9 @@ def ml_eval(
     """
     check_precision(precision)
     zs = as_scalar(z)
-    if abs(zs.as_fraction()) > EVAL_ENVELOPE:
-        raise ConvergenceEnvelopeExceeded(
-            f"|z| = {abs(zs.as_fraction())} exceeds the evaluation envelope {EVAL_ENVELOPE}"
-        )
+    z_abs = abs(zs.as_fraction())
+    if z_abs > EVAL_ENVELOPE:
+        raise ConvergenceEnvelopeExceeded(f"|z| = {z_abs} exceeds the evaluation envelope {EVAL_ENVELOPE}")
     if tol is None:
         tol_fr = Fraction(1, 2 ** (precision - 24))
     else:
@@ -104,6 +103,17 @@ def ml_eval(
     if tol_fr < Fraction(1, 2 ** (precision - 12)):
         raise ToleranceUnreachable(
             f"tolerance {float(tol_fr):.3e} below the resolution of {precision}-bit arithmetic"
+        )
+    # the term ratio |z| gamma(alpha n + beta) / gamma(alpha (n+1) + beta) falls
+    # with n; at 1/2 or more for the last allowed term, the break below never
+    # fires (1e-6 covers the float64 error of the estimate)
+    a, b = float(p.alpha), float(p.beta)
+    last_log_ratio = (math.log(z_abs.numerator or 1) - math.log(z_abs.denominator)
+                      + math.lgamma(a * _MAX_TERMS + b) - math.lgamma(a * (_MAX_TERMS + 1) + b))
+    if z_abs and last_log_ratio >= math.log(0.5) + 1e-6:
+        raise ToleranceUnreachable(
+            f"series cannot settle within {_MAX_TERMS} terms: the term ratio stays >= 1/2 "
+            f"(alpha={p.alpha}, z={zs})"
         )
     wp = precision + 16
     with working_precision(wp):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DomainError
 
@@ -39,6 +39,19 @@ def working_precision(bits: int):
             mp.prec = saved
 
 
+def domain_scope(precision: int | None):
+    """The scope raw arithmetic in a domain runs in: none for the exact
+    domain (``precision`` None), else :func:`working_precision`."""
+    return nullcontext() if precision is None else working_precision(precision)
+
+
+def join_precision(*precisions: int | None) -> int | None:
+    """The domain of a result: exact (None) when every operand is exact,
+    else floats at the largest operand precision."""
+    floats = [p for p in precisions if p is not None]
+    return max(floats) if floats else None
+
+
 def check_precision(bits: int) -> int:
     if not isinstance(bits, int) or bits < MIN_PRECISION:
         raise DomainError(f"precision must be an integer >= {MIN_PRECISION} bits, got {bits!r}")
@@ -60,10 +73,7 @@ def mpf_to_fraction(x) -> Fraction:
 
 def fraction_to_mpf(q: Fraction, bits: int):
     """Fraction converted to an mpf, correctly rounded to ``bits``."""
-    with working_precision(bits + 16):
-        t = mp.mpf(q.numerator) / q.denominator
-    with working_precision(bits):
-        return +t
+    return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
 
 
 class Scalar:
@@ -123,6 +133,13 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         return self._val if self.is_exact else mpf_to_fraction(self._val)
 
+    def raw_in(self, prec: int | None):
+        """The raw value in the domain ``prec``, which is this one or wider:
+        a Fraction, or an mpf (a Fraction correctly rounded to ``prec``)."""
+        if prec is None or not self.is_exact:
+            return self._val
+        return fraction_to_mpf(self._val, prec)
+
     def as_mpf(self, prec: int | None = None):
         bits = prec if prec is not None else (self._prec or DEFAULT_PRECISION)
         if self.is_exact:
@@ -140,11 +157,9 @@ class Scalar:
 
     def _binary(self, other, op):
         other = as_scalar(other)
-        if self.is_exact and other.is_exact:
-            return Scalar(op(self._val, other._val), None)
-        prec = max(self._prec or 0, other._prec or 0)
-        with working_precision(prec):
-            return Scalar(op(self.as_mpf(prec), other.as_mpf(prec)), prec)
+        prec = join_precision(self._prec, other._prec)
+        with domain_scope(prec):
+            return Scalar(op(self.raw_in(prec), other.raw_in(prec)), prec)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -171,21 +186,15 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("Scalar exponent must be an int")
-        if self.is_exact:
-            return Scalar(self._val ** n, None)
-        with working_precision(self._prec):
+        with domain_scope(self._prec):
             return Scalar(self._val ** n, self._prec)
 
     def __neg__(self):
-        if self.is_exact:
-            return Scalar(-self._val, None)
-        with working_precision(self._prec):
+        with domain_scope(self._prec):
             return Scalar(-self._val, self._prec)
 
     def __abs__(self):
-        if self.is_exact:
-            return Scalar(abs(self._val), None)
-        with working_precision(self._prec):
+        with domain_scope(self._prec):
             return Scalar(abs(self._val), self._prec)
 
     # -- comparisons (numeric, exact across domains) ------------------
@@ -294,3 +303,55 @@ def parse_decimal_str(text: str, precision: int) -> Scalar:
 
 ZERO = Scalar.exact(0)
 ONE = Scalar.exact(1)
+
+
+class Coefficients:
+    """One tuple of raw coefficient values in one domain: Fractions when
+    the precision is None, else mpfs at that precision.  Tuples are built
+    from lists, whose length is known: a tuple grown from a generator is
+    resized, which keeps filling the interpreter's tuple free lists.
+
+    Coercion and promotion happen once, in the constructor: mixed input is
+    promoted to the widest domain present.  Subclasses compute on the raw
+    values inside at most one precision scope per operation; Scalars appear
+    only at the boundary, in :attr:`coeffs`.
+    """
+
+    __slots__ = ("_values", "_prec")
+
+    def __init__(self, coeffs: Iterable[ScalarLike]):
+        cs = [as_scalar(c) for c in coeffs]
+        if not cs:
+            raise ValueError(f"a {type(self).__name__} needs at least one coefficient")
+        prec = join_precision(*[c.precision for c in cs])
+        self._values = tuple([c.raw_in(prec) for c in cs])
+        self._prec = prec
+
+    @classmethod
+    def _raw(cls, values: Iterable, precision: int | None):
+        """A container around raw values already in the domain ``precision``."""
+        out = object.__new__(cls)
+        out._values, out._prec = tuple(values), precision
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return tuple([Scalar(v, self._prec) for v in self._values])
+
+    def _values_in(self, prec: int | None) -> tuple:
+        """The raw values in the domain ``prec``, which is this one or wider."""
+        if prec is None or self._prec is not None:
+            return self._values
+        return tuple([fraction_to_mpf(v, prec) for v in self._values])
+
+    def _joined(self, other: "Coefficients") -> tuple:
+        """Both raw value tuples in the common domain, and its precision."""
+        prec = join_precision(self._prec, other._prec)
+        return self._values_in(prec), other._values_in(prec), prec
+
+    def scale(self, factor: ScalarLike):
+        f = as_scalar(factor)
+        prec = join_precision(self._prec, f.precision)
+        fv = f.raw_in(prec)
+        with domain_scope(prec):
+            return self._raw([fv * v for v in self._values_in(prec)], prec)

@@ -2,68 +2,43 @@
 
 Coefficients are stored in the ordinary convention (a_k multiplying z^k),
 so the Cauchy product is a plain convolution; the factorial enters only in
-:func:`egf_coefficient`.  All coefficients of a series share one domain:
-all exact, or all floats at a single precision (mixed input is promoted).
+:func:`egf_coefficient`.  A series holds one coefficient domain: all
+Fractions, or all mpfs at one precision (mixed input is promoted once, in
+the constructor), and every operation works on the raw values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from operator import mul
 
-from .errors import (
-    IndexOutOfOrder,
-    OrderMismatch,
-    ValuationError,
-    ZeroConstantTerm,
-    ZeroSeries,
-)
-from .scalars import Scalar, ScalarLike, as_scalar
+from .errors import IndexOutOfOrder, OrderMismatch, ValuationError, ZeroConstantTerm
+from .scalars import ONE, ZERO, Coefficients, Scalar, ScalarLike, as_scalar, domain_scope
 
 __all__ = [
     "TruncatedSeries",
     "series_add",
     "cauchy_product",
     "reciprocal",
-    "divide_with_valuation",
     "multiply_exp",
     "egf_coefficient",
-    "valuation",
     "exp_series",
 ]
 
 
-def _unify(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    precs = [c.precision for c in coeffs if not c.is_exact]
-    if not precs:
-        return tuple(coeffs)
-    prec = max(precs)
-    return tuple(Scalar.big(c.as_mpf(prec), prec) for c in coeffs)
-
-
-class TruncatedSeries:
+class TruncatedSeries(Coefficients):
     """A formal power series known through z^N."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[ScalarLike]):
-        cs = [as_scalar(c) for c in coeffs]
-        if not cs:
-            raise ValueError("a truncated series needs at least the constant coefficient")
-        self._coeffs = _unify(cs)
+    __slots__ = ()
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        return self._coeffs
+        return len(self._values) - 1
 
     def coeff(self, k: int) -> Scalar:
         if k < 0 or k > self.order:
             raise IndexOutOfOrder(f"coefficient {k} of a series truncated at order {self.order}")
-        return self._coeffs[k]
+        return Scalar(self._values[k], self._prec)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -81,17 +56,18 @@ class TruncatedSeries:
         coeffs[power] = value
         return cls(coeffs)
 
-    def scale(self, factor: ScalarLike) -> "TruncatedSeries":
-        f = as_scalar(factor)
-        return TruncatedSeries([f * c for c in self._coeffs])
-
     def shift_down(self, v: int) -> "TruncatedSeries":
         """Divide by z^v; the first v coefficients must vanish."""
-        if any(not c.is_zero() for c in self._coeffs[:v]):
+        if any(self._values[:v]):
             raise ValuationError(f"series has valuation < {v}, cannot divide by z^{v}")
         if v > self.order:
             raise ValuationError(f"cannot shift a series of order {self.order} down by {v}")
-        return TruncatedSeries(self._coeffs[v:])
+        return self._raw(self._values[v:], self._prec)
+
+    def shift_up(self, v: int) -> "TruncatedSeries":
+        """Multiply by z^v, keeping the truncation order."""
+        zero = ZERO.raw_in(self._prec)
+        return self._raw(((zero,) * v + self._values)[: self.order + 1], self._prec)
 
     def __add__(self, other):
         return series_add(self, other)
@@ -109,95 +85,66 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
+        shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
 
-def _check_same_order(a: TruncatedSeries, b: TruncatedSeries):
+def _joined(a: TruncatedSeries, b: TruncatedSeries):
+    """The raw values of two series of one order in their common domain."""
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+    return a._joined(b)
 
 
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_same_order(a, b)
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+    x, y, prec = _joined(a, b)
+    with domain_scope(prec):
+        return TruncatedSeries._raw([u + v for u, v in zip(x, y)], prec)
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """c_n = sum_{k<=n} a_k b_{n-k}, truncated at the common order."""
-    _check_same_order(a, b)
-    ac, bc = a.coeffs, b.coeffs
-    out = []
-    for n in range(a.order + 1):
-        s = as_scalar(0)
-        for k in range(n + 1):
-            s = s + ac[k] * bc[n - k]
-        out.append(s)
-    return TruncatedSeries(out)
+    """c_n = sum_{k<=n} a_k b_{n-k}, truncated at the common order.
+
+    Each sum starts from zero and adds its products in order of k, so the
+    float domain rounds every product and every partial sum once.
+    """
+    x, y, prec = _joined(a, b)
+    with domain_scope(prec):
+        return TruncatedSeries._raw(
+            [sum(map(mul, x[: n + 1], y[n::-1])) for n in range(len(x))], prec
+        )
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse through the truncation order (triangular recurrence)."""
-    a0 = a.coeff(0)
-    if a0.is_zero():
+    x = a._values
+    if x[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    inv0 = as_scalar(1) / a0
-    out = [inv0]
-    for n in range(1, a.order + 1):
-        s = as_scalar(0)
-        for k in range(1, n + 1):
-            s = s + a.coeff(k) * out[n - k]
-        out.append(-inv0 * s)
-    return TruncatedSeries(out)
-
-
-def valuation(a: TruncatedSeries) -> int | None:
-    """Index of the first nonzero coefficient; None if all vanish."""
-    for k, c in enumerate(a.coeffs):
-        if not c.is_zero():
-            return k
-    return None
-
-
-def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """num/den where den may start with a power of z.
-
-    The common power z^v (v the denominator valuation) is cancelled first,
-    so every returned coefficient is correct; the result is truncated at
-    order N - v.
-    """
-    _check_same_order(num, den)
-    v = valuation(den)
-    if v is None:
-        raise ZeroSeries("denominator vanishes through the truncation order")
-    vn = valuation(num)
-    if vn is not None and vn < v:
-        raise ValuationError(
-            f"numerator valuation {vn} below denominator valuation {v}; "
-            "the quotient is not a power series"
-        )
-    if vn is None and v > 0:
-        # zero numerator: quotient is zero at the reduced order
-        return TruncatedSeries.zero(num.order - v)
-    return cauchy_product(num.shift_down(v), reciprocal(den.shift_down(v)))
+    with domain_scope(a._prec):
+        inv0 = 1 / x[0]
+        neg_inv0 = -inv0
+        out = [inv0]
+        for n in range(1, len(x)):
+            out.append(neg_inv0 * sum(map(mul, x[1 : n + 1], out[n - 1 :: -1])))
+    return TruncatedSeries._raw(out, a._prec)
 
 
 def exp_series(x: ScalarLike, order: int) -> TruncatedSeries:
     """The series of e^{x z} through the given order."""
     xs = as_scalar(x)
-    coeffs = [as_scalar(1)]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * xs / k)
-    return TruncatedSeries(coeffs)
+    prec = xs.precision
+    out = [ONE.raw_in(prec)]
+    with domain_scope(prec):
+        for k in range(1, order + 1):
+            out.append(out[-1] * xs.value / k)
+    return TruncatedSeries._raw(out, prec)
 
 
 def multiply_exp(a: TruncatedSeries, x: ScalarLike) -> TruncatedSeries:
@@ -207,6 +154,4 @@ def multiply_exp(a: TruncatedSeries, x: ScalarLike) -> TruncatedSeries:
 
 def egf_coefficient(a: TruncatedSeries, n: int) -> Scalar:
     """n! times the ordinary coefficient: the value attached to z^n/n!."""
-    if n < 0 or n > a.order:
-        raise IndexOutOfOrder(f"EGF coefficient {n} of a series truncated at order {a.order}")
     return a.coeff(n) * math.factorial(n)

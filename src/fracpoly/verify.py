@@ -24,7 +24,7 @@ expected to report the ``known-discrepancy`` verdict, and would report
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
@@ -63,6 +63,7 @@ __all__ = [
     "RunConfig",
     "VerificationReport",
     "SUITES",
+    "unread_fields",
     "run_suite",
     "run_suites",
     "bernoulli_oracle",
@@ -164,7 +165,9 @@ def _run(
     """Drive one suite's comparisons and turn them into its report.
 
     A suite may yield a CompositionMismatch instead of a comparison; that
-    forces the verdict ``fail`` without counting a comparison.
+    forces the verdict ``fail`` without counting a comparison.  A grid that
+    yields neither checked nothing, so it raises DomainError instead of
+    reporting a verdict.
     """
     check = _Check(None if cfg.tolerance is None else Fraction(cfg.tolerance))
     suite_tol = _tol_identity(cfg.precision) if float_tol is None else float_tol
@@ -185,6 +188,8 @@ def _run(
                 check.values(a, b, tol)
         else:
             check.values(got, want, tol)
+    if not check.comparisons and not mismatch:
+        raise DomainError(f"suite {identity} makes no comparison on this grid: {params}")
     if mismatch:
         verdict = "fail"
     elif literal:
@@ -203,21 +208,34 @@ def _run(
 
 
 SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {}
+# the RunConfig narrowing fields each suite reads
+_FIELDS: dict[str, frozenset[str]] = {}
+_NARROWING = ("family", "alpha", "lam", "h", "max_degree", "orders")
 
 
-def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = False):
+def _suite(identity: str, reads: Sequence[str] = (), float_tol: Fraction | None = None,
+           literal: bool = False):
     """Register a comparison generator as the suite ``identity``.
 
-    ``float_tol`` is the suite's float tolerance (default 2^(48-p), the
-    float-identity tolerance); ``literal`` marks a suite expected to report
-    ``known-discrepancy``.
+    ``reads`` names the narrowing fields of RunConfig the suite reads; it
+    sees every other one as None.  ``float_tol`` is the suite's float
+    tolerance (default 2^(48-p), the float-identity tolerance); ``literal``
+    marks a suite expected to report ``known-discrepancy``.
     """
+    unread = {f: None for f in _NARROWING if f not in reads}
 
     def register(body):
-        SUITES[identity] = lambda cfg: _run(identity, body, float_tol, literal, cfg)
+        _FIELDS[identity] = frozenset(reads)
+        SUITES[identity] = lambda cfg: _run(identity, body, float_tol, literal, replace(cfg, **unread))
         return body
 
     return register
+
+
+def unread_fields(names: Sequence[str], cfg: RunConfig) -> list[str]:
+    """The narrowing fields set in ``cfg`` that none of the named suites reads."""
+    read = set().union(*(_FIELDS[SUITE_ALIASES.get(n, n)] for n in names))
+    return [f for f in _NARROWING if getattr(cfg, f) is not None and f not in read]
 
 
 # -- independent recurrence oracles (no generating-function machinery) -----
@@ -275,7 +293,7 @@ def _classical(cfg: RunConfig, n_max: int):
         yield from zip(nums, _ORACLES[kind](n_max))
 
 
-@_suite("classical-numbers")
+@_suite("classical-numbers", reads=("family", "max_degree"))
 def suite_classical_numbers(cfg: RunConfig):
     """Family numbers at alpha = lambda = 1 against the recurrence oracles."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 24
@@ -283,7 +301,7 @@ def suite_classical_numbers(cfg: RunConfig):
     return {"max_index": n_max}
 
 
-@_suite("theorem1")
+@_suite("theorem1", reads=("family", "alpha", "lam", "max_degree"))
 def suite_theorem1(cfg: RunConfig):
     """Binomial-sum polynomial equals the e^{xz}-multiplied series extraction."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 16
@@ -302,7 +320,7 @@ def suite_theorem1(cfg: RunConfig):
     return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
 
 
-@_suite("appell")
+@_suite("appell", reads=("family", "alpha", "lam", "max_degree"))
 def suite_appell(cfg: RunConfig):
     """d/dx P_n = n P_{n-1} coefficientwise."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 16
@@ -335,7 +353,7 @@ def _theorem3_grid(cfg: RunConfig):
     return n_max, alphas, lams, families
 
 
-@_suite("theorem3")
+@_suite("theorem3", reads=("family", "alpha", "lam", "max_degree"))
 def suite_theorem3(cfg: RunConfig):
     """Unit-interval integral equals (P_{n+1}(x+1) - P_{n+1}(x)) / (n+1)."""
     n_max, alphas, lams, families = _theorem3_grid(cfg)
@@ -348,7 +366,7 @@ def suite_theorem3(cfg: RunConfig):
     return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
 
 
-@_suite("theorem3-literal", literal=True)
+@_suite("theorem3-literal", reads=("family", "alpha", "lam", "max_degree"), literal=True)
 def suite_theorem3_literal(cfg: RunConfig):
     """The printed form with P_n in the subtrahend; must fail somewhere."""
     n_max, _, _, families = _theorem3_grid(cfg)
@@ -362,7 +380,7 @@ def suite_theorem3_literal(cfg: RunConfig):
     return {"max_degree": min(n_max, 3)}
 
 
-@_suite("eq5", _TOL_ML)
+@_suite("eq5", float_tol=_TOL_ML)
 def suite_eq5(cfg: RunConfig):
     """Series evaluation against the subtracted-exponential closed forms."""
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2]
@@ -385,7 +403,7 @@ def _ml_one_m_direct(m: int, z: Fraction, precision: int) -> Scalar:
         return Scalar.big((mp.exp(zm) - partial) / zm ** (m - 1), precision)
 
 
-@_suite("ml-consistency", _TOL_TRUNCATION)
+@_suite("ml-consistency", float_tol=_TOL_TRUNCATION)
 def suite_ml_consistency(cfg: RunConfig):
     """Truncated-series partial sums agree with adaptive evaluation."""
     order = 60
@@ -405,7 +423,7 @@ def suite_ml_consistency(cfg: RunConfig):
     return {"order": order}
 
 
-@_suite("mleval-exp", _TOL_ML)
+@_suite("mleval-exp", float_tol=_TOL_ML)
 def suite_mleval_exp(cfg: RunConfig):
     """E_{1,1} equals the exponential on a grid in [-2, 2]."""
     p = MLParams(1, 1)
@@ -418,7 +436,7 @@ def suite_mleval_exp(cfg: RunConfig):
     return {"z": "-2..2 step 1/4"}
 
 
-@_suite("eq8")
+@_suite("eq8", reads=("orders", "max_degree"))
 def suite_eq8(cfg: RunConfig):
     """Integrate-then-differentiate composition equals the direct operator."""
     orders = _grid(cfg.orders, (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2)))
@@ -436,7 +454,7 @@ def suite_eq8(cfg: RunConfig):
     return {"max_degree": n_max, "orders": [str(a) for a in orders]}
 
 
-@_suite("eq10")
+@_suite("eq10", reads=("orders", "max_degree"))
 def suite_eq10(cfg: RunConfig):
     """Product-rule expansion equals the direct derivative of the product."""
     orders = _grid(cfg.orders, (Fraction(1, 2), Fraction(3, 2)))
@@ -472,7 +490,7 @@ def _closed_forms(cfg: RunConfig, families: Sequence[FamilyParams], orders, m_ma
                     yield eval_frac_expansion(closed, t, precision), caputo_quadrature_oracle(poly, ord_, t, precision)
 
 
-@_suite("theorem4", _TOL_QUADRATURE)
+@_suite("theorem4", reads=("lam", "orders", "max_degree"), float_tol=_TOL_QUADRATURE)
 def suite_theorem4(cfg: RunConfig):
     """Closed-form Caputo derivative of the lambda-weighted Bernoulli family."""
     lams = _grid(cfg.lam, (2, 3))
@@ -483,7 +501,7 @@ def suite_theorem4(cfg: RunConfig):
     return {"lambdas": [str(l) for l in lams], "orders": [str(a) for a in orders], "max_degree": m_max}
 
 
-@_suite("theorem5", _TOL_QUADRATURE)
+@_suite("theorem5", reads=("lam", "h", "orders", "max_degree"), float_tol=_TOL_QUADRATURE)
 def suite_theorem5(cfg: RunConfig):
     """Higher-order closed form with the multinomial convolution inside."""
     lams = _grid(cfg.lam, (1, 2, 3))
@@ -504,7 +522,8 @@ def suite_theorem5(cfg: RunConfig):
     }
 
 
-@_suite("theorem6", _TOL_QUADRATURE)
+@_suite("theorem6", reads=("family", "alpha", "lam", "orders", "max_degree"),
+        float_tol=_TOL_QUADRATURE)
 def suite_theorem6(cfg: RunConfig):
     """Corrected-index closed form for all three family kinds."""
     orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
@@ -548,7 +567,7 @@ def suite_theorem6_literal(cfg: RunConfig):
     return {"family": "euler(alpha=1,lambda=2)", "order": "1/2"}
 
 
-@_suite("specialization")
+@_suite("specialization", reads=("family", "lam", "max_degree"))
 def suite_specialization(cfg: RunConfig):
     """lambda-weighted closed forms and the classical reduction, exactly."""
     lams = _grid(cfg.lam, (2, 3, Fraction(1, 2)))
@@ -567,7 +586,7 @@ def suite_specialization(cfg: RunConfig):
     return {"lambdas": [str(l) for l in lams], "max_index": n_max}
 
 
-@_suite("higher-order")
+@_suite("higher-order", reads=("lam", "h", "max_degree"))
 def suite_higher_order(cfg: RunConfig):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
     r_max = cfg.max_degree if cfg.max_degree is not None else 10
@@ -582,7 +601,7 @@ def suite_higher_order(cfg: RunConfig):
     return {"h": hs, "max_index": r_max}
 
 
-@_suite("genocchi-euler")
+@_suite("genocchi-euler", reads=("alpha", "lam", "max_degree"))
 def suite_genocchi_euler(cfg: RunConfig):
     """G_n(x) = n E_{n-1}(x) coefficientwise (z * the Euler generator)."""
     n_max = cfg.max_degree if cfg.max_degree is not None else 16

@@ -117,6 +117,32 @@ def test_eval_polynomial():
     assert eval_polynomial(Polynomial([0]), 7).value == 0
 
 
+def test_polynomial_operations_round_like_scalar_loops():
+    # one domain per polynomial; each operation must round as the
+    # coefficient-at-a-time Scalar loops do
+    f = Polynomial([Scalar.big(Fraction(k - 3, 2 * k + 1), 96) for k in range(7)])
+    g = Polynomial([Fraction(1, 3), -2, Fraction(5, 7)])
+    x = Scalar.big(Fraction(-5, 3), 128)
+
+    def bits(values):
+        return [(c.precision, c.as_fraction()) for c in values]
+
+    acc = as_scalar(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    assert bits([f.evaluate(x)]) == bits([acc])
+    prod = [as_scalar(0)] * 9
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            prod[i + j] = prod[i + j] + a * b
+    assert bits((f * g).coeffs) == bits(prod)
+    assert bits(f.derivative().coeffs) == bits([c * k for k, c in enumerate(f.coeffs) if k])
+    assert bits(f.antiderivative().coeffs) == bits(
+        [Scalar.big(0, 96)] + [c / (k + 1) for k, c in enumerate(f.coeffs)]
+    )
+    assert (f * g).coeffs[0].precision == 96 and (g * g).coeffs[0].is_exact
+
+
 def test_poly_derivative_appell():
     p2 = family_polynomial(FamilyParams(B, 1, 1), 2)
     d = poly_derivative(p2)

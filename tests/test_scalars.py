@@ -10,6 +10,7 @@ from fracpoly.scalars import (
     Scalar,
     as_scalar,
     decimal_str,
+    fraction_to_mpf,
     mpf_to_fraction,
     parse_decimal_str,
     working_precision,
@@ -80,6 +81,17 @@ def test_mpf_fraction_roundtrip(q):
     back = mpf_to_fraction(s.value)
     # the stored float is some dyadic close to q; converting back is exact
     assert Scalar.big(back, 128).value == s.value
+
+
+def test_fraction_to_mpf_rounds_once():
+    # q lies 3e-6 of a unit in the last place below the midpoint of two
+    # 64-bit neighbours, so rounding at 80 bits first and then at 64 picks
+    # the upper one (...401 * 2^7); the nearest is ...400 * 2^7
+    q = Fraction(353434878672652946128304890531, 169136543)
+    got = mpf_to_fraction(fraction_to_mpf(q, 64))
+    assert got == 16325330650929179400 * 2 ** 7
+    below, above = got - 2 ** 7, got + 2 ** 7
+    assert abs(q - got) < min(abs(q - below), abs(q - above))
 
 
 @given(fracs, fracs)

@@ -4,23 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracpoly.errors import (
-    IndexOutOfOrder,
-    OrderMismatch,
-    ValuationError,
-    ZeroConstantTerm,
-    ZeroSeries,
-)
+from fracpoly.errors import IndexOutOfOrder, OrderMismatch, ZeroConstantTerm
+from fracpoly.scalars import Scalar, as_scalar
 from fracpoly.series import (
     TruncatedSeries,
     cauchy_product,
-    divide_with_valuation,
     egf_coefficient,
     exp_series,
     multiply_exp,
     reciprocal,
     series_add,
-    valuation,
 )
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -78,43 +71,35 @@ def test_reciprocal_zero_constant():
         reciprocal(ts(0, 1, 2))
 
 
+def bernoulli_generating_series(n):
+    """z / (e^z - 1) through z^n: the reciprocal of (e^z - 1) / z."""
+    return reciprocal(TruncatedSeries([Fraction(1, math.factorial(k + 1)) for k in range(n + 1)]))
+
+
 def test_divide_bernoulli_generating_series():
     # z / (e^z - 1): EGF coefficients are the Bernoulli numbers
     n = 12
-    num = TruncatedSeries.monomial(1, 1, n + 1)
-    den = TruncatedSeries([0] + [Fraction(1, math.factorial(k)) for k in range(1, n + 2)])
-    q = divide_with_valuation(num, den)
+    q = bernoulli_generating_series(n)
     assert q.order == n
     oracle = bernoulli_recurrence(n)
     for k in range(n + 1):
         assert egf_coefficient(q, k).value == oracle[k]
 
 
-def test_divide_trivial():
-    assert divide_with_valuation(ts(0, 1), ts(0, 1)) == ts(1)
-
-
 def test_divide_scaled_argument():
-    # 2z / (e^{2z} - 1): EGF coefficients 2^n B_n, leading values 1, -1
+    # 2z / (e^{2z} - 1) = 1 / ((e^{2z} - 1) / 2z): EGF coefficients 2^n B_n
     n = 8
-    num = TruncatedSeries.monomial(2, 1, n + 1)
-    den = TruncatedSeries([0] + [Fraction(2 ** k, math.factorial(k)) for k in range(1, n + 2)])
-    q = divide_with_valuation(num, den)
-    # multiply-back oracle at the reduced order
-    back = cauchy_product(q, TruncatedSeries(den.coeffs[:n + 1]))
-    assert back == TruncatedSeries(num.coeffs[:n + 1])
+    den = TruncatedSeries([Fraction(2 ** k, math.factorial(k + 1)) for k in range(n + 1)])
+    q = reciprocal(den)
+    # multiply-back oracle: (e^{2z} - 1) = 2z * den, so q * (e^{2z} - 1) = 2z
+    e2 = TruncatedSeries([0] + [Fraction(2 ** k, math.factorial(k)) for k in range(1, n + 2)])
+    back = cauchy_product(TruncatedSeries(q.coeffs + (0,)), e2)
+    assert back == TruncatedSeries.monomial(2, 1, n + 1)
     assert egf_coefficient(q, 0).value == 1
     assert egf_coefficient(q, 1).value == -1
     oracle = bernoulli_recurrence(n)
     for k in range(n + 1):
         assert egf_coefficient(q, k).value == 2 ** k * oracle[k]
-
-
-def test_divide_valuation_errors():
-    with pytest.raises(ValuationError):
-        divide_with_valuation(ts(1, 0, 0), ts(0, 1, 0))
-    with pytest.raises(ZeroSeries):
-        divide_with_valuation(ts(0, 1, 0), TruncatedSeries.zero(2))
 
 
 def test_multiply_exp_examples():
@@ -123,10 +108,7 @@ def test_multiply_exp_examples():
     a = ts(2, -1, Fraction(1, 3))
     assert multiply_exp(a, 0) == a
     # B_1(1) = 1/2 via the EGF of z/(e^z-1) times e^z
-    n = 6
-    num = TruncatedSeries.monomial(1, 1, n + 1)
-    den = TruncatedSeries([0] + [Fraction(1, math.factorial(k)) for k in range(1, n + 2)])
-    shifted = multiply_exp(divide_with_valuation(num, den), 1)
+    shifted = multiply_exp(bernoulli_generating_series(6), 1)
     assert egf_coefficient(shifted, 1).value == Fraction(1, 2)
 
 
@@ -138,10 +120,53 @@ def test_egf_coefficient_examples():
         egf_coefficient(e, 9)
 
 
-def test_valuation():
-    assert valuation(ts(0, 0, 3, 1)) == 2
-    assert valuation(TruncatedSeries.zero(4)) is None
-    assert valuation(ts(7,)) == 0
+def loop_product(ac, bc):
+    """Reference: the Cauchy product one Scalar operation at a time."""
+    out = []
+    for n in range(len(ac)):
+        s = as_scalar(0)
+        for k in range(n + 1):
+            s = s + ac[k] * bc[n - k]
+        out.append(s)
+    return out
+
+
+def loop_reciprocal(ac):
+    """Reference: the reciprocal recurrence one Scalar operation at a time."""
+    inv0 = as_scalar(1) / ac[0]
+    out = [inv0]
+    for n in range(1, len(ac)):
+        s = as_scalar(0)
+        for k in range(1, n + 1):
+            s = s + ac[k] * out[n - k]
+        out.append(-inv0 * s)
+    return out
+
+
+def same_bits(got, want):
+    return [(c.precision, c.as_fraction()) for c in got] == [(c.precision, c.as_fraction()) for c in want]
+
+
+@pytest.mark.parametrize("prec_a, prec_b", [(96, None), (None, 160), (96, 160), (128, 128)])
+def test_float_kernels_round_like_scalar_loops(prec_a, prec_b):
+    # mixed domains are promoted once in the container; the kernels must
+    # still round every product and partial sum as the Scalar loops do
+    def series(prec, seed):
+        vals = [Fraction((7 * k + seed) % 11 - 5, 3 + (k * seed) % 7) for k in range(13)]
+        vals[0] = Fraction(seed, 3)
+        return ts(*(v if prec is None else Scalar.big(v, prec) for v in vals))
+
+    a, b = series(prec_a, 2), series(prec_b, 5)
+    assert same_bits(cauchy_product(a, b).coeffs, loop_product(a.coeffs, b.coeffs))
+    assert same_bits(series_add(a, b).coeffs, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+    assert same_bits(reciprocal(a).coeffs, loop_reciprocal(a.coeffs))
+    f = Scalar.big(Fraction(5, 7), 112)
+    assert same_bits(a.scale(f).coeffs, [f * c for c in a.coeffs])
+    x = Scalar.big(Fraction(-3, 7), 100)
+    want = [Scalar.big(1, 100)]
+    for k in range(1, 13):
+        want.append(want[-1] * x / k)
+    assert same_bits(exp_series(x, 12).coeffs, want)
 
 
 @settings(max_examples=60)
@@ -166,24 +191,6 @@ def test_reciprocal_two_sided(coeffs):
     one = TruncatedSeries.constant(1, 6)
     assert cauchy_product(A, reciprocal(A)) == one
     assert cauchy_product(reciprocal(A), A) == one
-
-
-@settings(max_examples=40)
-@given(st.lists(fracs, min_size=7, max_size=7),
-       st.lists(fracs, min_size=7, max_size=7),
-       st.integers(min_value=0, max_value=3))
-def test_divide_undoes_multiply(a, b, shift):
-    b = [Fraction(0)] * shift + b[shift:]
-    B = ts(*b)
-    v = valuation(B)
-    if v is None:
-        return
-    A = ts(*a)
-    prod = cauchy_product(A, B)
-    q = divide_with_valuation(prod, B)
-    assert q.order == 6 - v
-    for k in range(6 - v + 1):
-        assert q.coeff(k) == A.coeff(k)
 
 
 @settings(max_examples=40)

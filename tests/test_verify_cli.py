@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from fracpoly.cli import cli
-from fracpoly.scalars import parse_decimal_str
-from fracpoly.verify import RunConfig, run_suite
+from fracpoly.scalars import as_scalar, parse_decimal_str
+from fracpoly.verify import SUITES, RunConfig, run_suite, unread_fields
 
 
 @pytest.fixture()
@@ -282,13 +283,15 @@ def test_precision_env_override(runner):
 
 
 def test_cross_process_determinism():
+    import os
     import subprocess
     import sys
 
     cmd = [sys.executable, "-m", "fracpoly.cli"]
     args = ["numbers", "--family", "euler", "--alpha", "1/2", "--max", "6", "--format", "json"]
-    a = subprocess.run(cmd + args, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd + args, capture_output=True, check=True).stdout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    a = subprocess.run(cmd + args, capture_output=True, check=True, env=env).stdout
+    b = subprocess.run(cmd + args, capture_output=True, check=True, env=env).stdout
     assert a == b
 
 
@@ -315,6 +318,41 @@ def test_specialization_refuses_lambda_one(runner):
     r = runner.invoke(cli, ["verify", "specialization", "--lambda", "1"])
     assert r.exit_code == 2
     assert "pole at lambda = 1" in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ["theorem4", "--max-degree", "0"],
+    ["higher-order", "--lambda", "1", "--h", "5", "--max-degree", "3"],
+])
+def test_verify_refuses_grid_without_comparisons(runner, args):
+    r = runner.invoke(cli, ["verify", *args])
+    assert r.exit_code == 2
+    assert r.output.startswith(f"error: suite {args[0]} makes no comparison")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["theorem6-literal", "--order", "1"], "--order"),
+    (["eq5", "--lambda", "2"], "--lambda"),
+])
+def test_verify_refuses_flag_no_selected_suite_reads(runner, args, flag):
+    r = runner.invoke(cli, ["verify", *args])
+    assert r.exit_code == 2
+    assert r.output == f"error: no selected suite reads {flag}\n"
+
+
+def test_verify_accepts_flag_some_selected_suite_reads(runner):
+    assert unread_fields(list(SUITES), RunConfig(lam=as_scalar(2))) == []
+    r = invoke(runner, "verify", "all", "--lambda", "2", "--max-degree", "1")
+    assert r.exit_code == 0
+
+
+@pytest.mark.parametrize("z", ["-5", "-50"])
+def test_mleval_unsettled_series_exits_two_at_once(runner, z):
+    start = time.monotonic()
+    r = runner.invoke(cli, ["mleval", "--alpha", "1/10", "--z", z])
+    assert time.monotonic() - start < 5
+    assert r.exit_code == 2
+    assert r.output.startswith("error: series cannot settle within 100000 terms")
 
 
 def test_cli_import_leaves_scipy_unloaded():
