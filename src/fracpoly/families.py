@@ -11,18 +11,21 @@ order-1 series.
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable
 
 from .errors import DegenerateDenominator, DomainError, ValuationError, ZeroConstantTerm
-from .gammafns import binomial, multinomial
+from .gammafns import multinomial
 from .mittag import MLParams, ml_series
 from .scalars import (DEFAULT_PRECISION, ZERO, Coefficients, Scalar, ScalarLike, as_scalar,
-                      check_precision, domain_scope, join_precision)
-from .series import TruncatedSeries, cauchy_product, egf_coefficient, reciprocal
+                      check_precision, domain_scope, fraction_to_mpf, join_precision)
+from .series import TruncatedSeries, cauchy_product, reciprocal
 
 __all__ = [
     "FamilyKind",
@@ -96,6 +99,8 @@ class Polynomial(Coefficients):
     def evaluate(self, x: ScalarLike) -> Scalar:
         xs = as_scalar(x)
         prec = join_precision(self._prec, xs.precision)
+        if prec is None:
+            return Scalar(_exact_horner(self._values, xs.value), None)
         xv = xs.raw_in(prec)
         acc = 0
         with domain_scope(prec):
@@ -145,6 +150,19 @@ class Polynomial(Coefficients):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
 
+def _exact_horner(values: tuple, x: Fraction) -> Fraction:
+    """sum values[k] x^k for Fractions, as one integer Horner pass: with
+    D the lcm of the denominators and x = p/q, the sum is
+    (sum D values[k] p^k q^(n-k)) / (D q^n), normalized once."""
+    den = math.lcm(*[c.denominator for c in values])
+    p, q = x.numerator, x.denominator
+    acc, q_pow = 0, 1
+    for c in reversed(values):
+        acc = acc * p + c.numerator * (den // c.denominator) * q_pow
+        q_pow *= q
+    return Fraction(acc, den * q ** (len(values) - 1))
+
+
 # (c, k): the numerator c * z^k over lambda * E_alpha(z) -+ 1
 _NUMERATORS = {FamilyKind.BERNOULLI: (1, 1), FamilyKind.EULER: (2, 0), FamilyKind.GENOCCHI: (2, 1)}
 
@@ -170,13 +188,37 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     return inverse.scale(c).shift_up(k - v)
 
 
-@lru_cache(maxsize=256)
+# (params, precision) keys whose longest series is kept, least recently used first
+_SERIES_CACHE_SIZE = 256
+_series_cache: OrderedDict = OrderedDict()
+_series_lock = threading.Lock()
+
+
 def _family_series_cached(key, p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
-    del key
-    out = base = _number_series(p, order, precision)
-    for _ in range(p.h - 1):
-        out = cauchy_product(out, base)
-    return out
+    """The series through ``order``, sliced from the longest one computed
+    for ``key``, the (params, precision) pair.  The order-n series is a
+    prefix of every longer one bit for bit: the Mittag-Leffler coefficients,
+    the triangular reciprocal and the h-fold Cauchy product each read only
+    lower indices.  A higher order is computed outside the lock and
+    replaces the entry."""
+    with _series_lock:
+        longest = _series_cache.get(key)
+        if longest is not None:
+            _series_cache.move_to_end(key)
+    if longest is None or longest.order < order:
+        longest = base = _number_series(p, order, precision)
+        for _ in range(p.h - 1):
+            longest = cauchy_product(longest, base)
+        with _series_lock:
+            held = _series_cache.get(key)
+            if held is None or held.order < order:
+                _series_cache[key] = longest
+            _series_cache.move_to_end(key)
+            while len(_series_cache) > _SERIES_CACHE_SIZE:
+                _series_cache.popitem(last=False)
+    if longest.order == order:
+        return longest
+    return TruncatedSeries._raw(longest._values[: order + 1], longest._prec)
 
 
 def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISION) -> TruncatedSeries:
@@ -184,13 +226,22 @@ def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISIO
     check_precision(precision)
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    return _family_series_cached((p.cache_key(), order, precision), p, order, precision)
+    return _family_series_cached((p.cache_key(), precision), p, order, precision)
+
+
+def _in_domain(n: int, precision: int | None):
+    """The integer n as a raw value of the domain ``precision``, rounded
+    once as :meth:`Scalar.raw_in` rounds it: products with it then round
+    exactly as ``Scalar`` arithmetic does."""
+    return n if precision is None else fraction_to_mpf(n, precision)
 
 
 def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRECISION) -> tuple[Scalar, ...]:
     """EGF coefficients of the number generating function, indices 0..max_index."""
     s = family_series(p, max_index, precision)
-    return tuple([egf_coefficient(s, k) for k in range(max_index + 1)])
+    prec = s._prec
+    with domain_scope(prec):
+        return tuple([Scalar(v * _in_domain(math.factorial(k), prec), prec) for k, v in enumerate(s._values)])
 
 
 def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
@@ -198,7 +249,10 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     nums = family_numbers(p, n, precision)
-    return Polynomial([binomial(n, k) * nums[k] for k in range(n, -1, -1)])
+    prec = nums[0].precision
+    with domain_scope(prec):
+        coeffs = [_in_domain(math.comb(n, k), prec) * nums[k].value for k in range(n, -1, -1)]
+    return Polynomial._raw(coeffs, prec)
 
 
 def eval_polynomial(q: Polynomial, x: ScalarLike) -> Scalar:

@@ -312,11 +312,11 @@ def suite_theorem1(cfg: RunConfig):
             for lam in lams:
                 p = FamilyParams(kind, a, lam)
                 series = family_series(p, n_max, cfg.precision)
+                polys = [family_polynomial(p, n, cfg.precision) for n in range(n_max + 1)]
                 for x in range(n_max + 1):
                     lifted = series * exp_series(x, n_max)
                     for n in range(x, n_max + 1):
-                        poly = family_polynomial(p, n, cfg.precision)
-                        yield poly.evaluate(x), lifted.coeff(n) * math.factorial(n)
+                        yield polys[n].evaluate(x), lifted.coeff(n) * math.factorial(n)
     return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
 
 

@@ -1,9 +1,12 @@
 """The concurrency contract: pure functions, safe under concurrent callers
 mixing working precisions."""
 
+import sys
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 
+import fracpoly.families as families
 from fracpoly.families import FamilyParams, family_numbers
 from fracpoly.gammafns import gamma
 from fracpoly.mittag import MLParams, ml_eval
@@ -61,3 +64,51 @@ def test_concurrent_family_numbers_and_ml():
     for t in threads:
         t.join()
     assert not failures
+
+
+def test_concurrent_prefix_series_cache(monkeypatch):
+    # threads extend and slice the same (params, precision) entries while
+    # others evict; each result must be the single-threaded value
+    shared = [FamilyParams("bernoulli", 1, Fraction(1, 2)), FamilyParams("euler", Fraction(1, 2), 2)]
+    jobs = []
+    for t in range(8):
+        params = shared + [FamilyParams("genocchi", 2, Fraction(t + 1, 3))]
+        jobs.append([(p, 5 + (11 * (t + i)) % 36, (128, 256)[(t + i) % 2])
+                     for i in range(3) for p in params])
+
+    def numbers(p, order, prec):
+        return [(s.precision, s.value._mpf_ if s.precision else s.value)
+                for s in family_numbers(p, order, prec)]
+
+    serial = {}
+    for job in jobs:
+        for p, order, prec in job:
+            monkeypatch.setattr(families, "_series_cache", OrderedDict())
+            serial[p.cache_key(), order, prec] = numbers(p, order, prec)
+    monkeypatch.setattr(families, "_series_cache", OrderedDict())
+    monkeypatch.setattr(families, "_SERIES_CACHE_SIZE", 4)
+    start = threading.Barrier(len(jobs))
+    failures = []
+
+    def worker(job):
+        try:
+            start.wait(timeout=30)
+            for p, order, prec in job:
+                if numbers(p, order, prec) != serial[p.cache_key(), order, prec]:
+                    failures.append((p, order, prec))
+        except Exception as exc:  # pragma: no cover
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert len(families._series_cache) <= 4
