@@ -1,15 +1,25 @@
 """Gamma, beta and the combinatorial primitives built on top of them.
 
-The gamma function is a Spouge approximation whose parameter is derived
+The gamma function is a Spouge approximation whose parameter a is derived
 from the requested precision, so the error bound 2^(8-precision) is a
 consequence of the construction rather than a hope.  Arguments are shifted
-into [1, 2) by the functional equation first: the alternating Spouge sum
-cancels more and more bits as the argument grows, and the shift pins that
-loss at roughly 0.17*precision bits, which the guard bits absorb.
+into [1, 2) by the functional equation first, which pins the cancellation
+of the alternating Spouge sum at roughly 0.17*precision bits.
+
+The sum runs in fixed point: the coefficients are integers scaled by 2^F,
+built once per precision, and each term c_k/(z+k) is one integer floor
+division, since the shifted argument z is a dyadic rational.  F is the
+Spouge working precision precision + 48 + precision/5, taken from the
+requested precision alone, so the sum is within 3a 2^-F of its value
+(relative, since it is at least 1) under any caller's working precision;
+the cancellation costs no bits of it.  The sum is rounded once to the
+working precision, where the shift products and the power and exponential
+factors are computed.
 
 Spouge evaluations are memoized on (argument, precision, working
-precision), so a hit returns the very bits a fresh evaluation would; the
-error bound is untouched.
+precision): the working precision fixes every rounding after the sum, so a
+hit returns the very bits a fresh evaluation would and the error bound is
+untouched.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DomainError, PoleError
 from .scalars import (
@@ -57,17 +67,44 @@ def _spouge_wp(precision: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _spouge_coeffs(a: int, wp: int):
-    with working_precision(wp):
-        coeffs = [mp.sqrt(2 * mp.pi)]
-        for k in range(1, a):
-            t = mp.power(a - k, k - mp.mpf(1) / 2) * mp.e ** (a - k) / math.factorial(k - 1)
-            coeffs.append(t if k % 2 == 1 else -t)
-        return tuple(coeffs)
+def _spouge_coeffs(precision: int) -> tuple[int, tuple[int, ...]]:
+    """(F, (C_0, ..., C_{a-1})): the Spouge coefficients c_k as integers
+    within two units of c_k 2^F.
+
+    With j = a - k, c_k = (-1)^(k-1) j^(k-1) sqrt(j) e^j / (k-1)!.  The power
+    and the factorial are exact, sqrt(j) is an isqrt and e^j a running
+    product of one e, both at G = F + 2a + log2(4a) bits, so their product
+    is off by a relative 4a 2^-G at most.  ln|c_k| is about
+    a (t ln((1-t)/t) + 1) at t = k/a, at most 1.28a, so |c_k| < 2^(1.85a)
+    and that error is below one unit of 2^-F; the final floor adds one more.
+    """
+    a = _spouge_a(precision)
+    F = _spouge_wp(precision)
+    G = F + 2 * a + (4 * a).bit_length()
+    e = libmp.to_fixed(libmp.mpf_e(G + 8), G)
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(G + 8), 1)
+    coeffs = [libmp.to_fixed(libmp.mpf_sqrt(two_pi, G + 8), F)]
+    exp_j = [1 << G, e]  # e^j 2^G
+    for _ in range(2, a):
+        exp_j.append((exp_j[-1] * e) >> G)
+    fact = 1  # (k-1)!
+    for k in range(1, a):
+        j = a - k
+        c = (j ** (k - 1) * math.isqrt(j << 2 * G) * exp_j[j]) // (fact << (2 * G - F))
+        coeffs.append(c if k % 2 == 1 else -c)
+        fact *= k
+    return F, tuple(coeffs)
 
 
 def _gamma_positive(x, precision: int):
-    """Gamma of an mpf x > 0 at the current (elevated) working precision, uncached."""
+    """Gamma of an mpf x > 0 at the current (elevated) working precision, uncached.
+
+    The Spouge sum s = c_0 + sum c_k/(z+k) runs in fixed point at F bits:
+    z = M 2^e is exact, so each term is (C_k 2^-e) // (M + k 2^-e), within
+    three units of 2^-F with its coefficient's error.  So s is within
+    3a 2^-F of its value, relative since |s| >= 1, whatever the working
+    precision, and is rounded to the working precision once.
+    """
     num = mp.mpf(1)
     den = mp.mpf(1)
     while x >= 2:
@@ -76,20 +113,25 @@ def _gamma_positive(x, precision: int):
     while x < 1:
         den *= x
         x += 1
-    a = _spouge_a(precision)
-    coeffs = _spouge_coeffs(a, _spouge_wp(precision))
+    F, coeffs = _spouge_coeffs(precision)
+    a = len(coeffs)
     z = x - 1
-    s = coeffs[0]
+    _, man, exp, _ = z._mpf_
+    shift = max(-exp, 0)
+    zfix = man << max(exp, 0)
+    acc = coeffs[0]
     for k in range(1, a):
-        s += coeffs[k] / (z + k)
+        acc += (coeffs[k] << shift) // (zfix + (k << shift))
+    s = mp.make_mpf(libmp.from_man_exp(acc, -F, mp.prec, libmp.round_nearest))
     g = mp.power(z + a, z + mp.mpf(1) / 2) * mp.exp(-(z + a)) * s
     return g * num / den
 
 
 @lru_cache(maxsize=4096)
 def _spouge_memo(x, precision: int, wp: int):
-    # wp is the caller's mp.prec: every step of the core rounds to it, so it
-    # belongs in the key alongside the argument and the target precision
+    # wp is the caller's mp.prec: the shift products, the power and the
+    # rounded sum all round to it, so it belongs in the key alongside the
+    # argument and the target precision
     return _gamma_positive(x, precision)
 
 

@@ -279,7 +279,15 @@ def as_scalar(x: ScalarLike, precision: int | None = None) -> Scalar:
 
 
 def decimal_str(s: Scalar) -> str:
-    """Shortest decimal string that round-trips at the scalar's precision."""
+    """Shortest decimal string that round-trips at the scalar's precision.
+
+    The scan over digit counts d starts at a proven lower bound L, not at 1.
+    A decimal that parses back to x lies within u = 2^(exp+bc-prec), one
+    ulp of x's binade, of |x| (parsing rounds to nearest), and
+    ``nstr(x, d)`` has at most d significant digits.  So with L the fewest
+    significant digits of any decimal in [|x|-u, |x|+u], every d below L
+    fails, and the scan from L returns the string a scan from 1 returns.
+    """
     if s.is_exact:
         raise TypeError("decimal_str is for the float domain; exact values print as p/q")
     prec = s.precision
@@ -288,11 +296,47 @@ def decimal_str(s: Scalar) -> str:
         return "0.0"
     max_digits = int(math.ceil(prec * math.log10(2))) + 2
     with working_precision(prec):
-        for digits in range(1, max_digits + 1):
+        for digits in range(_min_digits(x, prec, max_digits), max_digits + 1):
             cand = mp.nstr(x, digits, strip_zeros=True)
             if mp.mpf(cand) == x:
                 return cand
         return mp.nstr(x, max_digits, strip_zeros=False)
+
+
+def _min_digits(x, prec: int, max_digits: int) -> int:
+    """The fewest significant digits of a decimal in [|x|-u, |x|+u], u one
+    ulp of x's binade, or max_digits + 1 when it needs more.
+
+    With E = floor(log10(|x|+u)), that is E - q + 1 for the largest q that
+    has a multiple of 10^q in the interval: a decimal below 10^E would put
+    10^E itself inside.  Having a multiple is monotone in q, so binary
+    search finds q; each test is a floor and a ceiling of integers.
+    """
+    _, man, exp, bc = x._mpf_
+    ulp = exp + bc - prec
+    scale = min(exp, ulp, 0)  # the interval is [lo, hi] / 2^-scale
+    mid, u = man << (exp - scale), 1 << (ulp - scale)
+    lo, hi, den = mid - u, mid + u, 1 << -scale
+
+    def floor_div(n: int, q: int) -> int:  # floor(n 2^scale / 10^q)
+        return n * 10 ** max(-q, 0) // (den * 10 ** max(q, 0))
+
+    def fits(q: int) -> bool:
+        return -floor_div(-lo, q) <= floor_div(hi, q)
+
+    top = int((hi.bit_length() - 1 + scale) * math.log10(2))  # E, up to one
+    while floor_div(hi, top) < 1:
+        top -= 1
+    while floor_div(hi, top + 1) >= 1:
+        top += 1
+    lowest, highest = top - max_digits, top  # q = top - max_digits: max_digits + 1
+    while lowest < highest:
+        q = (lowest + highest + 1) // 2
+        if fits(q):
+            lowest = q
+        else:
+            highest = q - 1
+    return top - lowest + 1
 
 
 def parse_decimal_str(text: str, precision: int) -> Scalar:

@@ -7,6 +7,8 @@ from mpmath import mp
 
 from fracpoly.errors import DomainError, PoleError
 from fracpoly.gammafns import (
+    _spouge,
+    _spouge_wp,
     beta,
     binomial,
     gamma,
@@ -211,3 +213,40 @@ def test_multinomial_composition_sum():
 def test_multinomial_rejects_negative():
     with pytest.raises(DomainError):
         multinomial([1, -1])
+
+
+# arguments k/11 and k/13 in (-20, 80), poles excluded: both reflection
+# branches (gamma below 0, reciprocal_gamma below 1/2) and the shifts of the
+# Spouge core in both directions
+SWEEP_ARGS = [Fraction(k, q) for q, stride in ((11, 7), (13, 9))
+              for k in range(-20 * q + 1, 80 * q, stride) if k % q]
+
+
+def _mpmath_gamma(x: Fraction, prec: int) -> Fraction:
+    with working_precision(prec + 64):
+        return mpf_to_fraction(mpmath.gamma(mp.mpf(x.numerator) / x.denominator))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 511, 1024])
+def test_spouge_accuracy_sweep(prec):
+    tol = Fraction(1, 2 ** (prec - 8))
+    for x in SWEEP_ARGS:
+        want = _mpmath_gamma(x, prec)
+        assert rel_err(gamma(x, prec), want) <= tol, x
+        assert rel_err(reciprocal_gamma(x, prec), 1 / want) <= tol, x
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 511, 1024])
+def test_spouge_core_accuracy_under_any_scope(prec):
+    # the core's accuracy must not hinge on the caller's working precision:
+    # ml_eval calls it at prec + 16, gamma at the Spouge working precision
+    tol = Fraction(1, 2 ** (prec - 8))
+    for wp in (prec + 16, _spouge_wp(prec)):
+        for x in SWEEP_ARGS:
+            if x <= 0:
+                continue
+            with working_precision(wp):
+                xm = mp.mpf(x.numerator) / x.denominator
+                got = mpf_to_fraction(_spouge(xm, prec))
+            want = _mpmath_gamma(mpf_to_fraction(xm), prec)
+            assert abs(got - want) / want <= tol, (wp, x)

@@ -162,3 +162,30 @@ def test_exp_identity_grid():
         with working_precision(168):
             want = mpf_to_fraction(mp.exp(mp.mpf(num) / 4))
         assert abs(got.as_fraction() - want) / abs(want) <= Fraction(1, 10 ** 12)
+
+
+def _rgamma_series(alpha: Fraction, beta: Fraction, z: Fraction, prec: int) -> Fraction:
+    """E_{alpha,beta}(z) summed with mpmath's rgamma at prec + 64 bits."""
+    with working_precision(prec + 64):
+        a = mp.mpf(alpha.numerator) / alpha.denominator
+        b = mp.mpf(beta.numerator) / beta.denominator
+        zm = mp.mpf(z.numerator) / z.denominator
+        total, zpow, n = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            term = zpow * mp.rgamma(a * n + b)
+            total += term
+            if n > 10 and abs(term) < abs(total) * mp.mpf(2) ** -(prec + 80):
+                return mpf_to_fraction(total)
+            zpow *= zm
+            n += 1
+
+
+@pytest.mark.parametrize("prec", [337, 463, 510])
+@pytest.mark.parametrize("alpha", [Fraction(17, 11), Fraction(10, 13)])
+@pytest.mark.parametrize("z", [Fraction(-5, 8), Fraction(33, 16)])
+def test_eval_meets_default_tolerance(prec, alpha, z):
+    # the default tolerance 2^-(prec-24) must hold against an independent
+    # reference, not only the loose checks of the CLI
+    beta = Fraction(6, 5)
+    got = ml_eval(MLParams(alpha, beta), z, precision=prec)
+    assert rel(got, _rgamma_series(alpha, beta, z, prec)) <= Fraction(1, 2 ** (prec - 24))

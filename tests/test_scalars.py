@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from fracpoly.errors import DomainError
@@ -116,6 +117,48 @@ def test_decimal_str_roundtrips():
 def test_decimal_str_prefers_short():
     s = Scalar.big(24, 128)
     assert decimal_str(s) == "24.0"
+
+
+def _decimal_str_scan_from_one(s: Scalar) -> str:
+    """decimal_str as a plain scan over every digit count from 1."""
+    prec, x = s.precision, s.value
+    if x == 0:
+        return "0.0"
+    max_digits = int(math.ceil(prec * math.log10(2))) + 2
+    with working_precision(prec):
+        for digits in range(1, max_digits + 1):
+            cand = mp.nstr(x, digits, strip_zeros=True)
+            if mp.mpf(cand) == x:
+                return cand
+        return mp.nstr(x, max_digits, strip_zeros=False)
+
+
+@st.composite
+def float_scalars(draw):
+    """Big floats at 64..600 bits: random mantissas, short decimals, powers
+    of two (binade edges) and powers of ten one ulp off, either sign."""
+    prec = draw(st.integers(64, 600))
+    kind = draw(st.sampled_from(["mantissa", "decimal", "power2", "power10"]))
+    with working_precision(prec):
+        if kind == "mantissa":
+            man = draw(st.integers(1, 2 ** prec - 1))
+            x = mp.ldexp(man, draw(st.integers(-1200, 1200)))
+        elif kind == "decimal":
+            x = mp.mpf(f"{draw(st.integers(1, 10 ** 9))}e{draw(st.integers(-30, 30))}")
+        elif kind == "power2":
+            x = mp.ldexp(1, draw(st.integers(-1200, 1200)))
+        else:
+            x = mp.mpf(10) ** draw(st.integers(-40, 40))
+            x *= 1 + draw(st.sampled_from([-1, 0, 1])) * mp.eps
+        if draw(st.booleans()):
+            x = -x
+    return Scalar.big(x, prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_scalars())
+def test_decimal_str_equals_scan_from_one(s):
+    assert decimal_str(s) == _decimal_str_scan_from_one(s)
 
 
 def test_str_rational_format():
