@@ -4,8 +4,8 @@ Output goes to stdout in text, CSV (RFC 4180) or JSON; diagnostics go to
 stderr.  Exit codes: 0 success / all suites pass, 1 verification failure,
 2 usage or parameter error, including every FracPolyError and
 ArithmeticError a subcommand raises.  Identical invocations produce
-byte-identical output.  FRACPOLY_PRECISION overrides the default precision
-(bits).
+byte-identical output.  FRACPOLY_PRECISION sets the precision (bits) when
+--precision is not given.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -48,20 +48,7 @@ class ScalarParam(click.ParamType):
 
 
 SCALAR = ScalarParam()
-
-
-def _default_precision() -> int:
-    env = os.environ.get("FRACPOLY_PRECISION")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(f"FRACPOLY_PRECISION must be an integer, got {env!r}")
-    return DEFAULT_PRECISION
-
-
-def _resolve_precision(precision: int | None) -> int:
-    return precision if precision is not None else _default_precision()
+NONNEGATIVE = click.IntRange(min=0)
 
 
 def _scalar_cell(s: Scalar) -> dict:
@@ -112,9 +99,9 @@ def _family_options(fn):
 
 
 def _common_options(fn):
-    fn = click.option("--precision", type=int, default=None,
-                      help=f"Working precision in bits (default {DEFAULT_PRECISION}, "
-                           "or FRACPOLY_PRECISION).")(fn)
+    fn = click.option("--precision", type=int, default=DEFAULT_PRECISION, show_default=True,
+                      envvar="FRACPOLY_PRECISION", show_envvar=True,
+                      help="Working precision in bits.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(FORMATS), default="text",
                       show_default=True, help="Output format.")(fn)
     return fn
@@ -142,12 +129,9 @@ def cli():
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--max", "max_index", type=int, required=True, help="Largest index to print.")
+@click.option("--max", "max_index", type=NONNEGATIVE, required=True, help="Largest index to print.")
 def numbers(family, alpha, lam, h, precision, fmt, max_index):
     """Print family numbers 0..MAX (generating-series coefficients)."""
-    precision = _resolve_precision(precision)
-    if max_index < 0:
-        raise click.UsageError("--max must be nonnegative")
     p = _family_params(family, alpha, lam, h)
     nums = family_numbers(p, max_index, precision)
     rows = []
@@ -161,12 +145,9 @@ def numbers(family, alpha, lam, h, precision, fmt, max_index):
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--degree", type=int, required=True, help="Polynomial degree n.")
+@click.option("--degree", type=NONNEGATIVE, required=True, help="Polynomial degree n.")
 def poly(family, alpha, lam, h, precision, fmt, degree):
     """Print the coefficients of the degree-n family polynomial."""
-    precision = _resolve_precision(precision)
-    if degree < 0:
-        raise click.UsageError("--degree must be nonnegative")
     p = _family_params(family, alpha, lam, h)
     q = family_polynomial(p, degree, precision)
     rows = []
@@ -180,13 +161,10 @@ def poly(family, alpha, lam, h, precision, fmt, degree):
 @cli.command("eval")
 @_family_options
 @_common_options
-@click.option("--degree", type=int, required=True, help="Polynomial degree n.")
+@click.option("--degree", type=NONNEGATIVE, required=True, help="Polynomial degree n.")
 @click.option("--at", "at_", type=SCALAR, required=True, help="Evaluation point x.")
 def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
     """Evaluate the degree-n family polynomial at a point."""
-    precision = _resolve_precision(precision)
-    if degree < 0:
-        raise click.UsageError("--degree must be nonnegative")
     p = _family_params(family, alpha, lam, h)
     value = family_polynomial(p, degree, precision).evaluate(at_)
     cell = _scalar_cell(value)
@@ -206,7 +184,6 @@ def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
                    "(alpha = 1, integer beta >= 2).")
 def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
     """Evaluate the two-parameter Mittag-Leffler function."""
-    precision = _resolve_precision(precision)
     p = MLParams(alpha, beta)
     value = ml_eval(p, z, tol, precision)
     rows = [["series", str(value)]]
@@ -222,15 +199,12 @@ def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--degree", type=int, required=True, help="Family polynomial degree m.")
+@click.option("--degree", type=NONNEGATIVE, required=True, help="Family polynomial degree m.")
 @click.option("--order", type=SCALAR, required=True, help="Fractional order (> 0).")
 @click.option("--at", "at_", type=SCALAR, default=None,
               help="Also evaluate at t > 0 and print the quadrature cross-check.")
 def fracderiv(family, alpha, lam, h, precision, fmt, degree, order, at_):
     """Caputo derivative of a family polynomial: closed-form terms."""
-    precision = _resolve_precision(precision)
-    if degree < 0:
-        raise click.UsageError("--degree must be nonnegative")
     p = _family_params(family, alpha, lam, h)
     ord_ = CaputoOrder(order)
     polynomial = family_polynomial(p, degree, precision)
@@ -274,14 +248,11 @@ def _emit_expansion(expansion, routes, fmt):
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--degree", type=int, required=True, help="Family polynomial degree m.")
+@click.option("--degree", type=NONNEGATIVE, required=True, help="Family polynomial degree m.")
 @click.option("--order", type=SCALAR, required=True, help="Integral order (> 0).")
 @click.option("--at", "at_", type=SCALAR, default=None, help="Evaluate the result at t > 0.")
 def fracint(family, alpha, lam, h, precision, fmt, degree, order, at_):
     """Riemann-Liouville integral of a family polynomial."""
-    precision = _resolve_precision(precision)
-    if degree < 0:
-        raise click.UsageError("--degree must be nonnegative")
     p = _family_params(family, alpha, lam, h)
     polynomial = family_polynomial(p, degree, precision)
     expansion = rl_integral_poly(polynomial, order, precision)
@@ -302,7 +273,6 @@ def fracint(family, alpha, lam, h, precision, fmt, degree, order, at_):
 @click.argument("suites", nargs=-1)
 def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance, suites):
     """Run identity suites (names or 'all') and report pass/fail."""
-    precision = _resolve_precision(precision)
     known = sorted(set(SUITES) | set(SUITE_ALIASES))
     if not suites or "all" in suites:
         selected = list(SUITES)
@@ -332,7 +302,7 @@ def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance,
         sys.exit(2)
     reports = [run_suite(name, cfg) for name in selected]
     if fmt == "json":
-        click.echo(json.dumps([r.to_dict() for r in reports], indent=2))
+        click.echo(json.dumps([asdict(r) for r in reports], indent=2))
     else:
         rows = [
             [r.identity, r.comparisons, f"{r.max_abs_err:.3e}", f"{r.max_rel_err:.3e}",

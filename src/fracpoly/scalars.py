@@ -125,7 +125,10 @@ class Scalar:
     def is_integer(self) -> bool:
         if self.is_exact:
             return self._val.denominator == 1
-        return self._val == mp.floor(self._val)
+        # a nonzero mpf keeps an odd mantissa, so it is an integer exactly
+        # when its exponent is nonnegative; no global precision is read
+        _, man, exp, _ = self._val._mpf_
+        return exp >= 0 if man else self._val == 0
 
     def is_zero(self) -> bool:
         return self._val == 0
@@ -230,10 +233,6 @@ class Scalar:
     # -- conversions / rendering --------------------------------------
 
     def __int__(self):
-        if self.is_exact:
-            if self._val.denominator != 1:
-                raise ValueError(f"{self._val} is not an integer")
-            return int(self._val)
         if not self.is_integer():
             raise ValueError(f"{self._val} is not an integer")
         return int(self._val)

@@ -1,7 +1,9 @@
 """Identity-verification suites: every structural identity becomes pass/fail.
 
-A suite is a generator over its default parameter grid (narrowable through
-RunConfig).  It yields one comparison of two independent computation routes
+A suite is a generator over a parameter grid.  Its registration declares
+the grid's axes with their defaults; the runner narrows each one to what
+RunConfig sets and hands the body the resolved values.  It yields one
+comparison of two independent computation routes
 at a time, ``(got, want)`` or ``(got, want, float_tol)``, where got and want
 are two scalars or two FracExpansions (compared exponent by exponent), and
 returns the parameters its report shows.  One runner turns the comparisons
@@ -24,12 +26,12 @@ expected to report the ``known-discrepancy`` verdict, and would report
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
 
-from .errors import CompositionMismatch, DomainError
+from .errors import DomainError
 from .families import (
     FamilyKind,
     FamilyParams,
@@ -46,10 +48,10 @@ from .fractional import (
     CaputoOrder,
     FracExpansion,
     aligned_terms,
+    caputo_by_composition,
     caputo_closed_form,
     caputo_derivative_poly,
     caputo_quadrature_oracle,
-    composition_check,
     eval_frac_expansion,
     leibniz_product,
     rl_derivative_term,
@@ -95,17 +97,6 @@ class VerificationReport:
     max_rel_err: float
     tolerance: float
     verdict: str  # pass | fail | known-discrepancy
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "comparisons": self.comparisons,
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
 
 
 _EXACT = Fraction(0)
@@ -155,44 +146,30 @@ class _Check:
             self.failures += 1
 
 
-def _run(
-    identity: str,
-    body: Callable[[RunConfig], Iterator],
-    float_tol: Fraction | None,
-    literal: bool,
-    cfg: RunConfig,
-) -> VerificationReport:
+def _run(identity: str, comparisons: Iterator, float_tol: Fraction | None, literal: bool,
+         cfg: RunConfig) -> VerificationReport:
     """Drive one suite's comparisons and turn them into its report.
 
-    A suite may yield a CompositionMismatch instead of a comparison; that
-    forces the verdict ``fail`` without counting a comparison.  A grid that
-    yields neither checked nothing, so it raises DomainError instead of
-    reporting a verdict.
+    A grid that yields no comparison checked nothing, so it raises
+    DomainError instead of reporting a verdict.
     """
     check = _Check(None if cfg.tolerance is None else Fraction(cfg.tolerance))
     suite_tol = _tol_identity(cfg.precision) if float_tol is None else float_tol
-    mismatch = False
-    comparisons = body(cfg)
     while True:
         try:
             item = next(comparisons)
         except StopIteration as done:
             params = done.value
             break
-        if isinstance(item, CompositionMismatch):
-            mismatch = True
-            continue
         got, want, tol = item if len(item) == 3 else (*item, suite_tol)
         if isinstance(got, FracExpansion):
             for _, a, b in aligned_terms(got, want):
                 check.values(a, b, tol)
         else:
             check.values(got, want, tol)
-    if not check.comparisons and not mismatch:
+    if not check.comparisons:
         raise DomainError(f"suite {identity} makes no comparison on this grid: {params}")
-    if mismatch:
-        verdict = "fail"
-    elif literal:
+    if literal:
         verdict = "known-discrepancy" if check.failures else "fail"
     else:
         verdict = "fail" if check.failures else "pass"
@@ -208,33 +185,66 @@ def _run(
 
 
 SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {}
-# the RunConfig narrowing fields each suite reads
-_FIELDS: dict[str, frozenset[str]] = {}
+# the narrowing axes each suite declares, with their defaults
+_AXES: dict[str, dict] = {}
 _NARROWING = ("family", "alpha", "lam", "h", "max_degree", "orders")
+_CONVERT = {"family": FamilyKind, "h": int}  # every other grid holds Scalars
 
 
-def _suite(identity: str, reads: Sequence[str] = (), float_tol: Fraction | None = None,
-           literal: bool = False):
+def _family_grid(kinds, alphas, lams) -> list[FamilyParams]:
+    return [FamilyParams(kind, a, lam) for kind in kinds for a in alphas for lam in lams]
+
+
+def _resolve(axes: dict, families: Sequence[FamilyParams] | None, cfg: RunConfig) -> dict:
+    """Each declared axis as RunConfig narrows it (one value, or a tuple of
+    them), else at its default; a grid comes out as a list of converted
+    values, max_degree as one int.  With ``families`` declared, the family,
+    alpha and lam axes become one ``families`` grid: their product once one
+    of them is narrowed, else ``families`` itself."""
+    out = {}
+    for name, default in axes.items():
+        narrowed = getattr(cfg, name)
+        if name == "max_degree":
+            out[name] = default if narrowed is None else narrowed
+            continue
+        if narrowed is None:
+            narrowed = default
+        elif not isinstance(narrowed, tuple):
+            narrowed = (narrowed,)
+        out[name] = [_CONVERT.get(name, as_scalar)(v) for v in narrowed]
+    if families is not None:
+        product = _family_grid(out.pop("family"), out.pop("alpha"), out.pop("lam"))
+        narrowed = any(getattr(cfg, f) is not None for f in ("family", "alpha", "lam"))
+        out["families"] = product if narrowed else list(families)
+    return out
+
+
+def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = False,
+           families: Sequence[FamilyParams] | None = None, **axes):
     """Register a comparison generator as the suite ``identity``.
 
-    ``reads`` names the narrowing fields of RunConfig the suite reads; it
-    sees every other one as None.  ``float_tol`` is the suite's float
-    tolerance (default 2^(48-p), the float-identity tolerance); ``literal``
-    marks a suite expected to report ``known-discrepancy``.
+    ``axes`` declares the narrowing fields of RunConfig the suite reads,
+    each with its default grid (FamilyKind for every kind; an int for
+    max_degree).  The body is called with the precision and each axis
+    resolved by :func:`_resolve`; ``families`` turns the family, alpha and
+    lam axes into one grid of FamilyParams there.  ``float_tol`` is the
+    suite's float tolerance (default 2^(48-p), the float-identity
+    tolerance); ``literal`` marks a suite expected to report
+    ``known-discrepancy``.
     """
-    unread = {f: None for f in _NARROWING if f not in reads}
 
     def register(body):
-        _FIELDS[identity] = frozenset(reads)
-        SUITES[identity] = lambda cfg: _run(identity, body, float_tol, literal, replace(cfg, **unread))
+        _AXES[identity] = axes
+        SUITES[identity] = lambda cfg: _run(
+            identity, body(cfg.precision, **_resolve(axes, families, cfg)), float_tol, literal, cfg)
         return body
 
     return register
 
 
 def unread_fields(names: Sequence[str], cfg: RunConfig) -> list[str]:
-    """The narrowing fields set in ``cfg`` that none of the named suites reads."""
-    read = set().union(*(_FIELDS[SUITE_ALIASES.get(n, n)] for n in names))
+    """The narrowing fields set in ``cfg`` that none of the named suites declares."""
+    read = set().union(*(_AXES[SUITE_ALIASES.get(n, n)] for n in names))
     return [f for f in _NARROWING if getattr(cfg, f) is not None and f not in read]
 
 
@@ -277,120 +287,84 @@ _ORACLES = {
 # -- suites -----------------------------------------------------------------
 
 
-def _grid(narrowed, default: Sequence, convert=as_scalar) -> list:
-    """The suite's default grid, or what RunConfig narrows it to: one value,
-    or a tuple of them."""
-    if narrowed is None:
-        narrowed = default
-    elif not isinstance(narrowed, tuple):
-        narrowed = (narrowed,)
-    return [convert(v) for v in narrowed]
-
-
-def _classical(cfg: RunConfig, n_max: int):
-    for kind in _grid(cfg.family, FamilyKind, FamilyKind):
-        nums = family_numbers(FamilyParams(kind, 1, 1), n_max, cfg.precision)
+def _classical(family, n_max: int, precision: int):
+    for kind in family:
+        nums = family_numbers(FamilyParams(kind, 1, 1), n_max, precision)
         yield from zip(nums, _ORACLES[kind](n_max))
 
 
-@_suite("classical-numbers", reads=("family", "max_degree"))
-def suite_classical_numbers(cfg: RunConfig):
+@_suite("classical-numbers", family=FamilyKind, max_degree=24)
+def suite_classical_numbers(precision, family, max_degree):
     """Family numbers at alpha = lambda = 1 against the recurrence oracles."""
-    n_max = cfg.max_degree if cfg.max_degree is not None else 24
-    yield from _classical(cfg, n_max)
-    return {"max_index": n_max}
+    yield from _classical(family, max_degree, precision)
+    return {"max_index": max_degree}
 
 
-@_suite("theorem1", reads=("family", "alpha", "lam", "max_degree"))
-def suite_theorem1(cfg: RunConfig):
+@_suite("theorem1", family=FamilyKind, alpha=(1, 2, 3), lam=(Fraction(1, 2), 1, 2), max_degree=16)
+def suite_theorem1(precision, family, alpha, lam, max_degree):
     """Binomial-sum polynomial equals the e^{xz}-multiplied series extraction."""
-    n_max = cfg.max_degree if cfg.max_degree is not None else 16
-    alphas = _grid(cfg.alpha, (1, 2, 3))
-    lams = _grid(cfg.lam, (Fraction(1, 2), 1, 2))
-    for kind in _grid(cfg.family, FamilyKind, FamilyKind):
-        for a in alphas:
-            for lam in lams:
-                p = FamilyParams(kind, a, lam)
-                series = family_series(p, n_max, cfg.precision)
-                polys = [family_polynomial(p, n, cfg.precision) for n in range(n_max + 1)]
-                for x in range(n_max + 1):
-                    lifted = series * exp_series(x, n_max)
-                    for n in range(x, n_max + 1):
-                        yield polys[n].evaluate(x), lifted.coeff(n) * math.factorial(n)
-    return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
+    for p in _family_grid(family, alpha, lam):
+        series = family_series(p, max_degree, precision)
+        polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
+        for x in range(max_degree + 1):
+            lifted = series * exp_series(x, max_degree)
+            for n in range(x, max_degree + 1):
+                yield polys[n].evaluate(x), lifted.coeff(n) * math.factorial(n)
+    return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
-@_suite("appell", reads=("family", "alpha", "lam", "max_degree"))
-def suite_appell(cfg: RunConfig):
+@_suite("appell", family=FamilyKind, alpha=(1, 2, 3), lam=(Fraction(1, 2), 1, 2, 3), max_degree=16)
+def suite_appell(precision, family, alpha, lam, max_degree):
     """d/dx P_n = n P_{n-1} coefficientwise."""
-    n_max = cfg.max_degree if cfg.max_degree is not None else 16
-    alphas = _grid(cfg.alpha, (1, 2, 3))
-    lams = _grid(cfg.lam, (Fraction(1, 2), 1, 2, 3))
-    for kind in _grid(cfg.family, FamilyKind, FamilyKind):
-        for a in alphas:
-            for lam in lams:
-                p = FamilyParams(kind, a, lam)
-                polys = [family_polynomial(p, n, cfg.precision) for n in range(n_max + 1)]
-                for n in range(1, n_max + 1):
-                    deriv = poly_derivative(polys[n])
-                    yield from zip_longest(deriv.coeffs, polys[n - 1].scale(n).coeffs, fillvalue=0)
-    return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
+    for p in _family_grid(family, alpha, lam):
+        polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
+        for n in range(1, max_degree + 1):
+            deriv = poly_derivative(polys[n])
+            yield from zip_longest(deriv.coeffs, polys[n - 1].scale(n).coeffs, fillvalue=0)
+    return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
+_THEOREM3_AXES = {"family": FamilyKind, "alpha": (1, 2), "lam": (1, 2), "max_degree": 12}
 _THEOREM3_XS = tuple(as_scalar(x) for x in (0, Fraction(1, 2), -1, 3))
 
 
-def _theorem3_grid(cfg: RunConfig):
-    n_max = cfg.max_degree if cfg.max_degree is not None else 12
-    alphas = _grid(cfg.alpha, (1, 2))
-    lams = _grid(cfg.lam, (1, 2))
-    families = [
-        FamilyParams(kind, a, lam)
-        for kind in _grid(cfg.family, FamilyKind, FamilyKind)
-        for a in alphas
-        for lam in lams
-    ]
-    return n_max, alphas, lams, families
-
-
-@_suite("theorem3", reads=("family", "alpha", "lam", "max_degree"))
-def suite_theorem3(cfg: RunConfig):
+@_suite("theorem3", **_THEOREM3_AXES)
+def suite_theorem3(precision, family, alpha, lam, max_degree):
     """Unit-interval integral equals (P_{n+1}(x+1) - P_{n+1}(x)) / (n+1)."""
-    n_max, alphas, lams, families = _theorem3_grid(cfg)
-    for p in families:
-        for n in range(n_max + 1):
-            nxt = family_polynomial(p, n + 1, cfg.precision)
+    for p in _family_grid(family, alpha, lam):
+        for n in range(max_degree + 1):
+            nxt = family_polynomial(p, n + 1, precision)
             for x in _THEOREM3_XS:
-                got = integral_over_unit_interval(p, n, x, cfg.precision)
+                got = integral_over_unit_interval(p, n, x, precision)
                 yield got, (nxt.evaluate(x + 1) - nxt.evaluate(x)) / (n + 1)
-    return {"max_degree": n_max, "alphas": [str(a) for a in alphas], "lambdas": [str(l) for l in lams]}
+    return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
-@_suite("theorem3-literal", reads=("family", "alpha", "lam", "max_degree"), literal=True)
-def suite_theorem3_literal(cfg: RunConfig):
+@_suite("theorem3-literal", literal=True, **_THEOREM3_AXES)
+def suite_theorem3_literal(precision, family, alpha, lam, max_degree):
     """The printed form with P_n in the subtrahend; must fail somewhere."""
-    n_max, _, _, families = _theorem3_grid(cfg)
-    for p in families:
-        for n in range(min(n_max, 3) + 1):
-            cur = family_polynomial(p, n, cfg.precision)
-            nxt = family_polynomial(p, n + 1, cfg.precision)
+    n_max = min(max_degree, 3)
+    for p in _family_grid(family, alpha, lam):
+        for n in range(n_max + 1):
+            cur = family_polynomial(p, n, precision)
+            nxt = family_polynomial(p, n + 1, precision)
             for x in _THEOREM3_XS:
-                got = integral_over_unit_interval(p, n, x, cfg.precision)
+                got = integral_over_unit_interval(p, n, x, precision)
                 yield got, (nxt.evaluate(x + 1) - cur.evaluate(x)) / (n + 1)
-    return {"max_degree": min(n_max, 3)}
+    return {"max_degree": n_max}
 
 
 @_suite("eq5", float_tol=_TOL_ML)
-def suite_eq5(cfg: RunConfig):
+def suite_eq5(precision):
     """Series evaluation against the subtracted-exponential closed forms."""
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2]
     for m in range(2, 7):
         for z in zs:
-            yield ml_eval(MLParams(1, m), z, precision=cfg.precision), ml_one_m_closed(m, z, precision=cfg.precision)
+            yield ml_eval(MLParams(1, m), z, precision=precision), ml_one_m_closed(m, z, precision=precision)
         # cancellation fallback region: compare against a high-precision
         # direct subtraction, which is only trustworthy with extra bits
         z_small = Fraction(1, 10**6)
-        yield ml_one_m_closed(m, z_small, precision=cfg.precision), _ml_one_m_direct(m, z_small, cfg.precision + 200)
+        yield ml_one_m_closed(m, z_small, precision=precision), _ml_one_m_direct(m, z_small, precision + 200)
     return {"m": "2..6", "z": [str(z) for z in zs] + ["1/10^6"]}
 
 
@@ -404,14 +378,14 @@ def _ml_one_m_direct(m: int, z: Fraction, precision: int) -> Scalar:
 
 
 @_suite("ml-consistency", float_tol=_TOL_TRUNCATION)
-def suite_ml_consistency(cfg: RunConfig):
+def suite_ml_consistency(precision):
     """Truncated-series partial sums agree with adaptive evaluation."""
     order = 60
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2]
     for a in (Fraction(1, 2), 1, Fraction(3, 2), 2):
         for b in (1, 2, 3):
             p = MLParams(a, b)
-            series = ml_series(p, order, cfg.precision)
+            series = ml_series(p, order, precision)
             for z in zs:
                 zs_scalar = as_scalar(z)
                 acc = as_scalar(0)
@@ -419,65 +393,55 @@ def suite_ml_consistency(cfg: RunConfig):
                 for k in range(order + 1):
                     acc = acc + series.coeff(k) * power
                     power = power * zs_scalar
-                yield acc, ml_eval(p, z, precision=cfg.precision)
+                yield acc, ml_eval(p, z, precision=precision)
     return {"order": order}
 
 
 @_suite("mleval-exp", float_tol=_TOL_ML)
-def suite_mleval_exp(cfg: RunConfig):
+def suite_mleval_exp(precision):
     """E_{1,1} equals the exponential on a grid in [-2, 2]."""
     p = MLParams(1, 1)
     for num in range(-8, 9):
         z = Fraction(num, 4)
-        got = ml_eval(p, z, precision=cfg.precision)
-        with working_precision(cfg.precision + 16):
-            ref = Scalar.big(mp.exp(mp.mpf(z.numerator) / z.denominator), cfg.precision)
+        got = ml_eval(p, z, precision=precision)
+        with working_precision(precision + 16):
+            ref = Scalar.big(mp.exp(mp.mpf(z.numerator) / z.denominator), precision)
         yield got, ref
     return {"z": "-2..2 step 1/4"}
 
 
-@_suite("eq8", reads=("orders", "max_degree"))
-def suite_eq8(cfg: RunConfig):
+@_suite("eq8", orders=(Fraction(3, 10), Fraction(1, 2), Fraction(3, 2)), max_degree=12)
+def suite_eq8(precision, orders, max_degree):
     """Integrate-then-differentiate composition equals the direct operator."""
-    orders = _grid(cfg.orders, (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2)))
-    n_max = cfg.max_degree if cfg.max_degree is not None else 12
     for a in orders:
         ord_ = CaputoOrder(a)
-        for j in range(ord_.n, n_max + 1):
+        for j in range(ord_.n, max_degree + 1):
             mono = Polynomial([0] * j + [1])
-            try:
-                composed = composition_check(mono, ord_, cfg.precision)
-            except CompositionMismatch as mismatch:
-                yield mismatch
-            else:
-                yield composed, caputo_derivative_poly(mono, ord_, cfg.precision)
-    return {"max_degree": n_max, "orders": [str(a) for a in orders]}
+            yield caputo_by_composition(mono, ord_, precision), caputo_derivative_poly(mono, ord_, precision)
+    return {"max_degree": max_degree, "orders": [str(a) for a in orders]}
 
 
-@_suite("eq10", reads=("orders", "max_degree"))
-def suite_eq10(cfg: RunConfig):
+@_suite("eq10", orders=(Fraction(1, 2), Fraction(3, 2)), max_degree=8)
+def suite_eq10(precision, orders, max_degree):
     """Product-rule expansion equals the direct derivative of the product."""
-    orders = _grid(cfg.orders, (Fraction(1, 2), Fraction(3, 2)))
-    top = cfg.max_degree if cfg.max_degree is not None else 8
     for a in orders:
-        for i in range(top + 1):
-            for j in range(top + 1 - i):
+        for i in range(max_degree + 1):
+            for j in range(max_degree + 1 - i):
                 f = Polynomial([0] * i + [1])
                 g = Polynomial([0] * j + [1])
-                got = leibniz_product(f, g, a, cfg.precision)
-                yield got, FracExpansion([rl_derivative_term(i + j, a, cfg.precision)])
-    return {"max_total_degree": top, "orders": [str(a) for a in orders]}
+                got = leibniz_product(f, g, a, precision)
+                yield got, FracExpansion([rl_derivative_term(i + j, a, precision)])
+    return {"max_total_degree": max_degree, "orders": [str(a) for a in orders]}
 
 
 _CLOSED_FORM_ORDERS = (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
 _EVAL_POINTS = (Fraction(1, 2), 1, 2)
 
 
-def _closed_forms(cfg: RunConfig, families: Sequence[FamilyParams], orders, m_max: int, numbers=None):
+def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_max: int, numbers=None):
     """Each closed form against the termwise operator, coefficientwise at the
     float-identity tolerance, and against the quadrature oracle at
     _EVAL_POINTS.  ``numbers(p, top)``, when given, supplies N_0..N_top."""
-    precision = cfg.precision
     for p in families:
         for a in orders:
             ord_ = CaputoOrder(a)
@@ -490,53 +454,34 @@ def _closed_forms(cfg: RunConfig, families: Sequence[FamilyParams], orders, m_ma
                     yield eval_frac_expansion(closed, t, precision), caputo_quadrature_oracle(poly, ord_, t, precision)
 
 
-@_suite("theorem4", reads=("lam", "orders", "max_degree"), float_tol=_TOL_QUADRATURE)
-def suite_theorem4(cfg: RunConfig):
+@_suite("theorem4", float_tol=_TOL_QUADRATURE, lam=(2, 3), orders=_CLOSED_FORM_ORDERS, max_degree=8)
+def suite_theorem4(precision, lam, orders, max_degree):
     """Closed-form Caputo derivative of the lambda-weighted Bernoulli family."""
-    lams = _grid(cfg.lam, (2, 3))
-    orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
-    m_max = cfg.max_degree if cfg.max_degree is not None else 8
-    families = [FamilyParams(FamilyKind.BERNOULLI, 1, lam) for lam in lams]
-    yield from _closed_forms(cfg, families, orders, m_max)
-    return {"lambdas": [str(l) for l in lams], "orders": [str(a) for a in orders], "max_degree": m_max}
+    families = [FamilyParams(FamilyKind.BERNOULLI, 1, l) for l in lam]
+    yield from _closed_forms(precision, families, orders, max_degree)
+    return {"lambdas": [str(l) for l in lam], "orders": [str(a) for a in orders], "max_degree": max_degree}
 
 
-@_suite("theorem5", reads=("lam", "h", "orders", "max_degree"), float_tol=_TOL_QUADRATURE)
-def suite_theorem5(cfg: RunConfig):
+@_suite("theorem5", float_tol=_TOL_QUADRATURE, lam=(1, 2, 3), h=(1, 2), orders=_CLOSED_FORM_ORDERS,
+        max_degree=8)
+def suite_theorem5(precision, lam, h, orders, max_degree):
     """Higher-order closed form with the multinomial convolution inside."""
-    lams = _grid(cfg.lam, (1, 2, 3))
-    hs = _grid(cfg.h, (1, 2), int)
-    orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
-    m_max = cfg.max_degree if cfg.max_degree is not None else 8
-    families = [FamilyParams(FamilyKind.BERNOULLI, 1, lam, h) for lam in lams for h in hs]
+    families = [FamilyParams(FamilyKind.BERNOULLI, 1, l, hh) for l in lam for hh in h]
 
     def multinomial_numbers(p, top):
-        return [multinomial_number_product(p.lam, p.h, r, cfg.precision) for r in range(top + 1)]
+        return [multinomial_number_product(p.lam, p.h, r, precision) for r in range(top + 1)]
 
-    yield from _closed_forms(cfg, families, orders, m_max, multinomial_numbers)
+    yield from _closed_forms(precision, families, orders, max_degree, multinomial_numbers)
     return {
-        "lambdas": [str(l) for l in lams],
-        "h": hs,
+        "lambdas": [str(l) for l in lam],
+        "h": h,
         "orders": [str(a) for a in orders],
-        "max_degree": m_max,
+        "max_degree": max_degree,
     }
 
 
-@_suite("theorem6", reads=("family", "alpha", "lam", "orders", "max_degree"),
-        float_tol=_TOL_QUADRATURE)
-def suite_theorem6(cfg: RunConfig):
-    """Corrected-index closed form for all three family kinds."""
-    orders = _grid(cfg.orders, _CLOSED_FORM_ORDERS)
-    m_max = cfg.max_degree if cfg.max_degree is not None else 8
-    if cfg.family is not None or cfg.alpha is not None or cfg.lam is not None:
-        families = [
-            FamilyParams(kind, a, lam)
-            for kind in _grid(cfg.family, FamilyKind, FamilyKind)
-            for a in _grid(cfg.alpha, (1,))
-            for lam in _grid(cfg.lam, (2, 3))
-        ]
-    else:
-        families = [
+@_suite("theorem6", float_tol=_TOL_QUADRATURE, family=FamilyKind, alpha=(1,), lam=(2, 3),
+        orders=_CLOSED_FORM_ORDERS, max_degree=8, families=[
             FamilyParams(FamilyKind.BERNOULLI, 1, 2),
             FamilyParams(FamilyKind.EULER, 1, 2),
             FamilyParams(FamilyKind.EULER, 1, 3),
@@ -546,74 +491,71 @@ def suite_theorem6(cfg: RunConfig):
             FamilyParams(FamilyKind.EULER, 1, 1),
             FamilyParams(FamilyKind.GENOCCHI, 1, 1),
             FamilyParams(FamilyKind.BERNOULLI, 1, 1),
-        ]
-    yield from _closed_forms(cfg, families, orders, m_max)
+        ])
+def suite_theorem6(precision, families, orders, max_degree):
+    """Corrected-index closed form for all three family kinds."""
+    yield from _closed_forms(precision, families, orders, max_degree)
     return {
         "families": [f"{p.kind.value}(alpha={p.alpha},lambda={p.lam})" for p in families],
         "orders": [str(a) for a in orders],
-        "max_degree": m_max,
+        "max_degree": max_degree,
     }
 
 
 @_suite("theorem6-literal", literal=True)
-def suite_theorem6_literal(cfg: RunConfig):
+def suite_theorem6_literal(precision):
     """The printed fixed-index variant; reproduces the documented defect."""
     p = FamilyParams(FamilyKind.EULER, 1, 2)
     ord_ = CaputoOrder(Fraction(1, 2))
-    pinned = family_numbers(p, ord_.n, cfg.precision)[ord_.n]
+    pinned = family_numbers(p, ord_.n, precision)[ord_.n]
     for m in (2, 3, 4):
-        literal = caputo_closed_form(p, m, ord_, cfg.precision, [pinned] * (m - ord_.n + 1))
-        yield literal, caputo_derivative_poly(family_polynomial(p, m, cfg.precision), ord_, cfg.precision)
+        literal = caputo_closed_form(p, m, ord_, precision, [pinned] * (m - ord_.n + 1))
+        yield literal, caputo_derivative_poly(family_polynomial(p, m, precision), ord_, precision)
     return {"family": "euler(alpha=1,lambda=2)", "order": "1/2"}
 
 
-@_suite("specialization", reads=("family", "lam", "max_degree"))
-def suite_specialization(cfg: RunConfig):
+@_suite("specialization", family=FamilyKind, lam=(2, 3, Fraction(1, 2)), max_degree=24)
+def suite_specialization(precision, family, lam, max_degree):
     """lambda-weighted closed forms and the classical reduction, exactly."""
-    lams = _grid(cfg.lam, (2, 3, Fraction(1, 2)))
-    for lam in lams:
-        if lam == 1:
+    for l in lam:
+        if l == 1:
             raise DomainError(
                 "specialization needs lambda != 1: B_1(lambda) = 1/(lambda - 1) has a pole at lambda = 1"
             )
-        nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), 2, cfg.precision)
-        lf = lam.as_fraction()
+        nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l), 2, precision)
+        lf = l.as_fraction()
         yield nums[0], 0
         yield nums[1], 1 / (lf - 1)
         yield nums[2], -2 * lf / (lf - 1) ** 2
-    n_max = cfg.max_degree if cfg.max_degree is not None else 24
-    yield from _classical(cfg, n_max)
-    return {"lambdas": [str(l) for l in lams], "max_index": n_max}
+    yield from _classical(family, max_degree, precision)
+    return {"lambdas": [str(l) for l in lam], "max_index": max_degree}
 
 
-@_suite("higher-order", reads=("lam", "h", "max_degree"))
-def suite_higher_order(cfg: RunConfig):
+@_suite("higher-order", lam=(1, 2), h=(1, 2, 3, 4), max_degree=10)
+def suite_higher_order(precision, lam, h, max_degree):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
-    r_max = cfg.max_degree if cfg.max_degree is not None else 10
-    hs = _grid(cfg.h, (1, 2, 3, 4), int)
-    for lam in _grid(cfg.lam, (1, 2)):
-        for h in hs:
-            if lam == 1 and r_max < h:
+    for l in lam:
+        for hh in h:
+            if l == 1 and max_degree < hh:
                 continue
-            nums = higher_order_numbers(lam, h, r_max, cfg.precision)
-            for r in range(r_max + 1):
-                yield multinomial_number_product(lam, h, r, cfg.precision), nums[r]
-    return {"h": hs, "max_index": r_max}
+            nums = higher_order_numbers(l, hh, max_degree, precision)
+            for r in range(max_degree + 1):
+                yield multinomial_number_product(l, hh, r, precision), nums[r]
+    return {"h": h, "max_index": max_degree}
 
 
-@_suite("genocchi-euler", reads=("alpha", "lam", "max_degree"))
-def suite_genocchi_euler(cfg: RunConfig):
+@_suite("genocchi-euler", alpha=(1, 2), lam=(1, 2, 3), max_degree=16)
+def suite_genocchi_euler(precision, alpha, lam, max_degree):
     """G_n(x) = n E_{n-1}(x) coefficientwise (z * the Euler generator)."""
-    n_max = cfg.max_degree if cfg.max_degree is not None else 16
-    for a in _grid(cfg.alpha, (1, 2)):
-        for lam in _grid(cfg.lam, (1, 2, 3)):
-            pg = FamilyParams(FamilyKind.GENOCCHI, a, lam)
-            pe = FamilyParams(FamilyKind.EULER, a, lam)
-            for n in range(1, n_max + 1):
-                g = family_polynomial(pg, n, cfg.precision)
-                e = family_polynomial(pe, n - 1, cfg.precision).scale(n)
+    for a in alpha:
+        for l in lam:
+            pg = FamilyParams(FamilyKind.GENOCCHI, a, l)
+            pe = FamilyParams(FamilyKind.EULER, a, l)
+            for n in range(1, max_degree + 1):
+                g = family_polynomial(pg, n, precision)
+                e = family_polynomial(pe, n - 1, precision).scale(n)
                 yield from zip_longest(g.coeffs, e.coeffs, fillvalue=0)
-    return {"max_degree": n_max}
+    return {"max_degree": max_degree}
 
 
 # aliases used in build-contract examples
@@ -627,6 +569,8 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     key = SUITE_ALIASES.get(name, name)
     if key not in SUITES:
         raise KeyError(name)
+    if cfg.tolerance is not None and cfg.tolerance < 0:
+        raise DomainError(f"tolerance must be nonnegative, got {cfg.tolerance}")
     return SUITES[key](cfg)
 
 

@@ -112,3 +112,61 @@ def test_concurrent_prefix_series_cache(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not failures
     assert len(families._series_cache) <= 4
+
+
+def _float_jobs():
+    """Lock-guarded float paths at several precisions, each returning raw
+    mpf tuples or strings, so that equal results are equal bit for bit."""
+    from fracpoly.families import Polynomial
+    from fracpoly.fractional import FracExpansion, FracTerm, eval_frac_expansion
+    from fracpoly.scalars import Scalar, as_scalar, decimal_str
+
+    def arithmetic(prec):
+        x, y = Scalar.big(Fraction(1, 3), prec), Scalar.big(Fraction(-2, 7), prec)
+        vals = [x + y, x - y, x * y, x / y, (x + 1) ** 7, -x, abs(y), Fraction(5, 11) / x]
+        return [v.value._mpf_ for v in vals]
+
+    def decimal(prec):
+        x = Scalar.big(Fraction(22, 7), prec)
+        return [decimal_str(v) for v in (x, x / 3, x * x, -x / 10**9)]
+
+    def polynomial(prec):
+        p = Polynomial([Scalar.big(Fraction(k + 1, 2 * k + 3), prec) for k in range(9)])
+        return [p.evaluate(t).value._mpf_ for t in (Fraction(1, 3), -2, Scalar.big(Fraction(3, 5), prec))]
+
+    def expansion(prec):
+        e = FracExpansion(FracTerm(Scalar.big(Fraction(k + 2, 5), prec), as_scalar(Fraction(2 * k + 1, 2)))
+                          for k in range(6))
+        return [eval_frac_expansion(e, t, prec).value._mpf_ for t in (Fraction(1, 2), 1, 3)]
+
+    return [(fn, prec) for fn in (arithmetic, decimal, polynomial, expansion) for prec in (64, 128, 256)]
+
+
+def test_concurrent_float_paths_match_serial_bit_for_bit():
+    jobs = _float_jobs()
+    serial = {(fn.__name__, prec): fn(prec) for fn, prec in jobs}
+    start = threading.Barrier(6)
+    failures = []
+
+    def worker(offset):
+        try:
+            start.wait(timeout=30)
+            for i in range(2 * len(jobs)):
+                fn, prec = jobs[(offset + i) % len(jobs)]
+                if fn(prec) != serial[fn.__name__, prec]:
+                    failures.append((fn.__name__, prec))
+        except Exception as exc:  # pragma: no cover
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(5 * t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures

@@ -164,3 +164,15 @@ def test_decimal_str_equals_scan_from_one(s):
 def test_str_rational_format():
     assert str(as_scalar(Fraction(-3, 7))) == "-3/7"
     assert str(as_scalar(5)) == "5"
+
+
+def test_float_is_integer_reads_no_global_precision():
+    # 2^100 + 1 needs 101 bits: more than mpmath's global 53 outside any scope
+    big = Scalar.big(2**100 + 1, 128)
+    assert big.is_integer()
+    assert int(big) == 2**100 + 1
+    near = Scalar.big(Fraction(2**100 + 1) + Fraction(1, 2**27), 128)  # one ulp above
+    assert near.as_fraction() - big.as_fraction() == Fraction(1, 2**27)
+    assert not near.is_integer()
+    with pytest.raises(ValueError):
+        int(near)

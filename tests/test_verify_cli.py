@@ -366,3 +366,49 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          text=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_verify_rejects_negative_tolerance(runner):
+    from fracpoly.errors import DomainError
+
+    r = runner.invoke(cli, ["verify", "--tolerance", "-1", "theorem1"])
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output == "error: tolerance must be nonnegative, got -1\n"
+    with pytest.raises(DomainError):
+        run_suite("theorem1", RunConfig(tolerance=Fraction(-1, 10**30)))
+
+
+def test_verify_zero_tolerance_passes_exact_suite(runner):
+    r = invoke(runner, "verify", "--tolerance", "0", "theorem1", "--max-degree", "4", "--format", "json")
+    assert r.exit_code == 0
+    (report,) = json.loads(r.output)
+    assert report["verdict"] == "pass"
+    assert report["tolerance"] == 0.0
+
+
+def test_precision_env_error_names_the_variable(runner):
+    r = runner.invoke(cli, ["numbers", "--max", "2"], env={"FRACPOLY_PRECISION": "many"})
+    assert r.exit_code == 2
+    assert "FRACPOLY_PRECISION" in r.output
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["numbers", "--max", "-1"], "--max"),
+    (["poly", "--degree", "-1"], "--degree"),
+    (["eval", "--degree", "-1", "--at", "1"], "--degree"),
+    (["fracderiv", "--degree", "-1", "--order", "1/2"], "--degree"),
+    (["fracint", "--degree", "-1", "--order", "1/2"], "--degree"),
+])
+def test_negative_degree_or_max_exits_two(runner, args, flag):
+    r = runner.invoke(cli, args)
+    assert r.exit_code == 2
+    assert f"Invalid value for '{flag}'" in r.output
+
+
+def test_help_shows_precision_variable_and_ranges(runner):
+    for cmd in ("numbers", "poly", "eval", "fracderiv", "fracint"):
+        out = " ".join(invoke(runner, cmd, "--help").output.split())
+        assert "env var: FRACPOLY_PRECISION" in out
+        assert "x>=0" in out
