@@ -12,7 +12,6 @@ verification suites.
 """
 
 from .errors import (
-    CompositionMismatch,
     ConvergenceEnvelopeExceeded,
     DegenerateDenominator,
     DegreeTooLow,
@@ -47,13 +46,11 @@ from .families import (
     FamilyKind,
     FamilyParams,
     Polynomial,
-    eval_polynomial,
     family_numbers,
     family_polynomial,
     higher_order_numbers,
     integral_over_unit_interval,
     multinomial_number_product,
-    poly_derivative,
 )
 from .fractional import (
     CaputoOrder,
@@ -63,7 +60,6 @@ from .fractional import (
     caputo_derivative_poly,
     caputo_power_rule,
     caputo_quadrature_oracle,
-    composition_check,
     eval_frac_expansion,
     leibniz_product,
     rl_derivative_term,
@@ -99,8 +95,6 @@ __all__ = [
     "Polynomial",
     "family_numbers",
     "family_polynomial",
-    "eval_polynomial",
-    "poly_derivative",
     "integral_over_unit_interval",
     "higher_order_numbers",
     "multinomial_number_product",
@@ -111,7 +105,6 @@ __all__ = [
     "caputo_derivative_poly",
     "rl_integral_poly",
     "rl_derivative_term",
-    "composition_check",
     "leibniz_product",
     "caputo_closed_form",
     "caputo_quadrature_oracle",
@@ -131,5 +124,4 @@ __all__ = [
     "ConvergenceEnvelopeExceeded",
     "ToleranceUnreachable",
     "DegreeTooLow",
-    "CompositionMismatch",
 ]

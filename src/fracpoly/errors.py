@@ -46,18 +46,3 @@ class ToleranceUnreachable(FracPolyError, ArithmeticError):
 class DegreeTooLow(FracPolyError, ValueError):
     """Closed-form fractional derivative requested for degree < ceil(order)."""
 
-
-class CompositionMismatch(FracPolyError):
-    """The integral/derivative composition disagrees with the direct operator.
-
-    Carries both expansions so callers can inspect where they differ.  This
-    is the expected outcome when the composed route is applied to inputs
-    (constants, low-degree terms) on which the two operator definitions
-    genuinely disagree.
-    """
-
-    def __init__(self, message, composed, direct, offenders):
-        super().__init__(message)
-        self.composed = composed
-        self.direct = direct
-        self.offenders = offenders

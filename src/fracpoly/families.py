@@ -34,8 +34,6 @@ __all__ = [
     "family_numbers",
     "family_series",
     "family_polynomial",
-    "eval_polynomial",
-    "poly_derivative",
     "integral_over_unit_interval",
     "higher_order_numbers",
     "multinomial_number_product",
@@ -253,16 +251,6 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
     with domain_scope(prec):
         coeffs = [_in_domain(math.comb(n, k), prec) * nums[k].value for k in range(n, -1, -1)]
     return Polynomial._raw(coeffs, prec)
-
-
-def eval_polynomial(q: Polynomial, x: ScalarLike) -> Scalar:
-    """Horner evaluation; exact in the rational domain."""
-    return q.evaluate(x)
-
-
-def poly_derivative(q: Polynomial) -> Polynomial:
-    """Formal d/dx."""
-    return q.derivative()
 
 
 def integral_over_unit_interval(

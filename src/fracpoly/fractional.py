@@ -1,11 +1,13 @@
 """Fractional operators on polynomials, their closed forms, and the oracle.
 
-The central primitive is the power-rule ratio gamma(e+1)/gamma(e-a+1)
-applied termwise: with a > 0 it is the derivative of t^e, with a < 0 the
-integral of order -a.  Integer orders are computed as exact rational
-falling factorials, so every operator collapses to the ordinary calculus
-exactly when the order is an integer; non-integer orders evaluate the two
-gammas in the float domain.
+The central primitive is one power-rule step, :func:`rl_derivative_term`:
+D^a t^e = gamma(e+1)/gamma(e-a+1) t^(e-a), the derivative of order a > 0
+or the integral of order -a.  Every order and exponent is an exact
+rational (a float means its exact binary value), so the terms of an
+expansion merge by exponent equality.  Integer orders are computed as exact
+rational falling factorials, so every operator collapses to the ordinary
+calculus exactly when the order is an integer; non-integer orders evaluate
+the two gammas in the float domain.
 
 The quadrature oracle at the bottom integrates the defining formula
 directly with a Gauss-Jacobi rule and shares no code path with the closed
@@ -22,11 +24,12 @@ from typing import Iterable, Sequence
 import mpmath
 from mpmath import mp
 
-from .errors import CompositionMismatch, DegreeTooLow, DomainError
+from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import binomial, gamma, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import DEFAULT_PRECISION, Scalar, ScalarLike, as_scalar, check_precision, working_precision
+from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_scalar, check_precision,
+                      working_precision)
 
 __all__ = [
     "CaputoOrder",
@@ -37,17 +40,18 @@ __all__ = [
     "rl_integral_poly",
     "rl_derivative_term",
     "caputo_by_composition",
-    "composition_check",
     "leibniz_product",
     "caputo_closed_form",
     "caputo_quadrature_oracle",
     "eval_frac_expansion",
     "aligned_terms",
-    "expansion_mismatches",
 ]
 
-# exponents closer than this merge into one term
-_EXPONENT_MERGE_TOL = Fraction(1, 10**30)
+
+def _exact(x: ScalarLike) -> Scalar:
+    """An order or exponent as an exact rational; a float gives its exact
+    binary value."""
+    return Scalar.exact(as_scalar(x))
 
 
 @dataclass(frozen=True)
@@ -58,12 +62,11 @@ class CaputoOrder:
     n: int
 
     def __init__(self, alpha: ScalarLike):
-        a = as_scalar(alpha)
+        a = _exact(alpha)
         if a <= 0:
             raise DomainError(f"fractional order must be positive, got {a}")
-        n = int(math.ceil(a.as_fraction()))
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", math.ceil(a.value))
 
     @property
     def is_integer(self) -> bool:
@@ -82,23 +85,22 @@ class FracTerm:
 
 
 class FracExpansion:
-    """Finite sum of real-power terms, sorted by strictly increasing exponent."""
+    """Finite sum of real-power terms, sorted by strictly increasing exponent.
+
+    Nonzero terms of equal exponent merge, their coefficients summed in
+    input order; terms that cancel are dropped.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[FracTerm]):
-        buckets: list[list] = []
-        for t in sorted(terms, key=lambda t: t.exponent.as_fraction()):
-            if t.is_zero():
-                continue
-            e = t.exponent.as_fraction()
-            if buckets and abs(e - buckets[-1][0]) < _EXPONENT_MERGE_TOL:
-                buckets[-1][1] = buckets[-1][1] + t.coefficient
-            else:
-                buckets.append([e, t.coefficient, t.exponent])
-        self._terms = tuple(
-            FracTerm(c, e) for _, c, e in buckets if not c.is_zero()
-        )
+        merged: dict[Fraction, FracTerm] = {}
+        for t in terms:
+            if not t.is_zero():
+                e = t.exponent.as_fraction()
+                prev = merged.get(e)
+                merged[e] = t if prev is None else FracTerm(prev.coefficient + t.coefficient, prev.exponent)
+        self._terms = tuple(merged[e] for e in sorted(merged) if not merged[e].is_zero())
 
     @property
     def terms(self) -> tuple[FracTerm, ...]:
@@ -106,10 +108,6 @@ class FracExpansion:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def scale(self, factor: ScalarLike) -> "FracExpansion":
-        f = as_scalar(factor)
-        return FracExpansion(FracTerm(f * t.coefficient, t.exponent) for t in self._terms)
 
     def __add__(self, other: "FracExpansion") -> "FracExpansion":
         return FracExpansion(list(self._terms) + list(other._terms))
@@ -125,31 +123,39 @@ class FracExpansion:
         return f"FracExpansion({body or '0'})"
 
 
-def _gamma_ratio(top: Scalar, alpha: Scalar, precision: int) -> Scalar:
-    """gamma(top+1)/gamma(top-alpha+1) with the entire-function convention.
+def rl_derivative_term(
+    beta: ScalarLike, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
+) -> FracTerm:
+    """Riemann-Liouville derivative of t^beta at order alpha (integral if
+    alpha < 0): gamma(beta+1)/gamma(beta-alpha+1) t^(beta-alpha).
 
-    Integer alpha gives the exact rational falling factorial (or its
-    reciprocal for negative alpha); a pole of the denominator gamma yields
-    an exact zero.  Non-integer alpha goes through the float gammas.
+    The one power-rule step of the module.  Integer alpha gives the exact
+    rational falling factorial (or its reciprocal for negative alpha), with
+    an exact zero at a pole of the denominator gamma; non-integer alpha goes
+    through the float gammas.
     """
-    if alpha.is_exact and alpha.is_integer() and top.is_exact:
-        k = int(alpha)
-        t = top.as_fraction()
+    check_precision(precision)
+    b, a = _exact(beta), _exact(alpha)
+    if b <= -1:
+        raise DomainError(f"exponent must exceed -1, got {b}")
+    if a.is_integer():
+        k, t = int(a), b.value
         if k >= 0:
-            prod = Fraction(1)
-            for i in range(k):
-                prod *= t - i
-            return Scalar.exact(prod)
-        prod = Fraction(1)
-        for i in range(1, -k + 1):
-            f = t + i
-            if f == 0:
-                raise DomainError(f"gamma ratio pole: top={top}, order={alpha}")
-            prod *= f
-        return Scalar.exact(Fraction(1) / prod)
-    g_top = gamma(top + 1, precision)
-    rg_bottom = reciprocal_gamma(top - alpha + 1, precision)
-    return g_top * rg_bottom
+            coeff = Scalar.exact(math.prod(t - i for i in range(k)))
+        else:
+            coeff = Scalar.exact(1 / math.prod(t + i for i in range(1, 1 - k)))
+    else:
+        coeff = gamma(b + 1, precision) * reciprocal_gamma(b - a + 1, precision)
+    return FracTerm(coeff, b - a)
+
+
+def _termwise(pairs: Iterable[tuple[Scalar, ScalarLike]], order: ScalarLike, precision: int) -> FracExpansion:
+    """sum c D^order t^e over the (c, e) pairs, one power-rule step each."""
+    terms = []
+    for c, e in pairs:
+        d = rl_derivative_term(e, order, precision)
+        terms.append(FracTerm(c * d.coefficient, d.exponent))
+    return FracExpansion(terms)
 
 
 def caputo_power_rule(j: int, ord: CaputoOrder, precision: int = DEFAULT_PRECISION) -> FracTerm:
@@ -158,10 +164,8 @@ def caputo_power_rule(j: int, ord: CaputoOrder, precision: int = DEFAULT_PRECISI
     if j < 0:
         raise DomainError(f"power must be nonnegative, got {j}")
     if j < ord.n:
-        return FracTerm(as_scalar(0), as_scalar(0))
-    js = as_scalar(j)
-    coeff = _gamma_ratio(js, ord.alpha, precision)
-    return FracTerm(coeff, js - ord.alpha)
+        return FracTerm(ZERO, ZERO)
+    return rl_derivative_term(j, ord.alpha, precision)
 
 
 def caputo_derivative_poly(
@@ -169,12 +173,7 @@ def caputo_derivative_poly(
 ) -> FracExpansion:
     """Termwise Caputo derivative of a polynomial in t."""
     check_precision(precision)
-    terms = []
-    for c, j in q.monomials():
-        t = caputo_power_rule(j, ord, precision)
-        if not t.is_zero():
-            terms.append(FracTerm(c * t.coefficient, t.exponent))
-    return FracExpansion(terms)
+    return _termwise([(c, j) for c, j in q.monomials() if j >= ord.n], ord.alpha, precision)
 
 
 def rl_integral_poly(
@@ -182,35 +181,10 @@ def rl_integral_poly(
 ) -> FracExpansion:
     """Riemann-Liouville integral of order alpha > 0, termwise power rule."""
     check_precision(precision)
-    a = as_scalar(alpha)
+    a = _exact(alpha)
     if a <= 0:
         raise DomainError(f"integral order must be positive, got {a}")
-    terms = []
-    for c, j in q.monomials():
-        coeff = _gamma_ratio(as_scalar(j), -a, precision)
-        terms.append(FracTerm(c * coeff, as_scalar(j) + a))
-    return FracExpansion(terms)
-
-
-def rl_derivative_term(
-    beta: ScalarLike, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
-) -> FracTerm:
-    """Riemann-Liouville derivative of t^beta at order alpha (integral if alpha < 0)."""
-    check_precision(precision)
-    b = as_scalar(beta)
-    a = as_scalar(alpha)
-    if b <= -1:
-        raise DomainError(f"exponent must exceed -1, got {b}")
-    coeff = _gamma_ratio(b, a, precision)
-    return FracTerm(coeff, b - a)
-
-
-def _rl_derivative_expansion(e: FracExpansion, alpha: ScalarLike, precision: int) -> FracExpansion:
-    out = []
-    for t in e:
-        d = rl_derivative_term(t.exponent, alpha, precision)
-        out.append(FracTerm(t.coefficient * d.coefficient, d.exponent))
-    return FracExpansion(out)
+    return _termwise(q.monomials(), -a, precision)
 
 
 def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple[Fraction, Scalar, Scalar]]:
@@ -218,60 +192,23 @@ def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple[Fraction, Sc
     exponents, with an exact zero where one side has no term."""
     amap = {t.exponent.as_fraction(): t.coefficient for t in a}
     bmap = {t.exponent.as_fraction(): t.coefficient for t in b}
-    zero = Scalar.exact(0)
-    return [(e, amap.get(e, zero), bmap.get(e, zero)) for e in sorted(set(amap) | set(bmap))]
-
-
-def expansion_mismatches(
-    a: FracExpansion, b: FracExpansion, rel_tol: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """(exponent, relative error) pairs where the two expansions disagree."""
-    out = []
-    for e, ca, cb in aligned_terms(a, b):
-        ca, cb = ca.as_fraction(), cb.as_fraction()
-        rel = abs(ca - cb) / max(Fraction(1), abs(ca), abs(cb))
-        if rel > rel_tol:
-            out.append((e, rel))
-    return out
+    return [(e, amap.get(e, ZERO), bmap.get(e, ZERO)) for e in sorted(set(amap) | set(bmap))]
 
 
 def caputo_by_composition(
     q: Polynomial, ord: CaputoOrder, precision: int = DEFAULT_PRECISION
 ) -> FracExpansion:
     """D^(n) applied to I^(n-alpha) of q: the Caputo derivative by the
-    integrate-then-differentiate route, termwise."""
-    check_precision(precision)
-    if ord.is_integer:
-        composed = FracExpansion(FracTerm(c, as_scalar(j)) for c, j in q.monomials())
-    else:
-        composed = rl_integral_poly(q, as_scalar(ord.n) - ord.alpha, precision)
-    for _ in range(ord.n):
-        composed = _rl_derivative_expansion(composed, 1, precision)
-    return composed
+    integrate-then-differentiate route, termwise.
 
-
-def composition_check(
-    q: Polynomial, ord: CaputoOrder, precision: int = DEFAULT_PRECISION
-) -> FracExpansion:
-    """:func:`caputo_by_composition`, checked against the direct Caputo form.
-
-    Returns the composed expansion when the two routes agree termwise;
-    raises CompositionMismatch (with both expansions attached) when they
-    differ, which is the honest outcome on constants and other inputs
-    where the integral-then-differentiate composition is genuinely not the
-    Caputo derivative.
+    It equals :func:`caputo_derivative_poly` on t^j for j >= n only: on a
+    lower power the integral keeps a term that the n derivatives leave at a
+    negative exponent, where the Caputo derivative is zero.
     """
-    composed = caputo_by_composition(q, ord, precision)
-    direct = caputo_derivative_poly(q, ord, precision)
-    offenders = expansion_mismatches(composed, direct, Fraction(1, 2 ** (precision - 48)))
-    if offenders:
-        raise CompositionMismatch(
-            f"composed route disagrees with the direct Caputo derivative at "
-            f"exponents {[str(e) for e, _ in offenders]}",
-            composed,
-            direct,
-            offenders,
-        )
+    check_precision(precision)
+    composed = _termwise(q.monomials(), ord.alpha - ord.n, precision)  # I^(n-alpha)
+    for _ in range(ord.n):
+        composed = _termwise([(t.coefficient, t.exponent) for t in composed], 1, precision)
     return composed
 
 
@@ -284,7 +221,7 @@ def leibniz_product(
     Equals the termwise RL derivative of the expanded product f*g.
     """
     check_precision(precision)
-    a = as_scalar(alpha)
+    a = _exact(alpha)
     if a <= 0:
         raise DomainError(f"order must be positive, got {a}")
     terms = []
@@ -294,10 +231,8 @@ def leibniz_product(
         if not w.is_zero():
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
-                    d = rl_derivative_term(as_scalar(j), a - k, precision)
-                    terms.append(
-                        FracTerm(w * cf * cg * d.coefficient, as_scalar(i) + d.exponent)
-                    )
+                    d = rl_derivative_term(j, a - k, precision)
+                    terms.append(FracTerm(w * cf * cg * d.coefficient, i + d.exponent))
         fk = fk.derivative()
         if fk.is_zero():
             break
@@ -306,7 +241,7 @@ def leibniz_product(
 
 def _reciprocal_gamma_scalar(x: Scalar, precision: int) -> Scalar:
     """1/gamma(x) staying exact for integer x (zero at the poles)."""
-    if x.is_exact and x.is_integer():
+    if x.is_integer():
         v = int(x)
         if v <= 0:
             return Scalar.exact(0)
@@ -336,7 +271,7 @@ def caputo_closed_form(
         raise DegreeTooLow(f"degree {m} below ceil(order) = {n}")
     if numbers is None:
         numbers = family_numbers(p, m - n, precision)
-    pref = _gamma_ratio(as_scalar(m), as_scalar(n), precision)
+    pref = rl_derivative_term(m, n, precision).coefficient
     terms = []
     for k in range(m - n + 1):
         rg = _reciprocal_gamma_scalar(as_scalar(n + k + 1) - ord.alpha, precision)

@@ -42,7 +42,6 @@ from .families import (
     higher_order_numbers,
     integral_over_unit_interval,
     multinomial_number_product,
-    poly_derivative,
 )
 from .fractional import (
     CaputoOrder,
@@ -319,7 +318,7 @@ def suite_appell(precision, family, alpha, lam, max_degree):
     for p in _family_grid(family, alpha, lam):
         polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
         for n in range(1, max_degree + 1):
-            deriv = poly_derivative(polys[n])
+            deriv = polys[n].derivative()
             yield from zip_longest(deriv.coeffs, polys[n - 1].scale(n).coeffs, fillvalue=0)
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 

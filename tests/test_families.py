@@ -8,13 +8,11 @@ from fracpoly.families import (
     FamilyKind,
     FamilyParams,
     Polynomial,
-    eval_polynomial,
     family_numbers,
     family_polynomial,
     higher_order_numbers,
     integral_over_unit_interval,
     multinomial_number_product,
-    poly_derivative,
 )
 from fracpoly.scalars import Scalar, as_scalar
 
@@ -112,9 +110,9 @@ def test_family_polynomial_degree_zero_lambda_not_one():
 
 def test_eval_polynomial():
     q = Polynomial([Fraction(1, 6), -1, 1])
-    assert eval_polynomial(q, 0).value == Fraction(1, 6)
-    assert eval_polynomial(q, 1).value == Fraction(1, 6)  # B_2(1) = B_2
-    assert eval_polynomial(Polynomial([0]), 7).value == 0
+    assert q.evaluate(0).value == Fraction(1, 6)
+    assert q.evaluate(1).value == Fraction(1, 6)  # B_2(1) = B_2
+    assert Polynomial([0]).evaluate(7).value == 0
 
 
 def test_polynomial_operations_round_like_scalar_loops():
@@ -145,12 +143,12 @@ def test_polynomial_operations_round_like_scalar_loops():
 
 def test_poly_derivative_appell():
     p2 = family_polynomial(FamilyParams(B, 1, 1), 2)
-    d = poly_derivative(p2)
+    d = p2.derivative()
     assert [c.value for c in d.coeffs] == [-1, 2]
-    assert poly_derivative(Polynomial([5])).is_zero()
+    assert Polynomial([5]).derivative().is_zero()
     g3 = family_polynomial(FamilyParams(G, 2, 3), 3)
     g2 = family_polynomial(FamilyParams(G, 2, 3), 2)
-    assert poly_derivative(g3) == g2.scale(3)
+    assert g3.derivative() == g2.scale(3)
 
 
 def test_appell_property_grid():
@@ -160,7 +158,7 @@ def test_appell_property_grid():
                 p = FamilyParams(kind, alpha, lam)
                 polys = [family_polynomial(p, n) for n in range(17)]
                 for n in range(1, 17):
-                    assert poly_derivative(polys[n]) == polys[n - 1].scale(n)
+                    assert polys[n].derivative() == polys[n - 1].scale(n)
 
 
 def test_appell_property_float_alpha():
@@ -168,7 +166,7 @@ def test_appell_property_float_alpha():
     p = FamilyParams(B, Fraction(1, 2), 2)
     tol = Fraction(1, 10 ** 24)
     for n in range(1, 9):
-        d = poly_derivative(family_polynomial(p, n))
+        d = family_polynomial(p, n).derivative()
         want = family_polynomial(p, n - 1).scale(n)
         assert not d.coeffs[0].is_exact
         for k in range(n):
@@ -321,7 +319,7 @@ def test_float_alpha_lambda_one_valuation():
     p = FamilyParams(B, Fraction(1, 2), 1)
     tol = Fraction(1, 10 ** 24)
     for n in range(1, 7):
-        d = poly_derivative(family_polynomial(p, n))
+        d = family_polynomial(p, n).derivative()
         want_poly = family_polynomial(p, n - 1).scale(n)
         for k in range(n):
             a = d.coeffs[k].as_fraction()
