@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scalars import DEFAULT_PRECISION, Scalar, as_scalar, working_precision
 from .gammafns import (
-    beta,
     binomial,
     gamma,
     generalized_binomial,
@@ -76,7 +75,6 @@ __all__ = [
     "working_precision",
     "gamma",
     "reciprocal_gamma",
-    "beta",
     "binomial",
     "generalized_binomial",
     "multinomial",

@@ -227,7 +227,7 @@ def leibniz_product(
     terms = []
     fk = f
     for k in range(f.degree + 1):
-        w = generalized_binomial(a, k, precision)
+        w = generalized_binomial(a, k)
         if not w.is_zero():
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
@@ -237,16 +237,6 @@ def leibniz_product(
         if fk.is_zero():
             break
     return FracExpansion(terms)
-
-
-def _reciprocal_gamma_scalar(x: Scalar, precision: int) -> Scalar:
-    """1/gamma(x) staying exact for integer x (zero at the poles)."""
-    if x.is_integer():
-        v = int(x)
-        if v <= 0:
-            return Scalar.exact(0)
-        return Scalar.exact(Fraction(1, math.factorial(v - 1)))
-    return reciprocal_gamma(x, precision)
 
 
 def caputo_closed_form(
@@ -274,7 +264,7 @@ def caputo_closed_form(
     pref = rl_derivative_term(m, n, precision).coefficient
     terms = []
     for k in range(m - n + 1):
-        rg = _reciprocal_gamma_scalar(as_scalar(n + k + 1) - ord.alpha, precision)
+        rg = reciprocal_gamma(as_scalar(n + k + 1) - ord.alpha, precision)
         coeff = pref * math.factorial(k) * binomial(m - n, k) * numbers[m - n - k] * rg
         terms.append(FracTerm(coeff, as_scalar(k + n) - ord.alpha))
     return FracExpansion(terms)

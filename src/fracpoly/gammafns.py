@@ -1,25 +1,35 @@
-"""Gamma, beta and the combinatorial primitives built on top of them.
+"""Gamma and the combinatorial primitives built on top of it.
 
 The gamma function is a Spouge approximation whose parameter a is derived
 from the requested precision, so the error bound 2^(8-precision) is a
-consequence of the construction rather than a hope.  Arguments are shifted
-into [1, 2) by the functional equation first, which pins the cancellation
-of the alternating Spouge sum at roughly 0.17*precision bits.
+consequence of the construction rather than a hope.  Arguments are exact
+rationals (a float argument means its exact binary value).  A positive
+non-integer x is split as x0 + m with x0 in [1, 2), which pins the
+cancellation of the alternating Spouge sum at roughly 0.17*precision bits,
+and gamma(x) = gamma(x0) x0 (x0 + 1) ... (x0 + m - 1): the rising product
+is an exact integer ratio, brought to the working precision by one
+division.  Negative arguments go through
+the reflection formula with 1 - x exact too.
 
 The sum runs in fixed point: the coefficients are integers scaled by 2^F,
 built once per precision, and each term c_k/(z+k) is one integer floor
-division, since the shifted argument z is a dyadic rational.  F is the
-Spouge working precision precision + 48 + precision/5, taken from the
-requested precision alone, so the sum is within 3a 2^-F of its value
-(relative, since it is at least 1) under any caller's working precision;
-the cancellation costs no bits of it.  The sum is rounded once to the
-working precision, where the shift products and the power and exponential
-factors are computed.
+division, since z = x0 - 1 rounded to the working precision is a dyadic
+rational.  F is the Spouge working precision precision + 48 + precision/5,
+taken from the requested precision alone, so the sum is within 3a 2^-F of
+its value (relative, since it is at least 1) under any caller's working
+precision; the cancellation costs no bits of it.  The sum is rounded once
+to the working precision, where the power and exponential factors are
+computed.  Past the Spouge truncation and the sum, the error budget is a
+few roundings at the working precision (at least precision + 16 bits):
+x0 itself (which moves gamma(x0) by x0 |psi(x0)| < 0.85 units on [1, 2)),
+the power and exponential, the rising product (exact, then cut to 32
+guard bits and divided once) and the product or quotient with gamma(x0),
+all well inside 2^(8-precision).
 
-Spouge evaluations are memoized on (argument, precision, working
-precision): the working precision fixes every rounding after the sum, so a
-hit returns the very bits a fresh evaluation would and the error bound is
-untouched.
+Spouge evaluations are memoized on (x0, precision, working precision), so
+every argument with the same fractional part shares one sum: the working
+precision fixes every rounding after it, so a hit returns the very bits a
+fresh evaluation would and the error bound is untouched.
 """
 
 from __future__ import annotations
@@ -37,24 +47,11 @@ from .scalars import (
     ScalarLike,
     as_scalar,
     check_precision,
+    fraction_to_mpf,
     working_precision,
 )
 
-__all__ = [
-    "gamma",
-    "reciprocal_gamma",
-    "beta",
-    "binomial",
-    "generalized_binomial",
-    "multinomial",
-    "factorial",
-]
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise DomainError(f"factorial of negative integer {n}")
-    return math.factorial(n)
+__all__ = ["gamma", "reciprocal_gamma", "binomial", "generalized_binomial", "multinomial"]
 
 
 def _spouge_a(precision: int) -> int:
@@ -97,22 +94,14 @@ def _spouge_coeffs(precision: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _gamma_positive(x, precision: int):
-    """Gamma of an mpf x > 0 at the current (elevated) working precision, uncached.
+    """Gamma of an mpf x in [1, 2) at the current (elevated) working precision, uncached.
 
     The Spouge sum s = c_0 + sum c_k/(z+k) runs in fixed point at F bits:
-    z = M 2^e is exact, so each term is (C_k 2^-e) // (M + k 2^-e), within
-    three units of 2^-F with its coefficient's error.  So s is within
+    z = x - 1 = M 2^e is exact, so each term is (C_k 2^-e) // (M + k 2^-e),
+    within three units of 2^-F with its coefficient's error.  So s is within
     3a 2^-F of its value, relative since |s| >= 1, whatever the working
     precision, and is rounded to the working precision once.
     """
-    num = mp.mpf(1)
-    den = mp.mpf(1)
-    while x >= 2:
-        x -= 1
-        num *= x
-    while x < 1:
-        den *= x
-        x += 1
     F, coeffs = _spouge_coeffs(precision)
     a = len(coeffs)
     z = x - 1
@@ -123,30 +112,75 @@ def _gamma_positive(x, precision: int):
     for k in range(1, a):
         acc += (coeffs[k] << shift) // (zfix + (k << shift))
     s = mp.make_mpf(libmp.from_man_exp(acc, -F, mp.prec, libmp.round_nearest))
-    g = mp.power(z + a, z + mp.mpf(1) / 2) * mp.exp(-(z + a)) * s
-    return g * num / den
+    return mp.power(z + a, z + mp.mpf(1) / 2) * mp.exp(-(z + a)) * s
 
 
 @lru_cache(maxsize=4096)
-def _spouge_memo(x, precision: int, wp: int):
-    # wp is the caller's mp.prec: the shift products, the power and the
-    # rounded sum all round to it, so it belongs in the key alongside the
-    # argument and the target precision
-    return _gamma_positive(x, precision)
+def _spouge_memo(x0: Fraction, precision: int, wp: int):
+    # wp is the caller's mp.prec: the rounded x0, the power and the rounded
+    # sum all round to it, so it belongs in the key alongside the argument
+    # and the target precision
+    return _gamma_positive(fraction_to_mpf(x0, wp), precision)
 
 
-def _spouge(x, precision: int):
-    """Memoized _gamma_positive(x, precision) at the current working precision."""
-    return _spouge_memo(x, precision, mp.prec)
+def _spouge(x0: Fraction, precision: int):
+    """Memoized gamma(x0) for x0 in [1, 2) at the current working precision."""
+    return _spouge_memo(x0, precision, mp.prec)
 
 
-def _integer_pole(x: Scalar) -> int | None:
-    """The non-positive integer x equals, if any."""
-    if x.is_integer():
-        n = int(x)
-        if n <= 0:
-            return n
-    return None
+def _shift(x: Fraction) -> tuple[Fraction, int, int]:
+    """(x0, num, den) with x0 in [1, 2) and gamma(x) = gamma(x0) num/den, for x > 0.
+
+    With x = p/q and m = floor(x) - 1, x0 = x - m = p0/q and the ratio is
+    the rising product x0 (x0 + 1) ... (x0 + m - 1) = prod(p0 + i q) / q^m;
+    below 1 (m = -1) it is 1/x = q/p.
+    """
+    p, q = x.numerator, x.denominator
+    m = p // q - 1
+    if m < 0:
+        return x + 1, q, p
+    p0 = p - m * q
+    return Fraction(p0, q), _rising(p0, q, m), q ** m
+
+
+def _rising(p0: int, q: int, m: int) -> int:
+    """prod(p0 + i q for i < m), split in halves so that a long product
+    multiplies operands of like size."""
+    if m <= 64:
+        return math.prod(range(p0, p0 + m * q, q))
+    h = m // 2
+    return _rising(p0, q, h) * _rising(p0 + h * q, q, m - h)
+
+
+def _ratio(num: int, den: int):
+    """num/den at the working precision.  Both are cut to 32 guard bits
+    first (exact while they fit), so a long product costs no long division;
+    the quotient is then within 2^-(prec+30) of num/den before its one
+    rounding."""
+    g = mp.prec + 32
+    rnd = libmp.round_nearest
+    return mp.make_mpf(libmp.mpf_div(libmp.from_int(num, g, rnd), libmp.from_int(den, g, rnd), mp.prec, rnd))
+
+
+def _gamma(x: Fraction, precision: int):
+    """gamma(x) for a rational non-integer x at the current working precision."""
+    if x < 0:
+        return mp.pi / (mp.sinpi(fraction_to_mpf(x, mp.prec)) * _gamma(1 - x, precision))
+    x0, num, den = _shift(x)
+    return _spouge(x0, precision) * _ratio(num, den)
+
+
+def _rgamma(x: Fraction, precision: int):
+    """1/gamma(x) for any rational x at the current working precision: the
+    integers take the factorial path (0 at the poles), negative arguments
+    the reflection formula sin(pi x) gamma(1-x) / pi, which is entire."""
+    if x.denominator == 1:
+        n = x.numerator
+        return mp.zero if n <= 0 else 1 / mp.mpf(math.factorial(n - 1))
+    if x < 0:
+        return mp.sinpi(fraction_to_mpf(x, mp.prec)) * _gamma(1 - x, precision) / mp.pi
+    x0, num, den = _shift(x)
+    return _ratio(den, num) / _spouge(x0, precision)
 
 
 def gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
@@ -160,56 +194,29 @@ def gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
     """
     check_precision(precision)
     xs = as_scalar(x)
-    if _integer_pole(xs) is not None:
-        raise PoleError(f"gamma pole at {xs}")
-    if xs.is_integer():
-        n = int(xs)
+    x = xs.as_fraction()
+    if x.denominator == 1:
+        n = x.numerator
+        if n <= 0:
+            raise PoleError(f"gamma pole at {xs}")
         with working_precision(precision):
             return Scalar.big(mp.mpf(math.factorial(n - 1)), precision)
-    wp = _spouge_wp(precision)
-    with working_precision(wp):
-        xm = xs.as_mpf(wp)
-        if xm > 0:
-            v = _spouge(xm, precision)
-        else:
-            v = mp.pi / (mp.sinpi(xm) * _spouge(1 - xm, precision))
+    with working_precision(_spouge_wp(precision)):
+        v = _gamma(x, precision)
     return Scalar.big(v, precision)
 
 
 def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
-    """1/gamma as an entire function: exactly 0 at non-positive integers."""
+    """1/gamma as an entire function: exact at the integers (0 at the poles
+    0, -1, -2, ..., 1/(n-1)! at n > 0), a float at the given precision
+    elsewhere."""
     check_precision(precision)
-    xs = as_scalar(x)
-    if _integer_pole(xs) is not None:
-        return Scalar.big(0, precision)
-    if xs.is_integer():
-        n = int(xs)
-        with working_precision(precision + 16):
-            v = 1 / mp.mpf(math.factorial(n - 1))
-        return Scalar.big(v, precision)
-    wp = _spouge_wp(precision)
-    with working_precision(wp):
-        xm = xs.as_mpf(wp)
-        if xm > mp.mpf(1) / 2:
-            v = 1 / _spouge(xm, precision)
-        else:
-            # sin(pi x) * gamma(1-x) / pi is entire, hence smooth across poles
-            v = mp.sinpi(xm) * _spouge(1 - xm, precision) / mp.pi
-    return Scalar.big(v, precision)
-
-
-def beta(x: ScalarLike, y: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
-    """Beta(x, y) = gamma(x) gamma(y) / gamma(x+y) for x, y > 0."""
-    check_precision(precision)
-    xs, ys = as_scalar(x), as_scalar(y)
-    if xs <= 0 or ys <= 0:
-        raise DomainError(f"beta requires positive arguments, got ({xs}, {ys})")
-    inner = precision + 24
-    gx = gamma(xs, inner)
-    gy = gamma(ys, inner)
-    gxy = gamma(xs + ys, inner)
-    with working_precision(inner):
-        v = gx.value * gy.value / gxy.value
+    x = as_scalar(x).as_fraction()
+    if x.denominator == 1:
+        n = x.numerator
+        return Scalar.exact(0 if n <= 0 else Fraction(1, math.factorial(n - 1)))
+    with working_precision(_spouge_wp(precision)):
+        v = _rgamma(x, precision)
     return Scalar.big(v, precision)
 
 
@@ -222,27 +229,13 @@ def binomial(n: int, k: int) -> Scalar:
     return Scalar.exact(math.comb(n, k))
 
 
-def generalized_binomial(alpha: ScalarLike, k: int, precision: int = DEFAULT_PRECISION) -> Scalar:
-    """binom(alpha, k) = alpha(alpha-1)...(alpha-k+1)/k! for real upper index.
-
-    Exact when alpha is rational, a big float otherwise.
-    """
+def generalized_binomial(alpha: ScalarLike, k: int) -> Scalar:
+    """binom(alpha, k) = alpha(alpha-1)...(alpha-k+1)/k!, exact for a
+    rational upper index (a float one counts as its exact binary value)."""
     if k < 0:
         raise DomainError(f"lower index must be nonnegative, got {k}")
-    a = as_scalar(alpha)
-    if a.is_exact:
-        prod = Fraction(1)
-        av = a.value
-        for i in range(k):
-            prod *= av - i
-        return Scalar.exact(prod / math.factorial(k))
-    check_precision(precision)
-    with working_precision(a.precision):
-        prod = mp.mpf(1)
-        av = a.value
-        for i in range(k):
-            prod *= av - i
-        return Scalar.big(prod / math.factorial(k), a.precision)
+    a = as_scalar(alpha).as_fraction()
+    return Scalar.exact(math.prod((a - i for i in range(k)), start=Fraction(1)) / math.factorial(k))
 
 
 def multinomial(parts) -> Scalar:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
-from .gammafns import _spouge, _spouge_wp
+from .gammafns import _rgamma, _spouge_wp
 from .scalars import DEFAULT_PRECISION, Scalar, ScalarLike, as_scalar, check_precision, working_precision
 from .series import TruncatedSeries
 
@@ -58,23 +58,13 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
         return TruncatedSeries(
             [Fraction(1, math.factorial(a * n + b - 1)) for n in range(order + 1)]
         )
-    coeffs = []
-    wp = _spouge_wp(precision)
-    with working_precision(wp):
-        am = p.alpha.as_mpf(wp)
-        bm = p.beta.as_mpf(wp)
-        for n in range(order + 1):
-            # integer arguments must hit the exact factorial path so that
-            # degenerate denominators (lambda = 1) cancel exactly
-            coeffs.append(Scalar.big(_term_gamma_inv(am * n + bm, precision), precision))
+    # exact term arguments: integers hit the exact factorial path, so that
+    # degenerate denominators (lambda = 1) cancel exactly, and every
+    # argument with the same fractional part shares one Spouge sum
+    a, b = p.alpha.as_fraction(), p.beta.as_fraction()
+    with working_precision(_spouge_wp(precision)):
+        coeffs = [Scalar.big(_rgamma(a * n + b, precision), precision) for n in range(order + 1)]
     return TruncatedSeries(coeffs)
-
-
-def _term_gamma_inv(arg, precision):
-    """1/gamma(arg) for arg > 0 at the current working precision."""
-    if arg == mp.floor(arg):
-        return 1 / mp.mpf(math.factorial(int(arg) - 1))
-    return 1 / _spouge(arg, precision)
 
 
 def ml_eval(
@@ -118,19 +108,18 @@ def ml_eval(
     wp = precision + 16
     with working_precision(wp):
         zm = zs.as_mpf(wp)
-        am = p.alpha.as_mpf(wp)
-        bm = p.beta.as_mpf(wp)
+        aq, bq = p.alpha.as_fraction(), p.beta.as_fraction()
         tolm = mp.mpf(tol_fr.numerator) / tol_fr.denominator
         total = mp.mpf(0)
         peak = mp.mpf(0)
-        term = _term_gamma_inv(bm, precision)  # n = 0, z^0
+        term = _rgamma(bq, precision)  # n = 0, z^0
         zpow = mp.mpf(1)
         n = 0
         while True:
             total += term
             peak = max(peak, abs(term))
             zpow *= zm
-            nxt = zpow * _term_gamma_inv(am * (n + 1) + bm, precision)
+            nxt = zpow * _rgamma(aq * (n + 1) + bq, precision)
             if abs(nxt) < tolm * abs(total) and abs(term) > 0:
                 ratio = abs(nxt) / abs(term)
                 if ratio < mp.mpf(1) / 2:

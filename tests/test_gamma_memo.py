@@ -1,5 +1,6 @@
 """The Spouge memo hands out the bits a fresh evaluation computes, keyed per
-working precision, also under threads mixing precisions."""
+working precision, also under threads mixing precisions, and one sum serves
+every argument with the same fractional part."""
 
 import sys
 import threading
@@ -9,13 +10,13 @@ import pytest
 
 from fracpoly.gammafns import _gamma_positive, _spouge, _spouge_memo, _spouge_wp, gamma, reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval, ml_series
-from fracpoly.scalars import working_precision
+from fracpoly.scalars import fraction_to_mpf, working_precision
 
-# both reflection branches of gamma (x <= 0) and reciprocal_gamma (x <= 1/2)
+# the reflection branch (x < 0), the step up from below 1 and rising products
 ARGS = (Fraction(1, 3), Fraction(-7, 5), Fraction(11, 4), Fraction(5, 2))
 ML = MLParams(Fraction(1, 3), Fraction(6, 5))
-# dyadic parameters: every term argument alpha*n + beta is the same mpf at
-# ml_eval's precision + 16 and at ml_series' Spouge working precision
+# the term arguments alpha*n + beta are exact rationals, so both routes ask
+# for the same fractional parts, each at its own working precision
 ML_DYADIC = MLParams(Fraction(1, 2), Fraction(1, 4))
 
 ROUTES = {
@@ -44,13 +45,12 @@ def test_memo_hit_equals_fresh_evaluation(route, prec):
 
 def test_working_precision_is_part_of_the_key():
     prec = 128
-    x = Fraction(3, 4)
+    x0 = Fraction(7, 4)
     values = {}
     _spouge_memo.cache_clear()
     for wp in (prec + 16, _spouge_wp(prec)):
-        with working_precision(wp) as ctx:
-            xm = ctx.mpf(x.numerator) / x.denominator
-            values[wp] = (_spouge(xm, prec), _gamma_positive(xm, prec))
+        with working_precision(wp):
+            values[wp] = (_spouge(x0, prec), _gamma_positive(fraction_to_mpf(x0, wp), prec))
     (memo_lo, fresh_lo), (memo_hi, fresh_hi) = values[prec + 16], values[_spouge_wp(prec)]
     assert memo_lo._mpf_ == fresh_lo._mpf_
     assert memo_hi._mpf_ == fresh_hi._mpf_
@@ -106,3 +106,13 @@ def test_concurrent_mixed_precision_memo():
     assert len(results) == 6 * len(jobs)
     for key, bits in results:
         assert bits == serial[key]
+
+
+def test_one_sum_per_fractional_part():
+    # 7/11 n + 6/5 = (35 n + 66)/55 takes 11 fractional parts over n = 0..80
+    p = MLParams(Fraction(7, 11), Fraction(6, 5))
+    _spouge_memo.cache_clear()
+    ml_series(p, 80, 128)
+    info = _spouge_memo.cache_info()
+    assert info.misses <= 11
+    assert info.hits >= 81 - 11

@@ -7,9 +7,8 @@ from mpmath import mp
 
 from fracpoly.errors import DomainError, PoleError
 from fracpoly.gammafns import (
-    _spouge,
+    _gamma,
     _spouge_wp,
-    beta,
     binomial,
     gamma,
     generalized_binomial,
@@ -101,6 +100,13 @@ def test_reciprocal_gamma_zeros():
     assert reciprocal_gamma(-25).as_fraction() == 0
 
 
+def test_reciprocal_gamma_exact_at_integers():
+    # the entire function is rational at the integers and stays exact there
+    for x, want in ((-3, 0), (0, 0), (1, 1), (5, Fraction(1, 24)), (Fraction(8, 2), Fraction(1, 6))):
+        got = reciprocal_gamma(x, 64)
+        assert got.is_exact and got.value == want
+
+
 def test_reciprocal_gamma_matches_inverse():
     prec = 128
     for x in (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2)):
@@ -122,23 +128,28 @@ def test_reciprocal_gamma_continuous_at_poles():
             assert vals[-1] < Fraction(1, 10 ** 6)
 
 
-def test_beta_examples():
-    assert rel_err(beta(1, 1), 1) <= Fraction(1, 2 ** 110)
+def test_gamma_ratio_beta_identity():
+    # B(x, y) = gamma(x) gamma(y) / gamma(x+y) against closed forms
+    prec = 128
+    tol = Fraction(1, 2 ** (prec - 10))
+
+    def beta(x, y):
+        return (gamma(x, prec) * gamma(y, prec) / gamma(x + y, prec)).as_fraction()
+
+    assert beta(1, 1) == 1
     # oracle: 1! 2! / 4! = 1/12
     want = Fraction(math.factorial(1) * math.factorial(2), math.factorial(4))
     assert want == Fraction(1, 12)
-    assert rel_err(beta(2, 3), want) <= Fraction(1, 2 ** (128 - 6))
+    assert abs(beta(2, 3) - want) / want <= tol
     # oracle: gamma(1/2)^2 / gamma(1) = pi
     with working_precision(168):
         want_pi = mpf_to_fraction(+mp.pi)
-    assert rel_err(beta(Fraction(1, 2), Fraction(1, 2)), want_pi) <= Fraction(1, 2 ** (128 - 6))
-
-
-def test_beta_domain():
-    with pytest.raises(DomainError):
-        beta(0, 1)
-    with pytest.raises(DomainError):
-        beta(1, -2)
+    assert abs(beta(Fraction(1, 2), Fraction(1, 2)) - want_pi) / want_pi <= tol
+    # oracle: B(x, 1 - x) = pi / sin(pi x), across the split into [1, 2)
+    for x in (Fraction(1, 3), Fraction(7, 4), Fraction(-5, 2)):
+        with working_precision(prec + 40):
+            want = mpf_to_fraction(mp.pi / mp.sinpi(mp.mpf(x.numerator) / x.denominator))
+        assert abs(beta(x, 1 - x) - want) / abs(want) <= tol
 
 
 def test_binomial_values():
@@ -178,12 +189,12 @@ def test_generalized_binomial():
     assert generalized_binomial(3, 5).value == 0  # integer upper index truncates
 
 
-def test_generalized_binomial_float_domain():
+def test_generalized_binomial_float_index_counts_exactly():
     from fracpoly.scalars import Scalar
     a = Scalar.big(Fraction(1, 2), 128)
     got = generalized_binomial(a, 2)
-    assert not got.is_exact
-    assert abs(got.as_fraction() + Fraction(1, 8)) <= Fraction(1, 2 ** 120)
+    assert got.is_exact
+    assert got.value == Fraction(-1, 8)
 
 
 def test_multinomial_values():
@@ -238,15 +249,29 @@ def test_spouge_accuracy_sweep(prec):
 
 @pytest.mark.parametrize("prec", [64, 128, 256, 511, 1024])
 def test_spouge_core_accuracy_under_any_scope(prec):
-    # the core's accuracy must not hinge on the caller's working precision:
-    # ml_eval calls it at prec + 16, gamma at the Spouge working precision
+    # the accuracy must not hinge on the caller's working precision:
+    # ml_eval calls the core at prec + 16, gamma at the Spouge working
+    # precision; the arguments are exact, so the reference is mpmath's
+    # gamma at the same rational
     tol = Fraction(1, 2 ** (prec - 8))
     for wp in (prec + 16, _spouge_wp(prec)):
         for x in SWEEP_ARGS:
-            if x <= 0:
-                continue
             with working_precision(wp):
-                xm = mp.mpf(x.numerator) / x.denominator
-                got = mpf_to_fraction(_spouge(xm, prec))
-            want = _mpmath_gamma(mpf_to_fraction(xm), prec)
-            assert abs(got - want) / want <= tol, (wp, x)
+                got = mpf_to_fraction(_gamma(x, prec))
+            want = _mpmath_gamma(x, prec)
+            assert abs(got - want) / abs(want) <= tol, (wp, x)
+
+
+# far from [1, 2): long rising products above (up to about 300) and the
+# reflection branch well below 0, with denominators that share no factor
+LARGE_ARGS = [Fraction(k, q) for q in (3, 7, 11, 13)
+              for k in (q * 300 - 1, q * 157 + 2, q * 41 + 1, -q * 60 - 1, -q * 7 - 2)]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512])
+def test_gamma_accuracy_at_large_arguments(prec):
+    tol = Fraction(1, 2 ** (prec - 8))
+    for x in LARGE_ARGS:
+        want = _mpmath_gamma(x, prec)
+        assert rel_err(gamma(x, prec), want) <= tol, x
+        assert rel_err(reciprocal_gamma(x, prec), 1 / want) <= tol, x

@@ -189,3 +189,18 @@ def test_eval_meets_default_tolerance(prec, alpha, z):
     beta = Fraction(6, 5)
     got = ml_eval(MLParams(alpha, beta), z, precision=prec)
     assert rel(got, _rgamma_series(alpha, beta, z, prec)) <= Fraction(1, 2 ** (prec - 24))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512])
+@pytest.mark.parametrize("alpha", [Fraction(7, 11), Fraction(20, 13), Fraction(3, 2)])
+def test_series_coefficients_match_mpmath_at_large_arguments(alpha, prec):
+    # arguments alpha n + beta up to about 125; reference: mpmath's rgamma
+    # at 64 extra bits, sharing no code with the Spouge path
+    tol = Fraction(1, 2 ** (prec - 8))
+    for beta in (1, Fraction(6, 5)):
+        s = ml_series(MLParams(alpha, beta), 80, prec)
+        with working_precision(prec + 64):
+            for n in range(81):
+                arg = alpha * n + beta
+                want = mpf_to_fraction(mp.rgamma(mp.mpf(arg.numerator) / arg.denominator))
+                assert rel(s.coeff(n), want) <= tol, (beta, n)

@@ -221,6 +221,17 @@ def test_verify_all_exit_zero(runner):
     assert r.output == (GOLDEN / "verify_all.txt").read_text()
 
 
+@pytest.mark.parametrize("precision", ["64", "72"])
+def test_verify_ml_consistency_passes_at_low_precision(runner, precision):
+    # ml_eval's tolerance scales with the precision, so at 64 bits its own
+    # error stays below the fixed order-60 truncation tolerance
+    r = invoke(runner, "verify", "ml-consistency", "--precision", precision, "--format", "json")
+    assert r.exit_code == 0
+    (report,) = json.loads(r.output)
+    assert report["verdict"] == "pass"
+    assert report["max_rel_err"] <= report["tolerance"]
+
+
 @pytest.mark.parametrize("suite", ["theorem3", "genocchi-euler"])
 def test_verify_float_alpha_passes(runner, suite):
     # a float family alpha makes both routes floats: they get the float
