@@ -35,8 +35,6 @@ from .gammafns import (
 from .series import (
     TruncatedSeries,
     cauchy_product,
-    egf_coefficient,
-    multiply_exp,
     reciprocal,
     series_add,
 )
@@ -57,14 +55,13 @@ from .fractional import (
     FracTerm,
     caputo_closed_form,
     caputo_derivative_poly,
-    caputo_power_rule,
     caputo_quadrature_oracle,
     eval_frac_expansion,
     leibniz_product,
     rl_derivative_term,
     rl_integral_poly,
 )
-from .verify import RunConfig, VerificationReport, run_suite, run_suites
+from .verify import RunConfig, VerificationReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -82,8 +79,6 @@ __all__ = [
     "series_add",
     "cauchy_product",
     "reciprocal",
-    "multiply_exp",
-    "egf_coefficient",
     "MLParams",
     "ml_series",
     "ml_eval",
@@ -99,7 +94,6 @@ __all__ = [
     "CaputoOrder",
     "FracTerm",
     "FracExpansion",
-    "caputo_power_rule",
     "caputo_derivative_poly",
     "rl_integral_poly",
     "rl_derivative_term",
@@ -110,7 +104,6 @@ __all__ = [
     "RunConfig",
     "VerificationReport",
     "run_suite",
-    "run_suites",
     "FracPolyError",
     "DomainError",
     "PoleError",

@@ -43,6 +43,8 @@ class ScalarParam(click.ParamType):
             return value
         try:
             return as_scalar(str(value).strip())
+        except FracPolyError:
+            raise  # reported as "error: ..." with exit 2, as in a subcommand
         except (ValueError, ZeroDivisionError) as exc:
             self.fail(f"cannot parse number {value!r}: {exc}", param, ctx)
 

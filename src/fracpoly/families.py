@@ -17,7 +17,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable
 
 from .errors import DegenerateDenominator, DomainError, ValuationError, ZeroConstantTerm
@@ -117,32 +116,11 @@ class Polynomial(Coefficients):
             out = [c / (k + 1) for k, c in enumerate(self._values)]
         return self._raw([ZERO.raw_in(self._prec)] + out, self._prec)
 
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        xs, ys, prec = self._joined(other)
-        out = [ZERO.raw_in(prec)] * (len(xs) + len(ys) - 1)
-        with domain_scope(prec):
-            for i, a in enumerate(xs):
-                for j, b in enumerate(ys):
-                    out[i + j] = out[i + j] + a * b
-        return self._raw(out, prec)
-
-    __rmul__ = __mul__
-
     def monomials(self):
         """Yield (coefficient, power) pairs for nonzero coefficients."""
         for k, c in enumerate(self._values):
             if c:
                 yield Scalar(c, self._prec), k
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return all(a == b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO))
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"

@@ -35,7 +35,6 @@ __all__ = [
     "CaputoOrder",
     "FracTerm",
     "FracExpansion",
-    "caputo_power_rule",
     "caputo_derivative_poly",
     "rl_integral_poly",
     "rl_derivative_term",
@@ -106,12 +105,6 @@ class FracExpansion:
     def terms(self) -> tuple[FracTerm, ...]:
         return self._terms
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "FracExpansion") -> "FracExpansion":
-        return FracExpansion(list(self._terms) + list(other._terms))
-
     def __iter__(self):
         return iter(self._terms)
 
@@ -156,16 +149,6 @@ def _termwise(pairs: Iterable[tuple[Scalar, ScalarLike]], order: ScalarLike, pre
         d = rl_derivative_term(e, order, precision)
         terms.append(FracTerm(c * d.coefficient, d.exponent))
     return FracExpansion(terms)
-
-
-def caputo_power_rule(j: int, ord: CaputoOrder, precision: int = DEFAULT_PRECISION) -> FracTerm:
-    """Caputo derivative of t^j: zero for j < n, else the power-rule term."""
-    check_precision(precision)
-    if j < 0:
-        raise DomainError(f"power must be nonnegative, got {j}")
-    if j < ord.n:
-        return FracTerm(ZERO, ZERO)
-    return rl_derivative_term(j, ord.alpha, precision)
 
 
 def caputo_derivative_poly(

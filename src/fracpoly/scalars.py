@@ -10,6 +10,7 @@ float promotes to a float at the larger of the operand precisions.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -21,6 +22,14 @@ from .errors import DomainError
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 64
+# the largest power of two whose floats print within Python's 4300-digit
+# cap on int-to-str conversion; it also bounds the time of one call
+MAX_PRECISION = 8192
+# |exponent| of a decimal string beyond which it is refused before parsing:
+# Fraction expands the power of ten (1e10000000 takes seconds), and such a
+# value could not be printed
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
 
 # mpmath keeps its precision in a process-global context, so precision
 # scopes are serialized; the lock is reentrant to allow nesting.
@@ -53,8 +62,9 @@ def join_precision(*precisions: int | None) -> int | None:
 
 
 def check_precision(bits: int) -> int:
-    if not isinstance(bits, int) or bits < MIN_PRECISION:
-        raise DomainError(f"precision must be an integer >= {MIN_PRECISION} bits, got {bits!r}")
+    if not isinstance(bits, int) or not MIN_PRECISION <= bits <= MAX_PRECISION:
+        raise DomainError(
+            f"precision must be an integer from {MIN_PRECISION} to {MAX_PRECISION} bits, got {bits!r}")
     return bits
 
 
@@ -172,9 +182,6 @@ class Scalar:
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
 
-    def __rsub__(self, other):
-        return as_scalar(other)._binary(self, lambda a, b: a - b)
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b)
 
@@ -183,49 +190,24 @@ class Scalar:
     def __truediv__(self, other):
         return self._binary(other, lambda a, b: a / b)
 
-    def __rtruediv__(self, other):
-        return as_scalar(other)._binary(self, lambda a, b: a / b)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("Scalar exponent must be an int")
-        with domain_scope(self._prec):
-            return Scalar(self._val ** n, self._prec)
-
     def __neg__(self):
         with domain_scope(self._prec):
             return Scalar(-self._val, self._prec)
 
-    def __abs__(self):
-        with domain_scope(self._prec):
-            return Scalar(abs(self._val), self._prec)
-
     # -- comparisons (numeric, exact across domains) ------------------
-
-    def _cmp_value(self):
-        return self.as_fraction()
 
     def __eq__(self, other):
         try:
             other = as_scalar(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self._cmp_value() == other._cmp_value()
-
-    def __lt__(self, other):
-        return self._cmp_value() < as_scalar(other)._cmp_value()
+        return self.as_fraction() == other.as_fraction()
 
     def __le__(self, other):
-        return self._cmp_value() <= as_scalar(other)._cmp_value()
-
-    def __gt__(self, other):
-        return self._cmp_value() > as_scalar(other)._cmp_value()
-
-    def __ge__(self, other):
-        return self._cmp_value() >= as_scalar(other)._cmp_value()
+        return self.as_fraction() <= as_scalar(other).as_fraction()
 
     def __hash__(self):
-        return hash(self._cmp_value())
+        return hash(self.as_fraction())
 
     def __bool__(self):
         return self._val != 0
@@ -246,10 +228,13 @@ class Scalar:
         return f"Scalar({self._val!r}, prec={self._prec})"
 
     def __str__(self):
-        if self.is_exact:
-            q = self._val
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return decimal_str(self)
+        try:
+            if self.is_exact:
+                q = self._val
+                return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+            return decimal_str(self)
+        except ValueError:  # Python caps int-to-str conversion at 4300 digits
+            raise DomainError("value too long to print: over Python's int-to-str digit limit") from None
 
 
 ScalarLike = Union[Scalar, int, Fraction, float, str]
@@ -271,6 +256,9 @@ def as_scalar(x: ScalarLike, precision: int | None = None) -> Scalar:
             raise DomainError(f"non-finite value {x!r}")
         return Scalar(Fraction(x), None)
     if isinstance(x, str):
+        exponent = _DECIMAL_EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise DomainError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {x!r}")
         return Scalar(Fraction(x), None)
     if isinstance(x, mp.mpf):
         return Scalar.big(x, precision or DEFAULT_PRECISION)
@@ -336,12 +324,6 @@ def _min_digits(x, prec: int, max_digits: int) -> int:
         else:
             highest = q - 1
     return top - lowest + 1
-
-
-def parse_decimal_str(text: str, precision: int) -> Scalar:
-    """Inverse of :func:`decimal_str` at the same precision."""
-    with working_precision(precision):
-        return Scalar.big(mp.mpf(text), precision)
 
 
 ZERO = Scalar.exact(0)

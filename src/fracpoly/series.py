@@ -1,15 +1,14 @@
-"""Truncated power series with exponential-generating-function extraction.
+"""Truncated power series in ordinary coefficients.
 
-Coefficients are stored in the ordinary convention (a_k multiplying z^k),
-so the Cauchy product is a plain convolution; the factorial enters only in
-:func:`egf_coefficient`.  A series holds one coefficient domain: all
-Fractions, or all mpfs at one precision (mixed input is promoted once, in
-the constructor), and every operation works on the raw values.
+Coefficient k multiplies z^k, so the Cauchy product is a plain
+convolution; a reader of an exponential generating function applies the
+factorial itself.  A series holds one coefficient domain: all Fractions, or
+all mpfs at one precision (mixed input is promoted once, in the
+constructor), and every operation works on the raw values.
 """
 
 from __future__ import annotations
 
-import math
 from operator import mul
 
 from .errors import IndexOutOfOrder, OrderMismatch, ValuationError, ZeroConstantTerm
@@ -20,8 +19,6 @@ __all__ = [
     "series_add",
     "cauchy_product",
     "reciprocal",
-    "multiply_exp",
-    "egf_coefficient",
     "exp_series",
 ]
 
@@ -41,20 +38,8 @@ class TruncatedSeries(Coefficients):
         return Scalar(self._values[k], self._prec)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
     def constant(cls, value: ScalarLike, order: int) -> "TruncatedSeries":
         return cls([value] + [0] * order)
-
-    @classmethod
-    def monomial(cls, value: ScalarLike, power: int, order: int) -> "TruncatedSeries":
-        if power > order:
-            return cls.zero(order)
-        coeffs = [0] * (order + 1)
-        coeffs[power] = value
-        return cls(coeffs)
 
     def shift_down(self, v: int) -> "TruncatedSeries":
         """Divide by z^v; the first v coefficients must vanish."""
@@ -78,17 +63,6 @@ class TruncatedSeries(Coefficients):
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return series_add(self, other.scale(-1))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
@@ -146,12 +120,3 @@ def exp_series(x: ScalarLike, order: int) -> TruncatedSeries:
             out.append(out[-1] * xs.value / k)
     return TruncatedSeries._raw(out, prec)
 
-
-def multiply_exp(a: TruncatedSeries, x: ScalarLike) -> TruncatedSeries:
-    """a(z) * e^{x z} truncated at the order of a."""
-    return cauchy_product(a, exp_series(x, a.order))
-
-
-def egf_coefficient(a: TruncatedSeries, n: int) -> Scalar:
-    """n! times the ordinary coefficient: the value attached to z^n/n!."""
-    return a.coeff(n) * math.factorial(n)

@@ -66,7 +66,6 @@ __all__ = [
     "SUITES",
     "unread_fields",
     "run_suite",
-    "run_suites",
     "bernoulli_oracle",
     "euler_at_zero_oracle",
     "genocchi_oracle",
@@ -373,7 +372,8 @@ def _ml_one_m_direct(m: int, z: Fraction, precision: int) -> Scalar:
         partial = mp.mpf(0)
         for k in range(m - 1):
             partial += zm ** k / math.factorial(k)
-        return Scalar.big((mp.exp(zm) - partial) / zm ** (m - 1), precision)
+        # rounded to precision already; Scalar.big would cap it at MAX_PRECISION
+        return Scalar((mp.exp(zm) - partial) / zm ** (m - 1), precision)
 
 
 @_suite("ml-consistency", float_tol=_TOL_TRUNCATION)
@@ -575,7 +575,3 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     if cfg.tolerance is not None and cfg.tolerance < 0:
         raise DomainError(f"tolerance must be nonnegative, got {cfg.tolerance}")
     return SUITES[key](cfg)
-
-
-def run_suites(names: Sequence[str], cfg: RunConfig | None = None) -> list[VerificationReport]:
-    return [run_suite(n, cfg) for n in names]

@@ -123,7 +123,7 @@ def _float_jobs():
 
     def arithmetic(prec):
         x, y = Scalar.big(Fraction(1, 3), prec), Scalar.big(Fraction(-2, 7), prec)
-        vals = [x + y, x - y, x * y, x / y, (x + 1) ** 7, -x, abs(y), Fraction(5, 11) / x]
+        vals = [x + y, x - y, x * y, x / y, (x + 1) * (x + 1), -x, 1 + y, Fraction(5, 11) * x]
         return [v.value._mpf_ for v in vals]
 
     def decimal(prec):

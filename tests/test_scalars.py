@@ -8,12 +8,14 @@ from mpmath import mp
 from fracpoly.errors import DomainError
 from fracpoly.scalars import (
     DEFAULT_PRECISION,
+    MAX_DECIMAL_EXPONENT,
+    MAX_PRECISION,
     Scalar,
     as_scalar,
+    check_precision,
     decimal_str,
     fraction_to_mpf,
     mpf_to_fraction,
-    parse_decimal_str,
     working_precision,
 )
 
@@ -39,6 +41,15 @@ def test_string_input():
     assert as_scalar("0.3").value == Fraction(3, 10)
 
 
+def test_string_exponent_is_bounded_before_parsing():
+    assert as_scalar(f"1e{MAX_DECIMAL_EXPONENT}").value == 10 ** MAX_DECIMAL_EXPONENT
+    assert as_scalar(f"2.5E-{MAX_DECIMAL_EXPONENT} ").value == Fraction(25, 10 ** (MAX_DECIMAL_EXPONENT + 1))
+    # each of these would take seconds to minutes inside Fraction
+    for text in ("1e30000000", "1E-30000000", "-3.5e+1_0000000", "1e999999999"):
+        with pytest.raises(DomainError):
+            as_scalar(text)
+
+
 def test_exact_arithmetic_stays_exact():
     a = as_scalar(Fraction(1, 3))
     b = as_scalar(Fraction(1, 6))
@@ -46,7 +57,7 @@ def test_exact_arithmetic_stays_exact():
     assert (a * b).value == Fraction(1, 18)
     assert (a / b).value == 2
     assert (a - b).value == Fraction(1, 6)
-    assert (a ** 3).value == Fraction(1, 27)
+    assert (-a).value == Fraction(-1, 3)
 
 
 def test_mixed_promotes_to_max_precision():
@@ -63,9 +74,20 @@ def test_big_requires_min_precision():
         Scalar.big(1, 32)
 
 
+def test_precision_is_capped():
+    assert check_precision(MAX_PRECISION) == MAX_PRECISION == 8192
+    for bits in (MAX_PRECISION + 1, 10 ** 9):
+        with pytest.raises(DomainError):
+            check_precision(bits)
+    with pytest.raises(DomainError):
+        Scalar.big(1, MAX_PRECISION + 1)
+    # a float at the cap still prints within Python's int-to-str limit
+    assert str(Scalar.big(Fraction(-1, 3), MAX_PRECISION)).startswith("-0.333")
+
 def test_comparisons_cross_domain_exact():
     assert Scalar.big(0.5, 128) == as_scalar(Fraction(1, 2))
-    assert as_scalar(Fraction(1, 3)) < Scalar.big(0.5, 128)
+    assert as_scalar(Fraction(1, 3)) <= Scalar.big(0.5, 128)
+    assert not Scalar.big(0.5, 128) <= as_scalar(Fraction(1, 3))
     # 1/3 is not dyadic, so the float of it differs from the exact value
     assert Scalar.big(Fraction(1, 3), 128) != as_scalar(Fraction(1, 3))
 
@@ -111,7 +133,7 @@ def test_decimal_str_roundtrips():
             with working_precision(prec):
                 s = Scalar.big(mp.mpf(val), prec)
             text = decimal_str(s)
-            assert parse_decimal_str(text, prec).value == s.value
+            assert Scalar.big(Fraction(text), prec).value == s.value
 
 
 def test_decimal_str_prefers_short():

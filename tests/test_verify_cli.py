@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from fracpoly.cli import cli
-from fracpoly.scalars import as_scalar, parse_decimal_str
+from fracpoly.scalars import Scalar, as_scalar
 from fracpoly.verify import SUITES, RunConfig, run_suite, unread_fields
 
 
@@ -72,7 +72,7 @@ def test_numbers_json_roundtrip_float(runner):
     for row, w in zip(rows, want):
         assert row["domain"] == "float"
         assert row["precision"] == 128
-        assert parse_decimal_str(row["value"], 128).value == w.value
+        assert Scalar.big(Fraction(row["value"]), 128).value == w.value
 
 
 def test_output_determinism(runner):
@@ -136,8 +136,8 @@ def test_fracderiv_with_oracle(runner):
     lines = [l for l in r.output.strip().splitlines() if l and not l.startswith(("route", "coefficient"))]
     closed = next(l for l in lines if l.startswith("closed-form"))
     quad = next(l for l in lines if l.startswith("quadrature"))
-    a = Fraction(parse_decimal_str(closed.split()[-1], 128).as_fraction())
-    b = Fraction(parse_decimal_str(quad.split()[-1], 128).as_fraction())
+    a = Fraction(closed.split()[-1])
+    b = Fraction(quad.split()[-1])
     assert abs(a - b) <= Fraction(1, 10 ** 10) * max(1, abs(b))
 
 
@@ -163,8 +163,8 @@ def test_fracderiv_json_single_document(runner):
     assert r.exit_code == 0
     doc = json.loads(r.output)  # must parse as one document
     assert set(doc) == {"terms", "values"}
-    a = parse_decimal_str(doc["values"]["closed-form"], 128).as_fraction()
-    b = parse_decimal_str(doc["values"]["quadrature"], 128).as_fraction()
+    a = Fraction(doc["values"]["closed-form"])
+    b = Fraction(doc["values"]["quadrature"])
     assert abs(a - b) <= Fraction(1, 10 ** 10) * max(1, abs(b))
 
 
@@ -316,6 +316,14 @@ def test_run_suite_api_rejects_unknown():
     ["poly", "--degree", "4", "--precision", "10"],
     ["eval", "--degree", "4", "--at", "1/2", "--precision", "10"],
     ["verify", "specialization", "--lambda", "1"],
+    # a value too long to print (Python's 4300-digit int-to-str cap)
+    ["eval", "--degree", "2", "--at", "1e3000"],
+    # decimal exponents beyond the bound, and precision above the cap
+    ["numbers", "--lambda", "1e5000", "--max", "1"],
+    ["verify", "specialization", "--lambda", "1e5000"],
+    ["numbers", "--alpha", "1e10000000", "--max", "1"],
+    ["numbers", "--max", "1", "--precision", "8193"],
+    ["verify", "eq5", "--precision", "8193"],
 ])
 def test_package_errors_exit_two_without_traceback(runner, args):
     r = runner.invoke(cli, args)
@@ -396,6 +404,12 @@ def test_verify_zero_tolerance_passes_exact_suite(runner):
     (report,) = json.loads(r.output)
     assert report["verdict"] == "pass"
     assert report["tolerance"] == 0.0
+
+
+def test_precision_env_above_cap_exits_two(runner):
+    r = runner.invoke(cli, ["numbers", "--max", "1"], env={"FRACPOLY_PRECISION": "8193"})
+    assert r.exit_code == 2
+    assert r.output.startswith("error: precision must be an integer from 64 to 8192 bits")
 
 
 def test_precision_env_error_names_the_variable(runner):
