@@ -15,10 +15,11 @@ import io
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import click
 
-from .errors import FracPolyError
+from .errors import DomainError, FracPolyError
 from .families import FamilyKind, FamilyParams, family_numbers, family_polynomial
 from .fractional import (
     CaputoOrder,
@@ -29,7 +30,7 @@ from .fractional import (
     rl_integral_poly,
 )
 from .mittag import MLParams, ml_eval, ml_one_m_closed
-from .scalars import DEFAULT_PRECISION, Scalar, as_scalar
+from .scalars import DEFAULT_PRECISION, Scalar, as_rational
 from .verify import SUITES, SUITE_ALIASES, RunConfig, run_suite, unread_fields
 
 FORMATS = ("text", "csv", "json")
@@ -39,10 +40,10 @@ class ScalarParam(click.ParamType):
     name = "number"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, Scalar):
+        if isinstance(value, Fraction):
             return value
         try:
-            return as_scalar(str(value).strip())
+            return as_rational(str(value).strip())
         except FracPolyError:
             raise  # reported as "error: ..." with exit 2, as in a subcommand
         except (ValueError, ZeroDivisionError) as exc:
@@ -50,7 +51,27 @@ class ScalarParam(click.ParamType):
 
 
 SCALAR = ScalarParam()
-NONNEGATIVE = click.IntRange(min=0)
+
+# the largest --max, --degree and verify --max-degree: the exact number
+# series costs about N^3.2 (README gives the time of calls at the cap)
+MAX_DEGREE = 200
+
+
+class DegreeParam(click.IntRange):
+    """An index or degree from 0 to MAX_DEGREE.  Above the cap it is refused
+    as a package error, reported like every other bound."""
+
+    def __init__(self):
+        super().__init__(min=0)
+
+    def convert(self, value, param, ctx):
+        n = super().convert(value, param, ctx)
+        if n > MAX_DEGREE:
+            raise DomainError(f"degree or index {n} is above the cap {MAX_DEGREE}")
+        return n
+
+
+DEGREE = DegreeParam()
 
 
 def _scalar_cell(s: Scalar) -> dict:
@@ -81,7 +102,7 @@ def _emit_table(columns: list[str], rows: list[list], fmt: str):
             click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
-def _family_params(family: str, alpha: Scalar, lam: Scalar, h: int) -> FamilyParams:
+def _family_params(family: str, alpha: Fraction, lam: Fraction, h: int) -> FamilyParams:
     try:
         return FamilyParams(FamilyKind(family), alpha, lam, h)
     except ValueError as exc:
@@ -111,13 +132,20 @@ def _common_options(fn):
 
 class _Cli(click.Group):
     """Reports the package's errors from any subcommand as exit 2, without a
-    traceback; exit 1 stays reserved for a failed verification suite."""
+    traceback; exit 1 stays reserved for a failed verification suite.  So
+    is a number too long to print (Python caps int-to-str conversion at
+    4300 digits), be it a parameter or a result."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (FracPolyError, ArithmeticError) as exc:
             click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+        except ValueError as exc:
+            if "integer string conversion" not in str(exc):
+                raise
+            click.echo("error: value too long to print: over Python's int-to-str digit limit", err=True)
             ctx.exit(2)
 
 
@@ -131,7 +159,7 @@ def cli():
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--max", "max_index", type=NONNEGATIVE, required=True, help="Largest index to print.")
+@click.option("--max", "max_index", type=DEGREE, required=True, help="Largest index to print.")
 def numbers(family, alpha, lam, h, precision, fmt, max_index):
     """Print family numbers 0..MAX (generating-series coefficients)."""
     p = _family_params(family, alpha, lam, h)
@@ -147,7 +175,7 @@ def numbers(family, alpha, lam, h, precision, fmt, max_index):
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--degree", type=NONNEGATIVE, required=True, help="Polynomial degree n.")
+@click.option("--degree", type=DEGREE, required=True, help="Polynomial degree n.")
 def poly(family, alpha, lam, h, precision, fmt, degree):
     """Print the coefficients of the degree-n family polynomial."""
     p = _family_params(family, alpha, lam, h)
@@ -163,7 +191,7 @@ def poly(family, alpha, lam, h, precision, fmt, degree):
 @cli.command("eval")
 @_family_options
 @_common_options
-@click.option("--degree", type=NONNEGATIVE, required=True, help="Polynomial degree n.")
+@click.option("--degree", type=DEGREE, required=True, help="Polynomial degree n.")
 @click.option("--at", "at_", type=SCALAR, required=True, help="Evaluation point x.")
 def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
     """Evaluate the degree-n family polynomial at a point."""
@@ -190,18 +218,18 @@ def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
     value = ml_eval(p, z, tol, precision)
     rows = [["series", str(value)]]
     if closed_form:
-        if alpha != 1 or not beta.is_integer() or int(beta) < 2:
+        if alpha != 1 or beta.denominator != 1 or beta < 2:
             raise click.UsageError(
                 "--closed-form requires alpha = 1 and integer beta >= 2"
             )
-        rows.append(["closed-form", str(ml_one_m_closed(int(beta), z, precision))])
+        rows.append(["closed-form", str(ml_one_m_closed(beta.numerator, z, precision))])
     _emit_table(["route", "value"], rows, fmt)
 
 
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--degree", type=NONNEGATIVE, required=True, help="Family polynomial degree m.")
+@click.option("--degree", type=DEGREE, required=True, help="Family polynomial degree m.")
 @click.option("--order", type=SCALAR, required=True, help="Fractional order (> 0).")
 @click.option("--at", "at_", type=SCALAR, default=None,
               help="Also evaluate at t > 0 and print the quadrature cross-check.")
@@ -250,7 +278,7 @@ def _emit_expansion(expansion, routes, fmt):
 @cli.command()
 @_family_options
 @_common_options
-@click.option("--degree", type=NONNEGATIVE, required=True, help="Family polynomial degree m.")
+@click.option("--degree", type=DEGREE, required=True, help="Family polynomial degree m.")
 @click.option("--order", type=SCALAR, required=True, help="Integral order (> 0).")
 @click.option("--at", "at_", type=SCALAR, default=None, help="Evaluate the result at t > 0.")
 def fracint(family, alpha, lam, h, precision, fmt, degree, order, at_):
@@ -270,7 +298,7 @@ def fracint(family, alpha, lam, h, precision, fmt, degree, order, at_):
 @click.option("--h", type=int, default=None, help="Restrict the order-h grid.")
 @click.option("--order", "orders", type=SCALAR, multiple=True,
               help="Restrict the fractional-order grid (repeatable).")
-@click.option("--max-degree", type=int, default=None, help="Cap the degree/index grid.")
+@click.option("--max-degree", type=DEGREE, default=None, help="Cap the degree/index grid.")
 @click.option("--tolerance", type=SCALAR, default=None, help="Override every suite tolerance.")
 @click.argument("suites", nargs=-1)
 def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance, suites):
@@ -295,7 +323,7 @@ def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance,
         max_degree=max_degree,
         orders=tuple(orders) if orders else None,
         precision=precision,
-        tolerance=tolerance.as_fraction() if tolerance is not None else None,
+        tolerance=tolerance,
     )
     flags = {p.name: p.opts[0] for p in click.get_current_context().command.params}
     unread = [flags[f] for f in unread_fields(selected, cfg)]

@@ -22,7 +22,7 @@ from typing import Iterable
 from .errors import DegenerateDenominator, DomainError, ValuationError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
-from .scalars import (DEFAULT_PRECISION, ZERO, Coefficients, Scalar, ScalarLike, as_scalar,
+from .scalars import (DEFAULT_PRECISION, ZERO, Coefficients, Scalar, ScalarLike, as_rational, as_scalar,
                       check_precision, domain_scope, fraction_to_mpf, join_precision)
 from .series import TruncatedSeries, cauchy_product, reciprocal
 
@@ -36,7 +36,15 @@ __all__ = [
     "integral_over_unit_interval",
     "higher_order_numbers",
     "multinomial_number_product",
+    "MAX_H",
+    "MAX_COMPOSITIONS",
 ]
+
+# the largest order h: the h-fold product costs h Cauchy products
+MAX_H = 16
+# the most compositions one multinomial_number_product sums, each an exact
+# product of h numbers (about 40 us each on a 2-core x86 VM)
+MAX_COMPOSITIONS = 30_000
 
 
 class FamilyKind(str, Enum):
@@ -47,22 +55,22 @@ class FamilyKind(str, Enum):
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Selects one generating function: kind, alpha > 0, lambda > 0, order h."""
+    """Selects one generating function: kind, alpha > 0, lambda > 0, order h.
+    alpha and lambda are exact rationals."""
 
     kind: FamilyKind
-    alpha: Scalar
-    lam: Scalar
+    alpha: Fraction
+    lam: Fraction
     h: int = 1
 
     def __init__(self, kind, alpha: ScalarLike = 1, lam: ScalarLike = 1, h: int = 1):
         kind = FamilyKind(kind)
-        a, l = as_scalar(alpha), as_scalar(lam)
+        a, l = as_rational(alpha), as_rational(lam)
         if a <= 0:
             raise DomainError(f"family parameter alpha must be positive, got {a}")
         if l <= 0:
             raise DomainError(f"family parameter lambda must be positive, got {l}")
-        if not isinstance(h, int) or h < 1:
-            raise DomainError(f"order h must be a positive integer, got {h!r}")
+        _check_h(h)
         if h >= 2 and (kind is not FamilyKind.BERNOULLI or a != 1):
             raise DomainError(
                 "order h >= 2 is defined only for the Bernoulli kind at alpha = 1"
@@ -72,8 +80,10 @@ class FamilyParams:
         object.__setattr__(self, "lam", l)
         object.__setattr__(self, "h", h)
 
-    def cache_key(self):
-        return (self.kind.value, self.alpha.cache_key(), self.lam.cache_key(), self.h)
+
+def _check_h(h) -> None:
+    if not isinstance(h, int) or not 1 <= h <= MAX_H:
+        raise DomainError(f"order h must be an integer from 1 to {MAX_H}, got {h!r}")
 
 
 class Polynomial(Coefficients):
@@ -164,19 +174,20 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     return inverse.scale(c).shift_up(k - v)
 
 
-# (params, precision) keys whose longest series is kept, least recently used first
+# (params, precision) pairs whose longest series is kept, least recently used first
 _SERIES_CACHE_SIZE = 256
 _series_cache: OrderedDict = OrderedDict()
 _series_lock = threading.Lock()
 
 
-def _family_series_cached(key, p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
+def _family_series_cached(p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
     """The series through ``order``, sliced from the longest one computed
-    for ``key``, the (params, precision) pair.  The order-n series is a
+    for (p, precision).  The order-n series is a
     prefix of every longer one bit for bit: the Mittag-Leffler coefficients,
     the triangular reciprocal and the h-fold Cauchy product each read only
     lower indices.  A higher order is computed outside the lock and
     replaces the entry."""
+    key = (p, precision)
     with _series_lock:
         longest = _series_cache.get(key)
         if longest is not None:
@@ -202,7 +213,7 @@ def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISIO
     check_precision(precision)
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    return _family_series_cached((p.cache_key(), precision), p, order, precision)
+    return _family_series_cached(p, order, precision)
 
 
 def _in_domain(n: int, precision: int | None):
@@ -274,12 +285,14 @@ def multinomial_number_product(
 ) -> Scalar:
     """Sum over compositions of r into h parts of multinomial(s) * prod B_{s_j}(lambda).
 
-    Termwise equal to higher_order_numbers(lambda, h)[r].
+    Termwise equal to higher_order_numbers(lambda, h)[r].  Refused when
+    there are more than MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
     """
-    if not isinstance(h, int) or h < 1:
-        raise DomainError(f"h must be a positive integer, got {h!r}")
+    _check_h(h)
     if r < 0:
         raise DomainError(f"index must be nonnegative, got {r}")
+    if math.comb(r + h - 1, h - 1) > MAX_COMPOSITIONS:
+        raise DomainError(f"more than {MAX_COMPOSITIONS} compositions of {r} into {h} parts to sum")
     nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r, precision)
     total = as_scalar(0)
     for parts in _compositions(r, h):

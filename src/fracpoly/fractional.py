@@ -26,10 +26,10 @@ from mpmath import mp
 
 from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
-from .gammafns import binomial, gamma, generalized_binomial, reciprocal_gamma
+from .gammafns import _bounded, binomial, gamma, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_scalar, check_precision,
-                      working_precision)
+from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_rational, check_precision,
+                      fraction_to_mpf, working_precision)
 
 __all__ = [
     "CaputoOrder",
@@ -47,37 +47,31 @@ __all__ = [
 ]
 
 
-def _exact(x: ScalarLike) -> Scalar:
-    """An order or exponent as an exact rational; a float gives its exact
-    binary value."""
-    return Scalar.exact(as_scalar(x))
-
-
 @dataclass(frozen=True)
 class CaputoOrder:
     """Fractional order alpha > 0 with n the smallest integer >= alpha."""
 
-    alpha: Scalar
+    alpha: Fraction
     n: int
 
     def __init__(self, alpha: ScalarLike):
-        a = _exact(alpha)
+        a = as_rational(alpha)
         if a <= 0:
             raise DomainError(f"fractional order must be positive, got {a}")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "n", math.ceil(a.value))
+        object.__setattr__(self, "n", math.ceil(a))
 
     @property
     def is_integer(self) -> bool:
-        return self.alpha.is_integer()
+        return self.alpha.denominator == 1
 
 
 @dataclass(frozen=True)
 class FracTerm:
-    """coefficient * t^exponent."""
+    """coefficient * t^exponent, the exponent an exact rational."""
 
     coefficient: Scalar
-    exponent: Scalar
+    exponent: Fraction
 
     def is_zero(self) -> bool:
         return self.coefficient.is_zero()
@@ -96,9 +90,8 @@ class FracExpansion:
         merged: dict[Fraction, FracTerm] = {}
         for t in terms:
             if not t.is_zero():
-                e = t.exponent.as_fraction()
-                prev = merged.get(e)
-                merged[e] = t if prev is None else FracTerm(prev.coefficient + t.coefficient, prev.exponent)
+                prev = merged.get(t.exponent)
+                merged[t.exponent] = t if prev is None else FracTerm(prev.coefficient + t.coefficient, prev.exponent)
         self._terms = tuple(merged[e] for e in sorted(merged) if not merged[e].is_zero())
 
     @property
@@ -128,15 +121,15 @@ def rl_derivative_term(
     through the float gammas.
     """
     check_precision(precision)
-    b, a = _exact(beta), _exact(alpha)
+    b, a = as_rational(beta), as_rational(alpha)
     if b <= -1:
         raise DomainError(f"exponent must exceed -1, got {b}")
-    if a.is_integer():
-        k, t = int(a), b.value
+    if a.denominator == 1:
+        k = a.numerator
         if k >= 0:
-            coeff = Scalar.exact(math.prod(t - i for i in range(k)))
+            coeff = Scalar.exact(math.prod(b - i for i in range(_bounded(k))))
         else:
-            coeff = Scalar.exact(1 / math.prod(t + i for i in range(1, 1 - k)))
+            coeff = Scalar.exact(1 / math.prod(b + i for i in range(1, 1 + _bounded(-k))))
     else:
         coeff = gamma(b + 1, precision) * reciprocal_gamma(b - a + 1, precision)
     return FracTerm(coeff, b - a)
@@ -164,7 +157,7 @@ def rl_integral_poly(
 ) -> FracExpansion:
     """Riemann-Liouville integral of order alpha > 0, termwise power rule."""
     check_precision(precision)
-    a = _exact(alpha)
+    a = as_rational(alpha)
     if a <= 0:
         raise DomainError(f"integral order must be positive, got {a}")
     return _termwise(q.monomials(), -a, precision)
@@ -173,8 +166,8 @@ def rl_integral_poly(
 def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple[Fraction, Scalar, Scalar]]:
     """(exponent, coefficient in a, coefficient in b) over the union of the
     exponents, with an exact zero where one side has no term."""
-    amap = {t.exponent.as_fraction(): t.coefficient for t in a}
-    bmap = {t.exponent.as_fraction(): t.coefficient for t in b}
+    amap = {t.exponent: t.coefficient for t in a}
+    bmap = {t.exponent: t.coefficient for t in b}
     return [(e, amap.get(e, ZERO), bmap.get(e, ZERO)) for e in sorted(set(amap) | set(bmap))]
 
 
@@ -204,7 +197,7 @@ def leibniz_product(
     Equals the termwise RL derivative of the expanded product f*g.
     """
     check_precision(precision)
-    a = _exact(alpha)
+    a = as_rational(alpha)
     if a <= 0:
         raise DomainError(f"order must be positive, got {a}")
     terms = []
@@ -247,9 +240,9 @@ def caputo_closed_form(
     pref = rl_derivative_term(m, n, precision).coefficient
     terms = []
     for k in range(m - n + 1):
-        rg = reciprocal_gamma(as_scalar(n + k + 1) - ord.alpha, precision)
+        rg = reciprocal_gamma(n + k + 1 - ord.alpha, precision)
         coeff = pref * math.factorial(k) * binomial(m - n, k) * numbers[m - n - k] * rg
-        terms.append(FracTerm(coeff, as_scalar(k + n) - ord.alpha))
+        terms.append(FracTerm(coeff, k + n - ord.alpha))
     return FracExpansion(terms)
 
 
@@ -266,24 +259,24 @@ def caputo_quadrature_oracle(
     ordinary derivative.
     """
     check_precision(precision)
-    ts = as_scalar(t)
-    if ts <= 0:
-        raise DomainError(f"evaluation point must be positive, got {ts}")
+    t = as_rational(t)
+    if t <= 0:
+        raise DomainError(f"evaluation point must be positive, got {t}")
     n = ord.n
     dq = q
     for _ in range(n):
         dq = dq.derivative()
     if ord.is_integer:
-        return dq.evaluate(ts)
+        return dq.evaluate(t)
     if dq.is_zero():
         return Scalar.big(0, precision)
     wp = precision + 32
-    a_exp = ord.alpha.as_fraction()
-    weight_exp = Fraction(n) - a_exp - 1
+    a_exp = ord.alpha
+    weight_exp = n - a_exp - 1
     npoints = (dq.degree + 2) // 2 + 1
     nodes, weights = gauss_jacobi_rule(weight_exp, npoints, precision)
     with working_precision(wp):
-        tm = ts.as_mpf(wp)
+        tm = fraction_to_mpf(t, wp)
         acc = mp.mpf(0)
         for x, w in zip(nodes, weights):
             acc += w * dq.evaluate(Scalar(tm * (1 + x) / 2, wp)).value
@@ -297,14 +290,13 @@ def eval_frac_expansion(
 ) -> Scalar:
     """Sum c_k t^{e_k} at t > 0; powers via exp(e log t)."""
     check_precision(precision)
-    ts = as_scalar(t)
-    if ts <= 0:
-        raise DomainError(f"evaluation point must be positive, got {ts}")
+    t = as_rational(t)
+    if t <= 0:
+        raise DomainError(f"evaluation point must be positive, got {t}")
     wp = precision + 16
     with working_precision(wp):
-        tm = ts.as_mpf(wp)
-        logt = mp.log(tm)
+        logt = mp.log(fraction_to_mpf(t, wp))
         acc = mp.mpf(0)
         for term in e:
-            acc += term.coefficient.as_mpf(wp) * mp.exp(term.exponent.as_mpf(wp) * logt)
+            acc += term.coefficient.raw_in(wp) * mp.exp(fraction_to_mpf(term.exponent, wp) * logt)
     return Scalar.big(acc, precision)

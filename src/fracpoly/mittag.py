@@ -15,8 +15,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
-from .gammafns import _rgamma, _spouge_wp
-from .scalars import DEFAULT_PRECISION, Scalar, ScalarLike, as_scalar, check_precision, working_precision
+from .gammafns import _bounded, _rgamma, _spouge_wp
+from .scalars import (DEFAULT_PRECISION, Scalar, ScalarLike, as_rational, check_precision, fraction_to_mpf,
+                      working_precision)
 from .series import TruncatedSeries
 
 __all__ = ["MLParams", "ml_series", "ml_eval", "ml_one_m_closed", "EVAL_ENVELOPE"]
@@ -30,22 +31,18 @@ _MAX_TERMS = 100_000
 
 @dataclass(frozen=True)
 class MLParams:
-    """Parameters (alpha, beta) of the two-parameter Mittag-Leffler function."""
+    """Parameters (alpha, beta) of the two-parameter Mittag-Leffler function,
+    exact rationals."""
 
-    alpha: Scalar
-    beta: Scalar
+    alpha: Fraction
+    beta: Fraction
 
     def __init__(self, alpha: ScalarLike, beta: ScalarLike = 1):
-        a, b = as_scalar(alpha), as_scalar(beta)
+        a, b = as_rational(alpha), as_rational(beta)
         if a <= 0 or b <= 0:
             raise DomainError(f"Mittag-Leffler parameters must be positive, got ({a}, {b})")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-
-    @property
-    def is_integer_pair(self) -> bool:
-        return self.alpha.is_exact and self.beta.is_exact \
-            and self.alpha.is_integer() and self.beta.is_integer()
 
 
 def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> TruncatedSeries:
@@ -53,15 +50,15 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
     check_precision(precision)
     if order < 0:
         raise DomainError(f"series order must be nonnegative, got {order}")
-    if p.is_integer_pair:
-        a, b = int(p.alpha), int(p.beta)
+    a, b = p.alpha, p.beta
+    if a.denominator == b.denominator == 1:
+        a, b = a.numerator, b.numerator
         return TruncatedSeries(
-            [Fraction(1, math.factorial(a * n + b - 1)) for n in range(order + 1)]
+            [Fraction(1, math.factorial(_bounded(a * n + b - 1))) for n in range(order + 1)]
         )
     # exact term arguments: integers hit the exact factorial path, so that
     # degenerate denominators (lambda = 1) cancel exactly, and every
     # argument with the same fractional part shares one Spouge sum
-    a, b = p.alpha.as_fraction(), p.beta.as_fraction()
     with working_precision(_spouge_wp(precision)):
         coeffs = [Scalar.big(_rgamma(a * n + b, precision), precision) for n in range(order + 1)]
     return TruncatedSeries(coeffs)
@@ -80,14 +77,14 @@ def ml_eval(
     (either statically, or because cancellation ate too many bits).
     """
     check_precision(precision)
-    zs = as_scalar(z)
-    z_abs = abs(zs.as_fraction())
+    z = as_rational(z)
+    z_abs = abs(z)
     if z_abs > EVAL_ENVELOPE:
         raise ConvergenceEnvelopeExceeded(f"|z| = {z_abs} exceeds the evaluation envelope {EVAL_ENVELOPE}")
     if tol is None:
         tol_fr = Fraction(1, 2 ** (precision - 24))
     else:
-        tol_fr = as_scalar(tol).as_fraction()
+        tol_fr = as_rational(tol)
         if tol_fr <= 0:
             raise DomainError(f"tolerance must be positive, got {tol_fr}")
     if tol_fr < Fraction(1, 2 ** (precision - 12)):
@@ -103,23 +100,22 @@ def ml_eval(
     if z_abs and last_log_ratio >= math.log(0.5) + 1e-6:
         raise ToleranceUnreachable(
             f"series cannot settle within {_MAX_TERMS} terms: the term ratio stays >= 1/2 "
-            f"(alpha={p.alpha}, z={zs})"
+            f"(alpha={p.alpha}, z={z})"
         )
     wp = precision + 16
     with working_precision(wp):
-        zm = zs.as_mpf(wp)
-        aq, bq = p.alpha.as_fraction(), p.beta.as_fraction()
+        zm = fraction_to_mpf(z, wp)
         tolm = mp.mpf(tol_fr.numerator) / tol_fr.denominator
         total = mp.mpf(0)
         peak = mp.mpf(0)
-        term = _rgamma(bq, precision)  # n = 0, z^0
+        term = _rgamma(p.beta, precision)  # n = 0, z^0
         zpow = mp.mpf(1)
         n = 0
         while True:
             total += term
             peak = max(peak, abs(term))
             zpow *= zm
-            nxt = zpow * _rgamma(aq * (n + 1) + bq, precision)
+            nxt = zpow * _rgamma(p.alpha * (n + 1) + p.beta, precision)
             if abs(nxt) < tolm * abs(total) and abs(term) > 0:
                 ratio = abs(nxt) / abs(term)
                 if ratio < mp.mpf(1) / 2:
@@ -132,7 +128,7 @@ def ml_eval(
             if n > _MAX_TERMS:
                 raise ToleranceUnreachable(
                     f"series did not settle within {_MAX_TERMS} terms "
-                    f"(alpha={p.alpha}, z={zs})"
+                    f"(alpha={p.alpha}, z={z})"
                 )
         # bits destroyed by cancellation must leave room for the tolerance
         if total == 0 or peak / abs(total) > mp.mpf(2) ** (precision - 8) * tolm:
@@ -152,13 +148,13 @@ def ml_one_m_closed(m: int, z: ScalarLike, precision: int = DEFAULT_PRECISION) -
     check_precision(precision)
     if not isinstance(m, int) or m < 2:
         raise DomainError(f"closed form requires integer m >= 2, got {m!r}")
-    zs = as_scalar(z)
-    if abs(zs.as_fraction()) < Fraction(1, 4):
-        return ml_eval(MLParams(1, m), zs, tol=Fraction(1, 2 ** (precision - 24)),
+    z = as_rational(z)
+    if abs(z) < Fraction(1, 4):
+        return ml_eval(MLParams(1, m), z, tol=Fraction(1, 2 ** (precision - 24)),
                        precision=precision)
     wp = precision + 8 * m + 16
     with working_precision(wp):
-        zm = zs.as_mpf(wp)
+        zm = fraction_to_mpf(z, wp)
         partial = mp.mpf(0)
         for k in range(m - 1):
             partial += zm ** k / math.factorial(k)

@@ -5,6 +5,8 @@ either an exact ``fractions.Fraction`` (normalized, arbitrary size) or an
 mpmath float tagged with the precision in bits it was computed at.
 Arithmetic between two exact scalars stays exact; any operation touching a
 float promotes to a float at the larger of the operand precisions.
+Parameters, orders, exponents and evaluation points are not computed: they
+are plain Fractions, coerced once by :func:`as_rational`.
 """
 
 from __future__ import annotations
@@ -103,8 +105,6 @@ class Scalar:
 
     @classmethod
     def exact(cls, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value if value.is_exact else cls(value.as_fraction(), None)
         return cls(Fraction(value), None)
 
     @classmethod
@@ -132,14 +132,6 @@ class Scalar:
     def value(self):
         return self._val
 
-    def is_integer(self) -> bool:
-        if self.is_exact:
-            return self._val.denominator == 1
-        # a nonzero mpf keeps an odd mantissa, so it is an integer exactly
-        # when its exponent is nonnegative; no global precision is read
-        _, man, exp, _ = self._val._mpf_
-        return exp >= 0 if man else self._val == 0
-
     def is_zero(self) -> bool:
         return self._val == 0
 
@@ -152,19 +144,6 @@ class Scalar:
         if prec is None or not self.is_exact:
             return self._val
         return fraction_to_mpf(self._val, prec)
-
-    def as_mpf(self, prec: int | None = None):
-        bits = prec if prec is not None else (self._prec or DEFAULT_PRECISION)
-        if self.is_exact:
-            return fraction_to_mpf(self._val, bits)
-        with working_precision(bits):
-            return +self._val
-
-    def cache_key(self):
-        """Hashable key distinguishing domain, value and precision."""
-        if self.is_exact:
-            return ("Q", self._val)
-        return ("F", self._prec, self._val._mpf_)
 
     # -- arithmetic --------------------------------------------------
 
@@ -190,10 +169,6 @@ class Scalar:
     def __truediv__(self, other):
         return self._binary(other, lambda a, b: a / b)
 
-    def __neg__(self):
-        with domain_scope(self._prec):
-            return Scalar(-self._val, self._prec)
-
     # -- comparisons (numeric, exact across domains) ------------------
 
     def __eq__(self, other):
@@ -203,24 +178,10 @@ class Scalar:
             return NotImplemented
         return self.as_fraction() == other.as_fraction()
 
-    def __le__(self, other):
-        return self.as_fraction() <= as_scalar(other).as_fraction()
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
     def __bool__(self):
         return self._val != 0
 
     # -- conversions / rendering --------------------------------------
-
-    def __int__(self):
-        if not self.is_integer():
-            raise ValueError(f"{self._val} is not an integer")
-        return int(self._val)
-
-    def __float__(self):
-        return float(self._val)
 
     def __repr__(self):
         if self.is_exact:
@@ -228,13 +189,7 @@ class Scalar:
         return f"Scalar({self._val!r}, prec={self._prec})"
 
     def __str__(self):
-        try:
-            if self.is_exact:
-                q = self._val
-                return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-            return decimal_str(self)
-        except ValueError:  # Python caps int-to-str conversion at 4300 digits
-            raise DomainError("value too long to print: over Python's int-to-str digit limit") from None
+        return str(self._val) if self.is_exact else decimal_str(self)
 
 
 ScalarLike = Union[Scalar, int, Fraction, float, str]
@@ -263,6 +218,13 @@ def as_scalar(x: ScalarLike, precision: int | None = None) -> Scalar:
     if isinstance(x, mp.mpf):
         return Scalar.big(x, precision or DEFAULT_PRECISION)
     raise TypeError(f"cannot interpret {type(x).__name__} as a Scalar")
+
+
+def as_rational(x: ScalarLike) -> Fraction:
+    """A parameter, order, exponent or evaluation point as the exact
+    rational it stands for; a float, Python's or a big one, gives its exact
+    binary value."""
+    return as_scalar(x).as_fraction()
 
 
 def decimal_str(s: Scalar) -> str:

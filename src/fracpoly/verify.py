@@ -56,7 +56,7 @@ from .fractional import (
     rl_derivative_term,
 )
 from .mittag import MLParams, ml_eval, ml_one_m_closed, ml_series
-from .scalars import DEFAULT_PRECISION, Scalar, as_scalar, working_precision
+from .scalars import DEFAULT_PRECISION, Scalar, as_rational, as_scalar, working_precision
 from .series import exp_series
 from mpmath import mp
 
@@ -77,11 +77,11 @@ class RunConfig:
     """Narrowing knobs for the suite grids; None keeps the suite default."""
 
     family: str | None = None
-    alpha: Scalar | None = None
-    lam: Scalar | None = None
+    alpha: Fraction | None = None
+    lam: Fraction | None = None
     h: int | None = None
     max_degree: int | None = None
-    orders: tuple[Scalar, ...] | None = None
+    orders: tuple[Fraction, ...] | None = None
     precision: int = DEFAULT_PRECISION
     tolerance: Fraction | None = None
 
@@ -186,7 +186,7 @@ SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {}
 # the narrowing axes each suite declares, with their defaults
 _AXES: dict[str, dict] = {}
 _NARROWING = ("family", "alpha", "lam", "h", "max_degree", "orders")
-_CONVERT = {"family": FamilyKind, "h": int}  # every other grid holds Scalars
+_CONVERT = {"family": FamilyKind, "h": int}  # every other grid holds Fractions
 
 
 def _family_grid(kinds, alphas, lams) -> list[FamilyParams]:
@@ -209,7 +209,7 @@ def _resolve(axes: dict, families: Sequence[FamilyParams] | None, cfg: RunConfig
             narrowed = default
         elif not isinstance(narrowed, tuple):
             narrowed = (narrowed,)
-        out[name] = [_CONVERT.get(name, as_scalar)(v) for v in narrowed]
+        out[name] = [_CONVERT.get(name, as_rational)(v) for v in narrowed]
     if families is not None:
         product = _family_grid(out.pop("family"), out.pop("alpha"), out.pop("lam"))
         narrowed = any(getattr(cfg, f) is not None for f in ("family", "alpha", "lam"))
@@ -323,7 +323,7 @@ def suite_appell(precision, family, alpha, lam, max_degree):
 
 
 _THEOREM3_AXES = {"family": FamilyKind, "alpha": (1, 2), "lam": (1, 2), "max_degree": 12}
-_THEOREM3_XS = tuple(as_scalar(x) for x in (0, Fraction(1, 2), -1, 3))
+_THEOREM3_XS = (0, Fraction(1, 2), -1, 3)
 
 
 @_suite("theorem3", **_THEOREM3_AXES)
@@ -526,10 +526,9 @@ def suite_specialization(precision, family, lam, max_degree):
                 "specialization needs lambda != 1: B_1(lambda) = 1/(lambda - 1) has a pole at lambda = 1"
             )
         nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l), 2, precision)
-        lf = l.as_fraction()
         yield nums[0], 0
-        yield nums[1], 1 / (lf - 1)
-        yield nums[2], -2 * lf / (lf - 1) ** 2
+        yield nums[1], 1 / (l - 1)
+        yield nums[2], -2 * l / (l - 1) ** 2
     yield from _classical(family, max_degree, precision)
     return {"lambdas": [str(l) for l in lam], "max_index": max_degree}
 

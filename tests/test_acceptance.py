@@ -129,8 +129,8 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
     def body():
         for kind in (FamilyKind.BERNOULLI, FamilyKind.EULER, FamilyKind.GENOCCHI):
             for idx in range(9):
-                def corrupted(key, p, order, precision, _kind=kind, _idx=idx):
-                    series = real(key, p, order, precision)
+                def corrupted(p, order, precision, _kind=kind, _idx=idx):
+                    series = real(p, order, precision)
                     if (p.kind is _kind and p.alpha == 1 and p.lam == 1
                             and p.h == 1 and _idx <= order):
                         coeffs = list(series.coeffs)

@@ -290,13 +290,36 @@ def test_higher_order_polynomial_via_params():
     assert [c.value for c in q.coeffs] == want
 
 
+def _domains_and_values(scalars):
+    return [(c.precision, c.as_fraction()) for c in scalars]
+
+
 def test_float_lambda_numbers_close_to_exact():
-    exact = family_numbers(FamilyParams(B, 1, 2), 8)
-    floats = family_numbers(FamilyParams(B, 1, Scalar.big(2, 128)), 8)
-    assert all(not c.is_exact for c in floats)
-    for a, b in zip(exact, floats):
-        fa, fb = a.as_fraction(), b.as_fraction()
-        assert abs(fa - fb) <= Fraction(1, 2 ** 110) * max(1, abs(fa))
+    # a float parameter counts as its exact binary value: the numbers are
+    # the exact ones, not a float approximation of them
+    for lam in (2, Fraction(1, 3)):
+        big = Scalar.big(lam, 128)
+        floats = family_numbers(FamilyParams(B, 1, big), 8)
+        assert all(c.is_exact for c in floats)
+        exact = family_numbers(FamilyParams(B, 1, big.as_fraction()), 8)
+        assert _domains_and_values(floats) == _domains_and_values(exact)
+
+
+def test_equal_params_give_equal_results():
+    from fracpoly.mittag import MLParams, ml_series
+
+    cases = [
+        (FamilyParams(B, 1, Scalar.big(2, 128)), FamilyParams(B, 1, 2)),
+        (FamilyParams("euler", Scalar.big(Fraction(1, 2), 128), 2.0), FamilyParams("euler", Fraction(1, 2), 2)),
+    ]
+    for a, b in cases:
+        assert a == b and hash(a) == hash(b)
+        for prec in (64, 128):
+            assert _domains_and_values(family_numbers(a, 6, prec)) == _domains_and_values(family_numbers(b, 6, prec))
+    for a, b in ((MLParams(Scalar.big(1, 128), 2), MLParams(1, 2)),
+                 (MLParams(0.5, Scalar.big(1, 128)), MLParams(Fraction(1, 2), 1))):
+        assert a == b and hash(a) == hash(b)
+        assert _domains_and_values(ml_series(a, 6).coeffs) == _domains_and_values(ml_series(b, 6).coeffs)
 
 
 def test_float_alpha_lambda_one_valuation():

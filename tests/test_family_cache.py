@@ -58,8 +58,8 @@ def test_cache_keeps_at_most_256_keys(empty_cache):
         family_series(p, 2, prec)
     cache = families._series_cache
     assert len(cache) == families._SERIES_CACHE_SIZE == 256
-    assert (keys[0][0].cache_key(), 128) not in cache
-    assert (keys[-1][0].cache_key(), 128) in cache
+    assert keys[0] not in cache
+    assert keys[-1] in cache
 
 
 @pytest.mark.parametrize("n", [40, 60])

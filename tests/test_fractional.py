@@ -65,7 +65,7 @@ def assert_term(term, coeff_ref, expo, tol=TOL):
     got = term.coefficient.as_fraction()
     want = Fraction(coeff_ref) if not hasattr(coeff_ref, "_mpf_") else mpf_to_fraction(coeff_ref)
     assert abs(got - want) <= tol * max(1, abs(want))
-    assert term.exponent.as_fraction() == Fraction(expo)
+    assert term.exponent == Fraction(expo)
 
 
 def test_caputo_order():
@@ -73,7 +73,7 @@ def test_caputo_order():
     assert o.n == 1 and not o.is_integer
     # a float order is its exact binary value
     o = CaputoOrder(Scalar.big(Fraction(1, 3), 64))
-    assert o.alpha.is_exact and o.alpha.value == Scalar.big(Fraction(1, 3), 64).as_fraction()
+    assert o.alpha == Scalar.big(Fraction(1, 3), 64).as_fraction()
     assert o.n == 1
     assert CaputoOrder(Fraction(5, 2)).n == 3
     assert CaputoOrder(2).n == 2 and CaputoOrder(2).is_integer
@@ -98,7 +98,7 @@ def test_power_rule_below_order_vanishes():
 def test_power_rule_integer_reduction():
     (t,) = caputo_derivative_poly(monomial(3), CaputoOrder(1))
     assert t.coefficient.is_exact and t.coefficient.value == 3
-    assert t.exponent.value == 2
+    assert t.exponent == 2
 
 
 def test_caputo_poly_t_squared():
@@ -142,26 +142,26 @@ def test_caputo_linearity_random():
 def test_rl_integral_examples():
     e = rl_integral_poly(Polynomial([1]), 1)
     assert len(e) == 1
-    assert e.terms[0].coefficient.value == 1 and e.terms[0].exponent.value == 1
+    assert e.terms[0].coefficient.value == 1 and e.terms[0].exponent == 1
     with working_precision(168):
         want = 2 / mp.sqrt(mp.pi)  # 1/gamma(3/2)
     e = rl_integral_poly(Polynomial([1]), HALF)
     assert_term(e.terms[0], want, HALF)
     e = rl_integral_poly(monomial(1), 2)
     assert e.terms[0].coefficient.value == Fraction(1, 6)
-    assert e.terms[0].exponent.value == 3
+    assert e.terms[0].exponent == 3
     with pytest.raises(DomainError):
         rl_integral_poly(monomial(1), 0)
 
 
 def test_rl_derivative_term_examples():
     t = rl_derivative_term(2, 1)
-    assert t.coefficient.value == 2 and t.exponent.value == 1
+    assert t.coefficient.value == 2 and t.exponent == 1
     with working_precision(168):
         want = mp.sqrt(mp.pi) / 2  # gamma(3/2)/gamma(1)
     assert_term(rl_derivative_term(HALF, HALF), want, 0)
     t = rl_derivative_term(0, -1)
-    assert t.coefficient.value == 1 and t.exponent.value == 1
+    assert t.coefficient.value == 1 and t.exponent == 1
     with pytest.raises(DomainError):
         rl_derivative_term(-1, HALF)
 
@@ -200,7 +200,7 @@ def test_composition_integer_order():
     got = caputo_by_composition(monomial(3), CaputoOrder(2))
     assert len(got) == 1
     assert got.terms[0].coefficient.value == 6
-    assert got.terms[0].exponent.value == 1
+    assert got.terms[0].exponent == 1
 
 
 def test_composition_mismatch_on_constant():
@@ -209,7 +209,7 @@ def test_composition_mismatch_on_constant():
     composed = caputo_by_composition(Polynomial([5]), CaputoOrder(HALF))
     direct = caputo_derivative_poly(Polynomial([5]), CaputoOrder(HALF))
     assert not direct
-    assert [t.exponent.as_fraction() for t in composed] == [Fraction(-1, 2)]
+    assert [t.exponent for t in composed] == [Fraction(-1, 2)]
     assert mismatched_exponents(composed, direct, TOL) == [Fraction(-1, 2)]
 
 
@@ -230,7 +230,7 @@ def test_leibniz_integer_order_product_rule():
     assert len(got) == 1
     assert got.terms[0].coefficient.is_exact
     assert got.terms[0].coefficient.value == 2
-    assert got.terms[0].exponent.value == 1
+    assert got.terms[0].exponent == 1
 
 
 def test_leibniz_float_order_one_term():
@@ -239,7 +239,7 @@ def test_leibniz_float_order_one_term():
         for j in range(4):
             got = leibniz_product(monomial(i), monomial(j), a, 64)
             assert len(got) == 1
-            assert got.terms[0].exponent.as_fraction() == i + j - a.as_fraction()
+            assert got.terms[0].exponent == i + j - a.as_fraction()
             assert_expansions_close(got, FracExpansion([rl_derivative_term(i + j, a, 64)]), Fraction(1, 2 ** 16))
 
 
@@ -310,8 +310,8 @@ def test_theorem5_example_h2_lambda1():
     e = caputo_closed_form(bernoulli(1, 2), 2, CaputoOrder(HALF), numbers=multinomial_numbers(1, 2, 1))
     assert len(e) == 2
     t_low, t_high = e.terms
-    assert t_low.exponent.as_fraction() == HALF
-    assert t_high.exponent.as_fraction() == Fraction(3, 2)
+    assert t_low.exponent == HALF
+    assert t_high.exponent == Fraction(3, 2)
     assert abs(t_low.coefficient.as_fraction() - 2 * (-1) / g32) <= TOL * 4
     assert abs(t_high.coefficient.as_fraction() - 2 * 1 / g52) <= TOL * 4
 
@@ -337,7 +337,7 @@ def test_theorem5_integer_order_eq20():
                 closed = caputo_closed_form(p, m, CaputoOrder(1), numbers=multinomial_numbers(lam, h, m - 1))
                 want_poly = family_polynomial(p, m - 1).scale(m)
                 want = FracExpansion(
-                    [FracTerm(c, as_scalar(k)) for c, k in want_poly.monomials()]
+                    [FracTerm(c, Fraction(k)) for c, k in want_poly.monomials()]
                 )
                 assert_expansions_close(closed, want, 0)
 
@@ -429,7 +429,7 @@ def test_integer_orders_reproduce_ordinary_calculus():
                 assert t.coefficient.is_exact
                 want = Fraction(math.factorial(j), math.factorial(j - alpha))
                 assert t.coefficient.value == want
-                assert t.exponent.value == j - alpha
+                assert t.exponent == j - alpha
             # integral side
             e = rl_integral_poly(monomial(2), order)
             t = e.terms[0]
@@ -441,7 +441,7 @@ def test_integer_orders_reproduce_ordinary_calculus():
 
 def test_eval_frac_expansion_examples():
     assert eval_frac_expansion(FracExpansion([]), 3).as_fraction() == 0
-    e = FracExpansion([FracTerm(as_scalar(1), as_scalar(HALF))])
+    e = FracExpansion([FracTerm(as_scalar(1), HALF)])
     got = eval_frac_expansion(e, 4)
     assert abs(got.as_fraction() - 2) <= Fraction(1, 2 ** 110)
     with pytest.raises(DomainError):
@@ -451,11 +451,11 @@ def test_eval_frac_expansion_examples():
 def test_frac_expansion_merges_and_drops():
     e = FracExpansion(
         [
-            FracTerm(as_scalar(1), as_scalar(HALF)),
-            FracTerm(as_scalar(-1), as_scalar(HALF)),
-            FracTerm(as_scalar(0), as_scalar(3)),
-            FracTerm(as_scalar(2), as_scalar(1)),
+            FracTerm(as_scalar(1), HALF),
+            FracTerm(as_scalar(-1), HALF),
+            FracTerm(as_scalar(0), Fraction(3)),
+            FracTerm(as_scalar(2), Fraction(1)),
         ]
     )
     assert len(e) == 1
-    assert e.terms[0].exponent.value == 1
+    assert e.terms[0].exponent == 1

@@ -147,7 +147,7 @@ def loop_reciprocal(ac):
         s = as_scalar(0)
         for k in range(1, n + 1):
             s = s + ac[k] * out[n - k]
-        out.append(-inv0 * s)
+        out.append((as_scalar(0) - inv0) * s)
     return out
 
 

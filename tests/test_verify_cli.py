@@ -324,9 +324,21 @@ def test_run_suite_api_rejects_unknown():
     ["numbers", "--alpha", "1e10000000", "--max", "1"],
     ["numbers", "--max", "1", "--precision", "8193"],
     ["verify", "eq5", "--precision", "8193"],
+    # a degree above MAX_DEGREE, an order h above MAX_H, a multinomial sum
+    # over more than MAX_COMPOSITIONS compositions, a gamma argument above
+    # MAX_GAMMA_ARGUMENT; a parameter or an exponent too long to print
+    ["numbers", "--lambda", "7/5", "--max", "640"],
+    ["verify", "higher-order", "--h", "17"],
+    ["verify", "higher-order", "--h", "12"],
+    ["mleval", "--alpha", "1/2", "--beta", "1000001/3", "--z", "1"],
+    ["eval", "--degree", "0", "--at", "1e4300"],
+    ["fracint", "--degree", "2", "--order", "1e-4300"],
+    ["mleval", "--alpha", "1", "--z", "1e4300"],
 ])
 def test_package_errors_exit_two_without_traceback(runner, args):
+    start = time.perf_counter()
     r = runner.invoke(cli, args)
+    assert time.perf_counter() - start < 5
     assert r.exit_code == 2
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
