@@ -19,19 +19,12 @@ from .errors import (
     FracPolyError,
     IndexOutOfOrder,
     OrderMismatch,
-    PoleError,
     ToleranceUnreachable,
     ValuationError,
     ZeroConstantTerm,
 )
 from .scalars import DEFAULT_PRECISION, Scalar, as_scalar, working_precision
-from .gammafns import (
-    binomial,
-    gamma,
-    generalized_binomial,
-    multinomial,
-    reciprocal_gamma,
-)
+from .gammafns import generalized_binomial, multinomial, reciprocal_gamma
 from .series import (
     TruncatedSeries,
     cauchy_product,
@@ -45,7 +38,6 @@ from .families import (
     Polynomial,
     family_numbers,
     family_polynomial,
-    higher_order_numbers,
     integral_over_unit_interval,
     multinomial_number_product,
 )
@@ -70,9 +62,7 @@ __all__ = [
     "Scalar",
     "as_scalar",
     "working_precision",
-    "gamma",
     "reciprocal_gamma",
-    "binomial",
     "generalized_binomial",
     "multinomial",
     "TruncatedSeries",
@@ -89,7 +79,6 @@ __all__ = [
     "family_numbers",
     "family_polynomial",
     "integral_over_unit_interval",
-    "higher_order_numbers",
     "multinomial_number_product",
     "CaputoOrder",
     "FracTerm",
@@ -106,7 +95,6 @@ __all__ = [
     "run_suite",
     "FracPolyError",
     "DomainError",
-    "PoleError",
     "OrderMismatch",
     "ZeroConstantTerm",
     "ValuationError",

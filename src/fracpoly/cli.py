@@ -31,7 +31,7 @@ from .fractional import (
 )
 from .mittag import MLParams, ml_eval, ml_one_m_closed
 from .scalars import DEFAULT_PRECISION, Scalar, as_rational
-from .verify import SUITES, SUITE_ALIASES, RunConfig, run_suite, unread_fields
+from .verify import SUITES, SUITE_ALIASES, RunConfig, check_grids, run_suite, unread_fields
 
 FORMATS = ("text", "csv", "json")
 
@@ -102,13 +102,6 @@ def _emit_table(columns: list[str], rows: list[list], fmt: str):
             click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
-def _family_params(family: str, alpha: Fraction, lam: Fraction, h: int) -> FamilyParams:
-    try:
-        return FamilyParams(FamilyKind(family), alpha, lam, h)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _family_options(fn):
     fn = click.option("--family", type=click.Choice([k.value for k in FamilyKind]),
                       default="bernoulli", show_default=True, help="Polynomial family kind.")(fn)
@@ -162,7 +155,7 @@ def cli():
 @click.option("--max", "max_index", type=DEGREE, required=True, help="Largest index to print.")
 def numbers(family, alpha, lam, h, precision, fmt, max_index):
     """Print family numbers 0..MAX (generating-series coefficients)."""
-    p = _family_params(family, alpha, lam, h)
+    p = FamilyParams(family, alpha, lam, h)
     nums = family_numbers(p, max_index, precision)
     rows = []
     for n, v in enumerate(nums):
@@ -178,7 +171,7 @@ def numbers(family, alpha, lam, h, precision, fmt, max_index):
 @click.option("--degree", type=DEGREE, required=True, help="Polynomial degree n.")
 def poly(family, alpha, lam, h, precision, fmt, degree):
     """Print the coefficients of the degree-n family polynomial."""
-    p = _family_params(family, alpha, lam, h)
+    p = FamilyParams(family, alpha, lam, h)
     q = family_polynomial(p, degree, precision)
     rows = []
     for k, c in enumerate(q.coeffs):
@@ -195,7 +188,7 @@ def poly(family, alpha, lam, h, precision, fmt, degree):
 @click.option("--at", "at_", type=SCALAR, required=True, help="Evaluation point x.")
 def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
     """Evaluate the degree-n family polynomial at a point."""
-    p = _family_params(family, alpha, lam, h)
+    p = FamilyParams(family, alpha, lam, h)
     value = family_polynomial(p, degree, precision).evaluate(at_)
     cell = _scalar_cell(value)
     rows = [[str(at_), cell["value"], cell["domain"],
@@ -235,7 +228,7 @@ def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
               help="Also evaluate at t > 0 and print the quadrature cross-check.")
 def fracderiv(family, alpha, lam, h, precision, fmt, degree, order, at_):
     """Caputo derivative of a family polynomial: closed-form terms."""
-    p = _family_params(family, alpha, lam, h)
+    p = FamilyParams(family, alpha, lam, h)
     ord_ = CaputoOrder(order)
     polynomial = family_polynomial(p, degree, precision)
     if degree < ord_.n:
@@ -283,7 +276,7 @@ def _emit_expansion(expansion, routes, fmt):
 @click.option("--at", "at_", type=SCALAR, default=None, help="Evaluate the result at t > 0.")
 def fracint(family, alpha, lam, h, precision, fmt, degree, order, at_):
     """Riemann-Liouville integral of a family polynomial."""
-    p = _family_params(family, alpha, lam, h)
+    p = FamilyParams(family, alpha, lam, h)
     polynomial = family_polynomial(p, degree, precision)
     expansion = rl_integral_poly(polynomial, order, precision)
     _emit_expansion(expansion, _route_values(expansion, polynomial, None, at_, precision), fmt)
@@ -309,11 +302,7 @@ def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance,
     else:
         bad = [s for s in suites if s not in SUITES and s not in SUITE_ALIASES]
         if bad:
-            click.echo(
-                f"error: unknown suite(s) {', '.join(bad)}; valid: {', '.join(known)}",
-                err=True,
-            )
-            sys.exit(2)
+            raise DomainError(f"unknown suite(s) {', '.join(bad)}; valid: {', '.join(known)}")
         selected = list(suites)
     cfg = RunConfig(
         family=family,
@@ -328,8 +317,8 @@ def verify(precision, fmt, family, alpha, lam, h, orders, max_degree, tolerance,
     flags = {p.name: p.opts[0] for p in click.get_current_context().command.params}
     unread = [flags[f] for f in unread_fields(selected, cfg)]
     if unread:
-        click.echo(f"error: no selected suite reads {', '.join(unread)}", err=True)
-        sys.exit(2)
+        raise DomainError(f"no selected suite reads {', '.join(unread)}")
+    check_grids(selected, cfg)
     reports = [run_suite(name, cfg) for name in selected]
     if fmt == "json":
         click.echo(json.dumps([asdict(r) for r in reports], indent=2))

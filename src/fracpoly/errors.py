@@ -11,10 +11,6 @@ class DomainError(FracPolyError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """Gamma evaluated at a non-positive integer."""
-
-
 class OrderMismatch(FracPolyError, ValueError):
     """Two truncated series of different truncation order were combined."""
 

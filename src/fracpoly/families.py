@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DegenerateDenominator, DomainError, ValuationError, ZeroConstantTerm
+from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
 from .scalars import (DEFAULT_PRECISION, ZERO, Coefficients, Scalar, ScalarLike, as_rational, as_scalar,
@@ -34,8 +34,8 @@ __all__ = [
     "family_series",
     "family_polynomial",
     "integral_over_unit_interval",
-    "higher_order_numbers",
     "multinomial_number_product",
+    "check_compositions",
     "MAX_H",
     "MAX_COMPOSITIONS",
 ]
@@ -255,22 +255,6 @@ def integral_over_unit_interval(
     return anti.evaluate(xs + 1) - anti.evaluate(xs)
 
 
-def higher_order_numbers(
-    lam: ScalarLike, h: int, max_index: int, precision: int = DEFAULT_PRECISION
-) -> tuple[Scalar, ...]:
-    """EGF coefficients of (z/(lambda e^z - 1))^h: the h-fold convolution.
-
-    At lambda = 1 the un-divided form carries a z^h valuation, so a
-    truncation order below h is rejected.
-    """
-    p = FamilyParams(FamilyKind.BERNOULLI, 1, lam, h)
-    if p.lam == 1 and max_index < h:
-        raise ValuationError(
-            f"truncation order {max_index} cannot cancel the z^{h} valuation at lambda = 1"
-        )
-    return family_numbers(p, max_index, precision)
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -280,19 +264,26 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def multinomial_number_product(
-    lam: ScalarLike, h: int, r: int, precision: int = DEFAULT_PRECISION
-) -> Scalar:
-    """Sum over compositions of r into h parts of multinomial(s) * prod B_{s_j}(lambda).
-
-    Termwise equal to higher_order_numbers(lambda, h)[r].  Refused when
-    there are more than MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
-    """
+def check_compositions(r: int, h: int) -> None:
+    """Refuse a sum over the compositions of r into h parts: a bad h or r,
+    or more than MAX_COMPOSITIONS of them, comb(r + h - 1, h - 1)."""
     _check_h(h)
     if r < 0:
         raise DomainError(f"index must be nonnegative, got {r}")
     if math.comb(r + h - 1, h - 1) > MAX_COMPOSITIONS:
         raise DomainError(f"more than {MAX_COMPOSITIONS} compositions of {r} into {h} parts to sum")
+
+
+def multinomial_number_product(
+    lam: ScalarLike, h: int, r: int, precision: int = DEFAULT_PRECISION
+) -> Scalar:
+    """Sum over compositions of r into h parts of multinomial(s) * prod B_{s_j}(lambda).
+
+    Termwise equal to the number r of FamilyParams("bernoulli", 1, lambda,
+    h), the h-fold convolution.  Refused when there are more than
+    MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
+    """
+    check_compositions(r, h)
     nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r, precision)
     total = as_scalar(0)
     for parts in _compositions(r, h):

@@ -6,8 +6,8 @@ or the integral of order -a.  Every order and exponent is an exact
 rational (a float means its exact binary value), so the terms of an
 expansion merge by exponent equality.  Integer orders are computed as exact
 rational falling factorials, so every operator collapses to the ordinary
-calculus exactly when the order is an integer; non-integer orders evaluate
-the two gammas in the float domain.
+calculus exactly when the order is an integer; non-integer orders take
+both gammas through reciprocal_gamma, in the float domain.
 
 The quadrature oracle at the bottom integrates the defining formula
 directly with a Gauss-Jacobi rule and shares no code path with the closed
@@ -26,7 +26,7 @@ from mpmath import mp
 
 from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
-from .gammafns import _bounded, binomial, gamma, generalized_binomial, reciprocal_gamma
+from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
 from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_rational, check_precision,
                       fraction_to_mpf, working_precision)
@@ -117,8 +117,10 @@ def rl_derivative_term(
 
     The one power-rule step of the module.  Integer alpha gives the exact
     rational falling factorial (or its reciprocal for negative alpha), with
-    an exact zero at a pole of the denominator gamma; non-integer alpha goes
-    through the float gammas.
+    an exact zero at a pole of the denominator gamma.  Non-integer alpha
+    gives beta! / gamma(beta-alpha+1) at an integer beta, the exact
+    factorial rounded once as Scalar arithmetic rounds it, and the quotient
+    of two reciprocal gammas elsewhere.
     """
     check_precision(precision)
     b, a = as_rational(beta), as_rational(alpha)
@@ -130,8 +132,11 @@ def rl_derivative_term(
             coeff = Scalar.exact(math.prod(b - i for i in range(_bounded(k))))
         else:
             coeff = Scalar.exact(1 / math.prod(b + i for i in range(1, 1 + _bounded(-k))))
+    elif b.denominator == 1:
+        # reciprocal_gamma refuses an argument above its cap before the factorial runs
+        coeff = reciprocal_gamma(b - a + 1, precision) * math.factorial(b.numerator)
     else:
-        coeff = gamma(b + 1, precision) * reciprocal_gamma(b - a + 1, precision)
+        coeff = reciprocal_gamma(b - a + 1, precision) / reciprocal_gamma(b + 1, precision)
     return FracTerm(coeff, b - a)
 
 
@@ -241,7 +246,7 @@ def caputo_closed_form(
     terms = []
     for k in range(m - n + 1):
         rg = reciprocal_gamma(n + k + 1 - ord.alpha, precision)
-        coeff = pref * math.factorial(k) * binomial(m - n, k) * numbers[m - n - k] * rg
+        coeff = pref * math.factorial(k) * math.comb(m - n, k) * numbers[m - n - k] * rg
         terms.append(FracTerm(coeff, k + n - ord.alpha))
     return FracExpansion(terms)
 

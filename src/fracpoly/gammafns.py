@@ -1,4 +1,4 @@
-"""Gamma and the combinatorial primitives built on top of it.
+"""1/gamma, the package's one entry point to gamma, and exact combinatorics.
 
 The gamma function is a Spouge approximation whose parameter a is derived
 from the requested precision, so the error bound 2^(8-precision) is a
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from mpmath import libmp, mp
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .scalars import (
     DEFAULT_PRECISION,
     Scalar,
@@ -51,8 +51,7 @@ from .scalars import (
     working_precision,
 )
 
-__all__ = ["gamma", "reciprocal_gamma", "binomial", "generalized_binomial", "multinomial",
-           "MAX_GAMMA_ARGUMENT"]
+__all__ = ["reciprocal_gamma", "generalized_binomial", "multinomial", "MAX_GAMMA_ARGUMENT"]
 
 # the most factors of the exact factorial, rising product or falling
 # factorial that stands in for a gamma argument, so |x| up to about 2^15:
@@ -178,14 +177,6 @@ def _ratio(num: int, den: int):
     return mp.make_mpf(libmp.mpf_div(libmp.from_int(num, g, rnd), libmp.from_int(den, g, rnd), mp.prec, rnd))
 
 
-def _gamma(x: Fraction, precision: int):
-    """gamma(x) for a rational non-integer x at the current working precision."""
-    if x < 0:
-        return mp.pi / (mp.sinpi(fraction_to_mpf(x, mp.prec)) * _gamma(1 - x, precision))
-    x0, num, den = _shift(x)
-    return _spouge(x0, precision) * _ratio(num, den)
-
-
 def _rgamma(x: Fraction, precision: int):
     """1/gamma(x) for any rational x at the current working precision: the
     integers take the factorial path (0 at the poles), negative arguments
@@ -194,32 +185,10 @@ def _rgamma(x: Fraction, precision: int):
         n = x.numerator
         return mp.zero if n <= 0 else 1 / mp.mpf(math.factorial(_bounded(n - 1)))
     if x < 0:
-        return mp.sinpi(fraction_to_mpf(x, mp.prec)) * _gamma(1 - x, precision) / mp.pi
+        x0, num, den = _shift(1 - x)
+        return mp.sinpi(fraction_to_mpf(x, mp.prec)) * (_spouge(x0, precision) * _ratio(num, den)) / mp.pi
     x0, num, den = _shift(x)
     return _ratio(den, num) / _spouge(x0, precision)
-
-
-def gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
-    """Gamma function of a real argument, accurate to 2^(8-precision) relative.
-
-    Positive integers take the exact factorial path, so gamma(n) is (n-1)!
-    correctly rounded at the working precision.  Negative non-integers go
-    through the reflection formula.
-
-    Raises PoleError at 0, -1, -2, ... and DomainError when |x| exceeds
-    about MAX_GAMMA_ARGUMENT.
-    """
-    check_precision(precision)
-    x = as_rational(x)
-    if x.denominator == 1:
-        n = x.numerator
-        if n <= 0:
-            raise PoleError(f"gamma pole at {x}")
-        with working_precision(precision):
-            return Scalar.big(mp.mpf(math.factorial(_bounded(n - 1))), precision)
-    with working_precision(_spouge_wp(precision)):
-        v = _gamma(x, precision)
-    return Scalar.big(v, precision)
 
 
 def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
@@ -234,15 +203,6 @@ def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scala
     with working_precision(_spouge_wp(precision)):
         v = _rgamma(x, precision)
     return Scalar.big(v, precision)
-
-
-def binomial(n: int, k: int) -> Scalar:
-    """Exact integer binomial coefficient; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise DomainError(f"binomial expects nonnegative integers, got ({n}, {k})")
-    if k > n:
-        return Scalar.exact(0)
-    return Scalar.exact(math.comb(n, k))
 
 
 def generalized_binomial(alpha: ScalarLike, k: int) -> Scalar:

@@ -1,9 +1,9 @@
 """Mittag-Leffler series construction and point evaluation.
 
 E_{a,b}(z) = sum z^n / gamma(a n + b) with a, b > 0.  Coefficients are
-exact rationals exactly when a and b are positive integers (the gamma
-arguments are then positive integers themselves); otherwise they live in
-the float domain at the requested precision.
+exact rationals exactly when every gamma argument a n + b is an integer
+(1/gamma is exact there); otherwise they live in the float domain at the
+requested precision.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
-from .gammafns import _bounded, _rgamma, _spouge_wp
+from .gammafns import _rgamma, reciprocal_gamma
 from .scalars import (DEFAULT_PRECISION, Scalar, ScalarLike, as_rational, check_precision, fraction_to_mpf,
                       working_precision)
 from .series import TruncatedSeries
@@ -50,18 +50,10 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
     check_precision(precision)
     if order < 0:
         raise DomainError(f"series order must be nonnegative, got {order}")
-    a, b = p.alpha, p.beta
-    if a.denominator == b.denominator == 1:
-        a, b = a.numerator, b.numerator
-        return TruncatedSeries(
-            [Fraction(1, math.factorial(_bounded(a * n + b - 1))) for n in range(order + 1)]
-        )
-    # exact term arguments: integers hit the exact factorial path, so that
-    # degenerate denominators (lambda = 1) cancel exactly, and every
-    # argument with the same fractional part shares one Spouge sum
-    with working_precision(_spouge_wp(precision)):
-        coeffs = [Scalar.big(_rgamma(a * n + b, precision), precision) for n in range(order + 1)]
-    return TruncatedSeries(coeffs)
+    # exact term arguments: every argument with the same fractional part
+    # shares one Spouge sum, and the constructor promotes the series to
+    # floats once unless every argument is an integer
+    return TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(order + 1)])
 
 
 def ml_eval(

@@ -36,10 +36,10 @@ from .families import (
     FamilyKind,
     FamilyParams,
     Polynomial,
+    check_compositions,
     family_numbers,
     family_polynomial,
     family_series,
-    higher_order_numbers,
     integral_over_unit_interval,
     multinomial_number_product,
 )
@@ -65,6 +65,7 @@ __all__ = [
     "VerificationReport",
     "SUITES",
     "unread_fields",
+    "check_grids",
     "run_suite",
     "bernoulli_oracle",
     "euler_at_zero_oracle",
@@ -185,6 +186,8 @@ def _run(identity: str, comparisons: Iterator, float_tol: Fraction | None, liter
 SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {}
 # the narrowing axes each suite declares, with their defaults
 _AXES: dict[str, dict] = {}
+# per suite, a check of its resolved grid against a work bound
+_BOUNDS: dict[str, Callable] = {}
 _NARROWING = ("family", "alpha", "lam", "h", "max_degree", "orders")
 _CONVERT = {"family": FamilyKind, "h": int}  # every other grid holds Fractions
 
@@ -218,7 +221,7 @@ def _resolve(axes: dict, families: Sequence[FamilyParams] | None, cfg: RunConfig
 
 
 def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = False,
-           families: Sequence[FamilyParams] | None = None, **axes):
+           families: Sequence[FamilyParams] | None = None, bound: Callable | None = None, **axes):
     """Register a comparison generator as the suite ``identity``.
 
     ``axes`` declares the narrowing fields of RunConfig the suite reads,
@@ -228,11 +231,14 @@ def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = Fal
     lam axes into one grid of FamilyParams there.  ``float_tol`` is the
     suite's float tolerance (default 2^(48-p), the float-identity
     tolerance); ``literal`` marks a suite expected to report
-    ``known-discrepancy``.
+    ``known-discrepancy``.  ``bound``, called with the resolved axes,
+    refuses a grid over a work bound before any suite runs.
     """
 
     def register(body):
         _AXES[identity] = axes
+        if bound is not None:
+            _BOUNDS[identity] = bound
         SUITES[identity] = lambda cfg: _run(
             identity, body(cfg.precision, **_resolve(axes, families, cfg)), float_tol, literal, cfg)
         return body
@@ -244,6 +250,22 @@ def unread_fields(names: Sequence[str], cfg: RunConfig) -> list[str]:
     """The narrowing fields set in ``cfg`` that none of the named suites declares."""
     read = set().union(*(_AXES[SUITE_ALIASES.get(n, n)] for n in names))
     return [f for f in _NARROWING if getattr(cfg, f) is not None and f not in read]
+
+
+def check_grids(names: Sequence[str], cfg: RunConfig) -> None:
+    """Raise DomainError if a named suite's grid is over a work bound, so
+    that the refusal comes before the first suite runs."""
+    for name in names:
+        key = SUITE_ALIASES.get(name, name)
+        if key in _BOUNDS:
+            _BOUNDS[key](**_resolve(_AXES[key], None, cfg))
+
+
+def _compositions_within(h, r: int) -> None:
+    """Check the largest multinomial sum a grid asks for: index r, each h."""
+    if r >= 0:
+        for hh in h:
+            check_compositions(r, hh)
 
 
 # -- independent recurrence oracles (no generating-function machinery) -----
@@ -466,7 +488,8 @@ def suite_theorem4(precision, lam, orders, max_degree):
 
 
 @_suite("theorem5", float_tol=_TOL_QUADRATURE, lam=(1, 2, 3), h=(1, 2), orders=_CLOSED_FORM_ORDERS,
-        max_degree=8)
+        max_degree=8, bound=lambda lam, h, orders, max_degree: _compositions_within(
+            h, max_degree - min(CaputoOrder(a).n for a in orders)))
 def suite_theorem5(precision, lam, h, orders, max_degree):
     """Higher-order closed form with the multinomial convolution inside."""
     families = [FamilyParams(FamilyKind.BERNOULLI, 1, l, hh) for l in lam for hh in h]
@@ -533,14 +556,13 @@ def suite_specialization(precision, family, lam, max_degree):
     return {"lambdas": [str(l) for l in lam], "max_index": max_degree}
 
 
-@_suite("higher-order", lam=(1, 2), h=(1, 2, 3, 4), max_degree=10)
+@_suite("higher-order", lam=(1, 2), h=(1, 2, 3, 4), max_degree=10,
+        bound=lambda lam, h, max_degree: _compositions_within(h, max_degree))
 def suite_higher_order(precision, lam, h, max_degree):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
     for l in lam:
         for hh in h:
-            if l == 1 and max_degree < hh:
-                continue
-            nums = higher_order_numbers(l, hh, max_degree, precision)
+            nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l, hh), max_degree, precision)
             for r in range(max_degree + 1):
                 yield multinomial_number_product(l, hh, r, precision), nums[r]
     return {"h": h, "max_index": max_degree}

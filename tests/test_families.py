@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fracpoly.errors import DomainError, ValuationError
+from fracpoly.errors import DomainError
 from fracpoly.families import (
     FamilyKind,
     FamilyParams,
     Polynomial,
     family_numbers,
     family_polynomial,
-    higher_order_numbers,
     integral_over_unit_interval,
     multinomial_number_product,
 )
@@ -236,7 +235,8 @@ def test_genocchi_euler_link():
 
 
 def test_higher_order_classical_reduction():
-    assert higher_order_numbers(1, 1, 10) == family_numbers(FamilyParams(B, 1, 1), 10)
+    # order h = 1 at lambda = 1 is the classical Bernoulli generator
+    assert [x.value for x in family_numbers(FamilyParams(B, 1, 1, h=1), 10)] == bernoulli_recurrence(10)
 
 
 def test_higher_order_h2_lambda1():
@@ -247,20 +247,22 @@ def test_higher_order_h2_lambda1():
         for n in range(13)
     ]
     assert want[:3] == [1, -1, Fraction(5, 6)]
-    nums = higher_order_numbers(1, 2, 12)
+    nums = family_numbers(FamilyParams(B, 1, 1, h=2), 12)
     for n in range(13):
         assert nums[n].value == want[n]
 
 
 def test_higher_order_h2_lambda2():
-    nums = higher_order_numbers(2, 2, 2)
+    nums = family_numbers(FamilyParams(B, 1, 2, h=2), 2)
     assert [x.value for x in nums] == [0, 0, 2]
 
 
-def test_higher_order_valuation_guard():
-    with pytest.raises(ValuationError):
-        higher_order_numbers(1, 3, 2)
-    higher_order_numbers(2, 3, 2)  # lambda != 1 needs no guard
+def test_higher_order_below_valuation_at_lambda_one():
+    # at lambda = 1, (z/(e^z - 1))^h has no z^h valuation left to cancel:
+    # indices below h come out as for any other order
+    b = bernoulli_recurrence(2)
+    want = [1, 3 * b[1], 3 * b[2] + 6 * b[1] ** 2]  # sum over compositions of 0, 1, 2 into 3 parts
+    assert [x.value for x in family_numbers(FamilyParams(B, 1, 1, h=3), 2)] == want
 
 
 def test_multinomial_number_product():
@@ -275,7 +277,7 @@ def test_multinomial_matches_higher_order():
     for lam in (1, 2):
         for h in range(1, 5):
             r_max = 10
-            nums = higher_order_numbers(lam, h, r_max)
+            nums = family_numbers(FamilyParams(B, 1, lam, h), r_max)
             for r in range(r_max + 1):
                 assert multinomial_number_product(lam, h, r) == nums[r]
 

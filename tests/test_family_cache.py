@@ -10,7 +10,6 @@ import pytest
 
 import fracpoly.families as families
 from fracpoly.families import FamilyParams, Polynomial, family_numbers, family_polynomial, family_series
-from fracpoly.gammafns import binomial
 from fracpoly.scalars import Scalar, as_scalar, domain_scope, join_precision
 
 
@@ -71,7 +70,7 @@ def test_numbers_and_polynomial_round_like_scalar_loops(kind, lam, n):
     s = family_series(p, n, 128)
     want_nums = [s.coeff(k) * math.factorial(k) for k in range(n + 1)]
     assert bits(family_numbers(p, n, 128)) == bits(want_nums)
-    want_poly = [binomial(n, k) * want_nums[k] for k in range(n, -1, -1)]
+    want_poly = [math.comb(n, k) * want_nums[k] for k in range(n, -1, -1)]
     assert bits(family_polynomial(p, n, 128).coeffs) == bits(want_poly)
 
 

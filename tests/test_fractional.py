@@ -27,6 +27,7 @@ from fracpoly.fractional import (
     rl_derivative_term,
     rl_integral_poly,
 )
+from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.scalars import Scalar, as_scalar, mpf_to_fraction, working_precision
 
 HALF = Fraction(1, 2)
@@ -164,6 +165,36 @@ def test_rl_derivative_term_examples():
     assert t.coefficient.value == 1 and t.exponent == 1
     with pytest.raises(DomainError):
         rl_derivative_term(-1, HALF)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 333])
+@pytest.mark.parametrize("a", [HALF, Fraction(7, 3)])
+def test_rl_derivative_term_integer_exponent_rounds_factorial_once(a, prec):
+    # at an integer exponent b, b! is rounded to the precision and then
+    # multiplied by 1/gamma(b-a+1): the bits of a float gamma(b+1) times it
+    for b in range(31):
+        got = rl_derivative_term(b, a, prec)
+        want = Scalar.big(math.factorial(b), prec) * reciprocal_gamma(b - a + 1, prec)
+        assert got.exponent == b - a
+        assert got.coefficient.precision == prec
+        assert got.coefficient.value._mpf_ == want.value._mpf_, b
+
+
+@pytest.mark.parametrize("prec", [64, 128, 333])
+def test_rl_derivative_term_non_integer_exponent(prec):
+    # gamma(b+1)/gamma(b-a+1) as a quotient of two reciprocal gammas, for
+    # derivatives and integrals, against mpmath at 64 extra bits
+    tol = Fraction(1, 2 ** (prec - 8))
+    for b in (Fraction(1, 3), Fraction(5, 2), Fraction(-2, 7), Fraction(77, 4)):
+        for a in (HALF, Fraction(9, 4), Fraction(-3, 2)):
+            got = rl_derivative_term(b, a, prec).coefficient
+            assert got.precision == prec
+            with working_precision(prec + 64):
+                bm, am = mp.mpf(b.numerator) / b.denominator, mp.mpf(a.numerator) / a.denominator
+                want = mpf_to_fraction(mp.gamma(bm + 1) * mp.rgamma(bm - am + 1))
+            assert abs(got.as_fraction() - want) <= tol * abs(want), (b, a)
+    # b - a + 1 = -1 is a pole of the denominator gamma: the term vanishes
+    assert rl_derivative_term(Fraction(1, 3), Fraction(7, 3), prec).coefficient.is_zero()
 
 
 def test_rl_derivative_composes_with_power_rule():

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from fracpoly.gammafns import _gamma_positive, _spouge, _spouge_memo, _spouge_wp, gamma, reciprocal_gamma
+from fracpoly.fractional import rl_derivative_term
+from fracpoly.gammafns import _gamma_positive, _spouge, _spouge_memo, _spouge_wp, reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval, ml_series
 from fracpoly.scalars import fraction_to_mpf, working_precision
 
@@ -18,9 +19,13 @@ ML = MLParams(Fraction(1, 3), Fraction(6, 5))
 # the term arguments alpha*n + beta are exact rationals, so both routes ask
 # for the same fractional parts, each at its own working precision
 ML_DYADIC = MLParams(Fraction(1, 2), Fraction(1, 4))
+# gamma(b+1)/gamma(b-a+1) at non-integer exponents b and order a = 1/5:
+# both arguments are non-integers
+EXPONENTS = (Fraction(1, 3), Fraction(7, 4), Fraction(5, 2))
 
 ROUTES = {
-    "gamma": lambda prec: [gamma(x, prec) for x in ARGS],
+    "rl_derivative_term": lambda prec: [rl_derivative_term(b, Fraction(1, 5), prec).coefficient
+                                        for b in EXPONENTS],
     "reciprocal_gamma": lambda prec: [reciprocal_gamma(x, prec) for x in ARGS],
     "ml_series": lambda prec: list(ml_series(ML, 8, prec).coeffs),
     "ml_eval": lambda prec: [ml_eval(ML, Fraction(3, 2), precision=prec)],

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from fracpoly.cli import cli
 from fracpoly.scalars import Scalar, as_scalar
-from fracpoly.verify import SUITES, RunConfig, run_suite, unread_fields
+from fracpoly.errors import DomainError
+from fracpoly.verify import SUITES, RunConfig, check_grids, run_suite, unread_fields
 
 
 @pytest.fixture()
@@ -178,6 +179,7 @@ def test_numbers_higher_order(runner):
 def test_family_alpha_zero_rejected(runner):
     r = runner.invoke(cli, ["numbers", "--family", "bernoulli", "--alpha", "0", "--max", "2"])
     assert r.exit_code == 2
+    assert r.output == "error: family parameter alpha must be positive, got 0\n"
 
 
 def test_fracint_examples(runner):
@@ -334,6 +336,9 @@ def test_run_suite_api_rejects_unknown():
     ["eval", "--degree", "0", "--at", "1e4300"],
     ["fracint", "--degree", "2", "--order", "1e-4300"],
     ["mleval", "--alpha", "1", "--z", "1e4300"],
+    # grids over the composition bound, refused before any suite runs
+    ["verify", "higher-order", "--h", "8", "--max-degree", "11"],
+    ["verify", "all", "--max-degree", "55"],
 ])
 def test_package_errors_exit_two_without_traceback(runner, args):
     start = time.perf_counter()
@@ -353,12 +358,36 @@ def test_specialization_refuses_lambda_one(runner):
 
 @pytest.mark.parametrize("args", [
     ["theorem4", "--max-degree", "0"],
-    ["higher-order", "--lambda", "1", "--h", "5", "--max-degree", "3"],
+    ["eq8", "--max-degree", "0"],
 ])
 def test_verify_refuses_grid_without_comparisons(runner, args):
     r = runner.invoke(cli, ["verify", *args])
     assert r.exit_code == 2
     assert r.output.startswith(f"error: suite {args[0]} makes no comparison")
+
+
+def test_verify_higher_order_below_h_at_lambda_one(runner):
+    r = invoke(runner, "verify", "higher-order", "--lambda", "1", "--h", "5", "--max-degree", "3",
+               "--format", "json")
+    assert r.exit_code == 0
+    (report,) = json.loads(r.output)
+    assert report["verdict"] == "pass"
+    assert report["comparisons"] == 4
+
+
+def test_check_grids_refuses_exactly_the_grids_over_the_composition_bound():
+    # 19448 compositions of 10 into 8 parts are under the bound of 30000,
+    # 31824 of 11 are over it; theorem5 sums up to index max_degree - ceil(order)
+    check_grids(["higher-order"], RunConfig(h=8, max_degree=10))
+    check_grids(["theorem5"], RunConfig(h=8, max_degree=11))
+    with pytest.raises(DomainError, match="of 11 into 8 parts"):
+        check_grids(["higher-order"], RunConfig(h=8, max_degree=11))
+    with pytest.raises(DomainError, match="of 11 into 8 parts"):
+        check_grids(["theorem5"], RunConfig(h=8, max_degree=12))
+    # at order 5/2 alone the sums start at degree ceil(5/2) = 3
+    check_grids(["theorem5"], RunConfig(h=8, max_degree=13, orders=(Fraction(5, 2),)))
+    with pytest.raises(DomainError, match="of 11 into 8 parts"):
+        check_grids(["theorem5"], RunConfig(h=8, max_degree=14, orders=(Fraction(5, 2),)))
 
 
 @pytest.mark.parametrize("args, flag", [
