@@ -1,9 +1,9 @@
 """Mittag-Leffler series construction and point evaluation.
 
 E_{a,b}(z) = sum z^n / gamma(a n + b) with a, b > 0.  Coefficients are
-exact rationals exactly when every gamma argument a n + b is an integer
-(1/gamma is exact there); otherwise they live in the float domain at the
-requested precision.
+exact rationals exactly when a and b are integers (every gamma argument
+a n + b is then an integer, where 1/gamma is exact); otherwise they live
+in the float domain at the requested precision.
 """
 
 from __future__ import annotations
@@ -52,8 +52,12 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
         raise DomainError(f"series order must be nonnegative, got {order}")
     # exact term arguments: every argument with the same fractional part
     # shares one Spouge sum, and the constructor promotes the series to
-    # floats once unless every argument is an integer
-    return TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(order + 1)])
+    # floats once unless every argument is an integer.  The arguments of
+    # n = 0 and 1, beta and alpha + beta, are both integers exactly when
+    # alpha and beta are, so at least two terms fix the domain and the
+    # order-0 series is a prefix of every longer one
+    s = TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(max(order, 1) + 1)])
+    return s if s.order == order else TruncatedSeries._raw(s._values[:1], s._prec)
 
 
 def ml_eval(

@@ -186,8 +186,6 @@ def _run(identity: str, comparisons: Iterator, float_tol: Fraction | None, liter
 SUITES: dict[str, Callable[[RunConfig], VerificationReport]] = {}
 # the narrowing axes each suite declares, with their defaults
 _AXES: dict[str, dict] = {}
-# per suite, a check of its resolved grid against a work bound
-_BOUNDS: dict[str, Callable] = {}
 _NARROWING = ("family", "alpha", "lam", "h", "max_degree", "orders")
 _CONVERT = {"family": FamilyKind, "h": int}  # every other grid holds Fractions
 
@@ -221,7 +219,7 @@ def _resolve(axes: dict, families: Sequence[FamilyParams] | None, cfg: RunConfig
 
 
 def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = False,
-           families: Sequence[FamilyParams] | None = None, bound: Callable | None = None, **axes):
+           families: Sequence[FamilyParams] | None = None, **axes):
     """Register a comparison generator as the suite ``identity``.
 
     ``axes`` declares the narrowing fields of RunConfig the suite reads,
@@ -231,14 +229,11 @@ def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = Fal
     lam axes into one grid of FamilyParams there.  ``float_tol`` is the
     suite's float tolerance (default 2^(48-p), the float-identity
     tolerance); ``literal`` marks a suite expected to report
-    ``known-discrepancy``.  ``bound``, called with the resolved axes,
-    refuses a grid over a work bound before any suite runs.
+    ``known-discrepancy``.
     """
 
     def register(body):
         _AXES[identity] = axes
-        if bound is not None:
-            _BOUNDS[identity] = bound
         SUITES[identity] = lambda cfg: _run(
             identity, body(cfg.precision, **_resolve(axes, families, cfg)), float_tol, literal, cfg)
         return body
@@ -253,19 +248,21 @@ def unread_fields(names: Sequence[str], cfg: RunConfig) -> list[str]:
 
 
 def check_grids(names: Sequence[str], cfg: RunConfig) -> None:
-    """Raise DomainError if a named suite's grid is over a work bound, so
-    that the refusal comes before the first suite runs."""
+    """Raise DomainError if a named suite's largest multinomial sum is over
+    the composition bound, so that the refusal comes before the first suite
+    runs: higher-order sums through index max_degree, theorem5 through the
+    top index of its closed forms."""
     for name in names:
         key = SUITE_ALIASES.get(name, name)
-        if key in _BOUNDS:
-            _BOUNDS[key](**_resolve(_AXES[key], None, cfg))
-
-
-def _compositions_within(h, r: int) -> None:
-    """Check the largest multinomial sum a grid asks for: index r, each h."""
-    if r >= 0:
-        for hh in h:
-            check_compositions(r, hh)
+        if key not in ("higher-order", "theorem5"):
+            continue
+        axes = _resolve(_AXES[key], None, cfg)
+        top = axes["max_degree"]
+        if key == "theorem5":
+            top = _closed_form_top(axes["orders"], top)
+        if top >= 0:
+            for h in axes["h"]:
+                check_compositions(top, h)
 
 
 # -- independent recurrence oracles (no generating-function machinery) -----
@@ -463,15 +460,23 @@ _CLOSED_FORM_ORDERS = (Fraction(3, 10), Fraction(1, 2), Fraction(3, 2), Fraction
 _EVAL_POINTS = (Fraction(1, 2), 1, 2)
 
 
+def _closed_form_top(orders, m_max: int) -> int:
+    """The largest number index the closed forms through degree m_max read:
+    N_(m - ceil(a)) at m = m_max and the least ceil(a)."""
+    return m_max - min(CaputoOrder(a).n for a in orders)
+
+
 def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_max: int, numbers=None):
     """Each closed form against the termwise operator, coefficientwise at the
     float-identity tolerance, and against the quadrature oracle at
-    _EVAL_POINTS.  ``numbers(p, top)``, when given, supplies N_0..N_top."""
+    _EVAL_POINTS.  ``numbers(p, top)``, when given, supplies N_0..N_top;
+    it is read once per family, through :func:`_closed_form_top`."""
     for p in families:
+        table = None if numbers is None else numbers(p, _closed_form_top(orders, m_max))
         for a in orders:
             ord_ = CaputoOrder(a)
             for m in range(ord_.n, m_max + 1):
-                nums = None if numbers is None else numbers(p, m - ord_.n)
+                nums = None if table is None else table[: m - ord_.n + 1]
                 closed = caputo_closed_form(p, m, ord_, precision, nums)
                 poly = family_polynomial(p, m, precision)
                 yield closed, caputo_derivative_poly(poly, ord_, precision), _tol_identity(precision)
@@ -488,8 +493,7 @@ def suite_theorem4(precision, lam, orders, max_degree):
 
 
 @_suite("theorem5", float_tol=_TOL_QUADRATURE, lam=(1, 2, 3), h=(1, 2), orders=_CLOSED_FORM_ORDERS,
-        max_degree=8, bound=lambda lam, h, orders, max_degree: _compositions_within(
-            h, max_degree - min(CaputoOrder(a).n for a in orders)))
+        max_degree=8)
 def suite_theorem5(precision, lam, h, orders, max_degree):
     """Higher-order closed form with the multinomial convolution inside."""
     families = [FamilyParams(FamilyKind.BERNOULLI, 1, l, hh) for l in lam for hh in h]
@@ -556,8 +560,7 @@ def suite_specialization(precision, family, lam, max_degree):
     return {"lambdas": [str(l) for l in lam], "max_index": max_degree}
 
 
-@_suite("higher-order", lam=(1, 2), h=(1, 2, 3, 4), max_degree=10,
-        bound=lambda lam, h, max_degree: _compositions_within(h, max_degree))
+@_suite("higher-order", lam=(1, 2), h=(1, 2, 3, 4), max_degree=10)
 def suite_higher_order(precision, lam, h, max_degree):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
     for l in lam:

@@ -37,7 +37,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("p,prec", CASES)
-@pytest.mark.parametrize("orders", [(10, 40), (40, 10)])
+@pytest.mark.parametrize("orders", [(10, 40), (40, 10), (0, 3), (3, 0)])
 def test_prefix_slices_equal_cold_series(empty_cache, p, prec, orders):
     cold = {}
     for n in orders:
@@ -49,6 +49,21 @@ def test_prefix_slices_equal_cold_series(empty_cache, p, prec, orders):
         assert s.order == n
         assert bits(s.coeffs) == cold[n]
     assert len(families._series_cache) == 1
+
+
+def test_order_zero_keeps_the_domain_of_the_parameters(empty_cache):
+    # at alpha = 1/2 the Euler number N_0 reads only 1/gamma(1), an exact
+    # value, yet it is a float like the rest of the series whatever ran before
+    from fracpoly.mittag import MLParams, ml_series
+
+    p = FamilyParams("euler", Fraction(1, 2), Fraction(7, 5))
+    fresh = bits(family_numbers(p, 0))
+    empty_cache()
+    assert bits(family_numbers(p, 3)[:1]) == fresh
+    assert fresh[0][0] == 128
+    assert bits(ml_series(MLParams(Fraction(1, 2), 1), 0).coeffs) == bits(
+        ml_series(MLParams(Fraction(1, 2), 1), 3).coeffs[:1])
+    assert bits(ml_series(MLParams(2, 3), 0).coeffs) == [(None, Fraction(1, 2))]
 
 
 def test_cache_keeps_at_most_256_keys(empty_cache):
