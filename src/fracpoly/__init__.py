@@ -44,7 +44,6 @@ from .families import (
 from .fractional import (
     CaputoOrder,
     FracExpansion,
-    FracTerm,
     caputo_closed_form,
     caputo_derivative_poly,
     caputo_quadrature_oracle,
@@ -81,7 +80,6 @@ __all__ = [
     "integral_over_unit_interval",
     "multinomial_number_product",
     "CaputoOrder",
-    "FracTerm",
     "FracExpansion",
     "caputo_derivative_poly",
     "rl_integral_poly",

@@ -74,10 +74,9 @@ class DegreeParam(click.IntRange):
 DEGREE = DegreeParam()
 
 
-def _scalar_cell(s: Scalar) -> dict:
-    if s.is_exact:
-        return {"value": str(s), "domain": "rational"}
-    return {"value": str(s), "domain": "float", "precision": s.precision}
+def _cells(s: Scalar) -> list:
+    """The value, domain and precision cells of a table row."""
+    return [str(s), "rational", None] if s.is_exact else [str(s), "float", s.precision]
 
 
 def _emit_table(columns: list[str], rows: list[list], fmt: str):
@@ -157,11 +156,7 @@ def numbers(family, alpha, lam, h, precision, fmt, max_index):
     """Print family numbers 0..MAX (generating-series coefficients)."""
     p = FamilyParams(family, alpha, lam, h)
     nums = family_numbers(p, max_index, precision)
-    rows = []
-    for n, v in enumerate(nums):
-        cell = _scalar_cell(v)
-        rows.append([n, cell["value"], cell["domain"],
-                     cell.get("precision") if not v.is_exact else None])
+    rows = [[n, *_cells(v)] for n, v in enumerate(nums)]
     _emit_table(["index", "value", "domain", "precision"], rows, fmt)
 
 
@@ -173,11 +168,7 @@ def poly(family, alpha, lam, h, precision, fmt, degree):
     """Print the coefficients of the degree-n family polynomial."""
     p = FamilyParams(family, alpha, lam, h)
     q = family_polynomial(p, degree, precision)
-    rows = []
-    for k, c in enumerate(q.coeffs):
-        cell = _scalar_cell(c)
-        rows.append([k, cell["value"], cell["domain"],
-                     cell.get("precision") if not c.is_exact else None])
+    rows = [[k, *_cells(c)] for k, c in enumerate(q.coeffs)]
     _emit_table(["power", "coefficient", "domain", "precision"], rows, fmt)
 
 
@@ -190,9 +181,7 @@ def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
     """Evaluate the degree-n family polynomial at a point."""
     p = FamilyParams(family, alpha, lam, h)
     value = family_polynomial(p, degree, precision).evaluate(at_)
-    cell = _scalar_cell(value)
-    rows = [[str(at_), cell["value"], cell["domain"],
-             cell.get("precision") if not value.is_exact else None]]
+    rows = [[str(at_), *_cells(value)]]
     _emit_table(["x", "value", "domain", "precision"], rows, fmt)
 
 
@@ -256,7 +245,7 @@ def _route_values(expansion, polynomial, ord_, at_, precision):
 
 def _emit_expansion(expansion, routes, fmt):
     """Terms table, plus the evaluated routes; one JSON document either way."""
-    rows = [[str(t.coefficient), str(t.exponent)] for t in expansion]
+    rows = [[str(c), str(e)] for c, e in expansion]
     if fmt == "json":
         payload = {"terms": [dict(zip(("coefficient", "exponent"), r)) for r in rows]}
         if routes is not None:

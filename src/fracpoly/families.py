@@ -22,8 +22,8 @@ from typing import Iterable
 from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
-from .scalars import (DEFAULT_PRECISION, ZERO, Coefficients, Scalar, ScalarLike, as_rational, as_scalar,
-                      check_precision, domain_scope, fraction_to_mpf, join_precision)
+from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_scalar, check_precision,
+                      domain_scope, join_precision, positive_rational, rational_in)
 from .series import TruncatedSeries, cauchy_product, reciprocal
 
 __all__ = [
@@ -65,11 +65,8 @@ class FamilyParams:
 
     def __init__(self, kind, alpha: ScalarLike = 1, lam: ScalarLike = 1, h: int = 1):
         kind = FamilyKind(kind)
-        a, l = as_rational(alpha), as_rational(lam)
-        if a <= 0:
-            raise DomainError(f"family parameter alpha must be positive, got {a}")
-        if l <= 0:
-            raise DomainError(f"family parameter lambda must be positive, got {l}")
+        a = positive_rational(alpha, "family parameter alpha")
+        l = positive_rational(lam, "family parameter lambda")
         _check_h(h)
         if h >= 2 and (kind is not FamilyKind.BERNOULLI or a != 1):
             raise DomainError(
@@ -124,7 +121,7 @@ class Polynomial(Coefficients):
     def antiderivative(self) -> "Polynomial":
         with domain_scope(self._prec):
             out = [c / (k + 1) for k, c in enumerate(self._values)]
-        return self._raw([ZERO.raw_in(self._prec)] + out, self._prec)
+        return self._raw([rational_in(0, self._prec)] + out, self._prec)
 
     def monomials(self):
         """Yield (coefficient, power) pairs for nonzero coefficients."""
@@ -216,19 +213,12 @@ def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISIO
     return _family_series_cached(p, order, precision)
 
 
-def _in_domain(n: int, precision: int | None):
-    """The integer n as a raw value of the domain ``precision``, rounded
-    once as :meth:`Scalar.raw_in` rounds it: products with it then round
-    exactly as ``Scalar`` arithmetic does."""
-    return n if precision is None else fraction_to_mpf(n, precision)
-
-
 def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRECISION) -> tuple[Scalar, ...]:
     """EGF coefficients of the number generating function, indices 0..max_index."""
     s = family_series(p, max_index, precision)
     prec = s._prec
     with domain_scope(prec):
-        return tuple([Scalar(v * _in_domain(math.factorial(k), prec), prec) for k, v in enumerate(s._values)])
+        return tuple([Scalar(v * rational_in(math.factorial(k), prec), prec) for k, v in enumerate(s._values)])
 
 
 def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
@@ -238,7 +228,7 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
     nums = family_numbers(p, n, precision)
     prec = nums[0].precision
     with domain_scope(prec):
-        coeffs = [_in_domain(math.comb(n, k), prec) * nums[k].value for k in range(n, -1, -1)]
+        coeffs = [rational_in(math.comb(n, k), prec) * nums[k].value for k in range(n, -1, -1)]
     return Polynomial._raw(coeffs, prec)
 
 

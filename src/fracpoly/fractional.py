@@ -28,12 +28,11 @@ from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_rational, check_precision,
-                      fraction_to_mpf, working_precision)
+from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_rational, as_scalar, check_precision,
+                      fraction_to_mpf, positive_rational, working_precision)
 
 __all__ = [
     "CaputoOrder",
-    "FracTerm",
     "FracExpansion",
     "caputo_derivative_poly",
     "rl_integral_poly",
@@ -55,9 +54,7 @@ class CaputoOrder:
     n: int
 
     def __init__(self, alpha: ScalarLike):
-        a = as_rational(alpha)
-        if a <= 0:
-            raise DomainError(f"fractional order must be positive, got {a}")
+        a = positive_rational(alpha, "fractional order")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "n", math.ceil(a))
 
@@ -66,19 +63,9 @@ class CaputoOrder:
         return self.alpha.denominator == 1
 
 
-@dataclass(frozen=True)
-class FracTerm:
-    """coefficient * t^exponent, the exponent an exact rational."""
-
-    coefficient: Scalar
-    exponent: Fraction
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-
 class FracExpansion:
-    """Finite sum of real-power terms, sorted by strictly increasing exponent.
+    """Finite sum of real-power terms, as (coefficient, exponent) pairs sorted
+    by strictly increasing exponent, each exponent an exact rational.
 
     Nonzero terms of equal exponent merge, their coefficients summed in
     input order; terms that cancel are dropped.
@@ -86,16 +73,16 @@ class FracExpansion:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[FracTerm]):
-        merged: dict[Fraction, FracTerm] = {}
-        for t in terms:
-            if not t.is_zero():
-                prev = merged.get(t.exponent)
-                merged[t.exponent] = t if prev is None else FracTerm(prev.coefficient + t.coefficient, prev.exponent)
-        self._terms = tuple(merged[e] for e in sorted(merged) if not merged[e].is_zero())
+    def __init__(self, terms: Iterable[tuple[Scalar, Fraction]]):
+        merged: dict[Fraction, Scalar] = {}
+        for c, e in terms:
+            if c:
+                prev = merged.get(e)
+                merged[e] = c if prev is None else prev + c
+        self._terms = tuple((merged[e], e) for e in sorted(merged) if merged[e])
 
     @property
-    def terms(self) -> tuple[FracTerm, ...]:
+    def terms(self) -> tuple[tuple[Scalar, Fraction], ...]:
         return self._terms
 
     def __iter__(self):
@@ -105,15 +92,16 @@ class FracExpansion:
         return len(self._terms)
 
     def __repr__(self):
-        body = " + ".join(f"({t.coefficient})*t^({t.exponent})" for t in self._terms)
+        body = " + ".join(f"({c})*t^({e})" for c, e in self._terms)
         return f"FracExpansion({body or '0'})"
 
 
 def rl_derivative_term(
     beta: ScalarLike, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
-) -> FracTerm:
+) -> tuple[Scalar, Fraction]:
     """Riemann-Liouville derivative of t^beta at order alpha (integral if
-    alpha < 0): gamma(beta+1)/gamma(beta-alpha+1) t^(beta-alpha).
+    alpha < 0): gamma(beta+1)/gamma(beta-alpha+1) t^(beta-alpha), as the
+    (coefficient, exponent) pair.
 
     The one power-rule step of the module.  Integer alpha gives the exact
     rational falling factorial (or its reciprocal for negative alpha), with
@@ -129,23 +117,23 @@ def rl_derivative_term(
     if a.denominator == 1:
         k = a.numerator
         if k >= 0:
-            coeff = Scalar.exact(math.prod(b - i for i in range(_bounded(k))))
+            coeff = as_scalar(math.prod(b - i for i in range(_bounded(k))))
         else:
-            coeff = Scalar.exact(1 / math.prod(b + i for i in range(1, 1 + _bounded(-k))))
+            coeff = as_scalar(1 / math.prod(b + i for i in range(1, 1 + _bounded(-k))))
     elif b.denominator == 1:
         # reciprocal_gamma refuses an argument above its cap before the factorial runs
         coeff = reciprocal_gamma(b - a + 1, precision) * math.factorial(b.numerator)
     else:
         coeff = reciprocal_gamma(b - a + 1, precision) / reciprocal_gamma(b + 1, precision)
-    return FracTerm(coeff, b - a)
+    return coeff, b - a
 
 
 def _termwise(pairs: Iterable[tuple[Scalar, ScalarLike]], order: ScalarLike, precision: int) -> FracExpansion:
     """sum c D^order t^e over the (c, e) pairs, one power-rule step each."""
     terms = []
     for c, e in pairs:
-        d = rl_derivative_term(e, order, precision)
-        terms.append(FracTerm(c * d.coefficient, d.exponent))
+        d, de = rl_derivative_term(e, order, precision)
+        terms.append((c * d, de))
     return FracExpansion(terms)
 
 
@@ -162,17 +150,14 @@ def rl_integral_poly(
 ) -> FracExpansion:
     """Riemann-Liouville integral of order alpha > 0, termwise power rule."""
     check_precision(precision)
-    a = as_rational(alpha)
-    if a <= 0:
-        raise DomainError(f"integral order must be positive, got {a}")
-    return _termwise(q.monomials(), -a, precision)
+    return _termwise(q.monomials(), -positive_rational(alpha, "integral order"), precision)
 
 
 def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple[Fraction, Scalar, Scalar]]:
     """(exponent, coefficient in a, coefficient in b) over the union of the
     exponents, with an exact zero where one side has no term."""
-    amap = {t.exponent: t.coefficient for t in a}
-    bmap = {t.exponent: t.coefficient for t in b}
+    amap = {e: c for c, e in a}
+    bmap = {e: c for c, e in b}
     return [(e, amap.get(e, ZERO), bmap.get(e, ZERO)) for e in sorted(set(amap) | set(bmap))]
 
 
@@ -189,7 +174,7 @@ def caputo_by_composition(
     check_precision(precision)
     composed = _termwise(q.monomials(), ord.alpha - ord.n, precision)  # I^(n-alpha)
     for _ in range(ord.n):
-        composed = _termwise([(t.coefficient, t.exponent) for t in composed], 1, precision)
+        composed = _termwise(composed, 1, precision)
     return composed
 
 
@@ -202,18 +187,16 @@ def leibniz_product(
     Equals the termwise RL derivative of the expanded product f*g.
     """
     check_precision(precision)
-    a = as_rational(alpha)
-    if a <= 0:
-        raise DomainError(f"order must be positive, got {a}")
+    a = positive_rational(alpha, "order")
     terms = []
     fk = f
     for k in range(f.degree + 1):
         w = generalized_binomial(a, k)
-        if not w.is_zero():
+        if w:
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
-                    d = rl_derivative_term(j, a - k, precision)
-                    terms.append(FracTerm(w * cf * cg * d.coefficient, i + d.exponent))
+                    d, de = rl_derivative_term(j, a - k, precision)
+                    terms.append((w * cf * cg * d, i + de))
         fk = fk.derivative()
         if fk.is_zero():
             break
@@ -242,12 +225,12 @@ def caputo_closed_form(
         raise DegreeTooLow(f"degree {m} below ceil(order) = {n}")
     if numbers is None:
         numbers = family_numbers(p, m - n, precision)
-    pref = rl_derivative_term(m, n, precision).coefficient
+    pref, _ = rl_derivative_term(m, n, precision)
     terms = []
     for k in range(m - n + 1):
         rg = reciprocal_gamma(n + k + 1 - ord.alpha, precision)
         coeff = pref * math.factorial(k) * math.comb(m - n, k) * numbers[m - n - k] * rg
-        terms.append(FracTerm(coeff, k + n - ord.alpha))
+        terms.append((coeff, k + n - ord.alpha))
     return FracExpansion(terms)
 
 
@@ -264,9 +247,7 @@ def caputo_quadrature_oracle(
     ordinary derivative.
     """
     check_precision(precision)
-    t = as_rational(t)
-    if t <= 0:
-        raise DomainError(f"evaluation point must be positive, got {t}")
+    t = positive_rational(t, "evaluation point")
     n = ord.n
     dq = q
     for _ in range(n):
@@ -295,13 +276,11 @@ def eval_frac_expansion(
 ) -> Scalar:
     """Sum c_k t^{e_k} at t > 0; powers via exp(e log t)."""
     check_precision(precision)
-    t = as_rational(t)
-    if t <= 0:
-        raise DomainError(f"evaluation point must be positive, got {t}")
+    t = positive_rational(t, "evaluation point")
     wp = precision + 16
     with working_precision(wp):
         logt = mp.log(fraction_to_mpf(t, wp))
         acc = mp.mpf(0)
-        for term in e:
-            acc += term.coefficient.raw_in(wp) * mp.exp(fraction_to_mpf(term.exponent, wp) * logt)
+        for c, x in e:
+            acc += c.raw_in(wp) * mp.exp(fraction_to_mpf(x, wp) * logt)
     return Scalar.big(acc, precision)

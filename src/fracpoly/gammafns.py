@@ -46,6 +46,7 @@ from .scalars import (
     Scalar,
     ScalarLike,
     as_rational,
+    as_scalar,
     check_precision,
     fraction_to_mpf,
     working_precision,
@@ -199,7 +200,7 @@ def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scala
     x = as_rational(x)
     if x.denominator == 1:
         n = x.numerator
-        return Scalar.exact(0 if n <= 0 else Fraction(1, math.factorial(_bounded(n - 1))))
+        return as_scalar(0 if n <= 0 else Fraction(1, math.factorial(_bounded(n - 1))))
     with working_precision(_spouge_wp(precision)):
         v = _rgamma(x, precision)
     return Scalar.big(v, precision)
@@ -211,7 +212,7 @@ def generalized_binomial(alpha: ScalarLike, k: int) -> Scalar:
     if k < 0:
         raise DomainError(f"lower index must be nonnegative, got {k}")
     a = as_rational(alpha)
-    return Scalar.exact(math.prod((a - i for i in range(k)), start=Fraction(1)) / math.factorial(k))
+    return as_scalar(math.prod((a - i for i in range(k)), start=Fraction(1)) / math.factorial(k))
 
 
 def multinomial(parts) -> Scalar:
@@ -222,4 +223,4 @@ def multinomial(parts) -> Scalar:
     total = math.factorial(sum(parts))
     for p in parts:
         total //= math.factorial(p)
-    return Scalar.exact(total)
+    return as_scalar(total)

@@ -17,7 +17,7 @@ from mpmath import mp
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
 from .gammafns import _rgamma, reciprocal_gamma
 from .scalars import (DEFAULT_PRECISION, Scalar, ScalarLike, as_rational, check_precision, fraction_to_mpf,
-                      working_precision)
+                      positive_rational, working_precision)
 from .series import TruncatedSeries
 
 __all__ = ["MLParams", "ml_series", "ml_eval", "ml_one_m_closed", "EVAL_ENVELOPE"]
@@ -77,12 +77,7 @@ def ml_eval(
     z_abs = abs(z)
     if z_abs > EVAL_ENVELOPE:
         raise ConvergenceEnvelopeExceeded(f"|z| = {z_abs} exceeds the evaluation envelope {EVAL_ENVELOPE}")
-    if tol is None:
-        tol_fr = Fraction(1, 2 ** (precision - 24))
-    else:
-        tol_fr = as_rational(tol)
-        if tol_fr <= 0:
-            raise DomainError(f"tolerance must be positive, got {tol_fr}")
+    tol_fr = Fraction(1, 2 ** (precision - 24)) if tol is None else positive_rational(tol, "tolerance")
     if tol_fr < Fraction(1, 2 ** (precision - 12)):
         raise ToleranceUnreachable(
             f"tolerance {float(tol_fr):.3e} below the resolution of {precision}-bit arithmetic"
@@ -146,13 +141,15 @@ def ml_one_m_closed(m: int, z: ScalarLike, precision: int = DEFAULT_PRECISION) -
         raise DomainError(f"closed form requires integer m >= 2, got {m!r}")
     z = as_rational(z)
     if abs(z) < Fraction(1, 4):
-        return ml_eval(MLParams(1, m), z, tol=Fraction(1, 2 ** (precision - 24)),
-                       precision=precision)
-    wp = precision + 8 * m + 16
+        return ml_eval(MLParams(1, m), z, precision=precision)
+    return Scalar.big(_subtracted_exponential(m, z, precision + 8 * m + 16), precision)
+
+
+def _subtracted_exponential(m: int, z: Fraction, wp: int):
+    """(e^z - sum_{k<=m-2} z^k/k!) / z^{m-1} as an mpf at wp bits."""
     with working_precision(wp):
         zm = fraction_to_mpf(z, wp)
         partial = mp.mpf(0)
         for k in range(m - 1):
             partial += zm ** k / math.factorial(k)
-        v = (mp.exp(zm) - partial) / zm ** (m - 1)
-    return Scalar.big(v, precision)
+        return (mp.exp(zm) - partial) / zm ** (m - 1)

@@ -91,8 +91,8 @@ def fraction_to_mpf(q: Fraction, bits: int):
 class Scalar:
     """A number in one of the two coefficient domains.
 
-    Use :meth:`exact` / :meth:`big` to construct, or :func:`as_scalar` to
-    coerce plain Python numbers.  Python floats coerce to their exact dyadic
+    Use :func:`as_scalar` to coerce plain Python numbers, or :meth:`big` to
+    construct a float.  Python floats coerce to their exact dyadic
     rational value; big floats only enter through explicit construction or
     through the transcendental functions.
     """
@@ -102,10 +102,6 @@ class Scalar:
     def __init__(self, value, prec):
         self._val = value
         self._prec = prec
-
-    @classmethod
-    def exact(cls, value) -> "Scalar":
-        return cls(Fraction(value), None)
 
     @classmethod
     def big(cls, value, prec: int) -> "Scalar":
@@ -131,9 +127,6 @@ class Scalar:
     @property
     def value(self):
         return self._val
-
-    def is_zero(self) -> bool:
-        return self._val == 0
 
     def as_fraction(self) -> Fraction:
         return self._val if self.is_exact else mpf_to_fraction(self._val)
@@ -227,6 +220,22 @@ def as_rational(x: ScalarLike) -> Fraction:
     return as_scalar(x).as_fraction()
 
 
+def positive_rational(x: ScalarLike, name: str) -> Fraction:
+    """:func:`as_rational` of x, refused with DomainError unless positive;
+    ``name`` says what x is in the message."""
+    q = as_rational(x)
+    if q <= 0:
+        raise DomainError(f"{name} must be positive, got {q}")
+    return q
+
+
+def rational_in(q: Fraction | int, precision: int | None):
+    """The rational q as a raw value of the domain ``precision``: a
+    Fraction, or an mpf rounded once as :meth:`Scalar.raw_in` rounds it, so
+    that products with it round exactly as ``Scalar`` arithmetic does."""
+    return Fraction(q) if precision is None else fraction_to_mpf(q, precision)
+
+
 def decimal_str(s: Scalar) -> str:
     """Shortest decimal string that round-trips at the scalar's precision.
 
@@ -288,8 +297,7 @@ def _min_digits(x, prec: int, max_digits: int) -> int:
     return top - lowest + 1
 
 
-ZERO = Scalar.exact(0)
-ONE = Scalar.exact(1)
+ZERO = as_scalar(0)
 
 
 class Coefficients:
@@ -329,7 +337,7 @@ class Coefficients:
         """The raw values in the domain ``prec``, which is this one or wider."""
         if prec is None or self._prec is not None:
             return self._values
-        return tuple([fraction_to_mpf(v, prec) for v in self._values])
+        return tuple([rational_in(v, prec) for v in self._values])
 
     def _joined(self, other: "Coefficients") -> tuple:
         """Both raw value tuples in the common domain, and its precision."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import IndexOutOfOrder, OrderMismatch, ValuationError, ZeroConstantTerm
-from .scalars import ONE, ZERO, Coefficients, Scalar, ScalarLike, as_scalar, domain_scope
+from .scalars import Coefficients, Scalar, ScalarLike, as_scalar, domain_scope, rational_in
 
 __all__ = [
     "TruncatedSeries",
@@ -51,8 +51,7 @@ class TruncatedSeries(Coefficients):
 
     def shift_up(self, v: int) -> "TruncatedSeries":
         """Multiply by z^v, keeping the truncation order."""
-        zero = ZERO.raw_in(self._prec)
-        return self._raw(((zero,) * v + self._values)[: self.order + 1], self._prec)
+        return self._raw(((rational_in(0, self._prec),) * v + self._values)[: self.order + 1], self._prec)
 
     def __add__(self, other):
         return series_add(self, other)
@@ -114,7 +113,7 @@ def exp_series(x: ScalarLike, order: int) -> TruncatedSeries:
     """The series of e^{x z} through the given order."""
     xs = as_scalar(x)
     prec = xs.precision
-    out = [ONE.raw_in(prec)]
+    out = [rational_in(1, prec)]
     with domain_scope(prec):
         for k in range(1, order + 1):
             out.append(out[-1] * xs.value / k)

@@ -55,8 +55,8 @@ from .fractional import (
     leibniz_product,
     rl_derivative_term,
 )
-from .mittag import MLParams, ml_eval, ml_one_m_closed, ml_series
-from .scalars import DEFAULT_PRECISION, Scalar, as_rational, as_scalar, working_precision
+from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
+from .scalars import DEFAULT_PRECISION, Scalar, as_rational, as_scalar, check_precision, working_precision
 from .series import exp_series
 from mpmath import mp
 
@@ -99,10 +99,6 @@ class VerificationReport:
 
 
 _EXACT = Fraction(0)
-_TOL_QUADRATURE = Fraction(1, 10**10)
-_TOL_ML = Fraction(1, 10**12)
-# bounded by the order-60 truncation tail, not by arithmetic precision
-_TOL_TRUNCATION = Fraction(1, 10**14)
 
 
 def _tol_identity(precision: int) -> Fraction:
@@ -111,13 +107,21 @@ def _tol_identity(precision: int) -> Fraction:
     return Fraction(1, 2 ** (precision - 48))
 
 
-def _tolerance(got: Scalar, want: Scalar, float_tol: Fraction, override: Fraction | None) -> Fraction:
-    """The tolerance policy: an override applies to every comparison;
-    otherwise two exact values must agree exactly, and a float on either
-    side gets the float tolerance."""
-    if override is not None:
-        return override
-    return _EXACT if got.is_exact and want.is_exact else float_tol
+def _tol_oracle(precision: int) -> Fraction:
+    # the quadrature oracle against an evaluated expansion: 1e-10, or the
+    # identity tolerance where that is tighter (from 82 bits)
+    return min(Fraction(1, 10**10), _tol_identity(precision))
+
+
+def _tol_ml(precision: int) -> Fraction:
+    # Mittag-Leffler sums, each settled to ml_eval's 2^(24-p): 1e-12, or
+    # 2^(28-p) where that is tighter (from 68 bits)
+    return min(Fraction(1, 10**12), Fraction(1, 2 ** (precision - 28)))
+
+
+def _tol_truncation(precision: int) -> Fraction:
+    # bounded by the order-60 truncation tail, not by arithmetic precision
+    return Fraction(1, 10**14)
 
 
 class _Check:
@@ -133,7 +137,13 @@ class _Check:
 
     def values(self, got, want, float_tol: Fraction):
         got, want = as_scalar(got), as_scalar(want)
-        tol = _tolerance(got, want, float_tol, self.override)
+        # the tolerance policy: an override applies to every comparison;
+        # otherwise two exact values must agree exactly, and a float on
+        # either side gets the float tolerance
+        if self.override is not None:
+            tol = self.override
+        else:
+            tol = _EXACT if got.is_exact and want.is_exact else float_tol
         a, b = got.as_fraction(), want.as_fraction()
         abs_err = abs(a - b)
         rel_err = abs_err / max(Fraction(1), abs(a), abs(b))
@@ -145,7 +155,7 @@ class _Check:
             self.failures += 1
 
 
-def _run(identity: str, comparisons: Iterator, float_tol: Fraction | None, literal: bool,
+def _run(identity: str, comparisons: Iterator, suite_tol: Fraction, literal: bool,
          cfg: RunConfig) -> VerificationReport:
     """Drive one suite's comparisons and turn them into its report.
 
@@ -153,7 +163,6 @@ def _run(identity: str, comparisons: Iterator, float_tol: Fraction | None, liter
     DomainError instead of reporting a verdict.
     """
     check = _Check(None if cfg.tolerance is None else Fraction(cfg.tolerance))
-    suite_tol = _tol_identity(cfg.precision) if float_tol is None else float_tol
     while True:
         try:
             item = next(comparisons)
@@ -218,7 +227,7 @@ def _resolve(axes: dict, families: Sequence[FamilyParams] | None, cfg: RunConfig
     return out
 
 
-def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = False,
+def _suite(identity: str, float_tol: Callable[[int], Fraction] = _tol_identity, literal: bool = False,
            families: Sequence[FamilyParams] | None = None, **axes):
     """Register a comparison generator as the suite ``identity``.
 
@@ -226,16 +235,15 @@ def _suite(identity: str, float_tol: Fraction | None = None, literal: bool = Fal
     each with its default grid (FamilyKind for every kind; an int for
     max_degree).  The body is called with the precision and each axis
     resolved by :func:`_resolve`; ``families`` turns the family, alpha and
-    lam axes into one grid of FamilyParams there.  ``float_tol`` is the
-    suite's float tolerance (default 2^(48-p), the float-identity
-    tolerance); ``literal`` marks a suite expected to report
-    ``known-discrepancy``.
+    lam axes into one grid of FamilyParams there.  ``float_tol`` maps the
+    precision to the suite's float tolerance; ``literal`` marks a suite
+    expected to report ``known-discrepancy``.
     """
 
     def register(body):
         _AXES[identity] = axes
         SUITES[identity] = lambda cfg: _run(
-            identity, body(cfg.precision, **_resolve(axes, families, cfg)), float_tol, literal, cfg)
+            identity, body(cfg.precision, **_resolve(axes, families, cfg)), float_tol(cfg.precision), literal, cfg)
         return body
 
     return register
@@ -345,15 +353,20 @@ _THEOREM3_AXES = {"family": FamilyKind, "alpha": (1, 2), "lam": (1, 2), "max_deg
 _THEOREM3_XS = (0, Fraction(1, 2), -1, 3)
 
 
+def _unit_interval(precision, families, n_max: int, lag: int):
+    """The integral of P_n over [x, x+1] against (P_{n+1}(x+1) - P_{n+1-lag}(x)) / (n+1)."""
+    for p in families:
+        polys = [family_polynomial(p, n, precision) for n in range(n_max + 2)]
+        for n in range(n_max + 1):
+            for x in _THEOREM3_XS:
+                got = integral_over_unit_interval(p, n, x, precision)
+                yield got, (polys[n + 1].evaluate(x + 1) - polys[n + 1 - lag].evaluate(x)) / (n + 1)
+
+
 @_suite("theorem3", **_THEOREM3_AXES)
 def suite_theorem3(precision, family, alpha, lam, max_degree):
     """Unit-interval integral equals (P_{n+1}(x+1) - P_{n+1}(x)) / (n+1)."""
-    for p in _family_grid(family, alpha, lam):
-        for n in range(max_degree + 1):
-            nxt = family_polynomial(p, n + 1, precision)
-            for x in _THEOREM3_XS:
-                got = integral_over_unit_interval(p, n, x, precision)
-                yield got, (nxt.evaluate(x + 1) - nxt.evaluate(x)) / (n + 1)
+    yield from _unit_interval(precision, _family_grid(family, alpha, lam), max_degree, 0)
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
@@ -361,17 +374,11 @@ def suite_theorem3(precision, family, alpha, lam, max_degree):
 def suite_theorem3_literal(precision, family, alpha, lam, max_degree):
     """The printed form with P_n in the subtrahend; must fail somewhere."""
     n_max = min(max_degree, 3)
-    for p in _family_grid(family, alpha, lam):
-        for n in range(n_max + 1):
-            cur = family_polynomial(p, n, precision)
-            nxt = family_polynomial(p, n + 1, precision)
-            for x in _THEOREM3_XS:
-                got = integral_over_unit_interval(p, n, x, precision)
-                yield got, (nxt.evaluate(x + 1) - cur.evaluate(x)) / (n + 1)
+    yield from _unit_interval(precision, _family_grid(family, alpha, lam), n_max, 1)
     return {"max_degree": n_max}
 
 
-@_suite("eq5", float_tol=_TOL_ML)
+@_suite("eq5", float_tol=_tol_ml)
 def suite_eq5(precision):
     """Series evaluation against the subtracted-exponential closed forms."""
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2]
@@ -379,23 +386,14 @@ def suite_eq5(precision):
         for z in zs:
             yield ml_eval(MLParams(1, m), z, precision=precision), ml_one_m_closed(m, z, precision=precision)
         # cancellation fallback region: compare against a high-precision
-        # direct subtraction, which is only trustworthy with extra bits
-        z_small = Fraction(1, 10**6)
-        yield ml_one_m_closed(m, z_small, precision=precision), _ml_one_m_direct(m, z_small, precision + 200)
+        # direct subtraction, which is only trustworthy with extra bits;
+        # rounded to them already (Scalar.big would cap them at MAX_PRECISION)
+        z_small, wp = Fraction(1, 10**6), precision + 200
+        yield ml_one_m_closed(m, z_small, precision=precision), Scalar(_subtracted_exponential(m, z_small, wp), wp)
     return {"m": "2..6", "z": [str(z) for z in zs] + ["1/10^6"]}
 
 
-def _ml_one_m_direct(m: int, z: Fraction, precision: int) -> Scalar:
-    with working_precision(precision):
-        zm = mp.mpf(z.numerator) / z.denominator
-        partial = mp.mpf(0)
-        for k in range(m - 1):
-            partial += zm ** k / math.factorial(k)
-        # rounded to precision already; Scalar.big would cap it at MAX_PRECISION
-        return Scalar((mp.exp(zm) - partial) / zm ** (m - 1), precision)
-
-
-@_suite("ml-consistency", float_tol=_TOL_TRUNCATION)
+@_suite("ml-consistency", float_tol=_tol_truncation)
 def suite_ml_consistency(precision):
     """Truncated-series partial sums agree with adaptive evaluation."""
     order = 60
@@ -419,7 +417,7 @@ def suite_ml_consistency(precision):
     return {"order": order}
 
 
-@_suite("mleval-exp", float_tol=_TOL_ML)
+@_suite("mleval-exp", float_tol=_tol_ml)
 def suite_mleval_exp(precision):
     """E_{1,1} equals the exponential on a grid in [-2, 2]."""
     p = MLParams(1, 1)
@@ -484,7 +482,7 @@ def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_ma
                     yield eval_frac_expansion(closed, t, precision), caputo_quadrature_oracle(poly, ord_, t, precision)
 
 
-@_suite("theorem4", float_tol=_TOL_QUADRATURE, lam=(2, 3), orders=_CLOSED_FORM_ORDERS, max_degree=8)
+@_suite("theorem4", float_tol=_tol_oracle, lam=(2, 3), orders=_CLOSED_FORM_ORDERS, max_degree=8)
 def suite_theorem4(precision, lam, orders, max_degree):
     """Closed-form Caputo derivative of the lambda-weighted Bernoulli family."""
     families = [FamilyParams(FamilyKind.BERNOULLI, 1, l) for l in lam]
@@ -492,7 +490,7 @@ def suite_theorem4(precision, lam, orders, max_degree):
     return {"lambdas": [str(l) for l in lam], "orders": [str(a) for a in orders], "max_degree": max_degree}
 
 
-@_suite("theorem5", float_tol=_TOL_QUADRATURE, lam=(1, 2, 3), h=(1, 2), orders=_CLOSED_FORM_ORDERS,
+@_suite("theorem5", float_tol=_tol_oracle, lam=(1, 2, 3), h=(1, 2), orders=_CLOSED_FORM_ORDERS,
         max_degree=8)
 def suite_theorem5(precision, lam, h, orders, max_degree):
     """Higher-order closed form with the multinomial convolution inside."""
@@ -510,7 +508,7 @@ def suite_theorem5(precision, lam, h, orders, max_degree):
     }
 
 
-@_suite("theorem6", float_tol=_TOL_QUADRATURE, family=FamilyKind, alpha=(1,), lam=(2, 3),
+@_suite("theorem6", float_tol=_tol_oracle, family=FamilyKind, alpha=(1,), lam=(2, 3),
         orders=_CLOSED_FORM_ORDERS, max_degree=8, families=[
             FamilyParams(FamilyKind.BERNOULLI, 1, 2),
             FamilyParams(FamilyKind.EULER, 1, 2),
@@ -593,6 +591,7 @@ SUITE_ALIASES = {
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     cfg = cfg or RunConfig()
+    check_precision(cfg.precision)
     key = SUITE_ALIASES.get(name, name)
     if key not in SUITES:
         raise KeyError(name)

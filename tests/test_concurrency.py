@@ -118,7 +118,7 @@ def _float_jobs():
     """Lock-guarded float paths at several precisions, each returning raw
     mpf tuples or strings, so that equal results are equal bit for bit."""
     from fracpoly.families import Polynomial
-    from fracpoly.fractional import FracExpansion, FracTerm, eval_frac_expansion
+    from fracpoly.fractional import FracExpansion, eval_frac_expansion
     from fracpoly.scalars import Scalar, as_scalar, decimal_str
 
     def arithmetic(prec):
@@ -135,7 +135,7 @@ def _float_jobs():
         return [p.evaluate(t).value._mpf_ for t in (Fraction(1, 3), -2, Scalar.big(Fraction(3, 5), prec))]
 
     def expansion(prec):
-        e = FracExpansion(FracTerm(Scalar.big(Fraction(k + 2, 5), prec), Fraction(2 * k + 1, 2))
+        e = FracExpansion((Scalar.big(Fraction(k + 2, 5), prec), Fraction(2 * k + 1, 2))
                           for k in range(6))
         return [eval_frac_expansion(e, t, prec).value._mpf_ for t in (Fraction(1, 2), 1, 3)]
 

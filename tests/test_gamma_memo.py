@@ -24,7 +24,7 @@ ML_DYADIC = MLParams(Fraction(1, 2), Fraction(1, 4))
 EXPONENTS = (Fraction(1, 3), Fraction(7, 4), Fraction(5, 2))
 
 ROUTES = {
-    "rl_derivative_term": lambda prec: [rl_derivative_term(b, Fraction(1, 5), prec).coefficient
+    "rl_derivative_term": lambda prec: [rl_derivative_term(b, Fraction(1, 5), prec)[0]
                                         for b in EXPONENTS],
     "reciprocal_gamma": lambda prec: [reciprocal_gamma(x, prec) for x in ARGS],
     "ml_series": lambda prec: list(ml_series(ML, 8, prec).coeffs),

@@ -26,7 +26,6 @@ ALLOWED = {
     "families.Polynomial.__repr__": "debugging aid; no output renders a repr",
     "fractional.FracExpansion.__repr__": "debugging aid; no output renders a repr",
     "scalars.Scalar.__eq__": "without it two equal values compare unequal",
-    "scalars.Scalar.__bool__": "without it every Scalar is truthy, zero included",
     "fractional.FracExpansion.terms": "the public read-only view of an expansion's terms",
     "cli.main": "the console-script entry point; the calls below invoke the click group directly",
 }

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+import fracpoly.verify as verify
 from fracpoly.cli import cli
 from fracpoly.scalars import Scalar, as_scalar
 from fracpoly.errors import DomainError
@@ -339,6 +341,9 @@ def test_run_suite_api_rejects_unknown():
     # grids over the composition bound, refused before any suite runs
     ["verify", "higher-order", "--h", "8", "--max-degree", "11"],
     ["verify", "all", "--max-degree", "55"],
+    # precision below the minimum, refused before any tolerance is built
+    ["verify", "eq8", "--max-degree", "1", "--precision", "0"],
+    ["verify", "all", "--precision", "47"],
 ])
 def test_package_errors_exit_two_without_traceback(runner, args):
     start = time.perf_counter()
@@ -478,3 +483,80 @@ def test_help_shows_precision_variable_and_ranges(runner):
         out = " ".join(invoke(runner, cmd, "--help").output.split())
         assert "env var: FRACPOLY_PRECISION" in out
         assert "x>=0" in out
+
+
+@pytest.mark.parametrize("name", ["eval_frac_expansion", "caputo_quadrature_oracle"])
+def test_closed_form_suites_catch_a_relative_error_of_2_to_the_minus_40(monkeypatch, name):
+    # 128-bit arithmetic leaves errors near 2^-100, so either route of the
+    # oracle comparison biased by (1 + 2^-40) must fail
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: real(*args) * (1 + Fraction(1, 2 ** 40)))
+    report = run_suite("theorem4", RunConfig(lam=Fraction(2), orders=(Fraction(1, 2),), max_degree=3))
+    assert report.verdict == "fail"
+    assert report.tolerance < 2.0 ** -40
+
+
+# Exit-code fuzz over argument vectors of every subcommand: numbers draw
+# from valid values and edge strings, precision stays at or below 512 bits
+# (plus invalid values on both sides of the accepted range), degrees at or
+# below 6, and verify runs named suites up to degree 2, to bound the time.
+_EDGES = ("0", "-1", "1/0", "nan", "1e5000", "abc")
+_PRECISIONS = ("0", "47", "63", "64", "72", "96", "128", "200", "333", "512", "8193", "x")
+_FAMILIES = ("bernoulli", "euler", "genocchi")
+_H = ("1", "2", "0", "17", "x")
+
+
+@st.composite
+def _argv(draw, cmd):
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    def number(*valid):  # an edge string in one draw of four
+        return pick(*_EDGES) if draw(st.integers(0, 3)) == 3 else pick(*valid)
+
+    args = [cmd, "--precision", pick(*_PRECISIONS)]
+
+    def maybe(flag, value, *values):  # each optional flag in one call of three
+        if draw(st.integers(0, 2)) == 2:
+            args.extend([flag, value(*values)])
+
+    if cmd == "mleval":
+        args += ["--alpha", number("1", "1/2", "3/2"), "--z", number("1/2", "-1", "2", "-7/3", "5")]
+        maybe("--beta", number, "1", "2", "3", "1/3")
+        maybe("--tol", number, "1e-10", "1e-30")
+        if draw(st.booleans()):
+            args.append("--closed-form")
+    elif cmd == "verify":
+        args += draw(st.lists(st.sampled_from(sorted(SUITES)), min_size=1, max_size=2, unique=True))
+        args += ["--max-degree", pick("0", "1", "2")]
+        maybe("--family", pick, *_FAMILIES)
+        maybe("--alpha", number, "1", "1/2", "2")
+        maybe("--lambda", number, "1", "2", "1/2")
+        maybe("--h", pick, *_H)
+        maybe("--order", number, "1/2", "3/2", "1")
+        maybe("--tolerance", number, "1e-20")
+    else:
+        args += ["--max" if cmd == "numbers" else "--degree", number("1", "3", "6")]
+        maybe("--family", pick, *_FAMILIES)
+        maybe("--alpha", number, "1", "1/2", "2")
+        maybe("--lambda", number, "1", "2", "7/5")
+        maybe("--h", pick, *_H)
+        if cmd in ("fracderiv", "fracint"):
+            args += ["--order", number("1/2", "3/2", "1", "3/10")]
+            maybe("--at", number, "1/2", "2")
+        if cmd == "eval":
+            args += ["--at", number("1/2", "-1", "3")]
+    maybe("--format", pick, "text", "csv", "json")
+    return args
+
+
+@pytest.mark.parametrize("cmd", ["numbers", "poly", "eval", "mleval", "fracderiv", "fracint", "verify"])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_codes_fuzz(cmd, data):
+    args = data.draw(_argv(cmd))
+    r = CliRunner().invoke(cli, args)
+    assert r.exit_code in (0, 1, 2), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    if r.exit_code == 1:
+        assert args[0] == "verify" and "suite(s) failed" in r.output
