@@ -24,7 +24,7 @@ from .gammafns import multinomial
 from .mittag import MLParams, ml_series
 from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_scalar, check_precision,
                       domain_scope, join_precision, positive_rational, rational_in)
-from .series import TruncatedSeries, cauchy_product, reciprocal
+from .series import TruncatedSeries, _over_lcm, cauchy_product, reciprocal
 
 __all__ = [
     "FamilyKind",
@@ -137,11 +137,11 @@ def _exact_horner(values: tuple, x: Fraction) -> Fraction:
     """sum values[k] x^k for Fractions, as one integer Horner pass: with
     D the lcm of the denominators and x = p/q, the sum is
     (sum D values[k] p^k q^(n-k)) / (D q^n), normalized once."""
-    den = math.lcm(*[c.denominator for c in values])
+    nums, den = _over_lcm(values)
     p, q = x.numerator, x.denominator
     acc, q_pow = 0, 1
-    for c in reversed(values):
-        acc = acc * p + c.numerator * (den // c.denominator) * q_pow
+    for c in reversed(nums):
+        acc = acc * p + c * q_pow
         q_pow *= q
     return Fraction(acc, den * q ** (len(values) - 1))
 

@@ -244,7 +244,9 @@ def caputo_quadrature_oracle(
     rule has (d + 2) // 2 + 1 nodes for d = deg(q^(n)): the exactness minimum
     ceil((d + 1) / 2) plus one guard node, so the polynomial factor is
     integrated exactly by construction.  Integer orders bypass to the
-    ordinary derivative.
+    ordinary derivative.  The coefficients of q^(n) are converted to the
+    working precision once per call, and each node runs one Horner pass
+    on them.
     """
     check_precision(precision)
     t = positive_rational(t, "evaluation point")
@@ -261,11 +263,16 @@ def caputo_quadrature_oracle(
     weight_exp = n - a_exp - 1
     npoints = (dq.degree + 2) // 2 + 1
     nodes, weights = gauss_jacobi_rule(weight_exp, npoints, precision)
+    coeffs = dq._values_in(wp)[::-1]
     with working_precision(wp):
         tm = fraction_to_mpf(t, wp)
         acc = mp.mpf(0)
         for x, w in zip(nodes, weights):
-            acc += w * dq.evaluate(Scalar(tm * (1 + x) / 2, wp)).value
+            u = tm * (1 + x) / 2
+            val = 0
+            for c in coeffs:
+                val = val * u + c
+            acc += w * val
         front = (tm / 2) ** (mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
         total = acc * front / mpmath.gamma(mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
     return Scalar.big(total, precision)

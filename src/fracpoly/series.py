@@ -9,6 +9,8 @@ constructor), and every operation works on the raw values.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from operator import mul
 
 from .errors import IndexOutOfOrder, OrderMismatch, ValuationError, ZeroConstantTerm
@@ -76,6 +78,13 @@ def _joined(a: TruncatedSeries, b: TruncatedSeries):
     return a._joined(b)
 
 
+def _over_lcm(values: tuple) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm D of their
+    denominators, and D."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     x, y, prec = _joined(a, b)
     with domain_scope(prec):
@@ -85,10 +94,19 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """c_n = sum_{k<=n} a_k b_{n-k}, truncated at the common order.
 
-    Each sum starts from zero and adds its products in order of k, so the
-    float domain rounds every product and every partial sum once.
+    Exact operands are each scaled once to the lcm of their denominators,
+    Dx and Dy, so that c_n is one integer convolution over Dx*Dy, normalised
+    once by Fraction.  In the float domain each sum starts from zero and
+    adds its products in order of k, so it rounds every product and every
+    partial sum once.
     """
     x, y, prec = _joined(a, b)
+    if prec is None:
+        (xs, dx), (ys, dy) = _over_lcm(x), _over_lcm(y)
+        den = dx * dy
+        return TruncatedSeries._raw(
+            [Fraction(sum(map(mul, xs[: n + 1], ys[n::-1])), den) for n in range(len(xs))], None
+        )
     with domain_scope(prec):
         return TruncatedSeries._raw(
             [sum(map(mul, x[: n + 1], y[n::-1])) for n in range(len(x))], prec

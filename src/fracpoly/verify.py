@@ -137,20 +137,23 @@ class _Check:
 
     def values(self, got, want, float_tol: Fraction):
         got, want = as_scalar(got), as_scalar(want)
+        exact = got.is_exact and want.is_exact
         # the tolerance policy: an override applies to every comparison;
         # otherwise two exact values must agree exactly, and a float on
         # either side gets the float tolerance
         if self.override is not None:
             tol = self.override
         else:
-            tol = _EXACT if got.is_exact and want.is_exact else float_tol
+            tol = _EXACT if exact else float_tol
+        self.comparisons += 1
+        self.max_tol = max(self.max_tol, tol)
+        if exact and got.value == want.value:
+            return  # a zero error moves no maximum and fails no tolerance >= 0
         a, b = got.as_fraction(), want.as_fraction()
         abs_err = abs(a - b)
         rel_err = abs_err / max(Fraction(1), abs(a), abs(b))
-        self.comparisons += 1
         self.max_abs = max(self.max_abs, abs_err)
         self.max_rel = max(self.max_rel, rel_err)
-        self.max_tol = max(self.max_tol, tol)
         if rel_err > tol:
             self.failures += 1
 

@@ -27,7 +27,8 @@ from fracpoly.fractional import (
     rl_integral_poly,
 )
 from fracpoly.gammafns import reciprocal_gamma
-from fracpoly.scalars import Scalar, as_scalar, mpf_to_fraction, working_precision
+from fracpoly.quadrature import gauss_jacobi_rule
+from fracpoly.scalars import Scalar, as_scalar, fraction_to_mpf, mpf_to_fraction, working_precision
 
 HALF = Fraction(1, 2)
 TOL = Fraction(1, 10 ** 24)
@@ -485,3 +486,60 @@ def test_frac_expansion_merges_and_drops():
     )
     assert len(e) == 1
     assert e.terms[0][1] == 1
+
+
+def reference_oracle(q, ord, t, precision):
+    """The oracle evaluating q^(n) through Polynomial.evaluate at each node."""
+    t = Fraction(t)
+    n = ord.n
+    dq = q
+    for _ in range(n):
+        dq = dq.derivative()
+    if ord.is_integer:
+        return dq.evaluate(t)
+    wp = precision + 32
+    nodes, weights = gauss_jacobi_rule(n - ord.alpha - 1, (dq.degree + 2) // 2 + 1, precision)
+    with working_precision(wp):
+        tm = fraction_to_mpf(t, wp)
+        acc = mp.mpf(0)
+        for x, w in zip(nodes, weights):
+            acc += w * dq.evaluate(Scalar(tm * (1 + x) / 2, wp)).value
+        e = mp.mpf(n) - mp.mpf(ord.alpha.numerator) / ord.alpha.denominator
+        total = acc * (tm / 2) ** e / mp.gamma(e)
+    return Scalar.big(total, precision)
+
+
+_ORACLE_COEFFS = (Fraction(3, 7), -2, Fraction(5, 11), 1, Fraction(-1, 3), Fraction(2, 9), Fraction(7, 5))
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512])
+@pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), 1, 2])
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_oracle_matches_per_node_evaluation_bit_for_bit(precision, order, domain):
+    coeffs = _ORACLE_COEFFS if domain == "exact" else [Scalar.big(Fraction(c), precision) for c in _ORACLE_COEFFS]
+    q = Polynomial(coeffs)
+    ord_, t = CaputoOrder(order), Fraction(3, 5)
+    got, want = caputo_quadrature_oracle(q, ord_, t, precision), reference_oracle(q, ord_, t, precision)
+    assert got.precision == want.precision
+    if got.is_exact:
+        assert got.value == want.value
+    else:
+        assert got.value._mpf_ == want.value._mpf_
+
+
+def test_oracle_reaches_neither_series_nor_spouge(monkeypatch):
+    # the oracle is an independent route: it must not run the series
+    # kernels or the package's gamma
+    import fracpoly.gammafns as gammafns
+    import fracpoly.series as series
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the quadrature oracle reached another route's code")
+
+    polys = [Polynomial(_ORACLE_COEFFS), Polynomial([Scalar.big(Fraction(c), 128) for c in _ORACLE_COEFFS])]
+    for module, name in ((series, "cauchy_product"), (series, "reciprocal"),
+                         (gammafns, "_spouge"), (gammafns, "_rgamma")):
+        monkeypatch.setattr(module, name, unreachable)
+    for q in polys:
+        value = caputo_quadrature_oracle(q, CaputoOrder(Fraction(3, 2)), Fraction(1, 2), 128)
+        assert value.precision == 128 and value.value != 0

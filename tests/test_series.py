@@ -208,3 +208,40 @@ def test_multiply_exp_additive(coeffs, x, y):
     lhs = times_exp(times_exp(A, x), y)
     rhs = times_exp(A, x + y)
     assert lhs.coeffs == rhs.coeffs
+
+
+def fraction_convolution(x, y):
+    """Reference: the exact Cauchy product as a plain Fraction convolution."""
+    return [sum((Fraction(x[k]) * Fraction(y[n - k]) for k in range(n + 1)), Fraction(0)) for n in range(len(x))]
+
+
+_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    fracs,
+    st.integers(-10**30, 10**30).map(Fraction),
+    # denominators above 2^200, so the lcm scaling meets long integers
+    st.builds(Fraction, st.integers(-10**70, 10**70), st.integers(2**200 + 1, 2**240)),
+)
+
+
+@st.composite
+def _exact_pair(draw):
+    size = draw(st.integers(1, 12))  # order 0 up to 11
+    coeff = st.integers(-10**6, 10**6).map(Fraction) if draw(st.booleans()) else _coefficients
+    return [draw(st.lists(coeff, min_size=size, max_size=size)) for _ in range(2)]
+
+
+@settings(max_examples=80)
+@given(_exact_pair(), st.sampled_from([None, 96]))
+def test_exact_product_equals_fraction_convolution(pair, float_prec):
+    x, y = pair
+    got = cauchy_product(ts(*x), ts(*y))
+    assert all(c.is_exact and type(c.value) is Fraction for c in got.coeffs)
+    assert [c.value for c in got.coeffs] == fraction_convolution(x, y)
+    if float_prec is not None:
+        # one float operand sends the pair down the float path, which
+        # rounds like the Scalar loop
+        fy = ts(*(Scalar.big(v, float_prec) for v in y))
+        mixed = cauchy_product(ts(*x), fy)
+        assert all(c.precision == float_prec for c in mixed.coeffs)
+        assert same_bits(mixed.coeffs, loop_product(ts(*x).coeffs, fy.coeffs))

@@ -560,3 +560,98 @@ def test_cli_exit_codes_fuzz(cmd, data):
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     if r.exit_code == 1:
         assert args[0] == "verify" and "suite(s) failed" in r.output
+
+
+def test_exact_tolerance_fails_an_error_of_ten_to_the_minus_60(monkeypatch):
+    # the equal-exact fast path of the bookkeeping must not hide an
+    # unequal exact pair: one coefficient of the e^{xz} lift is off by 10^-60
+    import fracpoly.series as series
+
+    real = series.cauchy_product
+
+    def off(a, b):
+        c = real(a, b)
+        if not c.coeffs[0].is_exact:
+            return c
+        values = [v.value for v in c.coeffs]
+        values[-1] += Fraction(1, 10**60)
+        return series.TruncatedSeries(values)
+
+    monkeypatch.setattr(series, "cauchy_product", off)
+    grid = dict(family="bernoulli", alpha=Fraction(1), lam=Fraction(2), max_degree=4)
+    for tolerance in (None, Fraction(0)):
+        report = run_suite("theorem1", RunConfig(tolerance=tolerance, **grid))
+        assert report.verdict == "fail"
+        assert report.tolerance == 0.0 and report.max_rel_err > 0
+
+
+def reference_check(pairs, override):
+    """The comparison bookkeeping with every pair through Fraction arithmetic."""
+    comparisons = failures = 0
+    max_abs = max_rel = Fraction(0)
+    max_tol = Fraction(0) if override is None else override
+    for got, want, float_tol in pairs:
+        got, want = as_scalar(got), as_scalar(want)
+        if override is not None:
+            tol = override
+        else:
+            tol = Fraction(0) if got.is_exact and want.is_exact else float_tol
+        a, b = got.as_fraction(), want.as_fraction()
+        abs_err = abs(a - b)
+        rel_err = abs_err / max(Fraction(1), abs(a), abs(b))
+        comparisons += 1
+        max_abs, max_rel, max_tol = max(max_abs, abs_err), max(max_rel, rel_err), max(max_tol, tol)
+        failures += rel_err > tol
+    return comparisons, failures, max_abs, max_rel, max_tol
+
+
+@pytest.mark.parametrize("override", [None, Fraction(0), Fraction(1, 10**20)])
+def test_check_bookkeeping_matches_fraction_arithmetic(override):
+    tiny = Fraction(1, 10**60)
+    float_tol = Fraction(1, 2**100)
+    pairs = [
+        (Fraction(3, 7), Fraction(3, 7)), (0, Fraction(0)), (5, 5), (-2, Fraction(-2)),
+        (Fraction(1, 3), Fraction(1, 3) + tiny), (7, 8), (Fraction(0), tiny),
+        (Fraction(1, 2), Scalar.big(Fraction(1, 2), 128)), (Fraction(1, 3), Scalar.big(Fraction(1, 3), 128)),
+        (Scalar.big(Fraction(2, 3), 96), Scalar.big(Fraction(2, 3), 96)),
+        (Scalar.big(Fraction(2, 3), 96), Scalar.big(Fraction(2, 3), 128)),
+        (Scalar.big(0, 64), 0), (Fraction(9, 4), Fraction(9, 4)),
+    ]
+    check = verify._Check(override)
+    for got, want in pairs:
+        check.values(got, want, float_tol)
+    want = reference_check([(g, w, float_tol) for g, w in pairs], override)
+    assert (check.comparisons, check.failures, check.max_abs, check.max_rel, check.max_tol) == want
+    assert want[1] > 0  # the list holds failing pairs, so the maxima moved
+
+
+@pytest.mark.parametrize("name, suite", [("_rgamma", "eq5"), ("_gamma_positive", "eq10")])
+def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, name, suite):
+    # 128-bit gamma is good to about 2^-120, so a (1 + 2^-40) factor on
+    # either gamma route must flip a suite to fail.  The same check at 64
+    # bits waits for tolerances from an error budget (ROADMAP): the
+    # identity class 2^(48-p) is 2^-16 there and passes this error.
+    from mpmath import mp
+
+    import fracpoly.families as families
+    import fracpoly.gammafns as gammafns
+    import fracpoly.mittag as mittag
+
+    def clear_caches():
+        gammafns._spouge_memo.cache_clear()
+        families._series_cache.clear()
+
+    real = getattr(gammafns, name)
+
+    def biased(x, precision):
+        return real(x, precision) * (1 + mp.mpf(2) ** -40)
+
+    assert run_suite(suite, RunConfig(precision=128)).verdict == "pass"
+    clear_caches()
+    monkeypatch.setattr(gammafns, name, biased)
+    if hasattr(mittag, name):  # mittag binds _rgamma by name at import
+        monkeypatch.setattr(mittag, name, biased)
+    try:
+        assert run_suite(suite, RunConfig(precision=128)).verdict == "fail"
+    finally:
+        clear_caches()
