@@ -17,7 +17,6 @@ from .errors import (
     DegreeTooLow,
     DomainError,
     FracPolyError,
-    IndexOutOfOrder,
     OrderMismatch,
     ToleranceUnreachable,
     ValuationError,
@@ -96,7 +95,6 @@ __all__ = [
     "OrderMismatch",
     "ZeroConstantTerm",
     "ValuationError",
-    "IndexOutOfOrder",
     "DegenerateDenominator",
     "ConvergenceEnvelopeExceeded",
     "ToleranceUnreachable",

@@ -23,10 +23,6 @@ class ValuationError(FracPolyError, ValueError):
     """A series division cannot cancel the denominator's leading power."""
 
 
-class IndexOutOfOrder(FracPolyError, IndexError):
-    """Coefficient index beyond the truncation order."""
-
-
 class DegenerateDenominator(FracPolyError, ZeroDivisionError):
     """A family generating-function denominator vanishes identically."""
 

@@ -22,9 +22,9 @@ from typing import Iterable
 from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
-from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_scalar, check_precision,
-                      domain_scope, join_precision, positive_rational, rational_in)
-from .series import TruncatedSeries, _over_lcm, cauchy_product, reciprocal
+from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_rational, as_scalar,
+                      check_precision, domain_scope, join_precision, positive_rational, rational_in)
+from .series import TruncatedSeries, _over_lcm, cauchy_product, reciprocal, series_add
 
 __all__ = [
     "FamilyKind",
@@ -161,7 +161,7 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     v = 1 if (p.kind is FamilyKind.BERNOULLI and p.lam == 1) else 0
     m = order + v
     e_alpha = ml_series(MLParams(p.alpha, 1), m, precision)
-    den = e_alpha.scale(p.lam) + TruncatedSeries.constant(shift, m)
+    den = series_add(e_alpha.scale(p.lam), TruncatedSeries.constant(shift, m))
     try:
         inverse = reciprocal(den.shift_down(v))
     except ZeroConstantTerm as exc:
@@ -215,10 +215,7 @@ def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISIO
 
 def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRECISION) -> tuple[Scalar, ...]:
     """EGF coefficients of the number generating function, indices 0..max_index."""
-    s = family_series(p, max_index, precision)
-    prec = s._prec
-    with domain_scope(prec):
-        return tuple([Scalar(v * rational_in(math.factorial(k), prec), prec) for k, v in enumerate(s._values)])
+    return family_series(p, max_index, precision).egf()
 
 
 def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
@@ -240,9 +237,11 @@ def integral_over_unit_interval(
     Computed from the exact antiderivative; equals
     (P_{n+1}(x+1) - P_{n+1}(x)) / (n+1).
     """
-    xs = as_scalar(x)
+    x = as_rational(x)
     anti = family_polynomial(p, n, precision).antiderivative()
-    return anti.evaluate(xs + 1) - anti.evaluate(xs)
+    hi, lo = anti.evaluate(x + 1), anti.evaluate(x)
+    with domain_scope(anti._prec):
+        return Scalar(hi.value - lo.value, anti._prec)
 
 
 def _compositions(total: int, parts: int):
@@ -270,15 +269,11 @@ def multinomial_number_product(
     """Sum over compositions of r into h parts of multinomial(s) * prod B_{s_j}(lambda).
 
     Termwise equal to the number r of FamilyParams("bernoulli", 1, lambda,
-    h), the h-fold convolution.  Refused when there are more than
+    h), the h-fold convolution, and exact: the numbers at alpha = 1 are
+    exact for every rational lambda.  Refused when there are more than
     MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
     """
     check_compositions(r, h)
-    nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r, precision)
-    total = as_scalar(0)
-    for parts in _compositions(r, h):
-        prod = multinomial(parts)
-        for s in parts:
-            prod = prod * nums[s]
-        total = total + prod
-    return total
+    nums = [b.value for b in family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r, precision)]
+    return as_scalar(sum(math.prod([nums[s] for s in parts], start=multinomial(parts))
+                         for parts in _compositions(r, h)))

@@ -29,7 +29,8 @@ from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
 from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_rational, as_scalar, check_precision,
-                      fraction_to_mpf, positive_rational, working_precision)
+                      domain_scope, fraction_to_mpf, join_precision, positive_rational, rational_in,
+                      working_precision)
 
 __all__ = [
     "CaputoOrder",
@@ -67,19 +68,28 @@ class FracExpansion:
     """Finite sum of real-power terms, as (coefficient, exponent) pairs sorted
     by strictly increasing exponent, each exponent an exact rational.
 
+    The constructor takes each coefficient as a number or as a tuple of
+    factors, and computes every coefficient in one domain, joined over all
+    factors, in one precision scope.  A product follows one rounding rule:
+    the exact factors up to the first float are multiplied exactly and
+    rounded once, and each later factor is rounded before it multiplies.
     Nonzero terms of equal exponent merge, their coefficients summed in
     input order; terms that cancel are dropped.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[Scalar, Fraction]]):
-        merged: dict[Fraction, Scalar] = {}
-        for c, e in terms:
-            if c:
-                prev = merged.get(e)
-                merged[e] = c if prev is None else prev + c
-        self._terms = tuple((merged[e], e) for e in sorted(merged) if merged[e])
+    def __init__(self, terms: Iterable[tuple[ScalarLike | tuple[ScalarLike, ...], Fraction]]):
+        terms = [([as_scalar(f) for f in (c if isinstance(c, tuple) else (c,))], e) for c, e in terms]
+        prec = join_precision(*[f.precision for factors, _ in terms for f in factors])
+        merged: dict[Fraction, object] = {}
+        with domain_scope(prec):
+            for factors, e in terms:
+                c = _product(factors, prec)
+                if c:
+                    prev = merged.get(e)
+                    merged[e] = c if prev is None else prev + c
+        self._terms = tuple((Scalar(merged[e], prec), e) for e in sorted(merged) if merged[e])
 
     @property
     def terms(self) -> tuple[tuple[Scalar, Fraction], ...]:
@@ -96,6 +106,16 @@ class FracExpansion:
         return f"FracExpansion({body or '0'})"
 
 
+def _product(factors: list[Scalar], prec: int | None):
+    """The raw product of the factors in the domain ``prec`` by the one
+    rounding rule of :class:`FracExpansion`."""
+    first_float = next((i for i, f in enumerate(factors) if not f.is_exact), len(factors))
+    acc = rational_in(math.prod([f.value for f in factors[:first_float]], start=Fraction(1)), prec)
+    for f in factors[first_float:]:
+        acc *= f.raw_in(prec)
+    return acc
+
+
 def rl_derivative_term(
     beta: ScalarLike, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
 ) -> tuple[Scalar, Fraction]:
@@ -107,8 +127,8 @@ def rl_derivative_term(
     rational falling factorial (or its reciprocal for negative alpha), with
     an exact zero at a pole of the denominator gamma.  Non-integer alpha
     gives beta! / gamma(beta-alpha+1) at an integer beta, the exact
-    factorial rounded once as Scalar arithmetic rounds it, and the quotient
-    of two reciprocal gammas elsewhere.
+    factorial rounded once before it multiplies, and the quotient of two
+    reciprocal gammas elsewhere.
     """
     check_precision(precision)
     b, a = as_rational(beta), as_rational(alpha)
@@ -122,9 +142,14 @@ def rl_derivative_term(
             coeff = as_scalar(1 / math.prod(b + i for i in range(1, 1 + _bounded(-k))))
     elif b.denominator == 1:
         # reciprocal_gamma refuses an argument above its cap before the factorial runs
-        coeff = reciprocal_gamma(b - a + 1, precision) * math.factorial(b.numerator)
+        top = reciprocal_gamma(b - a + 1, precision).value
+        with working_precision(precision):
+            coeff = Scalar(top * rational_in(math.factorial(b.numerator), precision), precision)
     else:
-        coeff = reciprocal_gamma(b - a + 1, precision) / reciprocal_gamma(b + 1, precision)
+        top = reciprocal_gamma(b - a + 1, precision).raw_in(precision)
+        bottom = reciprocal_gamma(b + 1, precision).value
+        with working_precision(precision):
+            coeff = Scalar(top / bottom, precision)
     return coeff, b - a
 
 
@@ -133,7 +158,7 @@ def _termwise(pairs: Iterable[tuple[Scalar, ScalarLike]], order: ScalarLike, pre
     terms = []
     for c, e in pairs:
         d, de = rl_derivative_term(e, order, precision)
-        terms.append((c * d, de))
+        terms.append(((c, d), de))
     return FracExpansion(terms)
 
 
@@ -196,7 +221,7 @@ def leibniz_product(
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
                     d, de = rl_derivative_term(j, a - k, precision)
-                    terms.append((w * cf * cg * d, i + de))
+                    terms.append(((w, cf, cg, d), i + de))
         fk = fk.derivative()
         if fk.is_zero():
             break
@@ -229,8 +254,8 @@ def caputo_closed_form(
     terms = []
     for k in range(m - n + 1):
         rg = reciprocal_gamma(n + k + 1 - ord.alpha, precision)
-        coeff = pref * math.factorial(k) * math.comb(m - n, k) * numbers[m - n - k] * rg
-        terms.append((coeff, k + n - ord.alpha))
+        factors = (pref, math.factorial(k), math.comb(m - n, k), numbers[m - n - k], rg)
+        terms.append((factors, k + n - ord.alpha))
     return FracExpansion(terms)
 
 

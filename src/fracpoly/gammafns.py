@@ -206,21 +206,21 @@ def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scala
     return Scalar.big(v, precision)
 
 
-def generalized_binomial(alpha: ScalarLike, k: int) -> Scalar:
+def generalized_binomial(alpha: ScalarLike, k: int) -> Fraction:
     """binom(alpha, k) = alpha(alpha-1)...(alpha-k+1)/k!, exact for a
     rational upper index (a float one counts as its exact binary value)."""
     if k < 0:
         raise DomainError(f"lower index must be nonnegative, got {k}")
     a = as_rational(alpha)
-    return as_scalar(math.prod((a - i for i in range(k)), start=Fraction(1)) / math.factorial(k))
+    return math.prod((a - i for i in range(k)), start=Fraction(1)) / math.factorial(k)
 
 
-def multinomial(parts) -> Scalar:
-    """(sum parts)! / prod(parts_i!), exact."""
+def multinomial(parts) -> int:
+    """(sum parts)! / prod(parts_i!)."""
     parts = list(parts)
     if any((not isinstance(p, int)) or p < 0 for p in parts):
         raise DomainError(f"multinomial expects nonnegative integers, got {parts}")
     total = math.factorial(sum(parts))
     for p in parts:
         total //= math.factorial(p)
-    return as_scalar(total)
+    return total

@@ -1,12 +1,13 @@
 """Coefficient domains: exact rationals and explicit-precision big floats.
 
-Every quantity the package computes lives in a :class:`Scalar`, which is
-either an exact ``fractions.Fraction`` (normalized, arbitrary size) or an
-mpmath float tagged with the precision in bits it was computed at.
-Arithmetic between two exact scalars stays exact; any operation touching a
-float promotes to a float at the larger of the operand precisions.
-Parameters, orders, exponents and evaluation points are not computed: they
-are plain Fractions, coerced once by :func:`as_rational`.
+A computed value is either an exact ``fractions.Fraction`` (normalized,
+arbitrary size) or an mpmath float at a precision in bits.  A computation
+joins its operands' domains (:func:`join_precision`): exact when every
+operand is exact, else floats at the largest precision, and it runs on the
+raw values in one precision scope.  :class:`Scalar` hands one value with
+its domain across the boundary; it does no arithmetic.  Parameters, orders,
+exponents and evaluation points are not computed: they are plain
+Fractions, coerced once by :func:`as_rational`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def fraction_to_mpf(q: Fraction, bits: int):
 
 
 class Scalar:
-    """A number in one of the two coefficient domains.
+    """A read-only number in one of the two coefficient domains, as the
+    package hands it out.
 
     Use :func:`as_scalar` to coerce plain Python numbers, or :meth:`big` to
     construct a float.  Python floats coerce to their exact dyadic
@@ -138,30 +140,6 @@ class Scalar:
             return self._val
         return fraction_to_mpf(self._val, prec)
 
-    # -- arithmetic --------------------------------------------------
-
-    def _binary(self, other, op):
-        other = as_scalar(other)
-        prec = join_precision(self._prec, other._prec)
-        with domain_scope(prec):
-            return Scalar(op(self.raw_in(prec), other.raw_in(prec)), prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
     # -- comparisons (numeric, exact across domains) ------------------
 
     def __eq__(self, other):
@@ -170,9 +148,6 @@ class Scalar:
         except (TypeError, ValueError):
             return NotImplemented
         return self.as_fraction() == other.as_fraction()
-
-    def __bool__(self):
-        return self._val != 0
 
     # -- conversions / rendering --------------------------------------
 
@@ -188,12 +163,12 @@ class Scalar:
 ScalarLike = Union[Scalar, int, Fraction, float, str]
 
 
-def as_scalar(x: ScalarLike, precision: int | None = None) -> Scalar:
+def as_scalar(x: ScalarLike) -> Scalar:
     """Coerce a Python number to a Scalar.
 
     ints, Fractions and decimal/ratio strings become exact rationals; a
-    Python float becomes its exact dyadic value; mpmath floats become big
-    floats at ``precision`` (default 128).
+    Python float becomes its exact dyadic value.  An mpmath float is
+    refused: :meth:`Scalar.big` takes one with its precision.
     """
     if isinstance(x, Scalar):
         return x
@@ -208,15 +183,13 @@ def as_scalar(x: ScalarLike, precision: int | None = None) -> Scalar:
         if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
             raise DomainError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {x!r}")
         return Scalar(Fraction(x), None)
-    if isinstance(x, mp.mpf):
-        return Scalar.big(x, precision or DEFAULT_PRECISION)
     raise TypeError(f"cannot interpret {type(x).__name__} as a Scalar")
 
 
 def as_rational(x: ScalarLike) -> Fraction:
     """A parameter, order, exponent or evaluation point as the exact
-    rational it stands for; a float, Python's or a big one, gives its exact
-    binary value."""
+    rational it stands for; a float, a Python one or a float Scalar, gives
+    its exact binary value."""
     return as_scalar(x).as_fraction()
 
 
@@ -231,8 +204,7 @@ def positive_rational(x: ScalarLike, name: str) -> Fraction:
 
 def rational_in(q: Fraction | int, precision: int | None):
     """The rational q as a raw value of the domain ``precision``: a
-    Fraction, or an mpf rounded once as :meth:`Scalar.raw_in` rounds it, so
-    that products with it round exactly as ``Scalar`` arithmetic does."""
+    Fraction, or an mpf rounded once as :meth:`Scalar.raw_in` rounds it."""
     return Fraction(q) if precision is None else fraction_to_mpf(q, precision)
 
 

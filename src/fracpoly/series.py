@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import IndexOutOfOrder, OrderMismatch, ValuationError, ZeroConstantTerm
+from .errors import OrderMismatch, ValuationError, ZeroConstantTerm
 from .scalars import Coefficients, Scalar, ScalarLike, as_scalar, domain_scope, rational_in
 
 __all__ = [
@@ -34,11 +34,6 @@ class TruncatedSeries(Coefficients):
     def order(self) -> int:
         return len(self._values) - 1
 
-    def coeff(self, k: int) -> Scalar:
-        if k < 0 or k > self.order:
-            raise IndexOutOfOrder(f"coefficient {k} of a series truncated at order {self.order}")
-        return Scalar(self._values[k], self._prec)
-
     @classmethod
     def constant(cls, value: ScalarLike, order: int) -> "TruncatedSeries":
         return cls([value] + [0] * order)
@@ -55,15 +50,13 @@ class TruncatedSeries(Coefficients):
         """Multiply by z^v, keeping the truncation order."""
         return self._raw(((rational_in(0, self._prec),) * v + self._values)[: self.order + 1], self._prec)
 
-    def __add__(self, other):
-        return series_add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return cauchy_product(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    def egf(self) -> tuple[Scalar, ...]:
+        """The coefficients read as those of an exponential generating
+        function: coefficient k times k!, the factorial rounded once to a
+        float domain before it multiplies."""
+        prec = self._prec
+        with domain_scope(prec):
+            return tuple([Scalar(v * rational_in(math.factorial(k), prec), prec) for k, v in enumerate(self._values)])
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])

@@ -56,8 +56,9 @@ from .fractional import (
     rl_derivative_term,
 )
 from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
-from .scalars import DEFAULT_PRECISION, Scalar, as_rational, as_scalar, check_precision, working_precision
-from .series import exp_series
+from .scalars import (DEFAULT_PRECISION, Scalar, as_rational, as_scalar, check_precision, domain_scope,
+                      rational_in, working_precision)
+from .series import cauchy_product, exp_series
 from mpmath import mp
 
 __all__ = [
@@ -335,9 +336,9 @@ def suite_theorem1(precision, family, alpha, lam, max_degree):
         series = family_series(p, max_degree, precision)
         polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
         for x in range(max_degree + 1):
-            lifted = series * exp_series(x, max_degree)
+            lifted = cauchy_product(series, exp_series(x, max_degree)).egf()
             for n in range(x, max_degree + 1):
-                yield polys[n].evaluate(x), lifted.coeff(n) * math.factorial(n)
+                yield polys[n].evaluate(x), lifted[n]
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
@@ -363,7 +364,11 @@ def _unit_interval(precision, families, n_max: int, lag: int):
         for n in range(n_max + 1):
             for x in _THEOREM3_XS:
                 got = integral_over_unit_interval(p, n, x, precision)
-                yield got, (polys[n + 1].evaluate(x + 1) - polys[n + 1 - lag].evaluate(x)) / (n + 1)
+                hi, lo = polys[n + 1].evaluate(x + 1), polys[n + 1 - lag].evaluate(x)
+                prec = hi.precision
+                with domain_scope(prec):
+                    want = (hi.value - lo.value) / rational_in(n + 1, prec)
+                yield got, Scalar(want, prec)
 
 
 @_suite("theorem3", **_THEOREM3_AXES)
@@ -405,18 +410,15 @@ def suite_ml_consistency(precision):
         for b in (1, 2, 3):
             p = MLParams(a, b)
             series = ml_series(p, order, precision)
+            values, prec = series._values, series._prec
             # ml_eval's default 2^(24-p) is 9.1e-13 at 64 bits, above the
             # truncation tolerance; 2^(14-p) is below it from 64 bits up and
             # above the 2^(12-p) floor ml_eval accepts
             tol = Fraction(1, 2 ** (precision - 14))
             for z in zs:
-                zs_scalar = as_scalar(z)
-                acc = as_scalar(0)
-                power = as_scalar(1)
-                for k in range(order + 1):
-                    acc = acc + series.coeff(k) * power
-                    power = power * zs_scalar
-                yield acc, ml_eval(p, z, tol=tol, precision=precision)
+                with domain_scope(prec):
+                    acc = sum(c * rational_in(Fraction(z) ** k, prec) for k, c in enumerate(values))
+                yield Scalar(acc, prec), ml_eval(p, z, tol=tol, precision=precision)
     return {"order": order}
 
 

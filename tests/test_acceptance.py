@@ -133,9 +133,9 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
                     series = real(p, order, precision)
                     if (p.kind is _kind and p.alpha == 1 and p.lam == 1
                             and p.h == 1 and _idx <= order):
-                        coeffs = list(series.coeffs)
-                        coeffs[_idx] = coeffs[_idx] + Fraction(1, math.factorial(_idx))
-                        series = TruncatedSeries(coeffs)
+                        values = [c.value for c in series.coeffs]  # exact at alpha = lambda = 1
+                        values[_idx] += Fraction(1, math.factorial(_idx))
+                        series = TruncatedSeries(values)
                     return series
 
                 monkeypatch.setattr(families, "_family_series_cached", corrupted)

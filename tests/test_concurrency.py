@@ -119,16 +119,19 @@ def _float_jobs():
     mpf tuples or strings, so that equal results are equal bit for bit."""
     from fracpoly.families import Polynomial
     from fracpoly.fractional import FracExpansion, eval_frac_expansion
-    from fracpoly.scalars import Scalar, as_scalar, decimal_str
+    from fracpoly.scalars import Scalar, decimal_str, fraction_to_mpf, working_precision
 
-    def arithmetic(prec):
+    def products(prec):
         x, y = Scalar.big(Fraction(1, 3), prec), Scalar.big(Fraction(-2, 7), prec)
-        vals = [x + y, x - y, x * y, x / y, (x + 1) * (x + 1), 1 + y, Fraction(5, 11) * x]
-        return [v.value._mpf_ for v in vals]
+        e = FracExpansion([((x, y), 0), ((Fraction(5, 11), x, 3), 1), ((y, y, Fraction(1, 7)), 2),
+                           (x, 3), (y, 3), ((2, Fraction(1, 3)), 4)])
+        return [c.value._mpf_ for c, _ in e]
 
     def decimal(prec):
-        x = Scalar.big(Fraction(22, 7), prec)
-        return [decimal_str(v) for v in (x, x / 3, x * x, x / -10**9)]
+        with working_precision(prec):
+            x = fraction_to_mpf(Fraction(22, 7), prec)
+            vals = (x, x / 3, x * x, x / -10**9)
+        return [decimal_str(Scalar(v, prec)) for v in vals]
 
     def polynomial(prec):
         p = Polynomial([Scalar.big(Fraction(k + 1, 2 * k + 3), prec) for k in range(9)])
@@ -139,7 +142,7 @@ def _float_jobs():
                           for k in range(6))
         return [eval_frac_expansion(e, t, prec).value._mpf_ for t in (Fraction(1, 2), 1, 3)]
 
-    return [(fn, prec) for fn in (arithmetic, decimal, polynomial, expansion) for prec in (64, 128, 256)]
+    return [(fn, prec) for fn in (products, decimal, polynomial, expansion) for prec in (64, 128, 256)]
 
 
 def test_concurrent_float_paths_match_serial_bit_for_bit():

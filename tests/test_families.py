@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from fracpoly.errors import DomainError
 from fracpoly.families import (
@@ -13,7 +14,7 @@ from fracpoly.families import (
     integral_over_unit_interval,
     multinomial_number_product,
 )
-from fracpoly.scalars import Scalar, as_scalar
+from fracpoly.scalars import Scalar, fraction_to_mpf, mpf_to_fraction, working_precision
 
 
 def bernoulli_recurrence(n_max):
@@ -115,24 +116,28 @@ def test_eval_polynomial():
 
 
 def test_polynomial_operations_round_like_scalar_loops():
-    # one domain per polynomial; each operation must round as the
-    # coefficient-at-a-time Scalar loops do
+    # one domain per polynomial; each operation must round as
+    # coefficient-at-a-time loops on the raw values do, in the joined domain
     f = Polynomial([Scalar.big(Fraction(k - 3, 2 * k + 1), 96) for k in range(7)])
     g = Polynomial([Fraction(1, 3), -2, Fraction(5, 7)])
     x = Scalar.big(Fraction(-5, 3), 128)
+    fv = [c.value for c in f.coeffs]
 
     def bits(values):
         return [(c.precision, c.as_fraction()) for c in values]
 
-    acc = as_scalar(0)
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    assert bits([f.evaluate(x)]) == bits([acc])
-    assert bits(f.scale(g.coeffs[2]).coeffs) == bits([c * g.coeffs[2] for c in f.coeffs])
-    assert bits(f.derivative().coeffs) == bits([c * k for k, c in enumerate(f.coeffs) if k])
-    assert bits(f.antiderivative().coeffs) == bits(
-        [Scalar.big(0, 96)] + [c / (k + 1) for k, c in enumerate(f.coeffs)]
-    )
+    with working_precision(128):
+        acc = 0
+        for c in reversed(fv):
+            acc = acc * x.value + c
+    assert bits([f.evaluate(x)]) == [(128, mpf_to_fraction(acc))]
+    with working_precision(96):
+        scaled = [c * fraction_to_mpf(Fraction(5, 7), 96) for c in fv]
+        derived = [c * k for k, c in enumerate(fv) if k]
+        integrated = [mp.mpf(0)] + [c / (k + 1) for k, c in enumerate(fv)]
+    assert bits(f.scale(g.coeffs[2]).coeffs) == [(96, mpf_to_fraction(v)) for v in scaled]
+    assert bits(f.derivative().coeffs) == [(96, mpf_to_fraction(v)) for v in derived]
+    assert bits(f.antiderivative().coeffs) == [(96, mpf_to_fraction(v)) for v in integrated]
     assert f.scale(g.coeffs[0]).coeffs[0].precision == 96 and g.scale(g.coeffs[0]).coeffs[0].is_exact
 
 
@@ -182,9 +187,9 @@ def test_addition_identity_matches_series_route():
                 for x in (0, 1, Fraction(1, 2), -2):
                     lifted = cauchy_product(series, exp_series(x, series.order))
                     for n in range(11):
-                        want = lifted.coeff(n) * math.factorial(n)
+                        want = lifted.coeffs[n].value * math.factorial(n)  # exact at integer alpha
                         got = family_polynomial(p, n).evaluate(x)
-                        assert got == want
+                        assert got.value == want
 
 
 def test_integral_over_unit_interval_examples():
@@ -204,8 +209,8 @@ def test_integral_identity_corrected():
                     nxt = family_polynomial(p, n + 1)
                     for x in (0, Fraction(1, 2), -1, 3):
                         got = integral_over_unit_interval(p, n, x)
-                        want = (nxt.evaluate(as_scalar(x) + 1) - nxt.evaluate(x)) / (n + 1)
-                        assert got == want
+                        want = (nxt.evaluate(x + 1).value - nxt.evaluate(x).value) / (n + 1)
+                        assert got.value == want
 
 
 def test_integral_identity_literal_fails():
@@ -217,8 +222,8 @@ def test_integral_identity_literal_fails():
         nxt = family_polynomial(p, n + 1)
         for x in (0, Fraction(1, 2), -1, 3):
             got = integral_over_unit_interval(p, n, x)
-            literal = (nxt.evaluate(as_scalar(x) + 1) - cur.evaluate(x)) / (n + 1)
-            if got != literal:
+            literal = (nxt.evaluate(x + 1).value - cur.evaluate(x).value) / (n + 1)
+            if got.value != literal:
                 broken = True
     assert broken
 

@@ -129,12 +129,34 @@ def test_caputo_poly_linearity_b2():
     assert_term(e.terms[1], c32, Fraction(3, 2))
 
 
+def test_expansion_products_follow_one_rounding_rule():
+    # exact factors up to the first float multiply exactly and round once;
+    # each later factor rounds before it multiplies.  These factors tell
+    # the rule from multiplying every exact factor first, and from rounding
+    # each exact factor on its own
+    prec = 64
+    x = Scalar.big(Fraction(1, 3), prec)
+    p, q, r = Fraction(3, 8), Fraction(24, 49), Fraction(5, 12)
+    got = FracExpansion([((p, q, x, r, x), 0)]).terms[0][0]
+    with working_precision(prec):
+        want = fraction_to_mpf(p * q, prec) * x.value * fraction_to_mpf(r, prec) * x.value
+        exact_first = fraction_to_mpf(p * q * r, prec) * x.value * x.value
+        each = fraction_to_mpf(p, prec) * fraction_to_mpf(q, prec) * x.value * fraction_to_mpf(r, prec) * x.value
+    assert want != exact_first and want != each
+    assert got.precision == prec and got.value == want
+    # equal exponents sum in input order, after each product is formed
+    merged = FracExpansion([((p, q, x, r, x), 0), ((x, p), 0), (r, 1)])
+    with working_precision(prec):
+        total = want + x.value * fraction_to_mpf(p, prec)
+    assert [(c.value, e) for c, e in merged] == [(total, 0), (fraction_to_mpf(r, prec), 1)]
+
+
 def test_caputo_linearity_random():
     ord_ = CaputoOrder(Fraction(3, 10))
     f = Polynomial([1, -2, Fraction(3, 7), 0, 5])
     g = Polynomial([0, 4, 0, Fraction(-1, 3), 2])
     lhs = caputo_derivative_poly(
-        Polynomial([a + b for a, b in zip(f.coeffs, g.coeffs)]), ord_
+        Polynomial([a.value + b.value for a, b in zip(f.coeffs, g.coeffs)]), ord_
     )
     # the constructor merges the terms of equal exponent
     rhs = FracExpansion([*caputo_derivative_poly(f, ord_), *caputo_derivative_poly(g, ord_)])
@@ -175,10 +197,11 @@ def test_rl_derivative_term_integer_exponent_rounds_factorial_once(a, prec):
     # multiplied by 1/gamma(b-a+1): the bits of a float gamma(b+1) times it
     for b in range(31):
         got, x = rl_derivative_term(b, a, prec)
-        want = Scalar.big(math.factorial(b), prec) * reciprocal_gamma(b - a + 1, prec)
+        with working_precision(prec):
+            want = fraction_to_mpf(math.factorial(b), prec) * reciprocal_gamma(b - a + 1, prec).value
         assert x == b - a
         assert got.precision == prec
-        assert got.value._mpf_ == want.value._mpf_, b
+        assert got.value._mpf_ == want._mpf_, b
 
 
 @pytest.mark.parametrize("prec", [64, 128, 333])
@@ -195,7 +218,7 @@ def test_rl_derivative_term_non_integer_exponent(prec):
                 want = mpf_to_fraction(mp.gamma(bm + 1) * mp.rgamma(bm - am + 1))
             assert abs(got.as_fraction() - want) <= tol * abs(want), (b, a)
     # b - a + 1 = -1 is a pole of the denominator gamma: the term vanishes
-    assert not rl_derivative_term(Fraction(1, 3), Fraction(7, 3), prec)[0]
+    assert rl_derivative_term(Fraction(1, 3), Fraction(7, 3), prec)[0].value == 0
 
 
 def test_rl_derivative_composes_with_power_rule():
@@ -434,7 +457,7 @@ def test_inverse_property():
             # real exponents through the RL derivative of matching order
             back = FracExpansion(
                 [
-                    (c * rl_derivative_term(x, alpha)[0], rl_derivative_term(x, alpha)[1])
+                    ((c, rl_derivative_term(x, alpha)[0]), rl_derivative_term(x, alpha)[1])
                     for c, x in integ
                 ]
             )

@@ -27,20 +27,20 @@ def test_params_domain():
 def test_series_exponential():
     s = ml_series(MLParams(1, 1), 5)
     for n in range(6):
-        assert s.coeff(n).value == Fraction(1, math.factorial(n))
+        assert s.coeffs[n].value == Fraction(1, math.factorial(n))
 
 
 def test_series_beta_two():
     s = ml_series(MLParams(1, 2), 3)
     for n in range(4):
-        assert s.coeff(n).value == Fraction(1, math.factorial(n + 1))
+        assert s.coeffs[n].value == Fraction(1, math.factorial(n + 1))
 
 
 def test_series_alpha_two():
     # direct gamma(2n+1) oracle
     s = ml_series(MLParams(2, 1), 4)
     for n in range(5):
-        assert s.coeff(n).value == Fraction(1, math.factorial(2 * n))
+        assert s.coeffs[n].value == Fraction(1, math.factorial(2 * n))
 
 
 def test_series_float_domain_when_not_integer():
@@ -49,7 +49,7 @@ def test_series_float_domain_when_not_integer():
     # n = 1 coefficient is 1/gamma(3/2) = 2/sqrt(pi)
     with working_precision(168):
         want = mpf_to_fraction(2 / mp.sqrt(mp.pi))
-    assert abs(s.coeff(1).as_fraction() - want) <= Fraction(1, 2 ** 118)
+    assert abs(s.coeffs[1].as_fraction() - want) <= Fraction(1, 2 ** 118)
 
 
 def test_eval_exponential_value():
@@ -138,17 +138,12 @@ def test_series_eval_consistency():
             p = MLParams(a, b)
             s = ml_series(p, order, 128)
             for z in zs:
-                from fracpoly.scalars import as_scalar
-                accs = as_scalar(0)
-                power = as_scalar(1)
-                zz = as_scalar(z)
-                for k in range(order + 1):
-                    accs = accs + s.coeff(k) * power
-                    power = power * zz
+                # the partial sum of the stored coefficients, in exact arithmetic
+                accs = sum(c.as_fraction() * Fraction(z) ** k for k, c in enumerate(s.coeffs))
                 got = ml_eval(p, z, precision=128)
                 # the order-60 truncation tail dominates (about 1e-15 at
                 # alpha=1/2, z=2); 1e-14 is the honest consistency bound
-                assert abs(accs.as_fraction() - got.as_fraction()) <= Fraction(1, 10 ** 14) * max(
+                assert abs(accs - got.as_fraction()) <= Fraction(1, 10 ** 14) * max(
                     1, abs(got.as_fraction())
                 )
 
@@ -203,4 +198,4 @@ def test_series_coefficients_match_mpmath_at_large_arguments(alpha, prec):
             for n in range(81):
                 arg = alpha * n + beta
                 want = mpf_to_fraction(mp.rgamma(mp.mpf(arg.numerator) / arg.denominator))
-                assert rel(s.coeff(n), want) <= tol, (beta, n)
+                assert rel(s.coeffs[n], want) <= tol, (beta, n)

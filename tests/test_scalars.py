@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from fracpoly.errors import DomainError
+from fracpoly.fractional import FracExpansion
 from fracpoly.scalars import (
     DEFAULT_PRECISION,
     MAX_DECIMAL_EXPONENT,
@@ -18,6 +19,7 @@ from fracpoly.scalars import (
     mpf_to_fraction,
     working_precision,
 )
+from fracpoly.series import TruncatedSeries, cauchy_product, reciprocal, series_add
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -51,21 +53,34 @@ def test_string_exponent_is_bounded_before_parsing():
 
 
 def test_exact_arithmetic_stays_exact():
-    a = as_scalar(Fraction(1, 3))
-    b = as_scalar(Fraction(1, 6))
-    assert (a + b).is_exact and (a + b).value == Fraction(1, 2)
-    assert (a * b).value == Fraction(1, 18)
-    assert (a / b).value == 2
-    assert (a - b).value == Fraction(1, 6)
+    # Scalar does no arithmetic; the containers compute, and exact stays exact
+    a = TruncatedSeries([Fraction(1, 3), 1])
+    b = TruncatedSeries([Fraction(1, 6), -2])
+    assert [c.value for c in series_add(a, b).coeffs] == [Fraction(1, 2), -1]
+    assert [c.value for c in cauchy_product(a, b).coeffs] == [Fraction(1, 18), Fraction(-1, 2)]
+    assert [c.value for c in reciprocal(b).coeffs] == [6, 72]
+    assert all(c.is_exact for c in a.scale(Fraction(2, 3)).coeffs)
+    assert [(c.value, e) for c, e in FracExpansion([((Fraction(1, 3), 2), 1)])] == [(Fraction(2, 3), 1)]
 
 
 def test_mixed_promotes_to_max_precision():
+    # a container joins its inputs' domains once: the largest precision, or
+    # exact when every input is exact
     a = Scalar.big(1, 96)
     b = Scalar.big(2, 192)
     c = as_scalar(Fraction(1, 3))
-    assert (a + b).precision == 192
-    assert (a + c).precision == 96
-    assert (c * c).is_exact
+    assert {x.precision for x in TruncatedSeries([a, b]).coeffs} == {192}
+    assert {x.precision for x in TruncatedSeries([a, c]).coeffs} == {96}
+    assert TruncatedSeries([c, c]).coeffs[0].is_exact
+    assert TruncatedSeries([c]).scale(a).coeffs[0].precision == 96
+    assert {x.precision for x, _ in FracExpansion([(c, 0), ((c, a), 1), (b, 2)])} == {192}
+
+
+def test_as_scalar_refuses_an_mpf():
+    # an mpf carries no working precision of its own: Scalar.big names one
+    with pytest.raises(TypeError):
+        as_scalar(mp.mpf(1))
+    assert Scalar.big(mp.mpf(1), 96).precision == 96
 
 
 def test_big_requires_min_precision():
@@ -110,11 +125,13 @@ def test_fraction_to_mpf_rounds_once():
 
 @given(fracs, fracs)
 def test_exact_field_ops(a, b):
-    sa, sb = as_scalar(a), as_scalar(b)
-    assert (sa + sb).value == a + b
-    assert (sa * sb).value == a * b
+    # the containers' exact arithmetic is Fraction arithmetic
+    sa, sb = TruncatedSeries.constant(a, 0), TruncatedSeries.constant(b, 0)
+    assert series_add(sa, sb).coeffs[0].value == a + b
+    assert cauchy_product(sa, sb).coeffs[0].value == a * b
+    assert [c.value for c, _ in FracExpansion([((a, b), 0)])] == ([a * b] if a * b else [])
     if b != 0:
-        assert (sa / sb).value == Fraction(a, 1) / b
+        assert reciprocal(sb).coeffs[0].value == 1 / b
 
 
 def test_decimal_str_roundtrips():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
-from fracpoly.errors import IndexOutOfOrder, OrderMismatch, ZeroConstantTerm
-from fracpoly.scalars import Scalar, as_scalar
+from fracpoly.errors import OrderMismatch, ZeroConstantTerm
+from fracpoly.scalars import Scalar, domain_scope, join_precision, working_precision
 from fracpoly.series import (
     TruncatedSeries,
     cauchy_product,
@@ -23,7 +24,7 @@ def ts(*coeffs):
 
 def egf(a, n):
     """n! times the ordinary coefficient: the value attached to z^n/n!."""
-    return a.coeff(n) * math.factorial(n)
+    return a.egf()[n]
 
 
 def times_exp(a, x):
@@ -41,10 +42,10 @@ def bernoulli_recurrence(n_max):
 
 
 def test_series_add_examples():
-    assert (ts(1, 1) + ts(1, -1)).coeffs == ts(2, 0).coeffs
+    assert series_add(ts(1, 1), ts(1, -1)).coeffs == ts(2, 0).coeffs
     a = ts(3, Fraction(1, 2), -1)
     assert series_add(a, TruncatedSeries.constant(0, 2)).coeffs == a.coeffs
-    assert (ts(1, 1, 1) + ts(0, 0, 1)).coeffs == ts(1, 1, 2).coeffs
+    assert series_add(ts(1, 1, 1), ts(0, 0, 1)).coeffs == ts(1, 1, 2).coeffs
 
 
 def test_series_add_order_mismatch():
@@ -53,14 +54,14 @@ def test_series_add_order_mismatch():
 
 
 def test_cauchy_product_examples():
-    assert (ts(1, 1, 0) * ts(1, 1, 0)).coeffs == ts(1, 2, 1).coeffs
+    assert cauchy_product(ts(1, 1, 0), ts(1, 1, 0)).coeffs == ts(1, 2, 1).coeffs
     a = ts(2, -3, Fraction(5, 7))
     assert cauchy_product(a, TruncatedSeries.constant(1, 2)).coeffs == a.coeffs
     # e^z * e^z = e^{2z}: ordinary coefficients 2^k / k!
     e = exp_series(1, 4)
     prod = cauchy_product(e, e)
     for k in range(5):
-        assert prod.coeff(k).value == Fraction(2 ** k, math.factorial(k))
+        assert prod.coeffs[k].value == Fraction(2 ** k, math.factorial(k))
 
 
 def test_reciprocal_examples():
@@ -124,31 +125,45 @@ def test_egf_coefficient_examples():
     e = exp_series(1, 8)
     assert egf(e, 7).value == 1
     assert egf(TruncatedSeries.constant(0, 5), 3).value == 0
-    with pytest.raises(IndexOutOfOrder):
-        e.coeff(9)
+    assert len(e.egf()) == 9 and all(c.value == 1 for c in e.egf())
+    # in a float domain, k! is rounded to the precision before it multiplies
+    f = ts(*[Scalar.big(Fraction(1, 3), 64)] * 25)
+    with working_precision(64):
+        want = f.coeffs[24].value * mp.mpf(math.factorial(24))
+    assert egf(f, 24).precision == 64 and egf(f, 24).value == want
 
 
-def loop_product(ac, bc):
-    """Reference: the Cauchy product one Scalar operation at a time."""
+def joined_values(*series):
+    """The raw coefficient values of the series in their joined domain, and its precision."""
+    prec = join_precision(*[s.coeffs[0].precision for s in series])
+    return [[c.raw_in(prec) for c in s.coeffs] for s in series], prec
+
+
+def loop_product(a, b):
+    """Reference: the Cauchy product one raw-value operation at a time."""
+    (x, y), prec = joined_values(a, b)
     out = []
-    for n in range(len(ac)):
-        s = as_scalar(0)
-        for k in range(n + 1):
-            s = s + ac[k] * bc[n - k]
-        out.append(s)
+    with domain_scope(prec):
+        for n in range(len(x)):
+            s = 0
+            for k in range(n + 1):
+                s = s + x[k] * y[n - k]
+            out.append(Scalar(s, prec))
     return out
 
 
-def loop_reciprocal(ac):
-    """Reference: the reciprocal recurrence one Scalar operation at a time."""
-    inv0 = as_scalar(1) / ac[0]
-    out = [inv0]
-    for n in range(1, len(ac)):
-        s = as_scalar(0)
-        for k in range(1, n + 1):
-            s = s + ac[k] * out[n - k]
-        out.append((as_scalar(0) - inv0) * s)
-    return out
+def loop_reciprocal(a):
+    """Reference: the reciprocal recurrence one raw-value operation at a time."""
+    (x,), prec = joined_values(a)
+    with domain_scope(prec):
+        inv0 = 1 / x[0]
+        out = [inv0]
+        for n in range(1, len(x)):
+            s = 0
+            for k in range(1, n + 1):
+                s = s + x[k] * out[n - k]
+            out.append((0 - inv0) * s)
+    return [Scalar(v, prec) for v in out]
 
 
 def same_bits(got, want):
@@ -158,23 +173,31 @@ def same_bits(got, want):
 @pytest.mark.parametrize("prec_a, prec_b", [(96, None), (None, 160), (96, 160), (128, 128)])
 def test_float_kernels_round_like_scalar_loops(prec_a, prec_b):
     # mixed domains are promoted once in the container; the kernels must
-    # still round every product and partial sum as the Scalar loops do
+    # still round every product and partial sum as raw-value loops in the
+    # joined domain do
     def series(prec, seed):
         vals = [Fraction((7 * k + seed) % 11 - 5, 3 + (k * seed) % 7) for k in range(13)]
         vals[0] = Fraction(seed, 3)
         return ts(*(v if prec is None else Scalar.big(v, prec) for v in vals))
 
     a, b = series(prec_a, 2), series(prec_b, 5)
-    assert same_bits(cauchy_product(a, b).coeffs, loop_product(a.coeffs, b.coeffs))
-    assert same_bits(series_add(a, b).coeffs, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-    assert same_bits(reciprocal(a).coeffs, loop_reciprocal(a.coeffs))
+    assert same_bits(cauchy_product(a, b).coeffs, loop_product(a, b))
+    (x, y), prec = joined_values(a, b)
+    with domain_scope(prec):
+        sums = [Scalar(u + v, prec) for u, v in zip(x, y)]
+    assert same_bits(series_add(a, b).coeffs, sums)
+    assert same_bits(reciprocal(a).coeffs, loop_reciprocal(a))
     f = Scalar.big(Fraction(5, 7), 112)
-    assert same_bits(a.scale(f).coeffs, [f * c for c in a.coeffs])
+    prec = join_precision(f.precision, prec_a)
+    with working_precision(prec):
+        scaled = [Scalar(f.value * c.raw_in(prec), prec) for c in a.coeffs]
+    assert same_bits(a.scale(f).coeffs, scaled)
     x = Scalar.big(Fraction(-3, 7), 100)
-    want = [Scalar.big(1, 100)]
-    for k in range(1, 13):
-        want.append(want[-1] * x / k)
-    assert same_bits(exp_series(x, 12).coeffs, want)
+    with working_precision(100):
+        want = [mp.mpf(1)]
+        for k in range(1, 13):
+            want.append(want[-1] * x.value / k)
+    assert same_bits(exp_series(x, 12).coeffs, [Scalar(v, 100) for v in want])
 
 
 @settings(max_examples=60)
@@ -240,8 +263,8 @@ def test_exact_product_equals_fraction_convolution(pair, float_prec):
     assert [c.value for c in got.coeffs] == fraction_convolution(x, y)
     if float_prec is not None:
         # one float operand sends the pair down the float path, which
-        # rounds like the Scalar loop
+        # rounds like the raw-value loop
         fy = ts(*(Scalar.big(v, float_prec) for v in y))
         mixed = cauchy_product(ts(*x), fy)
         assert all(c.precision == float_prec for c in mixed.coeffs)
-        assert same_bits(mixed.coeffs, loop_product(ts(*x).coeffs, fy.coeffs))
+        assert same_bits(mixed.coeffs, loop_product(ts(*x), fy))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracpoly.verify as verify
 from fracpoly.cli import cli
-from fracpoly.scalars import Scalar, as_scalar
+from fracpoly.scalars import Scalar, as_scalar, fraction_to_mpf, working_precision
 from fracpoly.errors import DomainError
 from fracpoly.verify import SUITES, RunConfig, check_grids, run_suite, unread_fields
 
@@ -490,7 +490,13 @@ def test_closed_form_suites_catch_a_relative_error_of_2_to_the_minus_40(monkeypa
     # 128-bit arithmetic leaves errors near 2^-100, so either route of the
     # oracle comparison biased by (1 + 2^-40) must fail
     real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: real(*args) * (1 + Fraction(1, 2 ** 40)))
+
+    def biased(*args):
+        v = real(*args)
+        with working_precision(v.precision):
+            return Scalar(v.value * fraction_to_mpf(1 + Fraction(1, 2 ** 40), v.precision), v.precision)
+
+    monkeypatch.setattr(verify, name, biased)
     report = run_suite("theorem4", RunConfig(lam=Fraction(2), orders=(Fraction(1, 2),), max_degree=3))
     assert report.verdict == "fail"
     assert report.tolerance < 2.0 ** -40
@@ -555,7 +561,10 @@ def _argv(draw, cmd):
 @given(data=st.data())
 def test_cli_exit_codes_fuzz(cmd, data):
     args = data.draw(_argv(cmd))
+    start = time.perf_counter()
     r = CliRunner().invoke(cli, args)
+    # every drawn call is bounded: one that ran away would hang the CLI
+    assert time.perf_counter() - start < 10, args
     assert r.exit_code in (0, 1, 2), r.output
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     if r.exit_code == 1:
@@ -565,22 +574,26 @@ def test_cli_exit_codes_fuzz(cmd, data):
 def test_exact_tolerance_fails_an_error_of_ten_to_the_minus_60(monkeypatch):
     # the equal-exact fast path of the bookkeeping must not hide an
     # unequal exact pair: one coefficient of the e^{xz} lift is off by 10^-60
-    import fracpoly.series as series
+    from fracpoly.series import TruncatedSeries
 
-    real = series.cauchy_product
+    real = verify.cauchy_product
+    calls = []
 
     def off(a, b):
         c = real(a, b)
-        if not c.coeffs[0].is_exact:
+        calls.append(c.coeffs[0].is_exact)
+        if not calls[-1]:
             return c
         values = [v.value for v in c.coeffs]
         values[-1] += Fraction(1, 10**60)
-        return series.TruncatedSeries(values)
+        return TruncatedSeries(values)
 
-    monkeypatch.setattr(series, "cauchy_product", off)
+    monkeypatch.setattr(verify, "cauchy_product", off)
     grid = dict(family="bernoulli", alpha=Fraction(1), lam=Fraction(2), max_degree=4)
     for tolerance in (None, Fraction(0)):
+        calls.clear()
         report = run_suite("theorem1", RunConfig(tolerance=tolerance, **grid))
+        assert calls and all(calls)  # the mutation reached every exact lift
         assert report.verdict == "fail"
         assert report.tolerance == 0.0 and report.max_rel_err > 0
 
