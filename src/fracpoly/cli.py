@@ -235,9 +235,7 @@ def fracderiv(family, alpha, lam, h, precision, fmt, degree, order, at_):
 def _route_values(expansion, polynomial, ord_, at_, precision):
     if at_ is None:
         return None
-    value = eval_frac_expansion(expansion, at_, precision) if len(expansion) \
-        else Scalar.big(0, precision)
-    routes = [["closed-form", str(value)]]
+    routes = [["closed-form", str(eval_frac_expansion(expansion, at_, precision))]]
     if ord_ is not None:
         routes.append(["quadrature", str(caputo_quadrature_oracle(polynomial, ord_, at_, precision))])
     return routes

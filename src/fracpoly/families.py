@@ -22,8 +22,8 @@ from typing import Iterable
 from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
-from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_rational, as_scalar,
-                      check_precision, domain_scope, join_precision, positive_rational, rational_in)
+from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_rational, as_raw, check_precision,
+                      domain_scope, join_precision, positive_rational, raw_in)
 from .series import TruncatedSeries, _over_lcm, cauchy_product, reciprocal, series_add
 
 __all__ = [
@@ -101,11 +101,11 @@ class Polynomial(Coefficients):
         return not any(self._values)
 
     def evaluate(self, x: ScalarLike) -> Scalar:
-        xs = as_scalar(x)
-        prec = join_precision(self._prec, xs.precision)
+        xv, xprec = as_raw(x)
+        prec = join_precision(self._prec, xprec)
         if prec is None:
-            return Scalar(_exact_horner(self._values, xs.value), None)
-        xv = xs.raw_in(prec)
+            return Scalar(_exact_horner(self._values, xv), None)
+        xv = raw_in(xv, prec)
         acc = 0
         with domain_scope(prec):
             for c in reversed(self._values_in(prec)):
@@ -113,21 +113,20 @@ class Polynomial(Coefficients):
         return Scalar(acc, prec)
 
     def derivative(self) -> "Polynomial":
-        if len(self._values) == 1:
-            return Polynomial([0])
         with domain_scope(self._prec):
-            return self._raw([c * k for k, c in enumerate(self._values) if k], self._prec)
+            out = [c * k for k, c in enumerate(self._values) if k]
+        return self._raw(out or [raw_in(0, self._prec)], self._prec)
 
     def antiderivative(self) -> "Polynomial":
         with domain_scope(self._prec):
             out = [c / (k + 1) for k, c in enumerate(self._values)]
-        return self._raw([rational_in(0, self._prec)] + out, self._prec)
+        return self._raw([raw_in(0, self._prec)] + out, self._prec)
 
     def monomials(self):
-        """Yield (coefficient, power) pairs for nonzero coefficients."""
+        """Yield raw (coefficient, power) pairs for nonzero coefficients."""
         for k, c in enumerate(self._values):
             if c:
-                yield Scalar(c, self._prec), k
+                yield c, k
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -213,7 +212,7 @@ def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISIO
     return _family_series_cached(p, order, precision)
 
 
-def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRECISION) -> tuple[Scalar, ...]:
+def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRECISION) -> Coefficients:
     """EGF coefficients of the number generating function, indices 0..max_index."""
     return family_series(p, max_index, precision).egf()
 
@@ -223,9 +222,9 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     nums = family_numbers(p, n, precision)
-    prec = nums[0].precision
+    prec, values = nums._prec, nums._values
     with domain_scope(prec):
-        coeffs = [rational_in(math.comb(n, k), prec) * nums[k].value for k in range(n, -1, -1)]
+        coeffs = [raw_in(math.comb(n, k), prec) * values[k] for k in range(n, -1, -1)]
     return Polynomial._raw(coeffs, prec)
 
 
@@ -263,17 +262,14 @@ def check_compositions(r: int, h: int) -> None:
         raise DomainError(f"more than {MAX_COMPOSITIONS} compositions of {r} into {h} parts to sum")
 
 
-def multinomial_number_product(
-    lam: ScalarLike, h: int, r: int, precision: int = DEFAULT_PRECISION
-) -> Scalar:
+def multinomial_number_product(lam: ScalarLike, h: int, r: int) -> Fraction:
     """Sum over compositions of r into h parts of multinomial(s) * prod B_{s_j}(lambda).
 
     Termwise equal to the number r of FamilyParams("bernoulli", 1, lambda,
     h), the h-fold convolution, and exact: the numbers at alpha = 1 are
-    exact for every rational lambda.  Refused when there are more than
-    MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
+    exact for every rational lambda, at any precision.  Refused when there
+    are more than MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
     """
     check_compositions(r, h)
-    nums = [b.value for b in family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r, precision)]
-    return as_scalar(sum(math.prod([nums[s] for s in parts], start=multinomial(parts))
-                         for parts in _compositions(r, h)))
+    nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r)._values
+    return sum(math.prod([nums[s] for s in parts], start=multinomial(parts)) for parts in _compositions(r, h))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import mpmath
 from mpmath import mp
@@ -28,9 +28,9 @@ from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import (DEFAULT_PRECISION, ZERO, Scalar, ScalarLike, as_rational, as_scalar, check_precision,
-                      domain_scope, fraction_to_mpf, join_precision, positive_rational, rational_in,
-                      working_precision)
+from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, Scalar, ScalarLike, as_rational, as_raw,
+                      as_scalar, check_precision, domain_scope, fraction_to_mpf, join_precision, positive_rational,
+                      raw_in, working_precision)
 
 __all__ = [
     "CaputoOrder",
@@ -64,9 +64,9 @@ class CaputoOrder:
         return self.alpha.denominator == 1
 
 
-class FracExpansion:
-    """Finite sum of real-power terms, as (coefficient, exponent) pairs sorted
-    by strictly increasing exponent, each exponent an exact rational.
+class FracExpansion(Coefficients):
+    """Finite sum of real-power terms: coefficients, each with an exact
+    rational exponent, strictly increasing; :attr:`terms` pairs them up.
 
     The constructor takes each coefficient as a number or as a tuple of
     factors, and computes every coefficient in one domain, joined over all
@@ -77,42 +77,52 @@ class FracExpansion:
     input order; terms that cancel are dropped.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_exponents",)
 
     def __init__(self, terms: Iterable[tuple[ScalarLike | tuple[ScalarLike, ...], Fraction]]):
-        terms = [([as_scalar(f) for f in (c if isinstance(c, tuple) else (c,))], e) for c, e in terms]
-        prec = join_precision(*[f.precision for factors, _ in terms for f in factors])
+        terms = [([as_raw(f) for f in (c if isinstance(c, tuple) else (c,))], e) for c, e in terms]
+        prec = join_precision(*[p for factors, _ in terms for _, p in factors])
+        self._merge([([v for v, _ in factors], e) for factors, e in terms], prec)
+
+    @classmethod
+    def _products(cls, terms: Iterable[tuple[tuple, Fraction]], precision: int | None) -> "FracExpansion":
+        """The expansion of (raw factors, exponent) terms in the joined domain ``precision``."""
+        out = object.__new__(cls)
+        out._merge(terms, precision)
+        return out
+
+    def _merge(self, terms, prec: int | None) -> None:
         merged: dict[Fraction, object] = {}
         with domain_scope(prec):
             for factors, e in terms:
                 c = _product(factors, prec)
                 if c:
-                    prev = merged.get(e)
-                    merged[e] = c if prev is None else prev + c
-        self._terms = tuple((Scalar(merged[e], prec), e) for e in sorted(merged) if merged[e])
+                    merged[e] = merged[e] + c if e in merged else c
+        exponents = [e for e in sorted(merged) if merged[e]]
+        self._values, self._prec, self._exponents = tuple([merged[e] for e in exponents]), prec, tuple(exponents)
 
     @property
     def terms(self) -> tuple[tuple[Scalar, Fraction], ...]:
-        return self._terms
+        return tuple(zip(self.coeffs, self._exponents))
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self.terms)
 
-    def __len__(self):
-        return len(self._terms)
+    def scale(self, factor: ScalarLike) -> "FracExpansion":
+        return FracExpansion([((c, factor), e) for c, e in self])
 
     def __repr__(self):
-        body = " + ".join(f"({c})*t^({e})" for c, e in self._terms)
+        body = " + ".join(f"({c})*t^({e})" for c, e in self)
         return f"FracExpansion({body or '0'})"
 
 
-def _product(factors: list[Scalar], prec: int | None):
-    """The raw product of the factors in the domain ``prec`` by the one
+def _product(factors, prec: int | None):
+    """The raw product of raw factors in the domain ``prec`` by the one
     rounding rule of :class:`FracExpansion`."""
-    first_float = next((i for i, f in enumerate(factors) if not f.is_exact), len(factors))
-    acc = rational_in(math.prod([f.value for f in factors[:first_float]], start=Fraction(1)), prec)
+    first_float = next((i for i, f in enumerate(factors) if not isinstance(f, EXACT_TYPES)), len(factors))
+    acc = raw_in(math.prod(factors[:first_float], start=Fraction(1)), prec)
     for f in factors[first_float:]:
-        acc *= f.raw_in(prec)
+        acc *= raw_in(f, prec)
     return acc
 
 
@@ -144,22 +154,23 @@ def rl_derivative_term(
         # reciprocal_gamma refuses an argument above its cap before the factorial runs
         top = reciprocal_gamma(b - a + 1, precision).value
         with working_precision(precision):
-            coeff = Scalar(top * rational_in(math.factorial(b.numerator), precision), precision)
+            coeff = Scalar(top * raw_in(math.factorial(b.numerator), precision), precision)
     else:
-        top = reciprocal_gamma(b - a + 1, precision).raw_in(precision)
+        top = raw_in(reciprocal_gamma(b - a + 1, precision).value, precision)
         bottom = reciprocal_gamma(b + 1, precision).value
         with working_precision(precision):
             coeff = Scalar(top / bottom, precision)
     return coeff, b - a
 
 
-def _termwise(pairs: Iterable[tuple[Scalar, ScalarLike]], order: ScalarLike, precision: int) -> FracExpansion:
-    """sum c D^order t^e over the (c, e) pairs, one power-rule step each."""
+def _termwise(pairs: Iterable[tuple], prec: int | None, order: ScalarLike, precision: int) -> FracExpansion:
+    """sum c D^order t^e over raw (c, e) pairs in the domain ``prec``, one power-rule step each."""
     terms = []
     for c, e in pairs:
         d, de = rl_derivative_term(e, order, precision)
-        terms.append(((c, d), de))
-    return FracExpansion(terms)
+        prec = join_precision(prec, d.precision)
+        terms.append(((c, d.value), de))
+    return FracExpansion._products(terms, prec)
 
 
 def caputo_derivative_poly(
@@ -167,7 +178,7 @@ def caputo_derivative_poly(
 ) -> FracExpansion:
     """Termwise Caputo derivative of a polynomial in t."""
     check_precision(precision)
-    return _termwise([(c, j) for c, j in q.monomials() if j >= ord.n], ord.alpha, precision)
+    return _termwise([(c, j) for c, j in q.monomials() if j >= ord.n], q._prec, ord.alpha, precision)
 
 
 def rl_integral_poly(
@@ -175,15 +186,15 @@ def rl_integral_poly(
 ) -> FracExpansion:
     """Riemann-Liouville integral of order alpha > 0, termwise power rule."""
     check_precision(precision)
-    return _termwise(q.monomials(), -positive_rational(alpha, "integral order"), precision)
+    return _termwise(q.monomials(), q._prec, -positive_rational(alpha, "integral order"), precision)
 
 
-def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple[Fraction, Scalar, Scalar]]:
-    """(exponent, coefficient in a, coefficient in b) over the union of the
-    exponents, with an exact zero where one side has no term."""
-    amap = {e: c for c, e in a}
-    bmap = {e: c for c, e in b}
-    return [(e, amap.get(e, ZERO), bmap.get(e, ZERO)) for e in sorted(set(amap) | set(bmap))]
+def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple]:
+    """(exponent, raw coefficient in a, raw coefficient in b) over the union
+    of the exponents, with an exact zero where one side has no term."""
+    amap = dict(zip(a._exponents, a._values))
+    bmap = dict(zip(b._exponents, b._values))
+    return [(e, amap.get(e, Fraction(0)), bmap.get(e, Fraction(0))) for e in sorted(set(amap) | set(bmap))]
 
 
 def caputo_by_composition(
@@ -197,9 +208,9 @@ def caputo_by_composition(
     negative exponent, where the Caputo derivative is zero.
     """
     check_precision(precision)
-    composed = _termwise(q.monomials(), ord.alpha - ord.n, precision)  # I^(n-alpha)
+    composed = _termwise(q.monomials(), q._prec, ord.alpha - ord.n, precision)  # I^(n-alpha)
     for _ in range(ord.n):
-        composed = _termwise(composed, 1, precision)
+        composed = _termwise(zip(composed._values, composed._exponents), composed._prec, 1, precision)
     return composed
 
 
@@ -214,6 +225,7 @@ def leibniz_product(
     check_precision(precision)
     a = positive_rational(alpha, "order")
     terms = []
+    prec = join_precision(f._prec, g._prec)
     fk = f
     for k in range(f.degree + 1):
         w = generalized_binomial(a, k)
@@ -221,11 +233,12 @@ def leibniz_product(
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
                     d, de = rl_derivative_term(j, a - k, precision)
-                    terms.append(((w, cf, cg, d), i + de))
+                    prec = join_precision(prec, d.precision)
+                    terms.append(((w, cf, cg, d.value), i + de))
         fk = fk.derivative()
         if fk.is_zero():
             break
-    return FracExpansion(terms)
+    return FracExpansion._products(terms, prec)
 
 
 def caputo_closed_form(
@@ -233,16 +246,16 @@ def caputo_closed_form(
     m: int,
     ord: CaputoOrder,
     precision: int = DEFAULT_PRECISION,
-    numbers: Sequence[Scalar] | None = None,
+    numbers: Coefficients | None = None,
 ) -> FracExpansion:
     """Closed-form Caputo derivative of the degree-m family polynomial.
 
     The shared shape of theorems 4-6, with n = ceil(alpha):
     gamma(m+1)/gamma(m-n+1) * sum_k k! binom(m-n,k) N_{m-n-k}
-    / gamma(n+k-alpha+1) * t^(k-alpha+n).  The numbers N_0..N_{m-n} default
-    to family_numbers(p); passing them lets a caller reach them by another
-    route (theorem 5's multinomial sums, or the verifier's pinned-index
-    literal variant).
+    / gamma(n+k-alpha+1) * t^(k-alpha+n).  The numbers N_0..N_{m-n} (the
+    first ones of ``numbers``) default to family_numbers(p); passing them
+    lets a caller reach them by another route (theorem 5's multinomial
+    sums, or the verifier's pinned-index literal variant).
     """
     check_precision(precision)
     n = ord.n
@@ -250,13 +263,10 @@ def caputo_closed_form(
         raise DegreeTooLow(f"degree {m} below ceil(order) = {n}")
     if numbers is None:
         numbers = family_numbers(p, m - n, precision)
-    pref, _ = rl_derivative_term(m, n, precision)
-    terms = []
-    for k in range(m - n + 1):
-        rg = reciprocal_gamma(n + k + 1 - ord.alpha, precision)
-        factors = (pref, math.factorial(k), math.comb(m - n, k), numbers[m - n - k], rg)
-        terms.append((factors, k + n - ord.alpha))
-    return FracExpansion(terms)
+    rgs = [reciprocal_gamma(n + k + 1 - ord.alpha, precision) for k in range(m - n + 1)]
+    terms = [((math.perm(m, n), math.factorial(k), math.comb(m - n, k), numbers._values[m - n - k], rg.value),
+              k + n - ord.alpha) for k, rg in enumerate(rgs)]
+    return FracExpansion._products(terms, join_precision(numbers._prec, *[rg.precision for rg in rgs]))
 
 
 def caputo_quadrature_oracle(
@@ -313,6 +323,6 @@ def eval_frac_expansion(
     with working_precision(wp):
         logt = mp.log(fraction_to_mpf(t, wp))
         acc = mp.mpf(0)
-        for c, x in e:
-            acc += c.raw_in(wp) * mp.exp(fraction_to_mpf(x, wp) * logt)
+        for c, x in zip(e._values_in(wp), e._exponents):
+            acc += c * mp.exp(fraction_to_mpf(x, wp) * logt)
     return Scalar.big(acc, precision)

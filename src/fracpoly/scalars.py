@@ -1,13 +1,14 @@
 """Coefficient domains: exact rationals and explicit-precision big floats.
 
-A computed value is either an exact ``fractions.Fraction`` (normalized,
-arbitrary size) or an mpmath float at a precision in bits.  A computation
+A computed value is a raw value whose type is its domain: an int or a
+``Fraction`` is exact, an mpmath float is a float at the precision of its
+container or of the call that made it.  A computation
 joins its operands' domains (:func:`join_precision`): exact when every
 operand is exact, else floats at the largest precision, and it runs on the
 raw values in one precision scope.  :class:`Scalar` hands one value with
-its domain across the boundary; it does no arithmetic.  Parameters, orders,
-exponents and evaluation points are not computed: they are plain
-Fractions, coerced once by :func:`as_rational`.
+its domain across the boundary, and is built only there; it does no
+arithmetic.  Parameters, orders, exponents and evaluation points are not
+computed: they are plain Fractions, coerced once by :func:`as_rational`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ MAX_PRECISION = 8192
 # value could not be printed
 MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+# the types of the exact domain's raw values; every other raw value is an mpf
+EXACT_TYPES = (int, Fraction)
 
 # mpmath keeps its precision in a process-global context, so precision
 # scopes are serialized; the lock is reentrant to allow nesting.
@@ -108,12 +111,9 @@ class Scalar:
     @classmethod
     def big(cls, value, prec: int) -> "Scalar":
         check_precision(prec)
-        if isinstance(value, Scalar):
-            value = value._val
         if isinstance(value, Fraction):
             return cls(fraction_to_mpf(value, prec), prec)
-        with working_precision(prec):
-            return cls(+mp.mpf(value), prec)
+        return cls(mp.mpf(value, prec=prec), prec)
 
     # -- inspection --------------------------------------------------
 
@@ -133,21 +133,14 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         return self._val if self.is_exact else mpf_to_fraction(self._val)
 
-    def raw_in(self, prec: int | None):
-        """The raw value in the domain ``prec``, which is this one or wider:
-        a Fraction, or an mpf (a Fraction correctly rounded to ``prec``)."""
-        if prec is None or not self.is_exact:
-            return self._val
-        return fraction_to_mpf(self._val, prec)
-
     # -- comparisons (numeric, exact across domains) ------------------
 
     def __eq__(self, other):
         try:
-            other = as_scalar(other)
+            other = as_rational(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.as_fraction() == other.as_fraction()
+        return self.as_fraction() == other
 
     # -- conversions / rendering --------------------------------------
 
@@ -164,33 +157,34 @@ ScalarLike = Union[Scalar, int, Fraction, float, str]
 
 
 def as_scalar(x: ScalarLike) -> Scalar:
-    """Coerce a Python number to a Scalar.
-
-    ints, Fractions and decimal/ratio strings become exact rationals; a
-    Python float becomes its exact dyadic value.  An mpmath float is
-    refused: :meth:`Scalar.big` takes one with its precision.
-    """
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(Fraction(x), None)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError(f"non-finite value {x!r}")
-        return Scalar(Fraction(x), None)
-    if isinstance(x, str):
-        exponent = _DECIMAL_EXPONENT.search(x)
-        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-            raise DomainError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {x!r}")
-        return Scalar(Fraction(x), None)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Scalar")
+    """A Python number as the exact Scalar :func:`as_rational` reads; a Scalar as it is."""
+    return x if isinstance(x, Scalar) else Scalar(as_rational(x), None)
 
 
 def as_rational(x: ScalarLike) -> Fraction:
     """A parameter, order, exponent or evaluation point as the exact
     rational it stands for; a float, a Python one or a float Scalar, gives
-    its exact binary value."""
-    return as_scalar(x).as_fraction()
+    its exact binary value.  An mpmath float is refused: :meth:`Scalar.big`
+    takes one with its precision."""
+    if isinstance(x, Scalar):
+        return x.as_fraction()
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"non-finite value {x!r}")
+        return Fraction(x)
+    if isinstance(x, str):
+        exponent = _DECIMAL_EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise DomainError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {x!r}")
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {type(x).__name__} as a Scalar")
+
+
+def as_raw(x: ScalarLike) -> tuple:
+    """(raw value, precision) of a Scalar, else (:func:`as_rational` of x, None)."""
+    return (x.value, x.precision) if isinstance(x, Scalar) else (as_rational(x), None)
 
 
 def positive_rational(x: ScalarLike, name: str) -> Fraction:
@@ -202,10 +196,12 @@ def positive_rational(x: ScalarLike, name: str) -> Fraction:
     return q
 
 
-def rational_in(q: Fraction | int, precision: int | None):
-    """The rational q as a raw value of the domain ``precision``: a
-    Fraction, or an mpf rounded once as :meth:`Scalar.raw_in` rounds it."""
-    return Fraction(q) if precision is None else fraction_to_mpf(q, precision)
+def raw_in(v, precision: int | None):
+    """The raw value v in the domain ``precision``, its own or a wider one:
+    a float as it is, an exact v as a Fraction or correctly rounded to an mpf."""
+    if not isinstance(v, EXACT_TYPES):
+        return v
+    return Fraction(v) if precision is None else fraction_to_mpf(v, precision)
 
 
 def decimal_str(s: Scalar) -> str:
@@ -269,9 +265,6 @@ def _min_digits(x, prec: int, max_digits: int) -> int:
     return top - lowest + 1
 
 
-ZERO = as_scalar(0)
-
-
 class Coefficients:
     """One tuple of raw coefficient values in one domain: Fractions when
     the precision is None, else mpfs at that precision.  Tuples are built
@@ -281,17 +274,17 @@ class Coefficients:
     Coercion and promotion happen once, in the constructor: mixed input is
     promoted to the widest domain present.  Subclasses compute on the raw
     values inside at most one precision scope per operation; Scalars appear
-    only at the boundary, in :attr:`coeffs`.
+    only at the boundary, in :attr:`coeffs` and in iteration.
     """
 
     __slots__ = ("_values", "_prec")
 
     def __init__(self, coeffs: Iterable[ScalarLike]):
-        cs = [as_scalar(c) for c in coeffs]
-        if not cs:
+        raws = [as_raw(c) for c in coeffs]
+        if not raws:
             raise ValueError(f"a {type(self).__name__} needs at least one coefficient")
-        prec = join_precision(*[c.precision for c in cs])
-        self._values = tuple([c.raw_in(prec) for c in cs])
+        prec = join_precision(*[p for _, p in raws])
+        self._values = tuple([raw_in(v, prec) for v, _ in raws])
         self._prec = prec
 
     @classmethod
@@ -305,11 +298,17 @@ class Coefficients:
     def coeffs(self) -> tuple[Scalar, ...]:
         return tuple([Scalar(v, self._prec) for v in self._values])
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple(self) == tuple(other)
+
     def _values_in(self, prec: int | None) -> tuple:
         """The raw values in the domain ``prec``, which is this one or wider."""
         if prec is None or self._prec is not None:
             return self._values
-        return tuple([rational_in(v, prec) for v in self._values])
+        return tuple([raw_in(v, prec) for v in self._values])
 
     def _joined(self, other: "Coefficients") -> tuple:
         """Both raw value tuples in the common domain, and its precision."""
@@ -317,8 +316,8 @@ class Coefficients:
         return self._values_in(prec), other._values_in(prec), prec
 
     def scale(self, factor: ScalarLike):
-        f = as_scalar(factor)
-        prec = join_precision(self._prec, f.precision)
-        fv = f.raw_in(prec)
+        fv, fprec = as_raw(factor)
+        prec = join_precision(self._prec, fprec)
+        fv = raw_in(fv, prec)
         with domain_scope(prec):
             return self._raw([fv * v for v in self._values_in(prec)], prec)

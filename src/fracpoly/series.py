@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import OrderMismatch, ValuationError, ZeroConstantTerm
-from .scalars import Coefficients, Scalar, ScalarLike, as_scalar, domain_scope, rational_in
+from .scalars import Coefficients, ScalarLike, as_raw, domain_scope, raw_in
 
 __all__ = [
     "TruncatedSeries",
@@ -48,15 +48,15 @@ class TruncatedSeries(Coefficients):
 
     def shift_up(self, v: int) -> "TruncatedSeries":
         """Multiply by z^v, keeping the truncation order."""
-        return self._raw(((rational_in(0, self._prec),) * v + self._values)[: self.order + 1], self._prec)
+        return self._raw(((raw_in(0, self._prec),) * v + self._values)[: self.order + 1], self._prec)
 
-    def egf(self) -> tuple[Scalar, ...]:
+    def egf(self) -> Coefficients:
         """The coefficients read as those of an exponential generating
         function: coefficient k times k!, the factorial rounded once to a
         float domain before it multiplies."""
         prec = self._prec
         with domain_scope(prec):
-            return tuple([Scalar(v * rational_in(math.factorial(k), prec), prec) for k, v in enumerate(self._values)])
+            return Coefficients._raw([v * raw_in(math.factorial(k), prec) for k, v in enumerate(self._values)], prec)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
@@ -122,11 +122,10 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 def exp_series(x: ScalarLike, order: int) -> TruncatedSeries:
     """The series of e^{x z} through the given order."""
-    xs = as_scalar(x)
-    prec = xs.precision
-    out = [rational_in(1, prec)]
+    xv, prec = as_raw(x)
+    out = [raw_in(1, prec)]
     with domain_scope(prec):
         for k in range(1, order + 1):
-            out.append(out[-1] * xs.value / k)
+            out.append(out[-1] * xv / k)
     return TruncatedSeries._raw(out, prec)
 

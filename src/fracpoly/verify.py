@@ -5,11 +5,11 @@ the grid's axes with their defaults; the runner narrows each one to what
 RunConfig sets and hands the body the resolved values.  It yields one
 comparison of two independent computation routes
 at a time, ``(got, want)`` or ``(got, want, float_tol)``, where got and want
-are two scalars or two FracExpansions (compared exponent by exponent), and
-returns the parameters its report shows.  One runner turns the comparisons
-into a VerificationReport.  Error bookkeeping happens in exact rational
-arithmetic (floats are dyadic rationals), so reports are deterministic bit
-for bit.
+are two raw values (a value's type is its domain) or two FracExpansions
+(compared exponent by exponent), and returns the parameters its report
+shows.  One runner turns the comparisons into a VerificationReport.  Error
+bookkeeping happens in exact rational arithmetic (floats are dyadic
+rationals), so reports are deterministic bit for bit.
 
 One tolerance policy covers every comparison: RunConfig.tolerance, when
 set, applies to all of them; otherwise two exact values must agree exactly,
@@ -56,8 +56,8 @@ from .fractional import (
     rl_derivative_term,
 )
 from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
-from .scalars import (DEFAULT_PRECISION, Scalar, as_rational, as_scalar, check_precision, domain_scope,
-                      rational_in, working_precision)
+from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, as_rational, check_precision, domain_scope,
+                      mpf_to_fraction, raw_in, working_precision)
 from .series import cauchy_product, exp_series
 from mpmath import mp
 
@@ -99,9 +99,6 @@ class VerificationReport:
     verdict: str  # pass | fail | known-discrepancy
 
 
-_EXACT = Fraction(0)
-
-
 def _tol_identity(precision: int) -> Fraction:
     # 2^(48-p): below 1e-24 at the default 128 bits, and scaling with the
     # arithmetic instead of demanding digits the precision cannot express
@@ -137,20 +134,19 @@ class _Check:
         self.max_tol = Fraction(0) if override is None else override
 
     def values(self, got, want, float_tol: Fraction):
-        got, want = as_scalar(got), as_scalar(want)
-        exact = got.is_exact and want.is_exact
+        exact = isinstance(got, EXACT_TYPES) and isinstance(want, EXACT_TYPES)
         # the tolerance policy: an override applies to every comparison;
         # otherwise two exact values must agree exactly, and a float on
         # either side gets the float tolerance
         if self.override is not None:
             tol = self.override
         else:
-            tol = _EXACT if exact else float_tol
+            tol = Fraction(0) if exact else float_tol
         self.comparisons += 1
         self.max_tol = max(self.max_tol, tol)
-        if exact and got.value == want.value:
+        if exact and got == want:
             return  # a zero error moves no maximum and fails no tolerance >= 0
-        a, b = got.as_fraction(), want.as_fraction()
+        a, b = [Fraction(v) if isinstance(v, EXACT_TYPES) else mpf_to_fraction(v) for v in (got, want)]
         abs_err = abs(a - b)
         rel_err = abs_err / max(Fraction(1), abs(a), abs(b))
         self.max_abs = max(self.max_abs, abs_err)
@@ -319,7 +315,7 @@ _ORACLES = {
 def _classical(family, n_max: int, precision: int):
     for kind in family:
         nums = family_numbers(FamilyParams(kind, 1, 1), n_max, precision)
-        yield from zip(nums, _ORACLES[kind](n_max))
+        yield from zip(nums._values, _ORACLES[kind](n_max))
 
 
 @_suite("classical-numbers", family=FamilyKind, max_degree=24)
@@ -338,7 +334,7 @@ def suite_theorem1(precision, family, alpha, lam, max_degree):
         for x in range(max_degree + 1):
             lifted = cauchy_product(series, exp_series(x, max_degree)).egf()
             for n in range(x, max_degree + 1):
-                yield polys[n].evaluate(x), lifted[n]
+                yield polys[n].evaluate(x).value, lifted._values[n]
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
@@ -349,7 +345,7 @@ def suite_appell(precision, family, alpha, lam, max_degree):
         polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
         for n in range(1, max_degree + 1):
             deriv = polys[n].derivative()
-            yield from zip_longest(deriv.coeffs, polys[n - 1].scale(n).coeffs, fillvalue=0)
+            yield from zip_longest(deriv._values, polys[n - 1].scale(n)._values, fillvalue=0)
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
@@ -363,12 +359,10 @@ def _unit_interval(precision, families, n_max: int, lag: int):
         polys = [family_polynomial(p, n, precision) for n in range(n_max + 2)]
         for n in range(n_max + 1):
             for x in _THEOREM3_XS:
-                got = integral_over_unit_interval(p, n, x, precision)
                 hi, lo = polys[n + 1].evaluate(x + 1), polys[n + 1 - lag].evaluate(x)
-                prec = hi.precision
-                with domain_scope(prec):
-                    want = (hi.value - lo.value) / rational_in(n + 1, prec)
-                yield got, Scalar(want, prec)
+                with domain_scope(hi.precision):
+                    want = (hi.value - lo.value) / raw_in(n + 1, hi.precision)
+                yield integral_over_unit_interval(p, n, x, precision).value, want
 
 
 @_suite("theorem3", **_THEOREM3_AXES)
@@ -392,12 +386,11 @@ def suite_eq5(precision):
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2]
     for m in range(2, 7):
         for z in zs:
-            yield ml_eval(MLParams(1, m), z, precision=precision), ml_one_m_closed(m, z, precision=precision)
+            yield ml_eval(MLParams(1, m), z, precision=precision).value, ml_one_m_closed(m, z, precision).value
         # cancellation fallback region: compare against a high-precision
-        # direct subtraction, which is only trustworthy with extra bits;
-        # rounded to them already (Scalar.big would cap them at MAX_PRECISION)
+        # direct subtraction, which is only trustworthy with extra bits
         z_small, wp = Fraction(1, 10**6), precision + 200
-        yield ml_one_m_closed(m, z_small, precision=precision), Scalar(_subtracted_exponential(m, z_small, wp), wp)
+        yield ml_one_m_closed(m, z_small, precision=precision).value, _subtracted_exponential(m, z_small, wp)
     return {"m": "2..6", "z": [str(z) for z in zs] + ["1/10^6"]}
 
 
@@ -417,8 +410,8 @@ def suite_ml_consistency(precision):
             tol = Fraction(1, 2 ** (precision - 14))
             for z in zs:
                 with domain_scope(prec):
-                    acc = sum(c * rational_in(Fraction(z) ** k, prec) for k, c in enumerate(values))
-                yield Scalar(acc, prec), ml_eval(p, z, tol=tol, precision=precision)
+                    acc = sum(c * raw_in(Fraction(z) ** k, prec) for k, c in enumerate(values))
+                yield acc, ml_eval(p, z, tol=tol, precision=precision).value
     return {"order": order}
 
 
@@ -428,9 +421,9 @@ def suite_mleval_exp(precision):
     p = MLParams(1, 1)
     for num in range(-8, 9):
         z = Fraction(num, 4)
-        got = ml_eval(p, z, precision=precision)
+        got = ml_eval(p, z, precision=precision).value
         with working_precision(precision + 16):
-            ref = Scalar.big(mp.exp(mp.mpf(z.numerator) / z.denominator), precision)
+            ref = mp.mpf(mp.exp(mp.mpf(z.numerator) / z.denominator), prec=precision)
         yield got, ref
     return {"z": "-2..2 step 1/4"}
 
@@ -479,12 +472,12 @@ def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_ma
         for a in orders:
             ord_ = CaputoOrder(a)
             for m in range(ord_.n, m_max + 1):
-                nums = None if table is None else table[: m - ord_.n + 1]
-                closed = caputo_closed_form(p, m, ord_, precision, nums)
+                closed = caputo_closed_form(p, m, ord_, precision, table)
                 poly = family_polynomial(p, m, precision)
                 yield closed, caputo_derivative_poly(poly, ord_, precision), _tol_identity(precision)
                 for t in _EVAL_POINTS:
-                    yield eval_frac_expansion(closed, t, precision), caputo_quadrature_oracle(poly, ord_, t, precision)
+                    yield (eval_frac_expansion(closed, t, precision).value,
+                           caputo_quadrature_oracle(poly, ord_, t, precision).value)
 
 
 @_suite("theorem4", float_tol=_tol_oracle, lam=(2, 3), orders=_CLOSED_FORM_ORDERS, max_degree=8)
@@ -502,7 +495,7 @@ def suite_theorem5(precision, lam, h, orders, max_degree):
     families = [FamilyParams(FamilyKind.BERNOULLI, 1, l, hh) for l in lam for hh in h]
 
     def multinomial_numbers(p, top):
-        return [multinomial_number_product(p.lam, p.h, r, precision) for r in range(top + 1)]
+        return Coefficients([multinomial_number_product(p.lam, p.h, r) for r in range(top + 1)])
 
     yield from _closed_forms(precision, families, orders, max_degree, multinomial_numbers)
     return {
@@ -540,9 +533,10 @@ def suite_theorem6_literal(precision):
     """The printed fixed-index variant; reproduces the documented defect."""
     p = FamilyParams(FamilyKind.EULER, 1, 2)
     ord_ = CaputoOrder(Fraction(1, 2))
-    pinned = family_numbers(p, ord_.n, precision)[ord_.n]
+    nums = family_numbers(p, ord_.n, precision)
     for m in (2, 3, 4):
-        literal = caputo_closed_form(p, m, ord_, precision, [pinned] * (m - ord_.n + 1))
+        pinned = Coefficients._raw([nums._values[ord_.n]] * (m - ord_.n + 1), nums._prec)
+        literal = caputo_closed_form(p, m, ord_, precision, pinned)
         yield literal, caputo_derivative_poly(family_polynomial(p, m, precision), ord_, precision)
     return {"family": "euler(alpha=1,lambda=2)", "order": "1/2"}
 
@@ -555,7 +549,7 @@ def suite_specialization(precision, family, lam, max_degree):
             raise DomainError(
                 "specialization needs lambda != 1: B_1(lambda) = 1/(lambda - 1) has a pole at lambda = 1"
             )
-        nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l), 2, precision)
+        nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l), 2, precision)._values
         yield nums[0], 0
         yield nums[1], 1 / (l - 1)
         yield nums[2], -2 * l / (l - 1) ** 2
@@ -568,9 +562,9 @@ def suite_higher_order(precision, lam, h, max_degree):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
     for l in lam:
         for hh in h:
-            nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l, hh), max_degree, precision)
+            nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l, hh), max_degree, precision)._values
             for r in range(max_degree + 1):
-                yield multinomial_number_product(l, hh, r, precision), nums[r]
+                yield multinomial_number_product(l, hh, r), nums[r]
     return {"h": h, "max_index": max_degree}
 
 
@@ -584,7 +578,7 @@ def suite_genocchi_euler(precision, alpha, lam, max_degree):
             for n in range(1, max_degree + 1):
                 g = family_polynomial(pg, n, precision)
                 e = family_polynomial(pe, n - 1, precision).scale(n)
-                yield from zip_longest(g.coeffs, e.coeffs, fillvalue=0)
+                yield from zip_longest(g._values, e._values, fillvalue=0)
     return {"max_degree": max_degree}
 
 

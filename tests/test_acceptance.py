@@ -38,7 +38,7 @@ def test_criterion_01_classical_ground_truth():
         gen = verify.genocchi_oracle(n_max)
         for kind, oracle in ((FamilyKind.BERNOULLI, bern), (FamilyKind.EULER, eul),
                              (FamilyKind.GENOCCHI, gen)):
-            nums = family_numbers(FamilyParams(kind, 1, 1), n_max)
+            nums = family_numbers(FamilyParams(kind, 1, 1), n_max).coeffs
             for n in range(n_max + 1):
                 if not (nums[n].is_exact and nums[n].value == oracle[n]):
                     return False, f"{kind} index {n}: {nums[n]} != {oracle[n]}"
