@@ -22,7 +22,7 @@ from .errors import (
     ValuationError,
     ZeroConstantTerm,
 )
-from .scalars import DEFAULT_PRECISION, Scalar, as_scalar, working_precision
+from .scalars import DEFAULT_PRECISION, working_precision
 from .gammafns import generalized_binomial, multinomial, reciprocal_gamma
 from .series import (
     TruncatedSeries,
@@ -57,8 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "Scalar",
-    "as_scalar",
     "working_precision",
     "reciprocal_gamma",
     "generalized_binomial",

@@ -30,7 +30,7 @@ from .fractional import (
     rl_integral_poly,
 )
 from .mittag import MLParams, ml_eval, ml_one_m_closed
-from .scalars import DEFAULT_PRECISION, Scalar, as_rational
+from .scalars import DEFAULT_PRECISION, as_rational, precision_of, render
 from .verify import SUITES, SUITE_ALIASES, RunConfig, check_grids, run_suite, unread_fields
 
 FORMATS = ("text", "csv", "json")
@@ -74,9 +74,11 @@ class DegreeParam(click.IntRange):
 DEGREE = DegreeParam()
 
 
-def _cells(s: Scalar) -> list:
-    """The value, domain and precision cells of a table row."""
-    return [str(s), "rational", None] if s.is_exact else [str(s), "float", s.precision]
+def _cells(v, precision: int | None) -> list:
+    """The value, domain and precision cells of a table row for a raw value
+    made at ``precision``."""
+    precision = precision_of(v, precision)
+    return [render(v, precision), "rational" if precision is None else "float", precision]
 
 
 def _emit_table(columns: list[str], rows: list[list], fmt: str):
@@ -156,7 +158,7 @@ def numbers(family, alpha, lam, h, precision, fmt, max_index):
     """Print family numbers 0..MAX (generating-series coefficients)."""
     p = FamilyParams(family, alpha, lam, h)
     nums = family_numbers(p, max_index, precision)
-    rows = [[n, *_cells(v)] for n, v in enumerate(nums)]
+    rows = [[n, *_cells(v, nums.precision)] for n, v in enumerate(nums)]
     _emit_table(["index", "value", "domain", "precision"], rows, fmt)
 
 
@@ -168,7 +170,7 @@ def poly(family, alpha, lam, h, precision, fmt, degree):
     """Print the coefficients of the degree-n family polynomial."""
     p = FamilyParams(family, alpha, lam, h)
     q = family_polynomial(p, degree, precision)
-    rows = [[k, *_cells(c)] for k, c in enumerate(q.coeffs)]
+    rows = [[k, *_cells(c, q.precision)] for k, c in enumerate(q)]
     _emit_table(["power", "coefficient", "domain", "precision"], rows, fmt)
 
 
@@ -181,7 +183,7 @@ def eval_cmd(family, alpha, lam, h, precision, fmt, degree, at_):
     """Evaluate the degree-n family polynomial at a point."""
     p = FamilyParams(family, alpha, lam, h)
     value = family_polynomial(p, degree, precision).evaluate(at_)
-    rows = [[str(at_), *_cells(value)]]
+    rows = [[str(at_), *_cells(value, precision)]]
     _emit_table(["x", "value", "domain", "precision"], rows, fmt)
 
 
@@ -198,13 +200,13 @@ def mleval(precision, fmt, alpha, beta, z, tol, closed_form):
     """Evaluate the two-parameter Mittag-Leffler function."""
     p = MLParams(alpha, beta)
     value = ml_eval(p, z, tol, precision)
-    rows = [["series", str(value)]]
+    rows = [["series", render(value, precision)]]
     if closed_form:
         if alpha != 1 or beta.denominator != 1 or beta < 2:
             raise click.UsageError(
                 "--closed-form requires alpha = 1 and integer beta >= 2"
             )
-        rows.append(["closed-form", str(ml_one_m_closed(beta.numerator, z, precision))])
+        rows.append(["closed-form", render(ml_one_m_closed(beta.numerator, z, precision), precision)])
     _emit_table(["route", "value"], rows, fmt)
 
 
@@ -235,15 +237,15 @@ def fracderiv(family, alpha, lam, h, precision, fmt, degree, order, at_):
 def _route_values(expansion, polynomial, ord_, at_, precision):
     if at_ is None:
         return None
-    routes = [["closed-form", str(eval_frac_expansion(expansion, at_, precision))]]
+    routes = [["closed-form", render(eval_frac_expansion(expansion, at_, precision), precision)]]
     if ord_ is not None:
-        routes.append(["quadrature", str(caputo_quadrature_oracle(polynomial, ord_, at_, precision))])
+        routes.append(["quadrature", render(caputo_quadrature_oracle(polynomial, ord_, at_, precision), precision)])
     return routes
 
 
 def _emit_expansion(expansion, routes, fmt):
     """Terms table, plus the evaluated routes; one JSON document either way."""
-    rows = [[str(c), str(e)] for c, e in expansion]
+    rows = [[render(c, expansion.precision), str(e)] for c, e in expansion]
     if fmt == "json":
         payload = {"terms": [dict(zip(("coefficient", "exponent"), r)) for r in rows]}
         if routes is not None:

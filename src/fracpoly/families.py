@@ -22,8 +22,8 @@ from typing import Iterable
 from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
-from .scalars import (DEFAULT_PRECISION, Coefficients, Scalar, ScalarLike, as_rational, as_raw, check_precision,
-                      domain_scope, join_precision, positive_rational, raw_in)
+from .scalars import (DEFAULT_PRECISION, Coefficients, NumberLike, as_rational, check_precision, domain_scope,
+                      positive_rational, raw_in, render)
 from .series import TruncatedSeries, _over_lcm, cauchy_product, reciprocal, series_add
 
 __all__ = [
@@ -63,7 +63,7 @@ class FamilyParams:
     lam: Fraction
     h: int = 1
 
-    def __init__(self, kind, alpha: ScalarLike = 1, lam: ScalarLike = 1, h: int = 1):
+    def __init__(self, kind, alpha: NumberLike = 1, lam: NumberLike = 1, h: int = 1):
         kind = FamilyKind(kind)
         a = positive_rational(alpha, "family parameter alpha")
         l = positive_rational(lam, "family parameter lambda")
@@ -89,8 +89,8 @@ class Polynomial(Coefficients):
 
     __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[ScalarLike]):
-        super().__init__(list(coeffs) or [0])
+    def __init__(self, coeffs: Iterable, precision: int | None = None):
+        super().__init__(list(coeffs) or [0], precision)
 
     @property
     def degree(self) -> int:
@@ -100,17 +100,18 @@ class Polynomial(Coefficients):
     def is_zero(self) -> bool:
         return not any(self._values)
 
-    def evaluate(self, x: ScalarLike) -> Scalar:
-        xv, xprec = as_raw(x)
-        prec = join_precision(self._prec, xprec)
+    def evaluate(self, x: NumberLike):
+        """The value at a rational x, in the polynomial's domain."""
+        x = as_rational(x)
+        prec = self._prec
         if prec is None:
-            return Scalar(_exact_horner(self._values, xv), None)
-        xv = raw_in(xv, prec)
+            return _exact_horner(self._values, x)
+        xv = raw_in(x, prec)
         acc = 0
         with domain_scope(prec):
-            for c in reversed(self._values_in(prec)):
+            for c in reversed(self._values):
                 acc = acc * xv + c
-        return Scalar(acc, prec)
+        return acc
 
     def derivative(self) -> "Polynomial":
         with domain_scope(self._prec):
@@ -129,7 +130,7 @@ class Polynomial(Coefficients):
                 yield c, k
 
     def __repr__(self):
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
+        return f"Polynomial({[render(c, self._prec) for c in self._values]})"
 
 
 def _exact_horner(values: tuple, x: Fraction) -> Fraction:
@@ -178,12 +179,13 @@ _series_lock = threading.Lock()
 
 def _family_series_cached(p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
     """The series through ``order``, sliced from the longest one computed
-    for (p, precision).  The order-n series is a
-    prefix of every longer one bit for bit: the Mittag-Leffler coefficients,
-    the triangular reciprocal and the h-fold Cauchy product each read only
-    lower indices.  A higher order is computed outside the lock and
-    replaces the entry."""
-    key = (p, precision)
+    for (p, precision), with the precision None when alpha is an integer:
+    the series is then exact, and one entry serves every precision.  The
+    order-n series is a prefix of every longer one bit for bit: the
+    Mittag-Leffler coefficients, the triangular reciprocal and the h-fold
+    Cauchy product each read only lower indices.  A higher order is
+    computed outside the lock and replaces the entry."""
+    key = (p, None if p.alpha.denominator == 1 else precision)
     with _series_lock:
         longest = _series_cache.get(key)
         if longest is not None:
@@ -229,9 +231,9 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
 
 
 def integral_over_unit_interval(
-    p: FamilyParams, n: int, x: ScalarLike, precision: int = DEFAULT_PRECISION
-) -> Scalar:
-    """integral over [x, x+1] of the degree-n family polynomial.
+    p: FamilyParams, n: int, x: NumberLike, precision: int = DEFAULT_PRECISION
+):
+    """integral over [x, x+1] of the degree-n family polynomial, in its domain.
 
     Computed from the exact antiderivative; equals
     (P_{n+1}(x+1) - P_{n+1}(x)) / (n+1).
@@ -240,7 +242,7 @@ def integral_over_unit_interval(
     anti = family_polynomial(p, n, precision).antiderivative()
     hi, lo = anti.evaluate(x + 1), anti.evaluate(x)
     with domain_scope(anti._prec):
-        return Scalar(hi.value - lo.value, anti._prec)
+        return hi - lo
 
 
 def _compositions(total: int, parts: int):
@@ -262,7 +264,7 @@ def check_compositions(r: int, h: int) -> None:
         raise DomainError(f"more than {MAX_COMPOSITIONS} compositions of {r} into {h} parts to sum")
 
 
-def multinomial_number_product(lam: ScalarLike, h: int, r: int) -> Fraction:
+def multinomial_number_product(lam: NumberLike, h: int, r: int) -> Fraction:
     """Sum over compositions of r into h parts of multinomial(s) * prod B_{s_j}(lambda).
 
     Termwise equal to the number r of FamilyParams("bernoulli", 1, lambda,

@@ -28,9 +28,9 @@ from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, Scalar, ScalarLike, as_rational, as_raw,
-                      as_scalar, check_precision, domain_scope, fraction_to_mpf, join_precision, positive_rational,
-                      raw_in, working_precision)
+from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, NumberLike, as_rational, check_precision,
+                      domain_scope, fraction_to_mpf, join_precision, positive_rational, precision_of, raw_in,
+                      raw_value, render, working_precision)
 
 __all__ = [
     "CaputoOrder",
@@ -54,7 +54,7 @@ class CaputoOrder:
     alpha: Fraction
     n: int
 
-    def __init__(self, alpha: ScalarLike):
+    def __init__(self, alpha: NumberLike):
         a = positive_rational(alpha, "fractional order")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "n", math.ceil(a))
@@ -66,11 +66,14 @@ class CaputoOrder:
 
 class FracExpansion(Coefficients):
     """Finite sum of real-power terms: coefficients, each with an exact
-    rational exponent, strictly increasing; :attr:`terms` pairs them up.
+    rational exponent, strictly increasing; iteration yields the raw
+    (coefficient, exponent) pairs.
 
     The constructor takes each coefficient as a number or as a tuple of
-    factors, and computes every coefficient in one domain, joined over all
-    factors, in one precision scope.  A product follows one rounding rule:
+    factors, and each exponent as :func:`as_rational` reads it.  It
+    computes every coefficient in one domain, joined over all factors
+    (exact when every factor is exact, else floats at ``precision``), in
+    one precision scope.  A product follows one rounding rule:
     the exact factors up to the first float are multiplied exactly and
     rounded once, and each later factor is rounded before it multiplies.
     Nonzero terms of equal exponent merge, their coefficients summed in
@@ -79,10 +82,10 @@ class FracExpansion(Coefficients):
 
     __slots__ = ("_exponents",)
 
-    def __init__(self, terms: Iterable[tuple[ScalarLike | tuple[ScalarLike, ...], Fraction]]):
-        terms = [([as_raw(f) for f in (c if isinstance(c, tuple) else (c,))], e) for c, e in terms]
-        prec = join_precision(*[p for factors, _ in terms for _, p in factors])
-        self._merge([([v for v, _ in factors], e) for factors, e in terms], prec)
+    def __init__(self, terms: Iterable[tuple], precision: int | None = None):
+        terms = [([raw_value(f, precision) for f in (c if isinstance(c, tuple) else (c,))], as_rational(e))
+                 for c, e in terms]
+        self._merge(terms, join_precision(*[precision_of(f, precision) for factors, _ in terms for f in factors]))
 
     @classmethod
     def _products(cls, terms: Iterable[tuple[tuple, Fraction]], precision: int | None) -> "FracExpansion":
@@ -101,18 +104,15 @@ class FracExpansion(Coefficients):
         exponents = [e for e in sorted(merged) if merged[e]]
         self._values, self._prec, self._exponents = tuple([merged[e] for e in exponents]), prec, tuple(exponents)
 
-    @property
-    def terms(self) -> tuple[tuple[Scalar, Fraction], ...]:
-        return tuple(zip(self.coeffs, self._exponents))
-
     def __iter__(self):
-        return iter(self.terms)
+        return zip(self._values, self._exponents)
 
-    def scale(self, factor: ScalarLike) -> "FracExpansion":
-        return FracExpansion([((c, factor), e) for c, e in self])
+    def scale(self, factor: NumberLike) -> "FracExpansion":
+        f = as_rational(factor)
+        return self._products([((c, f), e) for c, e in self], self._prec)
 
     def __repr__(self):
-        body = " + ".join(f"({c})*t^({e})" for c, e in self)
+        body = " + ".join(f"({render(c, self._prec)})*t^({e})" for c, e in self)
         return f"FracExpansion({body or '0'})"
 
 
@@ -127,11 +127,12 @@ def _product(factors, prec: int | None):
 
 
 def rl_derivative_term(
-    beta: ScalarLike, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
-) -> tuple[Scalar, Fraction]:
+    beta: NumberLike, alpha: NumberLike, precision: int = DEFAULT_PRECISION
+) -> tuple:
     """Riemann-Liouville derivative of t^beta at order alpha (integral if
     alpha < 0): gamma(beta+1)/gamma(beta-alpha+1) t^(beta-alpha), as the
-    (coefficient, exponent) pair.
+    (coefficient, exponent) pair, the coefficient a Fraction or an mpf at
+    the given precision.
 
     The one power-rule step of the module.  Integer alpha gives the exact
     rational falling factorial (or its reciprocal for negative alpha), with
@@ -147,29 +148,29 @@ def rl_derivative_term(
     if a.denominator == 1:
         k = a.numerator
         if k >= 0:
-            coeff = as_scalar(math.prod(b - i for i in range(_bounded(k))))
+            coeff = math.prod((b - i for i in range(_bounded(k))), start=Fraction(1))
         else:
-            coeff = as_scalar(1 / math.prod(b + i for i in range(1, 1 + _bounded(-k))))
+            coeff = 1 / math.prod(b + i for i in range(1, 1 + _bounded(-k)))
     elif b.denominator == 1:
         # reciprocal_gamma refuses an argument above its cap before the factorial runs
-        top = reciprocal_gamma(b - a + 1, precision).value
+        top = reciprocal_gamma(b - a + 1, precision)
         with working_precision(precision):
-            coeff = Scalar(top * raw_in(math.factorial(b.numerator), precision), precision)
+            coeff = top * raw_in(math.factorial(b.numerator), precision)
     else:
-        top = raw_in(reciprocal_gamma(b - a + 1, precision).value, precision)
-        bottom = reciprocal_gamma(b + 1, precision).value
+        top = raw_in(reciprocal_gamma(b - a + 1, precision), precision)
+        bottom = reciprocal_gamma(b + 1, precision)
         with working_precision(precision):
-            coeff = Scalar(top / bottom, precision)
+            coeff = top / bottom
     return coeff, b - a
 
 
-def _termwise(pairs: Iterable[tuple], prec: int | None, order: ScalarLike, precision: int) -> FracExpansion:
+def _termwise(pairs: Iterable[tuple], prec: int | None, order: NumberLike, precision: int) -> FracExpansion:
     """sum c D^order t^e over raw (c, e) pairs in the domain ``prec``, one power-rule step each."""
     terms = []
     for c, e in pairs:
         d, de = rl_derivative_term(e, order, precision)
-        prec = join_precision(prec, d.precision)
-        terms.append(((c, d.value), de))
+        prec = join_precision(prec, precision_of(d, precision))
+        terms.append(((c, d), de))
     return FracExpansion._products(terms, prec)
 
 
@@ -182,7 +183,7 @@ def caputo_derivative_poly(
 
 
 def rl_integral_poly(
-    q: Polynomial, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
+    q: Polynomial, alpha: NumberLike, precision: int = DEFAULT_PRECISION
 ) -> FracExpansion:
     """Riemann-Liouville integral of order alpha > 0, termwise power rule."""
     check_precision(precision)
@@ -192,8 +193,8 @@ def rl_integral_poly(
 def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple]:
     """(exponent, raw coefficient in a, raw coefficient in b) over the union
     of the exponents, with an exact zero where one side has no term."""
-    amap = dict(zip(a._exponents, a._values))
-    bmap = dict(zip(b._exponents, b._values))
+    amap = {e: c for c, e in a}
+    bmap = {e: c for c, e in b}
     return [(e, amap.get(e, Fraction(0)), bmap.get(e, Fraction(0))) for e in sorted(set(amap) | set(bmap))]
 
 
@@ -210,12 +211,12 @@ def caputo_by_composition(
     check_precision(precision)
     composed = _termwise(q.monomials(), q._prec, ord.alpha - ord.n, precision)  # I^(n-alpha)
     for _ in range(ord.n):
-        composed = _termwise(zip(composed._values, composed._exponents), composed._prec, 1, precision)
+        composed = _termwise(composed, composed.precision, 1, precision)
     return composed
 
 
 def leibniz_product(
-    f: Polynomial, g: Polynomial, alpha: ScalarLike, precision: int = DEFAULT_PRECISION
+    f: Polynomial, g: Polynomial, alpha: NumberLike, precision: int = DEFAULT_PRECISION
 ) -> FracExpansion:
     """Product-rule expansion: sum_k binom(alpha,k) f^(k) D^(alpha-k) g.
 
@@ -233,8 +234,8 @@ def leibniz_product(
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
                     d, de = rl_derivative_term(j, a - k, precision)
-                    prec = join_precision(prec, d.precision)
-                    terms.append(((w, cf, cg, d.value), i + de))
+                    prec = join_precision(prec, precision_of(d, precision))
+                    terms.append(((w, cf, cg, d), i + de))
         fk = fk.derivative()
         if fk.is_zero():
             break
@@ -264,22 +265,23 @@ def caputo_closed_form(
     if numbers is None:
         numbers = family_numbers(p, m - n, precision)
     rgs = [reciprocal_gamma(n + k + 1 - ord.alpha, precision) for k in range(m - n + 1)]
-    terms = [((math.perm(m, n), math.factorial(k), math.comb(m - n, k), numbers._values[m - n - k], rg.value),
+    terms = [((math.perm(m, n), math.factorial(k), math.comb(m - n, k), numbers._values[m - n - k], rg),
               k + n - ord.alpha) for k, rg in enumerate(rgs)]
-    return FracExpansion._products(terms, join_precision(numbers._prec, *[rg.precision for rg in rgs]))
+    return FracExpansion._products(terms, join_precision(numbers._prec, *[precision_of(rg, precision) for rg in rgs]))
 
 
 def caputo_quadrature_oracle(
-    q: Polynomial, ord: CaputoOrder, t: ScalarLike, precision: int = DEFAULT_PRECISION
-) -> Scalar:
-    """Evaluate the Caputo derivative of q at t by singular quadrature.
+    q: Polynomial, ord: CaputoOrder, t: NumberLike, precision: int = DEFAULT_PRECISION
+):
+    """Evaluate the Caputo derivative of q at t by singular quadrature, an
+    mpf rounded once to the given precision.
 
     Integrates q^(n)(s) (t-s)^(n-alpha-1) / gamma(n-alpha) over [0, t] with
     a Gauss-Jacobi rule whose weight absorbs the endpoint singularity.  The
     rule has (d + 2) // 2 + 1 nodes for d = deg(q^(n)): the exactness minimum
     ceil((d + 1) / 2) plus one guard node, so the polynomial factor is
     integrated exactly by construction.  Integer orders bypass to the
-    ordinary derivative.  The coefficients of q^(n) are converted to the
+    ordinary derivative, in q's domain.  The coefficients of q^(n) are converted to the
     working precision once per call, and each node runs one Horner pass
     on them.
     """
@@ -292,7 +294,7 @@ def caputo_quadrature_oracle(
     if ord.is_integer:
         return dq.evaluate(t)
     if dq.is_zero():
-        return Scalar.big(0, precision)
+        return mp.mpf(0, prec=precision)
     wp = precision + 32
     a_exp = ord.alpha
     weight_exp = n - a_exp - 1
@@ -310,13 +312,14 @@ def caputo_quadrature_oracle(
             acc += w * val
         front = (tm / 2) ** (mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
         total = acc * front / mpmath.gamma(mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
-    return Scalar.big(total, precision)
+    return mp.mpf(total, prec=precision)
 
 
 def eval_frac_expansion(
-    e: FracExpansion, t: ScalarLike, precision: int = DEFAULT_PRECISION
-) -> Scalar:
-    """Sum c_k t^{e_k} at t > 0; powers via exp(e log t)."""
+    e: FracExpansion, t: NumberLike, precision: int = DEFAULT_PRECISION
+):
+    """Sum c_k t^{e_k} at t > 0, powers via exp(e log t), as an mpf rounded
+    once to the given precision."""
     check_precision(precision)
     t = positive_rational(t, "evaluation point")
     wp = precision + 16
@@ -325,4 +328,4 @@ def eval_frac_expansion(
         acc = mp.mpf(0)
         for c, x in zip(e._values_in(wp), e._exponents):
             acc += c * mp.exp(fraction_to_mpf(x, wp) * logt)
-    return Scalar.big(acc, precision)
+    return mp.mpf(acc, prec=precision)

@@ -41,16 +41,7 @@ from functools import lru_cache
 from mpmath import libmp, mp
 
 from .errors import DomainError
-from .scalars import (
-    DEFAULT_PRECISION,
-    Scalar,
-    ScalarLike,
-    as_rational,
-    as_scalar,
-    check_precision,
-    fraction_to_mpf,
-    working_precision,
-)
+from .scalars import DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf, working_precision
 
 __all__ = ["reciprocal_gamma", "generalized_binomial", "multinomial", "MAX_GAMMA_ARGUMENT"]
 
@@ -192,21 +183,21 @@ def _rgamma(x: Fraction, precision: int):
     return _ratio(den, num) / _spouge(x0, precision)
 
 
-def reciprocal_gamma(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
-    """1/gamma as an entire function: exact at the integers (0 at the poles
-    0, -1, -2, ..., 1/(n-1)! at n > 0), a float at the given precision
-    elsewhere."""
+def reciprocal_gamma(x: NumberLike, precision: int = DEFAULT_PRECISION):
+    """1/gamma as an entire function: an exact Fraction at the integers (0
+    at the poles 0, -1, -2, ..., 1/(n-1)! at n > 0), an mpf rounded once to
+    the given precision elsewhere."""
     check_precision(precision)
     x = as_rational(x)
     if x.denominator == 1:
         n = x.numerator
-        return as_scalar(0 if n <= 0 else Fraction(1, math.factorial(_bounded(n - 1))))
+        return Fraction(0) if n <= 0 else Fraction(1, math.factorial(_bounded(n - 1)))
     with working_precision(_spouge_wp(precision)):
         v = _rgamma(x, precision)
-    return Scalar.big(v, precision)
+    return mp.mpf(v, prec=precision)
 
 
-def generalized_binomial(alpha: ScalarLike, k: int) -> Fraction:
+def generalized_binomial(alpha: NumberLike, k: int) -> Fraction:
     """binom(alpha, k) = alpha(alpha-1)...(alpha-k+1)/k!, exact for a
     rational upper index (a float one counts as its exact binary value)."""
     if k < 0:

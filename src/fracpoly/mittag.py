@@ -16,7 +16,7 @@ from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
 from .gammafns import _rgamma, reciprocal_gamma
-from .scalars import (DEFAULT_PRECISION, Scalar, ScalarLike, as_rational, check_precision, fraction_to_mpf,
+from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf,
                       positive_rational, working_precision)
 from .series import TruncatedSeries
 
@@ -37,7 +37,7 @@ class MLParams:
     alpha: Fraction
     beta: Fraction
 
-    def __init__(self, alpha: ScalarLike, beta: ScalarLike = 1):
+    def __init__(self, alpha: NumberLike, beta: NumberLike = 1):
         a, b = as_rational(alpha), as_rational(beta)
         if a <= 0 or b <= 0:
             raise DomainError(f"Mittag-Leffler parameters must be positive, got ({a}, {b})")
@@ -56,17 +56,19 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
     # n = 0 and 1, beta and alpha + beta, are both integers exactly when
     # alpha and beta are, so at least two terms fix the domain and the
     # order-0 series is a prefix of every longer one
-    s = TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(max(order, 1) + 1)])
+    s = TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(max(order, 1) + 1)],
+                        precision)
     return s if s.order == order else TruncatedSeries._raw(s._values[:1], s._prec)
 
 
 def ml_eval(
     p: MLParams,
-    z: ScalarLike,
-    tol: ScalarLike | None = None,
+    z: NumberLike,
+    tol: NumberLike | None = None,
     precision: int = DEFAULT_PRECISION,
-) -> Scalar:
-    """Sum the defining series until the geometric tail bound is below tol.
+):
+    """Sum the defining series until the geometric tail bound is below tol;
+    the sum is an mpf rounded once to the given precision.
 
     Raises ConvergenceEnvelopeExceeded for |z| > 50 and ToleranceUnreachable
     when the requested relative tolerance cannot be met at this precision
@@ -127,11 +129,12 @@ def ml_eval(
                 f"cancellation in the alternating sum exceeds the {precision}-bit budget "
                 f"for tolerance {float(tolm):.3e}"
             )
-    return Scalar.big(total, precision)
+    return mp.mpf(total, prec=precision)
 
 
-def ml_one_m_closed(m: int, z: ScalarLike, precision: int = DEFAULT_PRECISION) -> Scalar:
-    """Closed form of E_{1,m}: (e^z - sum_{k<=m-2} z^k/k!) / z^{m-1}.
+def ml_one_m_closed(m: int, z: NumberLike, precision: int = DEFAULT_PRECISION):
+    """Closed form of E_{1,m}: (e^z - sum_{k<=m-2} z^k/k!) / z^{m-1}, an
+    mpf rounded once to the given precision.
 
     Near z = 0 the subtraction cancels catastrophically, so |z| < 1/4 falls
     back to the series evaluation.
@@ -142,7 +145,7 @@ def ml_one_m_closed(m: int, z: ScalarLike, precision: int = DEFAULT_PRECISION) -
     z = as_rational(z)
     if abs(z) < Fraction(1, 4):
         return ml_eval(MLParams(1, m), z, precision=precision)
-    return Scalar.big(_subtracted_exponential(m, z, precision + 8 * m + 16), precision)
+    return mp.mpf(_subtracted_exponential(m, z, precision + 8 * m + 16), prec=precision)
 
 
 def _subtracted_exponential(m: int, z: Fraction, wp: int):

@@ -2,13 +2,13 @@
 
 A computed value is a raw value whose type is its domain: an int or a
 ``Fraction`` is exact, an mpmath float is a float at the precision of its
-container or of the call that made it.  A computation
-joins its operands' domains (:func:`join_precision`): exact when every
-operand is exact, else floats at the largest precision, and it runs on the
-raw values in one precision scope.  :class:`Scalar` hands one value with
-its domain across the boundary, and is built only there; it does no
-arithmetic.  Parameters, orders, exponents and evaluation points are not
-computed: they are plain Fractions, coerced once by :func:`as_rational`.
+container or of the call that made it (:func:`precision_of`).  A
+computation joins its operands' domains (:func:`join_precision`): exact
+when every operand is exact, else floats at the largest precision, and it
+runs on the raw values in one precision scope.  A float leaves the package
+raw and prints through :func:`render` at the precision it was made at.
+Parameters, orders, exponents and evaluation points are not computed: they
+are plain Fractions, coerced once by :func:`as_rational`.
 """
 
 from __future__ import annotations
@@ -75,7 +75,10 @@ def check_precision(bits: int) -> int:
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpmath float."""
+    """Exact rational value of a raw value: an int or a Fraction as a
+    Fraction, a finite mpmath float as the dyadic rational it holds."""
+    if isinstance(x, EXACT_TYPES):
+        return Fraction(x)
     sign, man, exp, _ = x._mpf_
     if man == 0:
         if x == 0:
@@ -92,82 +95,14 @@ def fraction_to_mpf(q: Fraction, bits: int):
     return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
 
 
-class Scalar:
-    """A read-only number in one of the two coefficient domains, as the
-    package hands it out.
-
-    Use :func:`as_scalar` to coerce plain Python numbers, or :meth:`big` to
-    construct a float.  Python floats coerce to their exact dyadic
-    rational value; big floats only enter through explicit construction or
-    through the transcendental functions.
-    """
-
-    __slots__ = ("_val", "_prec")
-
-    def __init__(self, value, prec):
-        self._val = value
-        self._prec = prec
-
-    @classmethod
-    def big(cls, value, prec: int) -> "Scalar":
-        check_precision(prec)
-        if isinstance(value, Fraction):
-            return cls(fraction_to_mpf(value, prec), prec)
-        return cls(mp.mpf(value, prec=prec), prec)
-
-    # -- inspection --------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self._prec is None
-
-    @property
-    def precision(self):
-        """Working precision in bits, or None for the exact domain."""
-        return self._prec
-
-    @property
-    def value(self):
-        return self._val
-
-    def as_fraction(self) -> Fraction:
-        return self._val if self.is_exact else mpf_to_fraction(self._val)
-
-    # -- comparisons (numeric, exact across domains) ------------------
-
-    def __eq__(self, other):
-        try:
-            other = as_rational(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.as_fraction() == other
-
-    # -- conversions / rendering --------------------------------------
-
-    def __repr__(self):
-        if self.is_exact:
-            return f"Scalar({self._val!r})"
-        return f"Scalar({self._val!r}, prec={self._prec})"
-
-    def __str__(self):
-        return str(self._val) if self.is_exact else decimal_str(self)
+NumberLike = Union[int, Fraction, float, str]
 
 
-ScalarLike = Union[Scalar, int, Fraction, float, str]
-
-
-def as_scalar(x: ScalarLike) -> Scalar:
-    """A Python number as the exact Scalar :func:`as_rational` reads; a Scalar as it is."""
-    return x if isinstance(x, Scalar) else Scalar(as_rational(x), None)
-
-
-def as_rational(x: ScalarLike) -> Fraction:
+def as_rational(x: NumberLike) -> Fraction:
     """A parameter, order, exponent or evaluation point as the exact
-    rational it stands for; a float, a Python one or a float Scalar, gives
-    its exact binary value.  An mpmath float is refused: :meth:`Scalar.big`
-    takes one with its precision."""
-    if isinstance(x, Scalar):
-        return x.as_fraction()
+    rational it stands for; a Python float gives its exact binary value.
+    An mpmath float is refused: only a container takes one, with its
+    precision."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
@@ -179,21 +114,32 @@ def as_rational(x: ScalarLike) -> Fraction:
         if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
             raise DomainError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {x!r}")
         return Fraction(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Scalar")
+    raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
-def as_raw(x: ScalarLike) -> tuple:
-    """(raw value, precision) of a Scalar, else (:func:`as_rational` of x, None)."""
-    return (x.value, x.precision) if isinstance(x, Scalar) else (as_rational(x), None)
-
-
-def positive_rational(x: ScalarLike, name: str) -> Fraction:
+def positive_rational(x: NumberLike, name: str) -> Fraction:
     """:func:`as_rational` of x, refused with DomainError unless positive;
     ``name`` says what x is in the message."""
     q = as_rational(x)
     if q <= 0:
         raise DomainError(f"{name} must be positive, got {q}")
     return q
+
+
+def raw_value(v, precision: int | None):
+    """v as a raw value made at ``precision``: an mpf rounded once to it
+    (refused without one), any other number as :func:`as_rational` reads it."""
+    if not isinstance(v, mp.mpf):
+        return as_rational(v)
+    if precision is None:
+        raise TypeError(f"the float {v!r} needs a precision")
+    return mp.mpf(v, prec=check_precision(precision))
+
+
+def precision_of(v, precision: int | None) -> int | None:
+    """The domain of a raw value v made at ``precision``: exact (None) for
+    an int or a Fraction, else floats at ``precision``."""
+    return None if isinstance(v, EXACT_TYPES) else precision
 
 
 def raw_in(v, precision: int | None):
@@ -204,8 +150,14 @@ def raw_in(v, precision: int | None):
     return Fraction(v) if precision is None else fraction_to_mpf(v, precision)
 
 
-def decimal_str(s: Scalar) -> str:
-    """Shortest decimal string that round-trips at the scalar's precision.
+def render(v, precision: int | None) -> str:
+    """A raw value as it prints: p/q when exact, else :func:`decimal_str`
+    at ``precision``."""
+    return str(v) if isinstance(v, EXACT_TYPES) else decimal_str(v, precision)
+
+
+def decimal_str(x, prec: int) -> str:
+    """Shortest decimal string that round-trips the mpf x at ``prec`` bits.
 
     The scan over digit counts d starts at a proven lower bound L, not at 1.
     A decimal that parses back to x lies within u = 2^(exp+bc-prec), one
@@ -214,10 +166,6 @@ def decimal_str(s: Scalar) -> str:
     significant digits of any decimal in [|x|-u, |x|+u], every d below L
     fails, and the scan from L returns the string a scan from 1 returns.
     """
-    if s.is_exact:
-        raise TypeError("decimal_str is for the float domain; exact values print as p/q")
-    prec = s.precision
-    x = s.value
     if x == 0:
         return "0.0"
     max_digits = int(math.ceil(prec * math.log10(2))) + 2
@@ -271,20 +219,21 @@ class Coefficients:
     from lists, whose length is known: a tuple grown from a generator is
     resized, which keeps filling the interpreter's tuple free lists.
 
-    Coercion and promotion happen once, in the constructor: mixed input is
-    promoted to the widest domain present.  Subclasses compute on the raw
-    values inside at most one precision scope per operation; Scalars appear
-    only at the boundary, in :attr:`coeffs` and in iteration.
+    Coercion happens once, in the constructor (:func:`raw_value`): the
+    values are exact when every one is exact, else floats at
+    ``precision``, each rounded once to it.  Subclasses compute on the raw
+    values inside at most one precision scope per operation; iteration
+    yields the raw values.
     """
 
     __slots__ = ("_values", "_prec")
 
-    def __init__(self, coeffs: Iterable[ScalarLike]):
-        raws = [as_raw(c) for c in coeffs]
-        if not raws:
+    def __init__(self, values: Iterable, precision: int | None = None):
+        values = [raw_value(v, precision) for v in values]
+        if not values:
             raise ValueError(f"a {type(self).__name__} needs at least one coefficient")
-        prec = join_precision(*[p for _, p in raws])
-        self._values = tuple([raw_in(v, prec) for v, _ in raws])
+        prec = join_precision(*[precision_of(v, precision) for v in values])
+        self._values = tuple([raw_in(v, prec) for v in values])
         self._prec = prec
 
     @classmethod
@@ -295,14 +244,17 @@ class Coefficients:
         return out
 
     @property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        return tuple([Scalar(v, self._prec) for v in self._values])
+    def precision(self) -> int | None:
+        """The precision of the float domain in bits, or None when exact."""
+        return self._prec
 
     def __iter__(self):
-        return iter(self.coeffs)
+        return iter(self._values)
 
     def __eq__(self, other):
-        return type(other) is type(self) and tuple(self) == tuple(other)
+        # the domains first: mpmath compares an mpf with a Fraction through
+        # a 53-bit float, so a raw comparison across domains can lie
+        return type(other) is type(self) and self._prec == other._prec and tuple(self) == tuple(other)
 
     def _values_in(self, prec: int | None) -> tuple:
         """The raw values in the domain ``prec``, which is this one or wider."""
@@ -315,9 +267,8 @@ class Coefficients:
         prec = join_precision(self._prec, other._prec)
         return self._values_in(prec), other._values_in(prec), prec
 
-    def scale(self, factor: ScalarLike):
-        fv, fprec = as_raw(factor)
-        prec = join_precision(self._prec, fprec)
-        fv = raw_in(fv, prec)
-        with domain_scope(prec):
-            return self._raw([fv * v for v in self._values_in(prec)], prec)
+    def scale(self, factor: NumberLike):
+        """The values times an exact factor, rounded once to a float domain."""
+        f = raw_in(as_rational(factor), self._prec)
+        with domain_scope(self._prec):
+            return self._raw([f * v for v in self._values], self._prec)

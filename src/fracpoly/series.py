@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import OrderMismatch, ValuationError, ZeroConstantTerm
-from .scalars import Coefficients, ScalarLike, as_raw, domain_scope, raw_in
+from .scalars import Coefficients, NumberLike, as_rational, domain_scope, raw_in, render
 
 __all__ = [
     "TruncatedSeries",
@@ -35,7 +35,7 @@ class TruncatedSeries(Coefficients):
         return len(self._values) - 1
 
     @classmethod
-    def constant(cls, value: ScalarLike, order: int) -> "TruncatedSeries":
+    def constant(cls, value: NumberLike, order: int) -> "TruncatedSeries":
         return cls([value] + [0] * order)
 
     def shift_down(self, v: int) -> "TruncatedSeries":
@@ -59,7 +59,7 @@ class TruncatedSeries(Coefficients):
             return Coefficients._raw([v * raw_in(math.factorial(k), prec) for k, v in enumerate(self._values)], prec)
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:6])
+        shown = ", ".join(render(c, self._prec) for c in self._values[:6])
         tail = ", ..." if self.order > 5 else ""
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
@@ -120,12 +120,11 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._raw(out, a._prec)
 
 
-def exp_series(x: ScalarLike, order: int) -> TruncatedSeries:
-    """The series of e^{x z} through the given order."""
-    xv, prec = as_raw(x)
-    out = [raw_in(1, prec)]
-    with domain_scope(prec):
-        for k in range(1, order + 1):
-            out.append(out[-1] * xv / k)
-    return TruncatedSeries._raw(out, prec)
+def exp_series(x: NumberLike, order: int) -> TruncatedSeries:
+    """The exact series of e^{x z} through the given order, x rational."""
+    x = as_rational(x)
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(out[-1] * x / k)
+    return TruncatedSeries._raw(out, None)
 

@@ -14,7 +14,7 @@ from fracpoly.mittag import MLParams, ml_eval
 
 def test_concurrent_mixed_precision_gamma():
     serial = {
-        (num, prec): reciprocal_gamma(Fraction(num, 3), prec).value
+        (num, prec): reciprocal_gamma(Fraction(num, 3), prec)._mpf_
         for num in (1, 2, 4, 5, 7, 8)
         for prec in (64, 128, 192)
     }
@@ -24,7 +24,7 @@ def test_concurrent_mixed_precision_gamma():
     def worker(num, prec):
         try:
             for _ in range(5):
-                results[(num, prec, threading.get_ident())] = reciprocal_gamma(Fraction(num, 3), prec).value
+                results[(num, prec, threading.get_ident())] = reciprocal_gamma(Fraction(num, 3), prec)._mpf_
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -44,7 +44,7 @@ def test_concurrent_mixed_precision_gamma():
 
 def test_concurrent_family_numbers_and_ml():
     want_nums = family_numbers(FamilyParams("bernoulli", 1, 2), 12)
-    want_ml = ml_eval(MLParams(Fraction(1, 2), 1), 1, precision=128).value
+    want_ml = ml_eval(MLParams(Fraction(1, 2), 1), 1, precision=128)._mpf_
     failures = []
 
     def nums_worker():
@@ -53,7 +53,7 @@ def test_concurrent_family_numbers_and_ml():
             failures.append("numbers")
 
     def ml_worker():
-        got = ml_eval(MLParams(Fraction(1, 2), 1), 1, precision=128).value
+        got = ml_eval(MLParams(Fraction(1, 2), 1), 1, precision=128)._mpf_
         if got != want_ml:
             failures.append("ml")
 
@@ -77,8 +77,8 @@ def test_concurrent_prefix_series_cache(monkeypatch):
                      for i in range(3) for p in params])
 
     def numbers(p, order, prec):
-        return [(s.precision, s.value._mpf_ if s.precision else s.value)
-                for s in family_numbers(p, order, prec)]
+        nums = family_numbers(p, order, prec)
+        return nums.precision, [v._mpf_ if nums.precision else v for v in nums]
 
     serial = {}
     for job in jobs:
@@ -119,28 +119,28 @@ def _float_jobs():
     mpf tuples or strings, so that equal results are equal bit for bit."""
     from fracpoly.families import Polynomial
     from fracpoly.fractional import FracExpansion, eval_frac_expansion
-    from fracpoly.scalars import Scalar, decimal_str, fraction_to_mpf, working_precision
+    from fracpoly.scalars import decimal_str, fraction_to_mpf, working_precision
 
     def products(prec):
-        x, y = Scalar.big(Fraction(1, 3), prec), Scalar.big(Fraction(-2, 7), prec)
+        x, y = fraction_to_mpf(Fraction(1, 3), prec), fraction_to_mpf(Fraction(-2, 7), prec)
         e = FracExpansion([((x, y), 0), ((Fraction(5, 11), x, 3), 1), ((y, y, Fraction(1, 7)), 2),
-                           (x, 3), (y, 3), ((2, Fraction(1, 3)), 4)])
-        return [c.value._mpf_ for c, _ in e]
+                           (x, 3), (y, 3), ((2, Fraction(1, 3)), 4)], prec)
+        return [c._mpf_ for c, _ in e]
 
     def decimal(prec):
         with working_precision(prec):
             x = fraction_to_mpf(Fraction(22, 7), prec)
             vals = (x, x / 3, x * x, x / -10**9)
-        return [decimal_str(Scalar(v, prec)) for v in vals]
+        return [decimal_str(v, prec) for v in vals]
 
     def polynomial(prec):
-        p = Polynomial([Scalar.big(Fraction(k + 1, 2 * k + 3), prec) for k in range(9)])
-        return [p.evaluate(t).value._mpf_ for t in (Fraction(1, 3), -2, Scalar.big(Fraction(3, 5), prec))]
+        p = Polynomial([fraction_to_mpf(Fraction(k + 1, 2 * k + 3), prec) for k in range(9)], prec)
+        return [p.evaluate(t)._mpf_ for t in (Fraction(1, 3), -2, Fraction(3, 5))]
 
     def expansion(prec):
-        e = FracExpansion((Scalar.big(Fraction(k + 2, 5), prec), Fraction(2 * k + 1, 2))
-                          for k in range(6))
-        return [eval_frac_expansion(e, t, prec).value._mpf_ for t in (Fraction(1, 2), 1, 3)]
+        e = FracExpansion(((fraction_to_mpf(Fraction(k + 2, 5), prec), Fraction(2 * k + 1, 2))
+                           for k in range(6)), prec)
+        return [eval_frac_expansion(e, t, prec)._mpf_ for t in (Fraction(1, 2), 1, 3)]
 
     return [(fn, prec) for fn in (products, decimal, polynomial, expansion) for prec in (64, 128, 256)]
 

@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 import fracpoly.families as families
-from fracpoly.families import FamilyParams, Polynomial, family_numbers, family_polynomial, family_series
-from fracpoly.scalars import (Scalar, as_scalar, domain_scope, fraction_to_mpf, join_precision, raw_in,
-                              working_precision)
+from fracpoly.families import (FamilyParams, Polynomial, family_numbers, family_polynomial, family_series,
+                               multinomial_number_product)
+from fracpoly.scalars import as_rational, domain_scope, fraction_to_mpf, raw_in, working_precision
 
 
 def bits(values):
-    """Each value's domain and exact representation: the mpf tuple for floats."""
-    return [(s.precision, s.value._mpf_ if s.precision else s.value) for s in values]
+    """The container's domain and each value's exact representation: the mpf tuple for floats."""
+    return [(values.precision, v._mpf_ if values.precision else v) for v in values]
 
 
 @pytest.fixture
@@ -43,12 +43,12 @@ def test_prefix_slices_equal_cold_series(empty_cache, p, prec, orders):
     cold = {}
     for n in orders:
         empty_cache()
-        cold[n] = bits(family_series(p, n, prec).coeffs)
+        cold[n] = bits(family_series(p, n, prec))
     empty_cache()
     for n in orders:
         s = family_series(p, n, prec)
         assert s.order == n
-        assert bits(s.coeffs) == cold[n]
+        assert bits(s) == cold[n]
     assert len(families._series_cache) == 1
 
 
@@ -60,21 +60,38 @@ def test_order_zero_keeps_the_domain_of_the_parameters(empty_cache):
     p = FamilyParams("euler", Fraction(1, 2), Fraction(7, 5))
     fresh = bits(family_numbers(p, 0))
     empty_cache()
-    assert bits(family_numbers(p, 3).coeffs[:1]) == fresh
+    assert bits(family_numbers(p, 3))[:1] == fresh
     assert fresh[0][0] == 128
-    assert bits(ml_series(MLParams(Fraction(1, 2), 1), 0).coeffs) == bits(
-        ml_series(MLParams(Fraction(1, 2), 1), 3).coeffs[:1])
-    assert bits(ml_series(MLParams(2, 3), 0).coeffs) == [(None, Fraction(1, 2))]
+    assert bits(ml_series(MLParams(Fraction(1, 2), 1), 0)) == bits(
+        ml_series(MLParams(Fraction(1, 2), 1), 3))[:1]
+    assert bits(ml_series(MLParams(2, 3), 0)) == [(None, Fraction(1, 2))]
 
 
 def test_cache_keeps_at_most_256_keys(empty_cache):
-    keys = [(FamilyParams("euler", 1, lam), 128) for lam in range(1, 301)]
-    for p, prec in keys:
-        family_series(p, 2, prec)
+    # the Euler series at alpha = 1 are exact, so their keys hold no precision
+    keys = [(FamilyParams("euler", 1, lam), None) for lam in range(1, 301)]
+    for p, _ in keys:
+        family_series(p, 2, 128)
     cache = families._series_cache
     assert len(cache) == families._SERIES_CACHE_SIZE == 256
     assert keys[0] not in cache
     assert keys[-1] in cache
+
+
+def test_exact_series_shared_across_precisions(empty_cache, monkeypatch):
+    # at an integer alpha the series is exact, so one computation serves
+    # every precision: the 64-bit request and the default 128-bit one
+    calls = []
+    real = families._number_series
+
+    def counting(p, order, precision):
+        calls.append((p, order, precision))
+        return real(p, order, precision)
+
+    monkeypatch.setattr(families, "_number_series", counting)
+    nums = family_numbers(FamilyParams("bernoulli", 1, 2), 6, 64)
+    assert multinomial_number_product(2, 1, 6) == list(nums)[6]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [40, 60])
@@ -85,10 +102,10 @@ def test_numbers_and_polynomial_round_like_scalar_loops(kind, lam, n):
     p = FamilyParams(kind, Fraction(1, 2), lam)
     s = family_series(p, n, 128)
     with working_precision(128):
-        want_nums = [c.value * fraction_to_mpf(math.factorial(k), 128) for k, c in enumerate(s.coeffs)]
+        want_nums = [c * fraction_to_mpf(math.factorial(k), 128) for k, c in enumerate(s)]
         want_poly = [fraction_to_mpf(math.comb(n, k), 128) * want_nums[k] for k in range(n, -1, -1)]
     assert bits(family_numbers(p, n, 128)) == [(128, v._mpf_) for v in want_nums]
-    assert bits(family_polynomial(p, n, 128).coeffs) == [(128, v._mpf_) for v in want_poly]
+    assert bits(family_polynomial(p, n, 128)) == [(128, v._mpf_) for v in want_poly]
 
 
 def fraction_horner(coeffs, x):
@@ -99,15 +116,19 @@ def fraction_horner(coeffs, x):
 
 
 def scalar_loop_horner(q, x):
-    """Polynomial.evaluate as one raw-value loop in the joined domain."""
-    xs = as_scalar(x)
-    prec = join_precision(q.coeffs[0].precision, xs.precision)
-    xv = raw_in(xs.value, prec)
+    """Polynomial.evaluate as one raw-value loop in the polynomial's domain."""
+    prec = q.precision
+    xv = raw_in(as_rational(x), prec)
     acc = 0
     with domain_scope(prec):
-        for c in reversed(q.coeffs):
-            acc = acc * xv + raw_in(c.value, prec)
-    return Scalar(acc, prec)
+        for c in reversed(list(q)):
+            acc = acc * xv + c
+    return acc
+
+
+def in_floats(q, prec):
+    """q with each coefficient rounded once to prec bits."""
+    return Polynomial([raw_in(c, prec) for c in q], prec)
 
 
 EXACT_POLYS = [
@@ -124,18 +145,20 @@ POINTS = [0, 5, -1, Fraction(7, 3), Fraction(-9, 8)]
 @pytest.mark.parametrize("x", POINTS)
 def test_exact_horner_matches_fraction_horner(q, x):
     got = q.evaluate(x)
-    assert got.is_exact
-    assert got.value == fraction_horner([c.value for c in q.coeffs], Fraction(x))
+    assert type(got) is Fraction
+    assert got == fraction_horner(list(q), Fraction(x))
 
 
+# an exact polynomial meets a float domain once its coefficients are rounded
+# to it; the point is rounded there too
 @pytest.mark.parametrize("q,x", [
-    (EXACT_POLYS[0], Scalar.big(Fraction(7, 3), 128)),
-    (EXACT_POLYS[4], Scalar.big(Fraction(-9, 8), 256)),
+    (in_floats(EXACT_POLYS[0], 128), Fraction(7, 3)),
+    (in_floats(EXACT_POLYS[4], 256), Fraction(-9, 8)),
     (family_polynomial(FamilyParams("euler", Fraction(1, 2), 2), 12), Fraction(7, 3)),
-    (family_polynomial(FamilyParams("euler", Fraction(1, 2), 2), 12), Scalar.big(Fraction(-9, 8), 256)),
+    (in_floats(family_polynomial(FamilyParams("euler", Fraction(1, 2), 2), 12), 256), Fraction(-9, 8)),
     (family_polynomial(FamilyParams("bernoulli", Fraction(1, 2), 1), 8, 256), 5),
 ])
 def test_mixed_domain_evaluation_rounds_like_loop(q, x):
     got, want = q.evaluate(x), scalar_loop_horner(q, x)
-    assert got.precision == want.precision is not None
-    assert got.value._mpf_ == want.value._mpf_
+    assert q.precision is not None
+    assert got._mpf_ == want._mpf_

@@ -21,14 +21,11 @@ PACKAGE = Path(fracpoly.__file__).resolve().parent
 
 # Functions no CLI call reaches that stay, each with the reason.
 ALLOWED = {
-    "scalars.Scalar.__repr__": "debugging aid; no output renders a repr",
     "series.TruncatedSeries.__repr__": "debugging aid; no output renders a repr",
     "families.Polynomial.__repr__": "debugging aid; no output renders a repr",
     "fractional.FracExpansion.__repr__": "debugging aid; no output renders a repr",
     "fractional.FracExpansion.scale": "Coefficients.scale for an expansion, whose exponents the inherited one drops",
-    "scalars.Scalar.__eq__": "without it two equal values compare unequal",
     "scalars.Coefficients.__eq__": "without it two equal containers compare unequal",
-    "scalars.Scalar.as_fraction": "a library caller's exact reading of a value; the CLI passes no Scalar in",
     "cli.main": "the console-script entry point; the calls below invoke the click group directly",
 }
 

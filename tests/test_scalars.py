@@ -11,12 +11,13 @@ from fracpoly.scalars import (
     DEFAULT_PRECISION,
     MAX_DECIMAL_EXPONENT,
     MAX_PRECISION,
-    Scalar,
-    as_scalar,
+    Coefficients,
+    as_rational,
     check_precision,
     decimal_str,
     fraction_to_mpf,
     mpf_to_fraction,
+    render,
     working_precision,
 )
 from fracpoly.series import TruncatedSeries, cauchy_product, reciprocal, series_add
@@ -25,67 +26,77 @@ fracs = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
 
 def test_exact_construction_normalized():
-    s = as_scalar(Fraction(6, -4))
-    assert s.is_exact
-    assert s.value == Fraction(-3, 2)
-    assert s.value.denominator == 2  # gcd reduced, denominator positive
+    s = as_rational(Fraction(6, -4))
+    assert type(s) is Fraction
+    assert s == Fraction(-3, 2)
+    assert s.denominator == 2  # gcd reduced, denominator positive
 
 
 def test_float_input_is_exact_dyadic():
-    s = as_scalar(0.5)
-    assert s.is_exact and s.value == Fraction(1, 2)
-    s = as_scalar(0.3)
-    assert s.is_exact and s.value == Fraction(0.3)  # the dyadic, not 3/10
+    s = as_rational(0.5)
+    assert type(s) is Fraction and s == Fraction(1, 2)
+    s = as_rational(0.3)
+    assert type(s) is Fraction and s == Fraction(0.3)  # the dyadic, not 3/10
 
 
 def test_string_input():
-    assert as_scalar("3/7").value == Fraction(3, 7)
-    assert as_scalar("0.3").value == Fraction(3, 10)
+    assert as_rational("3/7") == Fraction(3, 7)
+    assert as_rational("0.3") == Fraction(3, 10)
 
 
 def test_string_exponent_is_bounded_before_parsing():
-    assert as_scalar(f"1e{MAX_DECIMAL_EXPONENT}").value == 10 ** MAX_DECIMAL_EXPONENT
-    assert as_scalar(f"2.5E-{MAX_DECIMAL_EXPONENT} ").value == Fraction(25, 10 ** (MAX_DECIMAL_EXPONENT + 1))
+    assert as_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10 ** MAX_DECIMAL_EXPONENT
+    assert as_rational(f"2.5E-{MAX_DECIMAL_EXPONENT} ") == Fraction(25, 10 ** (MAX_DECIMAL_EXPONENT + 1))
     # each of these would take seconds to minutes inside Fraction
     for text in ("1e30000000", "1E-30000000", "-3.5e+1_0000000", "1e999999999"):
         with pytest.raises(DomainError):
-            as_scalar(text)
+            as_rational(text)
 
 
 def test_exact_arithmetic_stays_exact():
-    # Scalar does no arithmetic; the containers compute, and exact stays exact
+    # the containers compute on raw values, and exact stays exact
     a = TruncatedSeries([Fraction(1, 3), 1])
     b = TruncatedSeries([Fraction(1, 6), -2])
-    assert [c.value for c in series_add(a, b).coeffs] == [Fraction(1, 2), -1]
-    assert [c.value for c in cauchy_product(a, b).coeffs] == [Fraction(1, 18), Fraction(-1, 2)]
-    assert [c.value for c in reciprocal(b).coeffs] == [6, 72]
-    assert all(c.is_exact for c in a.scale(Fraction(2, 3)).coeffs)
-    assert [(c.value, e) for c, e in FracExpansion([((Fraction(1, 3), 2), 1)])] == [(Fraction(2, 3), 1)]
+    assert list(series_add(a, b)) == [Fraction(1, 2), -1]
+    assert list(cauchy_product(a, b)) == [Fraction(1, 18), Fraction(-1, 2)]
+    assert list(reciprocal(b)) == [6, 72]
+    scaled = a.scale(Fraction(2, 3))
+    assert scaled.precision is None and all(type(c) is Fraction for c in scaled)
+    assert list(FracExpansion([((Fraction(1, 3), 2), 1)])) == [(Fraction(2, 3), 1)]
 
 
 def test_mixed_promotes_to_max_precision():
-    # a container joins its inputs' domains once: the largest precision, or
-    # exact when every input is exact
-    a = Scalar.big(1, 96)
-    b = Scalar.big(2, 192)
-    c = as_scalar(Fraction(1, 3))
-    assert {x.precision for x in TruncatedSeries([a, b]).coeffs} == {192}
-    assert {x.precision for x in TruncatedSeries([a, c]).coeffs} == {96}
-    assert TruncatedSeries([c, c]).coeffs[0].is_exact
-    assert TruncatedSeries([c]).scale(a).coeffs[0].precision == 96
-    assert {x.precision for x, _ in FracExpansion([(c, 0), ((c, a), 1), (b, 2)])} == {192}
+    # an operation joins its operands' domains: the largest precision, or
+    # exact when every operand is exact; a constructor takes floats at its
+    # precision, and is exact when every value is exact
+    a = TruncatedSeries([mp.mpf(1)], 96)
+    b = TruncatedSeries([mp.mpf(2)], 192)
+    c = TruncatedSeries([Fraction(1, 3)])
+    assert series_add(a, b).precision == 192 and mpf_to_fraction(list(series_add(a, b))[0]) == 3
+    assert series_add(a, c).precision == 96
+    with working_precision(96):
+        assert list(series_add(a, c))[0]._mpf_ == (1 + fraction_to_mpf(Fraction(1, 3), 96))._mpf_
+    assert series_add(c, c).precision is None
+    assert TruncatedSeries([Fraction(1, 3), mp.mpf(1)], 96).precision == 96
+    assert TruncatedSeries([Fraction(1, 3)], 96).precision is None
+    third = fraction_to_mpf(Fraction(1, 3), 96)
+    assert FracExpansion([(Fraction(1, 3), 0), ((Fraction(1, 3), third), 1), (mp.mpf(2), 2)], 192).precision == 192
 
 
 def test_as_scalar_refuses_an_mpf():
-    # an mpf carries no working precision of its own: Scalar.big names one
+    # an mpf carries no working precision of its own: only a container
+    # takes one, with its precision
     with pytest.raises(TypeError):
-        as_scalar(mp.mpf(1))
-    assert Scalar.big(mp.mpf(1), 96).precision == 96
+        as_rational(mp.mpf(1))
+    with pytest.raises(TypeError):
+        TruncatedSeries([mp.mpf(1)])
+    assert TruncatedSeries([mp.mpf(1)], 96).precision == 96
 
 
 def test_big_requires_min_precision():
+    # a float container below 64 bits is refused
     with pytest.raises(DomainError):
-        Scalar.big(1, 32)
+        TruncatedSeries([mp.mpf(1)], 32)
 
 
 def test_precision_is_capped():
@@ -94,22 +105,34 @@ def test_precision_is_capped():
         with pytest.raises(DomainError):
             check_precision(bits)
     with pytest.raises(DomainError):
-        Scalar.big(1, MAX_PRECISION + 1)
+        TruncatedSeries([mp.mpf(1)], MAX_PRECISION + 1)
     # a float at the cap still prints within Python's int-to-str limit
-    assert str(Scalar.big(Fraction(-1, 3), MAX_PRECISION)).startswith("-0.333")
+    assert render(fraction_to_mpf(Fraction(-1, 3), MAX_PRECISION), MAX_PRECISION).startswith("-0.333")
 
 def test_comparisons_cross_domain_exact():
-    assert Scalar.big(0.5, 128) == as_scalar(Fraction(1, 2))
+    assert mpf_to_fraction(fraction_to_mpf(Fraction(1, 2), 128)) == Fraction(1, 2)
     # 1/3 is not dyadic, so the float of it differs from the exact value
-    assert Scalar.big(Fraction(1, 3), 128) != as_scalar(Fraction(1, 3))
+    assert mpf_to_fraction(fraction_to_mpf(Fraction(1, 3), 128)) != Fraction(1, 3)
+
+
+def test_container_equality_compares_domains():
+    # mpmath compares an mpf with a Fraction through a 53-bit float, so the
+    # raw tuples of these two containers may compare equal; the containers
+    # must not
+    x53 = fraction_to_mpf(Fraction(1, 3), 53)
+    assert Coefficients([x53], 64) != Coefficients([Fraction(1, 3)])
+    assert Coefficients([Fraction(1, 3)]) != Coefficients([x53], 64)
+    assert Coefficients([x53], 64) == Coefficients([x53], 64)
+    assert Coefficients([mp.mpf(1)], 64) != Coefficients([mp.mpf(1)], 128)
+    assert Coefficients([Fraction(1, 3), 2]) == Coefficients([Fraction(2, 6), Fraction(2)])
 
 
 @given(fracs)
 def test_mpf_fraction_roundtrip(q):
-    s = Scalar.big(q, 128)
-    back = mpf_to_fraction(s.value)
+    x = fraction_to_mpf(q, 128)
+    back = mpf_to_fraction(x)
     # the stored float is some dyadic close to q; converting back is exact
-    assert Scalar.big(back, 128).value == s.value
+    assert fraction_to_mpf(back, 128)._mpf_ == x._mpf_
 
 
 def test_fraction_to_mpf_rounds_once():
@@ -127,11 +150,11 @@ def test_fraction_to_mpf_rounds_once():
 def test_exact_field_ops(a, b):
     # the containers' exact arithmetic is Fraction arithmetic
     sa, sb = TruncatedSeries.constant(a, 0), TruncatedSeries.constant(b, 0)
-    assert series_add(sa, sb).coeffs[0].value == a + b
-    assert cauchy_product(sa, sb).coeffs[0].value == a * b
-    assert [c.value for c, _ in FracExpansion([((a, b), 0)])] == ([a * b] if a * b else [])
+    assert list(series_add(sa, sb)) == [a + b]
+    assert list(cauchy_product(sa, sb)) == [a * b]
+    assert [c for c, _ in FracExpansion([((a, b), 0)])] == ([a * b] if a * b else [])
     if b != 0:
-        assert reciprocal(sb).coeffs[0].value == 1 / b
+        assert list(reciprocal(sb)) == [1 / b]
 
 
 def test_decimal_str_roundtrips():
@@ -139,19 +162,17 @@ def test_decimal_str_roundtrips():
         for val in ("2.718281828459045235360287471352662497757",
                     "-0.0001220703125", "1048576", "0.1"):
             with working_precision(prec):
-                s = Scalar.big(mp.mpf(val), prec)
-            text = decimal_str(s)
-            assert Scalar.big(Fraction(text), prec).value == s.value
+                x = mp.mpf(val)
+            text = decimal_str(x, prec)
+            assert fraction_to_mpf(Fraction(text), prec)._mpf_ == x._mpf_
 
 
 def test_decimal_str_prefers_short():
-    s = Scalar.big(24, 128)
-    assert decimal_str(s) == "24.0"
+    assert decimal_str(mp.mpf(24), 128) == "24.0"
 
 
-def _decimal_str_scan_from_one(s: Scalar) -> str:
+def _decimal_str_scan_from_one(x, prec: int) -> str:
     """decimal_str as a plain scan over every digit count from 1."""
-    prec, x = s.precision, s.value
     if x == 0:
         return "0.0"
     max_digits = int(math.ceil(prec * math.log10(2))) + 2
@@ -182,16 +203,17 @@ def float_scalars(draw):
             x *= 1 + draw(st.sampled_from([-1, 0, 1])) * mp.eps
         if draw(st.booleans()):
             x = -x
-    return Scalar.big(x, prec)
+    return x, prec
 
 
 @settings(max_examples=300, deadline=None)
 @given(float_scalars())
 def test_decimal_str_equals_scan_from_one(s):
-    assert decimal_str(s) == _decimal_str_scan_from_one(s)
+    assert decimal_str(*s) == _decimal_str_scan_from_one(*s)
 
 
 def test_str_rational_format():
-    assert str(as_scalar(Fraction(-3, 7))) == "-3/7"
-    assert str(as_scalar(5)) == "5"
+    assert render(Fraction(-3, 7), None) == "-3/7"
+    assert render(5, None) == "5"
+    assert render(Fraction(-3, 7), 128) == "-3/7"  # an exact value ignores the precision
 

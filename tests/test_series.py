@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from fracpoly.errors import OrderMismatch, ZeroConstantTerm
-from fracpoly.scalars import Scalar, domain_scope, join_precision, raw_in, working_precision
+from fracpoly.scalars import domain_scope, fraction_to_mpf, join_precision, mpf_to_fraction, raw_in, working_precision
 from fracpoly.series import (
     TruncatedSeries,
     cauchy_product,
@@ -24,7 +24,7 @@ def ts(*coeffs):
 
 def egf(a, n):
     """n! times the ordinary coefficient: the value attached to z^n/n!."""
-    return a.egf().coeffs[n]
+    return list(a.egf())[n]
 
 
 def times_exp(a, x):
@@ -42,10 +42,10 @@ def bernoulli_recurrence(n_max):
 
 
 def test_series_add_examples():
-    assert series_add(ts(1, 1), ts(1, -1)).coeffs == ts(2, 0).coeffs
+    assert series_add(ts(1, 1), ts(1, -1)) == ts(2, 0)
     a = ts(3, Fraction(1, 2), -1)
-    assert series_add(a, TruncatedSeries.constant(0, 2)).coeffs == a.coeffs
-    assert series_add(ts(1, 1, 1), ts(0, 0, 1)).coeffs == ts(1, 1, 2).coeffs
+    assert series_add(a, TruncatedSeries.constant(0, 2)) == a
+    assert series_add(ts(1, 1, 1), ts(0, 0, 1)) == ts(1, 1, 2)
 
 
 def test_series_add_order_mismatch():
@@ -54,25 +54,25 @@ def test_series_add_order_mismatch():
 
 
 def test_cauchy_product_examples():
-    assert cauchy_product(ts(1, 1, 0), ts(1, 1, 0)).coeffs == ts(1, 2, 1).coeffs
+    assert cauchy_product(ts(1, 1, 0), ts(1, 1, 0)) == ts(1, 2, 1)
     a = ts(2, -3, Fraction(5, 7))
-    assert cauchy_product(a, TruncatedSeries.constant(1, 2)).coeffs == a.coeffs
+    assert cauchy_product(a, TruncatedSeries.constant(1, 2)) == a
     # e^z * e^z = e^{2z}: ordinary coefficients 2^k / k!
     e = exp_series(1, 4)
     prod = cauchy_product(e, e)
     for k in range(5):
-        assert prod.coeffs[k].value == Fraction(2 ** k, math.factorial(k))
+        assert list(prod)[k] == Fraction(2 ** k, math.factorial(k))
 
 
 def test_reciprocal_examples():
     geom = reciprocal(ts(1, -1, 0, 0, 0))
-    assert geom.coeffs == ts(1, 1, 1, 1, 1).coeffs
-    assert reciprocal(TruncatedSeries.constant(1, 3)).coeffs == TruncatedSeries.constant(1, 3).coeffs
+    assert geom == ts(1, 1, 1, 1, 1)
+    assert reciprocal(TruncatedSeries.constant(1, 3)) == TruncatedSeries.constant(1, 3)
     a = ts(1, 2, 1, 0, 0)
     r = reciprocal(a)
     # multiply-back oracle
-    assert cauchy_product(a, r).coeffs == TruncatedSeries.constant(1, 4).coeffs
-    assert r.coeffs == ts(1, -2, 3, -4, 5).coeffs
+    assert cauchy_product(a, r) == TruncatedSeries.constant(1, 4)
+    assert r == ts(1, -2, 3, -4, 5)
 
 
 def test_reciprocal_zero_constant():
@@ -92,7 +92,7 @@ def test_divide_bernoulli_generating_series():
     assert q.order == n
     oracle = bernoulli_recurrence(n)
     for k in range(n + 1):
-        assert egf(q, k).value == oracle[k]
+        assert egf(q, k) == oracle[k]
 
 
 def test_divide_scaled_argument():
@@ -102,41 +102,41 @@ def test_divide_scaled_argument():
     q = reciprocal(den)
     # multiply-back oracle: (e^{2z} - 1) = 2z * den, so q * (e^{2z} - 1) = 2z
     e2 = TruncatedSeries([0] + [Fraction(2 ** k, math.factorial(k)) for k in range(1, n + 2)])
-    back = cauchy_product(TruncatedSeries(q.coeffs + (0,)), e2)
-    assert back.coeffs == ts(0, 2, *[0] * n).coeffs
-    assert egf(q, 0).value == 1
-    assert egf(q, 1).value == -1
+    back = cauchy_product(TruncatedSeries(list(q) + [0]), e2)
+    assert back == ts(0, 2, *[0] * n)
+    assert egf(q, 0) == 1
+    assert egf(q, 1) == -1
     oracle = bernoulli_recurrence(n)
     for k in range(n + 1):
-        assert egf(q, k).value == 2 ** k * oracle[k]
+        assert egf(q, k) == 2 ** k * oracle[k]
 
 
 def test_multiply_exp_examples():
     one = TruncatedSeries.constant(1, 5)
-    assert times_exp(one, Fraction(3)).coeffs == exp_series(3, 5).coeffs
+    assert times_exp(one, Fraction(3)) == exp_series(3, 5)
     a = ts(2, -1, Fraction(1, 3))
-    assert times_exp(a, 0).coeffs == a.coeffs
+    assert times_exp(a, 0) == a
     # B_1(1) = 1/2 via the EGF of z/(e^z-1) times e^z
     shifted = times_exp(bernoulli_generating_series(6), 1)
-    assert egf(shifted, 1).value == Fraction(1, 2)
+    assert egf(shifted, 1) == Fraction(1, 2)
 
 
 def test_egf_coefficient_examples():
     e = exp_series(1, 8)
-    assert egf(e, 7).value == 1
-    assert egf(TruncatedSeries.constant(0, 5), 3).value == 0
-    assert len(e.egf().coeffs) == 9 and all(c.value == 1 for c in e.egf())
+    assert egf(e, 7) == 1
+    assert egf(TruncatedSeries.constant(0, 5), 3) == 0
+    assert len(list(e.egf())) == 9 and all(c == 1 for c in e.egf())
     # in a float domain, k! is rounded to the precision before it multiplies
-    f = ts(*[Scalar.big(Fraction(1, 3), 64)] * 25)
+    f = TruncatedSeries([fraction_to_mpf(Fraction(1, 3), 64)] * 25, 64)
     with working_precision(64):
-        want = f.coeffs[24].value * mp.mpf(math.factorial(24))
-    assert egf(f, 24).precision == 64 and egf(f, 24).value == want
+        want = list(f)[24] * mp.mpf(math.factorial(24))
+    assert f.egf().precision == 64 and egf(f, 24)._mpf_ == want._mpf_
 
 
 def joined_values(*series):
     """The raw coefficient values of the series in their joined domain, and its precision."""
-    prec = join_precision(*[s.coeffs[0].precision for s in series])
-    return [[raw_in(c.value, prec) for c in s.coeffs] for s in series], prec
+    prec = join_precision(*[s.precision for s in series])
+    return [[raw_in(c, prec) for c in s] for s in series], prec
 
 
 def loop_product(a, b):
@@ -148,8 +148,8 @@ def loop_product(a, b):
             s = 0
             for k in range(n + 1):
                 s = s + x[k] * y[n - k]
-            out.append(Scalar(s, prec))
-    return out
+            out.append(s)
+    return out, prec
 
 
 def loop_reciprocal(a):
@@ -163,11 +163,12 @@ def loop_reciprocal(a):
             for k in range(1, n + 1):
                 s = s + x[k] * out[n - k]
             out.append((0 - inv0) * s)
-    return [Scalar(v, prec) for v in out]
+    return out, prec
 
 
-def same_bits(got, want):
-    return [(c.precision, c.as_fraction()) for c in got] == [(c.precision, c.as_fraction()) for c in want]
+def same_bits(got, want, prec):
+    """The series got holds the raw values want in the domain prec, bit for bit."""
+    return got.precision == prec and [mpf_to_fraction(c) for c in got] == [mpf_to_fraction(v) for v in want]
 
 
 @pytest.mark.parametrize("prec_a, prec_b", [(96, None), (None, 160), (96, 160), (128, 128)])
@@ -178,26 +179,27 @@ def test_float_kernels_round_like_scalar_loops(prec_a, prec_b):
     def series(prec, seed):
         vals = [Fraction((7 * k + seed) % 11 - 5, 3 + (k * seed) % 7) for k in range(13)]
         vals[0] = Fraction(seed, 3)
-        return ts(*(v if prec is None else Scalar.big(v, prec) for v in vals))
+        return TruncatedSeries(vals if prec is None else [fraction_to_mpf(v, prec) for v in vals], prec)
 
     a, b = series(prec_a, 2), series(prec_b, 5)
-    assert same_bits(cauchy_product(a, b).coeffs, loop_product(a, b))
+    assert same_bits(cauchy_product(a, b), *loop_product(a, b))
     (x, y), prec = joined_values(a, b)
     with domain_scope(prec):
-        sums = [Scalar(u + v, prec) for u, v in zip(x, y)]
-    assert same_bits(series_add(a, b).coeffs, sums)
-    assert same_bits(reciprocal(a).coeffs, loop_reciprocal(a))
-    f = Scalar.big(Fraction(5, 7), 112)
-    prec = join_precision(f.precision, prec_a)
-    with working_precision(prec):
-        scaled = [Scalar(f.value * raw_in(c.value, prec), prec) for c in a.coeffs]
-    assert same_bits(a.scale(f).coeffs, scaled)
-    x = Scalar.big(Fraction(-3, 7), 100)
-    with working_precision(100):
-        want = [mp.mpf(1)]
-        for k in range(1, 13):
-            want.append(want[-1] * x.value / k)
-    assert same_bits(exp_series(x, 12).coeffs, [Scalar(v, 100) for v in want])
+        sums = [u + v for u, v in zip(x, y)]
+    assert same_bits(series_add(a, b), sums, prec)
+    assert same_bits(reciprocal(a), *loop_reciprocal(a))
+    # an exact factor, rounded once to a float domain before it multiplies
+    f = Fraction(5, 7)
+    with domain_scope(prec_a):
+        scaled = [raw_in(f, prec_a) * c for c in a]
+    assert same_bits(a.scale(f), scaled, prec_a)
+    x = Fraction(-3, 7)
+    want = [Fraction(1)]
+    for k in range(1, 13):
+        want.append(want[-1] * x / k)
+    assert same_bits(exp_series(x, 12), want, None)
+    with pytest.raises(TypeError):
+        exp_series(fraction_to_mpf(x, 100), 12)
 
 
 @settings(max_examples=60)
@@ -206,11 +208,11 @@ def test_float_kernels_round_like_scalar_loops(prec_a, prec_b):
        st.lists(fracs, min_size=9, max_size=9))
 def test_ring_axioms(a, b, c):
     A, B, C = ts(*a), ts(*b), ts(*c)
-    assert cauchy_product(A, B).coeffs == cauchy_product(B, A).coeffs
-    assert cauchy_product(cauchy_product(A, B), C).coeffs == cauchy_product(A, cauchy_product(B, C)).coeffs
-    assert cauchy_product(A, series_add(B, C)).coeffs == series_add(
+    assert cauchy_product(A, B) == cauchy_product(B, A)
+    assert cauchy_product(cauchy_product(A, B), C) == cauchy_product(A, cauchy_product(B, C))
+    assert cauchy_product(A, series_add(B, C)) == series_add(
         cauchy_product(A, B), cauchy_product(A, C)
-    ).coeffs
+    )
 
 
 @settings(max_examples=40)
@@ -219,9 +221,9 @@ def test_reciprocal_two_sided(coeffs):
     if coeffs[0] == 0:
         coeffs[0] = Fraction(1)
     A = ts(*coeffs)
-    one = TruncatedSeries.constant(1, 6).coeffs
-    assert cauchy_product(A, reciprocal(A)).coeffs == one
-    assert cauchy_product(reciprocal(A), A).coeffs == one
+    one = TruncatedSeries.constant(1, 6)
+    assert cauchy_product(A, reciprocal(A)) == one
+    assert cauchy_product(reciprocal(A), A) == one
 
 
 @settings(max_examples=40)
@@ -230,7 +232,7 @@ def test_multiply_exp_additive(coeffs, x, y):
     A = ts(*coeffs)
     lhs = times_exp(times_exp(A, x), y)
     rhs = times_exp(A, x + y)
-    assert lhs.coeffs == rhs.coeffs
+    assert lhs == rhs
 
 
 def fraction_convolution(x, y):
@@ -259,12 +261,12 @@ def _exact_pair(draw):
 def test_exact_product_equals_fraction_convolution(pair, float_prec):
     x, y = pair
     got = cauchy_product(ts(*x), ts(*y))
-    assert all(c.is_exact and type(c.value) is Fraction for c in got.coeffs)
-    assert [c.value for c in got.coeffs] == fraction_convolution(x, y)
+    assert got.precision is None and all(type(c) is Fraction for c in got)
+    assert list(got) == fraction_convolution(x, y)
     if float_prec is not None:
         # one float operand sends the pair down the float path, which
         # rounds like the raw-value loop
-        fy = ts(*(Scalar.big(v, float_prec) for v in y))
+        fy = TruncatedSeries([fraction_to_mpf(v, float_prec) for v in y], float_prec)
         mixed = cauchy_product(ts(*x), fy)
-        assert all(c.precision == float_prec for c in mixed.coeffs)
-        assert same_bits(mixed.coeffs, loop_product(ts(*x), fy))
+        assert mixed.precision == float_prec
+        assert same_bits(mixed, *loop_product(ts(*x), fy))

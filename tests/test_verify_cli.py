@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracpoly.verify as verify
 from fracpoly.cli import cli
-from fracpoly.scalars import Scalar, as_scalar, fraction_to_mpf, mpf_to_fraction, working_precision
+from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, working_precision
 from fracpoly.errors import DomainError
 from fracpoly.verify import SUITES, RunConfig, check_grids, run_suite, unread_fields
 
@@ -60,7 +60,7 @@ def test_numbers_json_roundtrip(runner):
     want = family_numbers(FamilyParams("bernoulli", 1, 2), 6)
     for row, w in zip(rows, want):
         assert row["domain"] == "rational"
-        assert Fraction(row["value"]) == w.value
+        assert Fraction(row["value"]) == w
 
 
 def test_numbers_json_roundtrip_float(runner):
@@ -75,7 +75,7 @@ def test_numbers_json_roundtrip_float(runner):
     for row, w in zip(rows, want):
         assert row["domain"] == "float"
         assert row["precision"] == 128
-        assert Scalar.big(Fraction(row["value"]), 128).value == w.value
+        assert fraction_to_mpf(Fraction(row["value"]), 128)._mpf_ == w._mpf_
 
 
 def test_output_determinism(runner):
@@ -223,6 +223,15 @@ def test_verify_all_exit_zero(runner):
     assert "known-discrepancy" in verdicts  # the two literal suites
     # the output contract: comparisons, errors and tolerances to the digit
     assert r.output == (GOLDEN / "verify_all.txt").read_text()
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512])
+def test_verify_all_json_matches_golden_bit_for_bit(runner, precision):
+    # the JSON prints every error and tolerance in full, so a change in the
+    # last bit of any route shows here; the text table prints three digits
+    r = invoke(runner, "verify", "all", "--precision", str(precision), "--format", "json")
+    assert r.exit_code == 0
+    assert r.stdout == (GOLDEN / f"verify_all_{precision}.json").read_text()
 
 
 @pytest.mark.parametrize("precision", ["64", "72"])
@@ -406,7 +415,7 @@ def test_verify_refuses_flag_no_selected_suite_reads(runner, args, flag):
 
 
 def test_verify_accepts_flag_some_selected_suite_reads(runner):
-    assert unread_fields(list(SUITES), RunConfig(lam=as_scalar(2))) == []
+    assert unread_fields(list(SUITES), RunConfig(lam=Fraction(2))) == []
     r = invoke(runner, "verify", "all", "--lambda", "2", "--max-degree", "1")
     assert r.exit_code == 0
 
@@ -492,9 +501,9 @@ def test_closed_form_suites_catch_a_relative_error_of_2_to_the_minus_40(monkeypa
     real = getattr(verify, name)
 
     def biased(*args):
-        v = real(*args)
-        with working_precision(v.precision):
-            return Scalar(v.value * fraction_to_mpf(1 + Fraction(1, 2 ** 40), v.precision), v.precision)
+        v, precision = real(*args), args[-1]  # the suites pass the precision last
+        with working_precision(precision):
+            return v * fraction_to_mpf(1 + Fraction(1, 2 ** 40), precision)
 
     monkeypatch.setattr(verify, name, biased)
     report = run_suite("theorem4", RunConfig(lam=Fraction(2), orders=(Fraction(1, 2),), max_degree=3))
@@ -581,10 +590,10 @@ def test_exact_tolerance_fails_an_error_of_ten_to_the_minus_60(monkeypatch):
 
     def off(a, b):
         c = real(a, b)
-        calls.append(c.coeffs[0].is_exact)
+        calls.append(c.precision is None)
         if not calls[-1]:
             return c
-        values = [v.value for v in c.coeffs]
+        values = list(c)
         values[-1] += Fraction(1, 10**60)
         return TruncatedSeries(values)
 
