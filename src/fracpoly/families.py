@@ -219,10 +219,49 @@ def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRE
     return family_series(p, max_index, precision).egf()
 
 
+# the most coefficients the polynomial memo holds, summed over its entries;
+# _polynomial_held is that sum, so the two are only ever reset together
+_POLYNOMIAL_MEMO_COEFFS = 1 << 14
+_polynomial_memo: OrderedDict = OrderedDict()
+_polynomial_lock = threading.Lock()
+_polynomial_held = 0
+
+
 def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    """Degree-n family polynomial: coefficient of x^{n-k} is binom(n,k) times number k."""
+    """Degree-n family polynomial: coefficient of x^{n-k} is binom(n,k) times number k.
+
+    Memoized on the key of the number series, (p, n, None) at an integer
+    alpha, where the polynomial is exact and one entry serves every
+    precision, else (p, n, precision): the key fixes every value the
+    polynomial reads, so a hit returns the bits of a fresh call.  The memo
+    holds at most 2^14 coefficients over its entries, least recently used
+    evicted, so `verify all`'s 636 polynomials (5,640 coefficients) fit.
+    A float coefficient takes at most about 1.1 kB (8192 bits), so float
+    entries take at most about 18 MB.  An exact one grows with the degree
+    and the sizes of alpha and lambda: at the CLI's degree cap of 200,
+    alpha 3 and lambda 7/5 it averages 0.6 kB.
+    """
+    global _polynomial_held
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
+    check_precision(precision)
+    key = (p, n, None if p.alpha.denominator == 1 else precision)
+    with _polynomial_lock:
+        poly = _polynomial_memo.get(key)
+        if poly is not None:
+            _polynomial_memo.move_to_end(key)
+            return poly
+    poly = _family_polynomial(p, n, precision)
+    with _polynomial_lock:
+        if key not in _polynomial_memo and n < _POLYNOMIAL_MEMO_COEFFS:
+            _polynomial_memo[key] = poly
+            _polynomial_held += n + 1
+            while _polynomial_held > _POLYNOMIAL_MEMO_COEFFS:
+                _polynomial_held -= _polynomial_memo.popitem(last=False)[1].degree + 1
+    return poly
+
+
+def _family_polynomial(p: FamilyParams, n: int, precision: int) -> Polynomial:
     nums = family_numbers(p, n, precision)
     prec, values = nums._prec, nums._values
     with domain_scope(prec):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DegreeTooLow, DomainError
 from .families import FamilyParams, Polynomial, family_numbers
@@ -120,7 +120,7 @@ def _product(factors, prec: int | None):
     """The raw product of raw factors in the domain ``prec`` by the one
     rounding rule of :class:`FracExpansion`."""
     first_float = next((i for i, f in enumerate(factors) if not isinstance(f, EXACT_TYPES)), len(factors))
-    acc = raw_in(math.prod(factors[:first_float], start=Fraction(1)), prec)
+    acc = raw_in(math.prod(factors[:first_float]), prec)
     for f in factors[first_float:]:
         acc *= raw_in(f, prec)
     return acc
@@ -300,16 +300,20 @@ def caputo_quadrature_oracle(
     weight_exp = n - a_exp - 1
     npoints = (dq.degree + 2) // 2 + 1
     nodes, weights = gauss_jacobi_rule(weight_exp, npoints, precision)
-    coeffs = dq._values_in(wp)[::-1]
+    coeffs = [c._mpf_ for c in dq._values_in(wp)[::-1]]
+    # the Horner passes on libmp tuples, each operation rounded to nearest
+    # at wp: the bits the mpf operators give in a wp-bit scope
+    rnd, add, mul = libmp.round_nearest, libmp.mpf_add, libmp.mpf_mul
+    tm = libmp.from_rational(t.numerator, t.denominator, wp, rnd)
+    acc = libmp.fzero
+    for x, w in zip(nodes, weights):
+        u = libmp.mpf_shift(mul(tm, add(x._mpf_, libmp.fone, wp, rnd), wp, rnd), -1)
+        val = libmp.fzero
+        for c in coeffs:
+            val = add(mul(val, u, wp, rnd), c, wp, rnd)
+        acc = add(acc, mul(w._mpf_, val, wp, rnd), wp, rnd)
     with working_precision(wp):
-        tm = fraction_to_mpf(t, wp)
-        acc = mp.mpf(0)
-        for x, w in zip(nodes, weights):
-            u = tm * (1 + x) / 2
-            val = 0
-            for c in coeffs:
-                val = val * u + c
-            acc += w * val
+        tm, acc = mp.make_mpf(tm), mp.make_mpf(acc)
         front = (tm / 2) ** (mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
         total = acc * front / mpmath.gamma(mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
     return mp.mpf(total, prec=precision)

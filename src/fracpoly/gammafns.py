@@ -26,10 +26,24 @@ the power and exponential, the rising product (exact, then cut to 32
 guard bits and divided once) and the product or quotient with gamma(x0),
 all well inside 2^(8-precision).
 
-Spouge evaluations are memoized on (x0, precision, working precision), so
-every argument with the same fractional part shares one sum: the working
-precision fixes every rounding after it, so a hit returns the very bits a
-fresh evaluation would and the error bound is untouched.
+Two memos hold repeated values; each key holds everything a value's bits
+depend on, so a hit returns the very bits a fresh evaluation would and the
+error bound is untouched:
+
+- ``_reciprocal_gamma_memo`` holds the public value at a non-integer
+  argument, keyed by the exact argument and the precision, at most 1024
+  entries, least recently used evicted.  The whole evaluation runs at the
+  working precision _spouge_wp(precision), fixed by the key, and rounds
+  once to the precision, whatever the caller's scope.  The values take at
+  most about 1.1 MB (mpfs of at most 8192 bits); the keys hold the
+  arguments as given.  At the integers the value is exact, one factorial,
+  and not memoized: its denominator can have up to 2^15 factors.
+- ``_spouge_memo`` holds the Spouge value gamma(x0) on (x0, precision,
+  working precision), at most 4096 entries, so every argument with the same
+  fractional part shares one sum: the working precision fixes every
+  rounding after it.  It serves the arguments the entry memo does not
+  share, the terms alpha n + beta of a Mittag-Leffler series at a
+  non-integer alpha (``ml_series``, ``ml_eval``).
 """
 
 from __future__ import annotations
@@ -192,6 +206,13 @@ def reciprocal_gamma(x: NumberLike, precision: int = DEFAULT_PRECISION):
     if x.denominator == 1:
         n = x.numerator
         return Fraction(0) if n <= 0 else Fraction(1, math.factorial(_bounded(n - 1)))
+    return _reciprocal_gamma_memo(x, precision)
+
+
+@lru_cache(maxsize=1024)
+def _reciprocal_gamma_memo(x: Fraction, precision: int):
+    """1/gamma at a non-integer x, rounded once to the precision from the
+    working precision _spouge_wp(precision), which the key fixes."""
     with working_precision(_spouge_wp(precision)):
         v = _rgamma(x, precision)
     return mp.mpf(v, prec=precision)

@@ -52,9 +52,15 @@ class TruncatedSeries(Coefficients):
 
     def egf(self) -> Coefficients:
         """The coefficients read as those of an exponential generating
-        function: coefficient k times k!, the factorial rounded once to a
-        float domain before it multiplies."""
+        function: coefficient k times k!, exact by a running int factorial,
+        or the factorial rounded once to a float domain before it multiplies."""
         prec = self._prec
+        if prec is None:
+            out, fact = [], 1
+            for k, v in enumerate(self._values):
+                fact *= k or 1
+                out.append(v * fact)
+            return Coefficients._raw(out, None)
         with domain_scope(prec):
             return Coefficients._raw([v * raw_in(math.factorial(k), prec) for k, v in enumerate(self._values)], prec)
 
@@ -123,8 +129,11 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 def exp_series(x: NumberLike, order: int) -> TruncatedSeries:
     """The exact series of e^{x z} through the given order, x rational."""
     x = as_rational(x)
-    out = [Fraction(1)]
-    for k in range(1, order + 1):
-        out.append(out[-1] * x / k)
+    p, q = x.numerator, x.denominator
+    out, num, den = [], 1, 1
+    for k in range(order + 1):
+        out.append(Fraction(num, den))  # p^k / (q^k k!)
+        num *= p
+        den *= q * (k + 1)
     return TruncatedSeries._raw(out, None)
 

@@ -114,6 +114,66 @@ def test_concurrent_prefix_series_cache(monkeypatch):
     assert len(families._series_cache) <= 4
 
 
+def test_concurrent_mixed_precision_memos(monkeypatch):
+    # threads mixing precisions through the reciprocal_gamma entry memo and
+    # the polynomial memo, which evicts under a small budget, get the bits a
+    # serial cold call gets
+    import fracpoly.gammafns as gammafns
+    from fracpoly.families import family_polynomial
+
+    def cold():
+        gammafns._reciprocal_gamma_memo.cache_clear()
+        gammafns._spouge_memo.cache_clear()
+        monkeypatch.setattr(families, "_series_cache", OrderedDict())
+        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
+        monkeypatch.setattr(families, "_polynomial_held", 0)
+
+    def gamma(x, prec):
+        return reciprocal_gamma(x, prec)._mpf_
+
+    def polynomial(p, prec):
+        q = family_polynomial(p, 8, prec)
+        return q.precision, [v._mpf_ if q.precision else v for v in q]
+
+    args = [(gamma, Fraction(num, 4)) for num in (-5, 1, 7, 13)]
+    args += [(polynomial, FamilyParams(kind, alpha, 2)) for kind in ("bernoulli", "euler")
+             for alpha in (1, Fraction(1, 2))]
+    jobs = [(fn, arg, prec) for fn, arg in args for prec in (64, 128, 256)]
+    serial = {}
+    for fn, arg, prec in jobs:
+        cold()
+        serial[fn.__name__, arg, prec] = fn(arg, prec)
+    cold()
+    monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 27)
+    start = threading.Barrier(6)
+    failures = []
+
+    def worker(offset):
+        try:
+            start.wait(timeout=30)
+            for i in range(2 * len(jobs)):
+                fn, arg, prec = jobs[(offset + i) % len(jobs)]
+                if fn(arg, prec) != serial[fn.__name__, arg, prec]:
+                    failures.append((fn.__name__, arg, prec))
+        except Exception as exc:  # pragma: no cover
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(5 * t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert families._polynomial_held <= 27
+    assert families._polynomial_held == sum(q.degree + 1 for q in families._polynomial_memo.values())
+
+
 def _float_jobs():
     """Lock-guarded float paths at several precisions, each returning raw
     mpf tuples or strings, so that equal results are equal bit for bit."""

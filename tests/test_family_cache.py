@@ -1,6 +1,7 @@
-"""The prefix-shared family series cache, the raw-value numbers and
-polynomials, and exact Horner evaluation: each must reproduce, bit for bit,
-what a cold computation or a per-coefficient raw-value loop gives."""
+"""The prefix-shared family series cache, the polynomial memo, the
+raw-value numbers and polynomials, and exact Horner evaluation: each must
+reproduce, bit for bit, what a cold computation or a per-coefficient
+raw-value loop gives."""
 
 import math
 from collections import OrderedDict
@@ -92,6 +93,60 @@ def test_exact_series_shared_across_precisions(empty_cache, monkeypatch):
     nums = family_numbers(FamilyParams("bernoulli", 1, 2), 6, 64)
     assert multinomial_number_product(2, 1, 6) == list(nums)[6]
     assert len(calls) == 1
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    def reset():
+        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
+        monkeypatch.setattr(families, "_polynomial_held", 0)
+    reset()
+    return reset
+
+
+def test_polynomial_memo_keys_like_the_series(empty_cache, empty_memo, monkeypatch):
+    # an integer alpha gives an exact polynomial, one entry for every
+    # precision; a non-integer alpha gives one entry per precision
+    exact, floats = FamilyParams("euler", 2, Fraction(2, 3)), FamilyParams("genocchi", Fraction(1, 2), 2)
+    calls = [(p, prec) for p in (exact, floats) for prec in (64, 128, 512)]
+    cold = {}
+    for p, prec in calls:
+        empty_cache()
+        empty_memo()
+        cold[p, prec] = bits(family_polynomial(p, 9, prec))
+    empty_cache()
+    empty_memo()
+    builds = []
+    real = families._family_polynomial
+
+    def counting(p, n, precision):
+        builds.append((p, precision))
+        return real(p, n, precision)
+
+    monkeypatch.setattr(families, "_family_polynomial", counting)
+    first = {(p, prec): family_polynomial(p, 9, prec) for p, prec in calls}
+    for p, prec in calls:
+        hit = family_polynomial(p, 9, prec)
+        assert hit is first[p, prec]
+        assert bits(hit) == cold[p, prec]
+    assert builds == [(exact, 64), (floats, 64), (floats, 128), (floats, 512)]
+    assert list(families._polynomial_memo) == [(exact, 9, None), (floats, 9, 64), (floats, 9, 128),
+                                               (floats, 9, 512)]
+
+
+def test_polynomial_memo_keeps_at_most_its_coefficient_budget(empty_memo, monkeypatch):
+    monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 20)
+    p = FamilyParams("bernoulli", 1, 2)
+    for n in (5, 6, 7):  # 6 + 7 + 8 coefficients: the first is evicted
+        family_polynomial(p, n)
+    assert list(families._polynomial_memo) == [(p, 6, None), (p, 7, None)]
+    assert families._polynomial_held == 15
+    family_polynomial(p, 20)  # 21 coefficients: more than the budget, not held
+    assert list(families._polynomial_memo) == [(p, 6, None), (p, 7, None)]
+    family_polynomial(p, 6)  # a hit moves its entry to the end
+    family_polynomial(p, 8)
+    assert list(families._polynomial_memo) == [(p, 6, None), (p, 8, None)]
+    assert families._polynomial_held == 16
 
 
 @pytest.mark.parametrize("n", [40, 60])

@@ -1,6 +1,7 @@
-"""The Spouge memo hands out the bits a fresh evaluation computes, keyed per
-working precision, also under threads mixing precisions, and one sum serves
-every argument with the same fractional part."""
+"""The Spouge memo and the reciprocal_gamma entry memo hand out the bits a
+fresh evaluation computes, the Spouge memo keyed per working precision,
+also under threads mixing precisions, and one sum serves every argument
+with the same fractional part."""
 
 import sys
 import threading
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from fracpoly.fractional import rl_derivative_term
-from fracpoly.gammafns import _gamma_positive, _spouge, _spouge_memo, _spouge_wp, reciprocal_gamma
+from fracpoly.gammafns import (_gamma_positive, _reciprocal_gamma_memo, _spouge, _spouge_memo, _spouge_wp,
+                               reciprocal_gamma)
 from fracpoly.mittag import MLParams, ml_eval, ml_series
 from fracpoly.scalars import fraction_to_mpf, working_precision
 
@@ -40,12 +42,43 @@ def _bits(values):
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_memo_hit_equals_fresh_evaluation(route, prec):
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     fresh = ROUTES[route](prec)
     hits = _spouge_memo.cache_info().hits
+    _reciprocal_gamma_memo.cache_clear()  # the second pass reaches the Spouge memo
     memoized = ROUTES[route](prec)
     assert _spouge_memo.cache_info().hits > hits
     assert memoized == fresh
     assert _bits(memoized) == _bits(fresh)
+
+
+# an integer, a reflected negative argument, one stepped up from below 1
+# and one taken down by a rising product
+ENTRY_ARGS = (Fraction(5), Fraction(-7, 5), Fraction(1, 3), Fraction(23, 4))
+
+
+@pytest.mark.parametrize("prec", (64, 128, 512))
+@pytest.mark.parametrize("x", ENTRY_ARGS)
+def test_entry_memo_hit_equals_fresh_evaluation(x, prec):
+    # the first call runs inside a wider caller scope: the key holds no
+    # working precision, since the entry sets its own from the precision
+    _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
+    with working_precision(4 * prec):
+        cold = reciprocal_gamma(x, prec)
+    info = _reciprocal_gamma_memo.cache_info()
+    hit = reciprocal_gamma(x, prec)
+    _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
+    fresh = reciprocal_gamma(x, prec)
+    if x.denominator == 1:
+        # exact, one factorial, and not memoized
+        assert info.currsize == 0
+        assert hit == cold == fresh == Fraction(1, 24)
+    else:
+        assert info.currsize == 1
+        assert _bits([hit]) == _bits([cold]) == _bits([fresh])
+        assert hit is cold
 
 
 def test_working_precision_is_part_of_the_key():
@@ -53,6 +86,7 @@ def test_working_precision_is_part_of_the_key():
     x0 = Fraction(7, 4)
     values = {}
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     for wp in (prec + 16, _spouge_wp(prec)):
         with working_precision(wp):
             values[wp] = (_spouge(x0, prec), _gamma_positive(fraction_to_mpf(x0, wp), prec))
@@ -65,14 +99,18 @@ def test_working_precision_is_part_of_the_key():
 def test_ml_eval_and_ml_series_keep_their_own_values():
     prec = 128
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     series_alone = _bits(ml_series(ML_DYADIC, 10, prec))
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     eval_alone = ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec)._mpf_
     # each route first, then the other one on the same shared arguments
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     assert ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec)._mpf_ == eval_alone
     assert _bits(ml_series(ML_DYADIC, 10, prec)) == series_alone
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     assert _bits(ml_series(ML_DYADIC, 10, prec)) == series_alone
     assert ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec)._mpf_ == eval_alone
 
@@ -83,8 +121,10 @@ def test_concurrent_mixed_precision_memo():
     serial = {}
     for kind, prec in jobs:
         _spouge_memo.cache_clear()
+        _reciprocal_gamma_memo.cache_clear()
         serial[(kind, prec)] = _bits(ROUTES[kind](prec))
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     results = []
     errors = []
 
@@ -117,6 +157,7 @@ def test_one_sum_per_fractional_part():
     # 7/11 n + 6/5 = (35 n + 66)/55 takes 11 fractional parts over n = 0..80
     p = MLParams(Fraction(7, 11), Fraction(6, 5))
     _spouge_memo.cache_clear()
+    _reciprocal_gamma_memo.cache_clear()
     ml_series(p, 80, 128)
     info = _spouge_memo.cache_info()
     assert info.misses <= 11

@@ -234,6 +234,53 @@ def test_verify_all_json_matches_golden_bit_for_bit(runner, precision):
     assert r.stdout == (GOLDEN / f"verify_all_{precision}.json").read_text()
 
 
+def _cold_memos(monkeypatch):
+    """Empty every memo and cache that `verify all` reads across suites."""
+    from collections import OrderedDict
+
+    import fracpoly.families as families
+    import fracpoly.gammafns as gammafns
+    import fracpoly.quadrature as quadrature
+
+    gammafns._reciprocal_gamma_memo.cache_clear()
+    gammafns._spouge_memo.cache_clear()
+    quadrature._rule_cached.cache_clear()
+    monkeypatch.setattr(families, "_series_cache", OrderedDict())
+    monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
+    monkeypatch.setattr(families, "_polynomial_held", 0)
+
+
+def test_verify_all_with_warm_memos_matches_golden(runner, monkeypatch):
+    # one process: each run finds the memos as the runs before it left them,
+    # and a hit must give the bits a cold run computes
+    _cold_memos(monkeypatch)
+    for precision in (512, 64, 128):
+        r = invoke(runner, "verify", "all", "--precision", str(precision), "--format", "json")
+        assert r.stdout == (GOLDEN / f"verify_all_{precision}.json").read_text()
+
+
+def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
+    # a cold 128-bit `verify all` asks for 1/gamma 6,943 times at 229
+    # arguments, 106 of them non-integers (the 123 integers are exact
+    # factorials, not memoized), and for 636 distinct polynomials 2,803 times
+    import fracpoly.families as families
+    import fracpoly.gammafns as gammafns
+
+    _cold_memos(monkeypatch)
+    builds = []
+    real = families._family_polynomial
+
+    def counting(p, n, precision):
+        builds.append((p, n, precision))
+        return real(p, n, precision)
+
+    monkeypatch.setattr(families, "_family_polynomial", counting)
+    r = invoke(runner, "verify", "all", "--format", "json")
+    assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
+    assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
+    assert len(builds) <= 636
+
+
 @pytest.mark.parametrize("precision", ["64", "72"])
 def test_verify_ml_consistency_passes_at_low_precision(runner, precision):
     # ml_eval's tolerance scales with the precision, so at 64 bits its own
@@ -655,6 +702,8 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
     # either gamma route must flip a suite to fail.  The same check at 64
     # bits waits for tolerances from an error budget (ROADMAP): the
     # identity class 2^(48-p) is 2^-16 there and passes this error.
+    from collections import OrderedDict
+
     from mpmath import mp
 
     import fracpoly.families as families
@@ -663,7 +712,10 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
 
     def clear_caches():
         gammafns._spouge_memo.cache_clear()
+        gammafns._reciprocal_gamma_memo.cache_clear()
         families._series_cache.clear()
+        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
+        monkeypatch.setattr(families, "_polynomial_held", 0)
 
     real = getattr(gammafns, name)
 
