@@ -56,7 +56,8 @@ class FamilyKind(str, Enum):
 @dataclass(frozen=True)
 class FamilyParams:
     """Selects one generating function: kind, alpha > 0, lambda > 0, order h.
-    alpha and lambda are exact rationals."""
+    alpha and lambda are exact rationals.  The hash is computed once, since
+    every memo and cache lookup hashes its key."""
 
     kind: FamilyKind
     alpha: Fraction
@@ -76,6 +77,10 @@ class FamilyParams:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "lam", l)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_hash", hash((kind, a, l, h)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _check_h(h) -> None:

@@ -11,7 +11,10 @@ both gammas through reciprocal_gamma, in the float domain.
 
 The quadrature oracle at the bottom integrates the defining formula
 directly with a Gauss-Jacobi rule and shares no code path with the closed
-forms above it.
+forms above it.  It does its set-up once per (polynomial, order) for all
+the points asked for.  An expansion is evaluated with its powers t^x taken
+from a memo keyed by t, x (as integer pairs) and the working precision, at
+most 1024 values (about 1.1 MB at the 8192-bit cap).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 import mpmath
@@ -42,6 +46,7 @@ __all__ = [
     "leibniz_product",
     "caputo_closed_form",
     "caputo_quadrature_oracle",
+    "caputo_quadrature_points",
     "eval_frac_expansion",
     "aligned_terms",
 ]
@@ -192,10 +197,21 @@ def rl_integral_poly(
 
 def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple]:
     """(exponent, raw coefficient in a, raw coefficient in b) over the union
-    of the exponents, with an exact zero where one side has no term."""
-    amap = {e: c for c, e in a}
-    bmap = {e: c for c, e in b}
-    return [(e, amap.get(e, Fraction(0)), bmap.get(e, Fraction(0))) for e in sorted(set(amap) | set(bmap))]
+    of the exponents, with an exact zero where one side has no term: one
+    merge of the two strictly increasing exponent tuples."""
+    (ae, av), (be, bv) = (a._exponents, a._values), (b._exponents, b._values)
+    out, i, j, zero = [], 0, 0, Fraction(0)
+    while i < len(ae) and j < len(be):
+        if ae[i] == be[j]:
+            out.append((ae[i], av[i], bv[j]))
+            i, j = i + 1, j + 1
+        elif ae[i] < be[j]:
+            out.append((ae[i], av[i], zero))
+            i += 1
+        else:
+            out.append((be[j], zero, bv[j]))
+            j += 1
+    return out + [(e, c, zero) for c, e in zip(av[i:], ae[i:])] + [(e, zero, c) for c, e in zip(bv[j:], be[j:])]
 
 
 def caputo_by_composition(
@@ -274,62 +290,84 @@ def caputo_quadrature_oracle(
     q: Polynomial, ord: CaputoOrder, t: NumberLike, precision: int = DEFAULT_PRECISION
 ):
     """Evaluate the Caputo derivative of q at t by singular quadrature, an
-    mpf rounded once to the given precision.
+    mpf rounded once to the given precision: the one-point case of
+    :func:`caputo_quadrature_points`."""
+    return caputo_quadrature_points(q, ord, (t,), precision)[0]
+
+
+def caputo_quadrature_points(
+    q: Polynomial, ord: CaputoOrder, ts: Iterable[NumberLike], precision: int = DEFAULT_PRECISION
+) -> list:
+    """The Caputo derivative of q at each point of ts by singular
+    quadrature, each an mpf rounded once to the given precision.
 
     Integrates q^(n)(s) (t-s)^(n-alpha-1) / gamma(n-alpha) over [0, t] with
     a Gauss-Jacobi rule whose weight absorbs the endpoint singularity.  The
     rule has (d + 2) // 2 + 1 nodes for d = deg(q^(n)): the exactness minimum
     ceil((d + 1) / 2) plus one guard node, so the polynomial factor is
     integrated exactly by construction.  Integer orders bypass to the
-    ordinary derivative, in q's domain.  The coefficients of q^(n) are converted to the
-    working precision once per call, and each node runs one Horner pass
-    on them.
+    ordinary derivative, in q's domain.  The set-up is done once for all
+    points: q^(n), its coefficients at the working precision, the rule and
+    gamma(n - alpha).  Each point then runs one Horner pass per node and
+    its own (t/2)^(n-alpha), so a point's value has the bits of a one-point
+    call.  No code is shared with the closed-form routes.
     """
     check_precision(precision)
-    t = positive_rational(t, "evaluation point")
+    ts = [positive_rational(t, "evaluation point") for t in ts]
     n = ord.n
     dq = q
     for _ in range(n):
         dq = dq.derivative()
     if ord.is_integer:
-        return dq.evaluate(t)
+        return [dq.evaluate(t) for t in ts]
     if dq.is_zero():
-        return mp.mpf(0, prec=precision)
+        return [mp.mpf(0, prec=precision) for _ in ts]
     wp = precision + 32
     a_exp = ord.alpha
-    weight_exp = n - a_exp - 1
-    npoints = (dq.degree + 2) // 2 + 1
-    nodes, weights = gauss_jacobi_rule(weight_exp, npoints, precision)
+    nodes, weights = gauss_jacobi_rule(n - a_exp - 1, (dq.degree + 2) // 2 + 1, precision)
+    nodes, weights = [x._mpf_ for x in nodes], [w._mpf_ for w in weights]
     coeffs = [c._mpf_ for c in dq._values_in(wp)[::-1]]
+    with working_precision(wp):
+        power = mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator
+        gamma = mpmath.gamma(power)
     # the Horner passes on libmp tuples, each operation rounded to nearest
     # at wp: the bits the mpf operators give in a wp-bit scope
     rnd, add, mul = libmp.round_nearest, libmp.mpf_add, libmp.mpf_mul
-    tm = libmp.from_rational(t.numerator, t.denominator, wp, rnd)
-    acc = libmp.fzero
-    for x, w in zip(nodes, weights):
-        u = libmp.mpf_shift(mul(tm, add(x._mpf_, libmp.fone, wp, rnd), wp, rnd), -1)
-        val = libmp.fzero
-        for c in coeffs:
-            val = add(mul(val, u, wp, rnd), c, wp, rnd)
-        acc = add(acc, mul(w._mpf_, val, wp, rnd), wp, rnd)
-    with working_precision(wp):
-        tm, acc = mp.make_mpf(tm), mp.make_mpf(acc)
-        front = (tm / 2) ** (mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
-        total = acc * front / mpmath.gamma(mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator)
-    return mp.mpf(total, prec=precision)
+    out = []
+    for t in ts:
+        tm = libmp.from_rational(t.numerator, t.denominator, wp, rnd)
+        acc = libmp.fzero
+        for x, w in zip(nodes, weights):
+            u = libmp.mpf_shift(mul(tm, add(x, libmp.fone, wp, rnd), wp, rnd), -1)
+            val = libmp.fzero
+            for c in coeffs:
+                val = add(mul(val, u, wp, rnd), c, wp, rnd)
+            acc = add(acc, mul(w, val, wp, rnd), wp, rnd)
+        with working_precision(wp):
+            total = mp.make_mpf(acc) * (mp.make_mpf(tm) / 2) ** power / gamma
+        out.append(mp.mpf(total, prec=precision))
+    return out
 
 
 def eval_frac_expansion(
     e: FracExpansion, t: NumberLike, precision: int = DEFAULT_PRECISION
 ):
-    """Sum c_k t^{e_k} at t > 0, powers via exp(e log t), as an mpf rounded
-    once to the given precision."""
+    """Sum c_k t^{e_k} at t > 0, powers via exp(e log t) from the memo
+    :func:`_power`, as an mpf rounded once to the given precision."""
     check_precision(precision)
     t = positive_rational(t, "evaluation point")
     wp = precision + 16
     with working_precision(wp):
-        logt = mp.log(fraction_to_mpf(t, wp))
         acc = mp.mpf(0)
         for c, x in zip(e._values_in(wp), e._exponents):
-            acc += c * mp.exp(fraction_to_mpf(x, wp) * logt)
+            acc += c * _power(t.numerator, t.denominator, x.numerator, x.denominator, wp)
     return mp.mpf(acc, prec=precision)
+
+
+@lru_cache(maxsize=1024)
+def _power(tn: int, td: int, xn: int, xd: int, wp: int):
+    """t^x for t = tn/td and x = xn/xd as exp(x log t), each step rounded
+    at wp bits; a hit returns the bits of a fresh call.  The key is
+    integers, which hash faster than Fractions."""
+    with working_precision(wp):
+        return mp.exp(fraction_to_mpf(Fraction(xn, xd), wp) * mp.log(fraction_to_mpf(Fraction(tn, td), wp)))

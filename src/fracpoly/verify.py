@@ -50,7 +50,7 @@ from .fractional import (
     caputo_by_composition,
     caputo_closed_form,
     caputo_derivative_poly,
-    caputo_quadrature_oracle,
+    caputo_quadrature_points,
     eval_frac_expansion,
     leibniz_product,
     rl_derivative_term,
@@ -123,15 +123,24 @@ def _tol_truncation(precision: int) -> Fraction:
 
 
 class _Check:
-    """Error statistics of one suite run, in exact rational arithmetic."""
+    """Error statistics of one suite run, exact: each error is a ratio of
+    integers, the running maxima are kept as (numerator, denominator) pairs
+    compared by cross-multiplying, and each is read as one Fraction."""
 
     def __init__(self, override: Fraction | None):
         self.override = override
         self.comparisons = 0
         self.failures = 0
-        self.max_abs = Fraction(0)
-        self.max_rel = Fraction(0)
+        self._abs = self._rel = (0, 1)
         self.max_tol = Fraction(0) if override is None else override
+
+    @property
+    def max_abs(self) -> Fraction:
+        return Fraction(*self._abs)
+
+    @property
+    def max_rel(self) -> Fraction:
+        return Fraction(*self._rel)
 
     def values(self, got, want, float_tol: Fraction):
         exact = isinstance(got, EXACT_TYPES) and isinstance(want, EXACT_TYPES)
@@ -146,12 +155,18 @@ class _Check:
         self.max_tol = max(self.max_tol, tol)
         if exact and got == want:
             return  # a zero error moves no maximum and fails no tolerance >= 0
-        a, b = mpf_to_fraction(got), mpf_to_fraction(want)
-        abs_err = abs(a - b)
-        rel_err = abs_err / max(Fraction(1), abs(a), abs(b))
-        self.max_abs = max(self.max_abs, abs_err)
-        self.max_rel = max(self.max_rel, rel_err)
-        if rel_err > tol:
+        # each side's exact value as integers (a float's are m and 2^-e, or
+        # m 2^e and 1); over the common denominator da*db come the error
+        # and max(1, |got|, |want|)
+        p, q = mpf_to_fraction(got), mpf_to_fraction(want)
+        a, da, b, db = p.numerator, p.denominator, q.numerator, q.denominator
+        err, den = abs(a * db - b * da), da * db
+        scale = max(den, abs(a) * db, abs(b) * da)
+        if err * self._abs[1] > self._abs[0] * den:
+            self._abs = (err, den)
+        if err * self._rel[1] > self._rel[0] * scale:
+            self._rel = (err, scale)
+        if err * tol.denominator > tol.numerator * scale:
             self.failures += 1
 
 
@@ -475,9 +490,8 @@ def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_ma
                 closed = caputo_closed_form(p, m, ord_, precision, table)
                 poly = family_polynomial(p, m, precision)
                 yield closed, caputo_derivative_poly(poly, ord_, precision), _tol_identity(precision)
-                for t in _EVAL_POINTS:
-                    yield (eval_frac_expansion(closed, t, precision),
-                           caputo_quadrature_oracle(poly, ord_, t, precision))
+                for t, want in zip(_EVAL_POINTS, caputo_quadrature_points(poly, ord_, _EVAL_POINTS, precision)):
+                    yield eval_frac_expansion(closed, t, precision), want
 
 
 @_suite("theorem4", float_tol=_tol_oracle, lam=(2, 3), orders=_CLOSED_FORM_ORDERS, max_degree=8)

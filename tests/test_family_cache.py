@@ -134,6 +134,26 @@ def test_polynomial_memo_keys_like_the_series(empty_cache, empty_memo, monkeypat
                                                (floats, 9, 512)]
 
 
+def test_equal_params_hash_alike_and_share_a_memo_entry(empty_cache, empty_memo, monkeypatch):
+    # the hash is computed once per instance; two equal instances built
+    # apart must still hash alike, compare and print alike, and hit one entry
+    a, b = FamilyParams("euler", Fraction(1, 2), Fraction(2, 3)), FamilyParams("euler", "1/2", Fraction(4, 6))
+    assert a is not b and a == b and repr(a) == repr(b)
+    assert hash(a) == hash(b) == hash((a.kind, a.alpha, a.lam, a.h))
+    assert hash(a) != hash(FamilyParams("euler", Fraction(1, 2), Fraction(3, 2)))
+    builds = []
+    real = families._family_polynomial
+
+    def counting(p, n, precision):
+        builds.append(p)
+        return real(p, n, precision)
+
+    monkeypatch.setattr(families, "_family_polynomial", counting)
+    assert family_polynomial(b, 5, 128) is family_polynomial(a, 5, 128)
+    assert builds == [a]
+    assert list(families._polynomial_memo) == [(a, 5, 128)]
+
+
 def test_polynomial_memo_keeps_at_most_its_coefficient_budget(empty_memo, monkeypatch):
     monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 20)
     p = FamilyParams("bernoulli", 1, 2)

@@ -21,6 +21,7 @@ from fracpoly.fractional import (
     caputo_closed_form,
     caputo_derivative_poly,
     caputo_quadrature_oracle,
+    caputo_quadrature_points,
     eval_frac_expansion,
     leibniz_product,
     rl_derivative_term,
@@ -585,6 +586,94 @@ def test_oracle_matches_per_node_evaluation_bit_for_bit(precision, order, domain
         assert got == want
     else:
         assert got._mpf_ == want._mpf_
+
+
+_ORACLE_POINTS = (Fraction(3, 5), HALF, 1, 2, Fraction(7, 3))
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512])
+@pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), 1, 2])
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_multi_point_oracle_equals_one_point_calls_bit_for_bit(precision, order, domain):
+    # one set-up serves every point: each value has the bits of a one-point
+    # call and of the per-node reference
+    coeffs = _ORACLE_COEFFS if domain == "exact" else [fraction_to_mpf(Fraction(c), precision) for c in _ORACLE_COEFFS]
+    q = Polynomial(coeffs, precision)
+    ord_ = CaputoOrder(order)
+    got = caputo_quadrature_points(q, ord_, _ORACLE_POINTS, precision)
+    for t, value in zip(_ORACLE_POINTS, got, strict=True):
+        for want in (caputo_quadrature_oracle(q, ord_, t, precision), reference_oracle(q, ord_, t, precision)):
+            assert type(value) is type(want)
+            assert value == want if isinstance(value, Fraction) else value._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512])
+def test_multi_point_oracle_of_a_zero_derivative(precision):
+    # deg q < n: the third derivative of a quadratic is zero at every point
+    q, ord_ = Polynomial([1, 2, 3]), CaputoOrder(Fraction(5, 2))
+    got = caputo_quadrature_points(q, ord_, _ORACLE_POINTS, precision)
+    assert all(isinstance(v, mp.mpf) for v in got)
+    assert [v._mpf_ for v in got] == [caputo_quadrature_oracle(q, ord_, t, precision)._mpf_ for t in _ORACLE_POINTS]
+    assert [v._mpf_ for v in got] == [mp.mpf(0)._mpf_] * len(_ORACLE_POINTS)
+    assert caputo_quadrature_points(q, ord_, (), precision) == []
+
+
+def reference_eval(e, t, precision):
+    """sum c t^x at wp = precision + 16, log t once per call and no memo."""
+    wp, t = precision + 16, Fraction(t)
+    with working_precision(wp):
+        logt = mp.log(fraction_to_mpf(t, wp))
+        acc = mp.mpf(0)
+        for c, x in e:
+            acc += raw_in(c, wp) * mp.exp(fraction_to_mpf(x, wp) * logt)
+    return mp.mpf(acc, prec=precision)
+
+
+def test_power_memo_hit_equals_a_cold_call():
+    import fracpoly.fractional as fractional
+
+    e = FracExpansion([(Fraction(3, 7), HALF), (-2, Fraction(7, 10)), (Fraction(5, 3), Fraction(5, 2))])
+    cases = [(t, precision) for precision in (512, 64, 128) for t in (HALF, 1, 2, Fraction(7, 3))]
+    cold = {}
+    for t, precision in cases:
+        fractional._power.cache_clear()
+        cold[t, precision] = eval_frac_expansion(e, t, precision)._mpf_
+        assert cold[t, precision] == reference_eval(e, t, precision)._mpf_
+    fractional._power.cache_clear()
+    for t, precision in cases:
+        eval_frac_expansion(e, t, precision)
+    misses = fractional._power.cache_info().misses
+    assert misses == 3 * len(cases)  # keyed by (t, x, wp): no two cases share one
+    for t, precision in cases:
+        assert eval_frac_expansion(e, t, precision)._mpf_ == cold[t, precision]
+    assert fractional._power.cache_info().misses == misses
+    assert fractional._power.cache_info().maxsize == 1024
+
+
+def dict_aligned_terms(a, b):
+    """aligned_terms through two exponent dicts and a sort of their union."""
+    amap, bmap = {e: c for c, e in a}, {e: c for c, e in b}
+    return [(e, amap.get(e, Fraction(0)), bmap.get(e, Fraction(0))) for e in sorted(set(amap) | set(bmap))]
+
+
+@pytest.mark.parametrize("a_exps, b_exps", [
+    ((0, 1, 2), (HALF, Fraction(3, 2), Fraction(5, 2))),  # disjoint, interleaved
+    ((HALF, 1, Fraction(5, 2)), (HALF, 1, Fraction(5, 2))),  # equal
+    ((0, HALF, 3), (Fraction(1, 3), HALF, 2, 3, 4)),  # interleaved, some shared
+    ((0, 1), (2, 3)),  # disjoint, a first
+    ((2, 3), (0, 1)),  # disjoint, b first
+    ((), (HALF, 1)),  # an empty side
+    ((HALF, 1), ()),
+    ((), ()),
+])
+@pytest.mark.parametrize("precision", [None, 128])
+def test_aligned_terms_matches_the_dict_merge(a_exps, b_exps, precision):
+    a = FracExpansion([(Fraction(k + 2, 3), x) for k, x in enumerate(a_exps)], precision)
+    b = FracExpansion([(Fraction(-k - 1, 5), x) for k, x in enumerate(b_exps)], precision)
+    got, want = aligned_terms(a, b), dict_aligned_terms(a, b)
+    assert [(e, type(ca), type(cb)) for e, ca, cb in got] == [(e, type(ca), type(cb)) for e, ca, cb in want]
+    assert [(e, mpf_to_fraction(ca), mpf_to_fraction(cb)) for e, ca, cb in got] == \
+        [(e, mpf_to_fraction(ca), mpf_to_fraction(cb)) for e, ca, cb in want]
 
 
 def test_oracle_reaches_neither_series_nor_spouge(monkeypatch):

@@ -239,9 +239,11 @@ def _cold_memos(monkeypatch):
     from collections import OrderedDict
 
     import fracpoly.families as families
+    import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
     import fracpoly.quadrature as quadrature
 
+    fractional._power.cache_clear()
     gammafns._reciprocal_gamma_memo.cache_clear()
     gammafns._spouge_memo.cache_clear()
     quadrature._rule_cached.cache_clear()
@@ -541,7 +543,7 @@ def test_help_shows_precision_variable_and_ranges(runner):
         assert "x>=0" in out
 
 
-@pytest.mark.parametrize("name", ["eval_frac_expansion", "caputo_quadrature_oracle"])
+@pytest.mark.parametrize("name", ["eval_frac_expansion", "caputo_quadrature_points"])
 def test_closed_form_suites_catch_a_relative_error_of_2_to_the_minus_40(monkeypatch, name):
     # 128-bit arithmetic leaves errors near 2^-100, so either route of the
     # oracle comparison biased by (1 + 2^-40) must fail
@@ -550,7 +552,8 @@ def test_closed_form_suites_catch_a_relative_error_of_2_to_the_minus_40(monkeypa
     def biased(*args):
         v, precision = real(*args), args[-1]  # the suites pass the precision last
         with working_precision(precision):
-            return v * fraction_to_mpf(1 + Fraction(1, 2 ** 40), precision)
+            factor = fraction_to_mpf(1 + Fraction(1, 2 ** 40), precision)
+            return [x * factor for x in v] if isinstance(v, list) else v * factor
 
     monkeypatch.setattr(verify, name, biased)
     report = run_suite("theorem4", RunConfig(lam=Fraction(2), orders=(Fraction(1, 2),), max_degree=3))
@@ -687,6 +690,15 @@ def test_check_bookkeeping_matches_fraction_arithmetic(override):
         (fraction_to_mpf(Fraction(2, 3), 96), fraction_to_mpf(Fraction(2, 3), 96)),
         (fraction_to_mpf(Fraction(2, 3), 96), fraction_to_mpf(Fraction(2, 3), 128)),
         (fraction_to_mpf(Fraction(0), 96), 0), (Fraction(9, 4), Fraction(9, 4)),
+        # floats on both sides, with different exponents and signs, and a zero
+        (fraction_to_mpf(Fraction(-5, 3), 128), fraction_to_mpf(Fraction(-5, 3), 64)),
+        (fraction_to_mpf(Fraction(7, 3) * 2 ** 70, 96), fraction_to_mpf(Fraction(-7, 3) * 2 ** 70, 128)),
+        (fraction_to_mpf(Fraction(1, 3 * 2 ** 80), 128), fraction_to_mpf(Fraction(1, 5), 128)),
+        (fraction_to_mpf(Fraction(0), 128), fraction_to_mpf(Fraction(-1, 7), 128)),
+        (fraction_to_mpf(Fraction(3, 2 ** 90), 128), fraction_to_mpf(Fraction(0), 64)),
+        # an int against a float
+        (3, fraction_to_mpf(Fraction(3) + Fraction(1, 2 ** 100), 128)), (-2 ** 70, fraction_to_mpf(Fraction(1, 3), 96)),
+        (fraction_to_mpf(Fraction(-9, 7), 128), 1),
     ]
     check = verify._Check(override)
     for got, want in pairs:
