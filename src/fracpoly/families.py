@@ -23,8 +23,8 @@ from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
 from .scalars import (DEFAULT_PRECISION, Coefficients, NumberLike, as_rational, check_precision, domain_scope,
-                      positive_rational, raw_in, render)
-from .series import TruncatedSeries, _over_lcm, cauchy_product, reciprocal, series_add
+                      positive_rational, raw_in, render, working_precision)
+from .series import TruncatedSeries, cauchy_product, reciprocal, series_add
 
 __all__ = [
     "FamilyKind",
@@ -110,7 +110,7 @@ class Polynomial(Coefficients):
         x = as_rational(x)
         prec = self._prec
         if prec is None:
-            return _exact_horner(self._values, x)
+            return _exact_horner(self._values, self._den, x)
         xv = raw_in(x, prec)
         acc = 0
         with domain_scope(prec):
@@ -119,36 +119,43 @@ class Polynomial(Coefficients):
         return acc
 
     def derivative(self) -> "Polynomial":
-        with domain_scope(self._prec):
+        """The derivative; exact numerators are multiplied over the same D."""
+        prec = self._prec
+        with domain_scope(prec):
             out = [c * k for k, c in enumerate(self._values) if k]
-        return self._raw(out or [raw_in(0, self._prec)], self._prec)
+        return self._raw(out or [0 if prec is None else raw_in(0, prec)], prec, self._den)
 
     def antiderivative(self) -> "Polynomial":
-        with domain_scope(self._prec):
+        """The antiderivative vanishing at 0; exact numerators c_k become
+        c_k L/(k+1) over D L, with L the lcm of 1..n+1."""
+        prec = self._prec
+        if prec is None:
+            lcm = math.lcm(*range(1, len(self._values) + 1))
+            out = [c * (lcm // (k + 1)) for k, c in enumerate(self._values)]
+            return self._raw([0] + out, None, self._den * lcm)
+        with working_precision(prec):
             out = [c / (k + 1) for k, c in enumerate(self._values)]
-        return self._raw([raw_in(0, self._prec)] + out, self._prec)
+        return self._raw([raw_in(0, prec)] + out, prec)
 
     def monomials(self):
         """Yield raw (coefficient, power) pairs for nonzero coefficients."""
         for k, c in enumerate(self._values):
             if c:
-                yield c, k
+                yield self[k], k
 
     def __repr__(self):
-        return f"Polynomial({[render(c, self._prec) for c in self._values]})"
+        return f"Polynomial({[render(c, self._prec) for c in self]})"
 
 
-def _exact_horner(values: tuple, x: Fraction) -> Fraction:
-    """sum values[k] x^k for Fractions, as one integer Horner pass: with
-    D the lcm of the denominators and x = p/q, the sum is
-    (sum D values[k] p^k q^(n-k)) / (D q^n), normalized once."""
-    nums, den = _over_lcm(values)
+def _exact_horner(nums: tuple, den: int, x: Fraction) -> Fraction:
+    """sum nums[k] x^k / den as one integer Horner pass: with x = p/q the
+    sum is (sum nums[k] p^k q^(n-k)) / (den q^n), normalized once."""
     p, q = x.numerator, x.denominator
     acc, q_pow = 0, 1
     for c in reversed(nums):
         acc = acc * p + c * q_pow
         q_pow *= q
-    return Fraction(acc, den * q ** (len(values) - 1))
+    return Fraction(acc, den * q ** (len(nums) - 1))
 
 
 # (c, k): the numerator c * z^k over lambda * E_alpha(z) -+ 1
@@ -206,9 +213,7 @@ def _family_series_cached(p: FamilyParams, order: int, precision: int) -> Trunca
             _series_cache.move_to_end(key)
             while len(_series_cache) > _SERIES_CACHE_SIZE:
                 _series_cache.popitem(last=False)
-    if longest.order == order:
-        return longest
-    return TruncatedSeries._raw(longest._values[: order + 1], longest._prec)
+    return longest if longest.order == order else longest[: order + 1]
 
 
 def family_series(p: FamilyParams, order: int, precision: int = DEFAULT_PRECISION) -> TruncatedSeries:
@@ -267,9 +272,14 @@ def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISIO
 
 
 def _family_polynomial(p: FamilyParams, n: int, precision: int) -> Polynomial:
+    """binom(n, k) times number k as the coefficient of x^(n-k): integer
+    products over the numbers' D when exact, else binom(n, k) rounded once
+    to the float domain before it multiplies."""
     nums = family_numbers(p, n, precision)
     prec, values = nums._prec, nums._values
-    with domain_scope(prec):
+    if prec is None:
+        return Polynomial._raw([math.comb(n, k) * values[k] for k in range(n, -1, -1)], None, nums._den)
+    with working_precision(prec):
         coeffs = [raw_in(math.comb(n, k), prec) * values[k] for k in range(n, -1, -1)]
     return Polynomial._raw(coeffs, prec)
 
@@ -317,5 +327,8 @@ def multinomial_number_product(lam: NumberLike, h: int, r: int) -> Fraction:
     are more than MAX_COMPOSITIONS compositions, comb(r + h - 1, h - 1).
     """
     check_compositions(r, h)
-    nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r)._values
-    return sum(math.prod([nums[s] for s in parts], start=multinomial(parts)) for parts in _compositions(r, h))
+    nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, lam), r)
+    held = nums._values
+    # every product of h numbers lies over D^h, so the sum is one integer over it
+    total = sum(math.prod([held[s] for s in parts], start=multinomial(parts)) for parts in _compositions(r, h))
+    return Fraction(total, nums._den ** h)

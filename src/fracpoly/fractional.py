@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 import mpmath
@@ -100,17 +102,20 @@ class FracExpansion(Coefficients):
         return out
 
     def _merge(self, terms, prec: int | None) -> None:
-        merged: dict[Fraction, object] = {}
+        """Sum the products of each exponent over the terms stably sorted
+        by exponent, so that each sum keeps its input order, and drop the
+        zero sums.  A sum starts from an exact 0, which changes no product:
+        each has at most ``prec`` bits."""
+        exponent = itemgetter(1)
         with domain_scope(prec):
-            for factors, e in terms:
-                c = _product(factors, prec)
-                if c:
-                    merged[e] = merged[e] + c if e in merged else c
-        exponents = [e for e in sorted(merged) if merged[e]]
-        self._values, self._prec, self._exponents = tuple([merged[e] for e in exponents]), prec, tuple(exponents)
+            merged = [(e, sum(_product(factors, prec) for factors, _ in group))
+                      for e, group in groupby(sorted(terms, key=exponent), key=exponent)]
+        merged = [(e, c) for e, c in merged if c]
+        self._hold([c for _, c in merged], prec)
+        self._exponents = tuple([e for e, _ in merged])
 
     def __iter__(self):
-        return zip(self._values, self._exponents)
+        return zip(super().__iter__(), self._exponents)
 
     def scale(self, factor: NumberLike) -> "FracExpansion":
         f = as_rational(factor)
@@ -196,22 +201,22 @@ def rl_integral_poly(
 
 
 def aligned_terms(a: FracExpansion, b: FracExpansion) -> list[tuple]:
-    """(exponent, raw coefficient in a, raw coefficient in b) over the union
-    of the exponents, with an exact zero where one side has no term: one
-    merge of the two strictly increasing exponent tuples."""
-    (ae, av), (be, bv) = (a._exponents, a._values), (b._exponents, b._values)
-    out, i, j, zero = [], 0, 0, Fraction(0)
+    """(exponent, index of its term in a, index in b) over the union of the
+    exponents, with None where one side has no term: one merge of the two
+    strictly increasing exponent tuples."""
+    ae, be = a._exponents, b._exponents
+    out, i, j = [], 0, 0
     while i < len(ae) and j < len(be):
         if ae[i] == be[j]:
-            out.append((ae[i], av[i], bv[j]))
+            out.append((ae[i], i, j))
             i, j = i + 1, j + 1
         elif ae[i] < be[j]:
-            out.append((ae[i], av[i], zero))
+            out.append((ae[i], i, None))
             i += 1
         else:
-            out.append((be[j], zero, bv[j]))
+            out.append((be[j], None, j))
             j += 1
-    return out + [(e, c, zero) for c, e in zip(av[i:], ae[i:])] + [(e, zero, c) for c, e in zip(bv[j:], be[j:])]
+    return out + [(ae[k], k, None) for k in range(i, len(ae))] + [(be[k], None, k) for k in range(j, len(be))]
 
 
 def caputo_by_composition(
@@ -281,7 +286,7 @@ def caputo_closed_form(
     if numbers is None:
         numbers = family_numbers(p, m - n, precision)
     rgs = [reciprocal_gamma(n + k + 1 - ord.alpha, precision) for k in range(m - n + 1)]
-    terms = [((math.perm(m, n), math.factorial(k), math.comb(m - n, k), numbers._values[m - n - k], rg),
+    terms = [((math.perm(m, n), math.factorial(k), math.comb(m - n, k), numbers[m - n - k], rg),
               k + n - ord.alpha) for k, rg in enumerate(rgs)]
     return FracExpansion._products(terms, join_precision(numbers._prec, *[precision_of(rg, precision) for rg in rgs]))
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
-from .gammafns import _rgamma, reciprocal_gamma
+from .gammafns import _bounded, _rgamma, reciprocal_gamma
 from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf,
-                      positive_rational, working_precision)
+                      positive_rational, raw_in, working_precision)
 from .series import TruncatedSeries
 
 __all__ = ["MLParams", "ml_series", "ml_eval", "ml_one_m_closed", "EVAL_ENVELOPE"]
@@ -50,15 +50,23 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
     check_precision(precision)
     if order < 0:
         raise DomainError(f"series order must be nonnegative, got {order}")
+    # the arguments through n = max(order, 1) are refused when too large,
+    # so that the order-0 series is refused where every longer one is
+    if p.alpha.denominator == 1 and p.beta.denominator == 1:
+        # every argument is an integer: 1/(a n + b - 1)! is the product of
+        # a n + b .. a N + b - 1 over D = (a N + b - 1)!, built from the top
+        a, b = p.alpha.numerator, p.beta.numerator
+        _bounded(a * max(order, 1) + b - 1)
+        nums = [1] * (order + 1)
+        for n in range(order - 1, -1, -1):
+            nums[n] = nums[n + 1] * math.prod(range(a * n + b, a * n + a + b))
+        return TruncatedSeries._raw(nums, None, nums[0] * math.factorial(b - 1))
     # exact term arguments: every argument with the same fractional part
-    # shares one Spouge sum, and the constructor promotes the series to
-    # floats once unless every argument is an integer.  The arguments of
-    # n = 0 and 1, beta and alpha + beta, are both integers exactly when
-    # alpha and beta are, so at least two terms fix the domain and the
-    # order-0 series is a prefix of every longer one
-    s = TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(max(order, 1) + 1)],
-                        precision)
-    return s if s.order == order else TruncatedSeries._raw(s._values[:1], s._prec)
+    # shares one Spouge sum; an integer argument's exact value is rounded
+    # once to the precision
+    s = TruncatedSeries([raw_in(reciprocal_gamma(p.alpha * n + p.beta, precision), precision)
+                         for n in range(max(order, 1) + 1)], precision)
+    return s if s.order == order else s[:1]
 
 
 def ml_eval(

@@ -5,8 +5,11 @@ A computed value is a raw value whose type is its domain: an int or a
 container or of the call that made it (:func:`precision_of`).  A
 computation joins its operands' domains (:func:`join_precision`): exact
 when every operand is exact, else floats at the largest precision, and it
-runs on the raw values in one precision scope.  A float leaves the package
-raw and prints through :func:`render` at the precision it was made at.
+runs on the raw values in one precision scope.  A container of many
+values (:class:`Coefficients`) holds its exact values as integer
+numerators over one denominator instead, and hands them out as raw
+values.  A float leaves the package raw and prints through :func:`render`
+at the precision it was made at.
 Parameters, orders, exponents and evaluation points are not computed: they
 are plain Fractions, coerced once by :func:`as_rational`.
 """
@@ -18,6 +21,7 @@ import re
 import threading
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Union
 
 from mpmath import libmp, mp
@@ -214,33 +218,48 @@ def _min_digits(x, prec: int, max_digits: int) -> int:
 
 
 class Coefficients:
-    """One tuple of raw coefficient values in one domain: Fractions when
-    the precision is None, else mpfs at that precision.  Tuples are built
-    from lists, whose length is known: a tuple grown from a generator is
-    resized, which keeps filling the interpreter's tuple free lists.
+    """One tuple of coefficient values in one domain.  An exact container
+    holds integer numerators over one positive integer denominator D, as
+    FLINT's ``fmpq_poly`` does, so its operations run on integers and
+    normalise nothing; a float container holds mpfs at its precision.  The
+    constructor brings exact input over the lcm of its denominators, and a
+    computed container keeps whatever common D its operation produced.
+    Tuples are built from lists, whose length is known: a tuple grown from
+    a generator is resized, which keeps filling the interpreter's tuple
+    free lists.
 
     Coercion happens once, in the constructor (:func:`raw_value`): the
     values are exact when every one is exact, else floats at
-    ``precision``, each rounded once to it.  Subclasses compute on the raw
-    values inside at most one precision scope per operation; iteration
-    yields the raw values.
+    ``precision``, each rounded once to it.  Subclasses compute on the
+    held values inside at most one precision scope per operation.  A value
+    leaves as a raw value: iteration and indexing yield normalised
+    Fractions when exact, and the mpfs otherwise.
     """
 
-    __slots__ = ("_values", "_prec")
+    __slots__ = ("_values", "_prec", "_den")
 
     def __init__(self, values: Iterable, precision: int | None = None):
         values = [raw_value(v, precision) for v in values]
         if not values:
             raise ValueError(f"a {type(self).__name__} needs at least one coefficient")
         prec = join_precision(*[precision_of(v, precision) for v in values])
-        self._values = tuple([raw_in(v, prec) for v in values])
-        self._prec = prec
+        self._hold([raw_in(v, prec) for v in values], prec)
+
+    def _hold(self, values: list, prec: int | None) -> None:
+        """Hold raw values of the domain ``prec``: mpfs as they are, exact
+        values as integer numerators over the lcm of their denominators."""
+        den = None
+        if prec is None:
+            den = math.lcm(*[v.denominator for v in values])
+            values = [v.numerator * (den // v.denominator) for v in values]
+        self._values, self._prec, self._den = tuple(values), prec, den
 
     @classmethod
-    def _raw(cls, values: Iterable, precision: int | None):
-        """A container around raw values already in the domain ``precision``."""
+    def _raw(cls, values: Iterable, precision: int | None, den: int | None = None):
+        """A container around held values: integer numerators over ``den``
+        when ``precision`` is None, else mpfs at that precision."""
         out = object.__new__(cls)
-        out._values, out._prec = tuple(values), precision
+        out._values, out._prec, out._den = tuple(values), precision, den
         return out
 
     @property
@@ -249,26 +268,48 @@ class Coefficients:
         return self._prec
 
     def __iter__(self):
+        if self._prec is None:
+            return map(Fraction, self._values, repeat(self._den))
         return iter(self._values)
+
+    def __getitem__(self, k):
+        """Value k as a raw value, or a slice as a container of its class."""
+        if isinstance(k, slice):
+            return self._raw(self._values[k], self._prec, self._den)
+        return Fraction(self._values[k], self._den) if self._prec is None else self._values[k]
 
     def __eq__(self, other):
         # the domains first: mpmath compares an mpf with a Fraction through
-        # a 53-bit float, so a raw comparison across domains can lie
-        return type(other) is type(self) and self._prec == other._prec and tuple(self) == tuple(other)
+        # a 53-bit float, so a raw comparison across domains can lie; exact
+        # values over two denominators compare by cross-multiplying
+        if (type(other) is not type(self) or self._prec != other._prec
+                or len(self._values) != len(other._values)
+                or getattr(self, "_exponents", None) != getattr(other, "_exponents", None)):
+            return False
+        if self._prec is not None:
+            return self._values == other._values
+        d, e = self._den, other._den
+        return all(a * e == b * d for a, b in zip(self._values, other._values))
 
     def _values_in(self, prec: int | None) -> tuple:
-        """The raw values in the domain ``prec``, which is this one or wider."""
+        """The held values in the domain ``prec``, which is this one or
+        wider: an exact num/D rounded once to a float domain."""
         if prec is None or self._prec is not None:
             return self._values
-        return tuple([raw_in(v, prec) for v in self._values])
+        d, rnd = self._den, libmp.round_nearest
+        return tuple([mp.make_mpf(libmp.from_rational(n, d, prec, rnd)) for n in self._values])
 
     def _joined(self, other: "Coefficients") -> tuple:
-        """Both raw value tuples in the common domain, and its precision."""
+        """Both held value tuples in the common domain, and its precision."""
         prec = join_precision(self._prec, other._prec)
         return self._values_in(prec), other._values_in(prec), prec
 
     def scale(self, factor: NumberLike):
-        """The values times an exact factor, rounded once to a float domain."""
-        f = raw_in(as_rational(factor), self._prec)
-        with domain_scope(self._prec):
+        """The values times an exact factor: p/q multiplies the numerators
+        by p and D by q, and is rounded once to a float domain."""
+        f = as_rational(factor)
+        if self._prec is None:
+            return self._raw([f.numerator * v for v in self._values], None, self._den * f.denominator)
+        f = fraction_to_mpf(f, self._prec)
+        with working_precision(self._prec):
             return self._raw([f * v for v in self._values], self._prec)

@@ -2,15 +2,15 @@
 
 Coefficient k multiplies z^k, so the Cauchy product is a plain
 convolution; a reader of an exponential generating function applies the
-factorial itself.  A series holds one coefficient domain: all Fractions, or
-all mpfs at one precision (mixed input is promoted once, in the
-constructor), and every operation works on the raw values.
+factorial itself.  A series holds one coefficient domain (mixed input is
+promoted once, in the constructor): integer numerators over one positive
+denominator D, on which every exact operation but the reciprocal runs in
+integers, or mpfs at one precision.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import OrderMismatch, ValuationError, ZeroConstantTerm
@@ -44,48 +44,48 @@ class TruncatedSeries(Coefficients):
             raise ValuationError(f"series has valuation < {v}, cannot divide by z^{v}")
         if v > self.order:
             raise ValuationError(f"cannot shift a series of order {self.order} down by {v}")
-        return self._raw(self._values[v:], self._prec)
+        return self[v:]
 
     def shift_up(self, v: int) -> "TruncatedSeries":
         """Multiply by z^v, keeping the truncation order."""
-        return self._raw(((raw_in(0, self._prec),) * v + self._values)[: self.order + 1], self._prec)
+        zero = 0 if self._prec is None else raw_in(0, self._prec)
+        return self._raw(((zero,) * v + self._values)[: self.order + 1], self._prec, self._den)
 
     def egf(self) -> Coefficients:
         """The coefficients read as those of an exponential generating
-        function: coefficient k times k!, exact by a running int factorial,
-        or the factorial rounded once to a float domain before it multiplies."""
+        function: coefficient k times k!, exact by a running int factorial
+        on the numerators, or the factorial rounded once to a float domain
+        before it multiplies."""
         prec = self._prec
         if prec is None:
             out, fact = [], 1
             for k, v in enumerate(self._values):
                 fact *= k or 1
                 out.append(v * fact)
-            return Coefficients._raw(out, None)
+            return Coefficients._raw(out, None, self._den)
         with domain_scope(prec):
             return Coefficients._raw([v * raw_in(math.factorial(k), prec) for k, v in enumerate(self._values)], prec)
 
     def __repr__(self):
-        shown = ", ".join(render(c, self._prec) for c in self._values[:6])
+        shown = ", ".join(render(c, self._prec) for c in self[:6])
         tail = ", ..." if self.order > 5 else ""
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
 
 def _joined(a: TruncatedSeries, b: TruncatedSeries):
-    """The raw values of two series of one order in their common domain."""
+    """The held values of two series of one order in their common domain."""
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
     return a._joined(b)
 
 
-def _over_lcm(values: tuple) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm D of their
-    denominators, and D."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The coefficientwise sum; exact numerators are brought over the lcm of the two denominators."""
     x, y, prec = _joined(a, b)
+    if prec is None:
+        den = math.lcm(a._den, b._den)
+        u, v = den // a._den, den // b._den
+        return TruncatedSeries._raw([s * u + t * v for s, t in zip(x, y)], None, den)
     with domain_scope(prec):
         return TruncatedSeries._raw([u + v for u, v in zip(x, y)], prec)
 
@@ -93,19 +93,18 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """c_n = sum_{k<=n} a_k b_{n-k}, truncated at the common order.
 
-    Exact operands are each scaled once to the lcm of their denominators,
-    Dx and Dy, so that c_n is one integer convolution over Dx*Dy, normalised
-    once by Fraction.  In the float domain each sum starts from zero and
-    adds its products in order of k, so it rounds every product and every
+    Exact operands convolve their numerators over Dx*Dy, and the result is
+    reduced by one gcd of the whole vector, so that an h-fold product does
+    not carry D^h.  In the float domain each sum starts from zero and adds
+    its products in order of k, so it rounds every product and every
     partial sum once.
     """
     x, y, prec = _joined(a, b)
     if prec is None:
-        (xs, dx), (ys, dy) = _over_lcm(x), _over_lcm(y)
-        den = dx * dy
-        return TruncatedSeries._raw(
-            [Fraction(sum(map(mul, xs[: n + 1], ys[n::-1])), den) for n in range(len(xs))], None
-        )
+        nums = [sum(map(mul, x[: n + 1], y[n::-1])) for n in range(len(x))]
+        den = a._den * b._den
+        g = math.gcd(den, *nums)
+        return TruncatedSeries._raw([c // g for c in nums] if g > 1 else nums, None, den // g)
     with domain_scope(prec):
         return TruncatedSeries._raw(
             [sum(map(mul, x[: n + 1], y[n::-1])) for n in range(len(x))], prec
@@ -113,27 +112,32 @@ def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse through the truncation order (triangular recurrence)."""
-    x = a._values
-    if x[0] == 0:
+    """Multiplicative inverse through the truncation order (triangular
+    recurrence).  The exact recurrence runs on the normalised Fractions and
+    its output is brought over one lcm denominator."""
+    if a._values[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
+    x = list(a) if a._prec is None else a._values
     with domain_scope(a._prec):
         inv0 = 1 / x[0]
         neg_inv0 = -inv0
         out = [inv0]
         for n in range(1, len(x)):
             out.append(neg_inv0 * sum(map(mul, x[1 : n + 1], out[n - 1 :: -1])))
-    return TruncatedSeries._raw(out, a._prec)
+    return TruncatedSeries(out, a._prec)
 
 
 def exp_series(x: NumberLike, order: int) -> TruncatedSeries:
-    """The exact series of e^{x z} through the given order, x rational."""
+    """The exact series of e^{x z} through the given order, x = p/q
+    rational: p^k / (q^k k!) is p^k q^(N-k) N!/k! over D = q^N N!."""
     x = as_rational(x)
     p, q = x.numerator, x.denominator
-    out, num, den = [], 1, 1
+    nums, w = [0] * (order + 1), 1
+    for k in range(order, -1, -1):
+        nums[k] = w  # q^(N-k) N!/k!
+        w *= q * k
+    den, pk = nums[0], 1
     for k in range(order + 1):
-        out.append(Fraction(num, den))  # p^k / (q^k k!)
-        num *= p
-        den *= q * (k + 1)
-    return TruncatedSeries._raw(out, None)
-
+        nums[k] *= pk
+        pk *= p
+    return TruncatedSeries._raw(nums, None, den)

@@ -5,11 +5,14 @@ the grid's axes with their defaults; the runner narrows each one to what
 RunConfig sets and hands the body the resolved values.  It yields one
 comparison of two independent computation routes
 at a time, ``(got, want)`` or ``(got, want, float_tol)``, where got and want
-are two raw values (a value's type is its domain) or two FracExpansions
-(compared exponent by exponent), and returns the parameters its report
-shows.  One runner turns the comparisons into a VerificationReport.  Error
-bookkeeping happens in exact rational arithmetic (floats are dyadic
-rationals), so reports are deterministic bit for bit.
+are two raw values (a value's type is its domain), two sequences of them
+(containers or lists, compared index by index, the shorter one padded
+with exact zeros) or two FracExpansions (compared exponent by exponent),
+and returns the parameters its report shows.  One runner turns the
+comparisons into a VerificationReport.  Error bookkeeping happens in
+exact integer arithmetic (an exact value is a numerator over a
+denominator, a float a dyadic rational), so reports are deterministic bit
+for bit.
 
 One tolerance policy covers every comparison: RunConfig.tolerance, when
 set, applies to all of them; otherwise two exact values must agree exactly,
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
@@ -122,6 +125,29 @@ def _tol_truncation(precision: int) -> Fraction:
     return Fraction(1, 10**14)
 
 
+_ZERO = Fraction(0)
+_EXACT_ZERO = (0, 1, True)
+
+
+def _entry(v) -> tuple[int, int, bool]:
+    """A raw value as the runner compares it: (numerator, denominator,
+    exact), a float's pair being m and 2^-e, or m 2^e and 1."""
+    if isinstance(v, EXACT_TYPES):
+        return v.numerator, v.denominator, True
+    q = mpf_to_fraction(v)
+    return q.numerator, q.denominator, False
+
+
+def _entries(side) -> list:
+    """The entries of a container, an exact one's read off its numerators
+    over D, or of a sequence of raw values."""
+    if not isinstance(side, Coefficients):
+        return [_entry(v) for v in side]
+    if side.precision is None:
+        return list(zip(side._values, repeat(side._den), repeat(True)))
+    return [_entry(v) for v in side._values]
+
+
 class _Check:
     """Error statistics of one suite run, exact: each error is a ratio of
     integers, the running maxima are kept as (numerator, denominator) pairs
@@ -132,7 +158,8 @@ class _Check:
         self.comparisons = 0
         self.failures = 0
         self._abs = self._rel = (0, 1)
-        self.max_tol = Fraction(0) if override is None else override
+        self.max_tol = _ZERO if override is None else override
+        self._last_tol = self.max_tol  # the last tolerance applied, already in max_tol
 
     @property
     def max_abs(self) -> Fraction:
@@ -143,23 +170,25 @@ class _Check:
         return Fraction(*self._rel)
 
     def values(self, got, want, float_tol: Fraction):
-        exact = isinstance(got, EXACT_TYPES) and isinstance(want, EXACT_TYPES)
+        """One comparison of two entries (see :func:`_entry`)."""
+        (a, da, exact_got), (b, db, exact_want) = got, want
+        exact = exact_got and exact_want
         # the tolerance policy: an override applies to every comparison;
         # otherwise two exact values must agree exactly, and a float on
         # either side gets the float tolerance
         if self.override is not None:
             tol = self.override
         else:
-            tol = Fraction(0) if exact else float_tol
+            tol = _ZERO if exact else float_tol
         self.comparisons += 1
-        self.max_tol = max(self.max_tol, tol)
-        if exact and got == want:
+        if tol is not self._last_tol:
+            self._last_tol = tol
+            if tol > self.max_tol:
+                self.max_tol = tol
+        if exact and a * db == b * da:
             return  # a zero error moves no maximum and fails no tolerance >= 0
-        # each side's exact value as integers (a float's are m and 2^-e, or
-        # m 2^e and 1); over the common denominator da*db come the error
-        # and max(1, |got|, |want|)
-        p, q = mpf_to_fraction(got), mpf_to_fraction(want)
-        a, da, b, db = p.numerator, p.denominator, q.numerator, q.denominator
+        # over the common denominator da*db come the error and
+        # max(1, |got|, |want|)
         err, den = abs(a * db - b * da), da * db
         scale = max(den, abs(a) * db, abs(b) * da)
         if err * self._abs[1] > self._abs[0] * den:
@@ -168,6 +197,17 @@ class _Check:
             self._rel = (err, scale)
         if err * tol.denominator > tol.numerator * scale:
             self.failures += 1
+
+
+def _compared(got, want):
+    """The entry pairs one yielded comparison stands for."""
+    if isinstance(got, FracExpansion):
+        x, y = _entries(got), _entries(want)
+        return [(_EXACT_ZERO if i is None else x[i], _EXACT_ZERO if j is None else y[j])
+                for _, i, j in aligned_terms(got, want)]
+    if isinstance(got, (Coefficients, list)):
+        return zip_longest(_entries(got), _entries(want), fillvalue=_EXACT_ZERO)
+    return ((_entry(got), _entry(want)),)
 
 
 def _run(identity: str, comparisons: Iterator, suite_tol: Fraction, literal: bool,
@@ -185,11 +225,8 @@ def _run(identity: str, comparisons: Iterator, suite_tol: Fraction, literal: boo
             params = done.value
             break
         got, want, tol = item if len(item) == 3 else (*item, suite_tol)
-        if isinstance(got, FracExpansion):
-            for _, a, b in aligned_terms(got, want):
-                check.values(a, b, tol)
-        else:
-            check.values(got, want, tol)
+        for a, b in _compared(got, want):
+            check.values(a, b, tol)
     if not check.comparisons:
         raise DomainError(f"suite {identity} makes no comparison on this grid: {params}")
     if literal:
@@ -327,10 +364,18 @@ _ORACLES = {
 # -- suites -----------------------------------------------------------------
 
 
+def _top_series(families: Sequence[FamilyParams], top: int, precision: int) -> Sequence[FamilyParams]:
+    """Build each family's number series through ``top`` once, before the
+    polynomials below it are built in ascending degree: each then reads a
+    prefix of the cached series, which no shorter one replaces."""
+    for p in families:
+        family_series(p, top, precision)
+    return families
+
+
 def _classical(family, n_max: int, precision: int):
     for kind in family:
-        nums = family_numbers(FamilyParams(kind, 1, 1), n_max, precision)
-        yield from zip(nums, _ORACLES[kind](n_max))
+        yield family_numbers(FamilyParams(kind, 1, 1), n_max, precision), _ORACLES[kind](n_max)
 
 
 @_suite("classical-numbers", family=FamilyKind, max_degree=24)
@@ -348,19 +393,17 @@ def suite_theorem1(precision, family, alpha, lam, max_degree):
         polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
         for x in range(max_degree + 1):
             lifted = cauchy_product(series, exp_series(x, max_degree)).egf()
-            for n in range(x, max_degree + 1):
-                yield polys[n].evaluate(x), lifted._values[n]
+            yield [polys[n].evaluate(x) for n in range(x, max_degree + 1)], lifted[x:]
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
 @_suite("appell", family=FamilyKind, alpha=(1, 2, 3), lam=(Fraction(1, 2), 1, 2, 3), max_degree=16)
 def suite_appell(precision, family, alpha, lam, max_degree):
     """d/dx P_n = n P_{n-1} coefficientwise."""
-    for p in _family_grid(family, alpha, lam):
+    for p in _top_series(_family_grid(family, alpha, lam), max_degree, precision):
         polys = [family_polynomial(p, n, precision) for n in range(max_degree + 1)]
         for n in range(1, max_degree + 1):
-            deriv = polys[n].derivative()
-            yield from zip_longest(deriv, polys[n - 1].scale(n), fillvalue=0)
+            yield polys[n].derivative(), polys[n - 1].scale(n)
     return {"max_degree": max_degree, "alphas": [str(a) for a in alpha], "lambdas": [str(l) for l in lam]}
 
 
@@ -370,7 +413,7 @@ _THEOREM3_XS = (0, Fraction(1, 2), -1, 3)
 
 def _unit_interval(precision, families, n_max: int, lag: int):
     """The integral of P_n over [x, x+1] against (P_{n+1}(x+1) - P_{n+1-lag}(x)) / (n+1)."""
-    for p in families:
+    for p in _top_series(families, n_max + 1, precision):
         polys = [family_polynomial(p, n, precision) for n in range(n_max + 2)]
         for n in range(n_max + 1):
             for x in _THEOREM3_XS:
@@ -482,14 +525,15 @@ def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_ma
     float-identity tolerance, and against the quadrature oracle at
     _EVAL_POINTS.  ``numbers(p, top)``, when given, supplies N_0..N_top;
     it is read once per family, through :func:`_closed_form_top`."""
-    for p in families:
+    tol = _tol_identity(precision)
+    for p in _top_series(families, m_max, precision):
         table = None if numbers is None else numbers(p, _closed_form_top(orders, m_max))
         for a in orders:
             ord_ = CaputoOrder(a)
             for m in range(ord_.n, m_max + 1):
                 closed = caputo_closed_form(p, m, ord_, precision, table)
                 poly = family_polynomial(p, m, precision)
-                yield closed, caputo_derivative_poly(poly, ord_, precision), _tol_identity(precision)
+                yield closed, caputo_derivative_poly(poly, ord_, precision), tol
                 for t, want in zip(_EVAL_POINTS, caputo_quadrature_points(poly, ord_, _EVAL_POINTS, precision)):
                     yield eval_frac_expansion(closed, t, precision), want
 
@@ -549,7 +593,7 @@ def suite_theorem6_literal(precision):
     ord_ = CaputoOrder(Fraction(1, 2))
     nums = family_numbers(p, ord_.n, precision)
     for m in (2, 3, 4):
-        pinned = Coefficients([list(nums)[ord_.n]] * (m - ord_.n + 1), nums.precision)
+        pinned = Coefficients([nums[ord_.n]] * (m - ord_.n + 1), nums.precision)
         literal = caputo_closed_form(p, m, ord_, precision, pinned)
         yield literal, caputo_derivative_poly(family_polynomial(p, m, precision), ord_, precision)
     return {"family": "euler(alpha=1,lambda=2)", "order": "1/2"}
@@ -576,9 +620,8 @@ def suite_higher_order(precision, lam, h, max_degree):
     """Multinomial composition sum equals the h-fold convolution, exactly."""
     for l in lam:
         for hh in h:
-            nums = list(family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l, hh), max_degree, precision))
-            for r in range(max_degree + 1):
-                yield multinomial_number_product(l, hh, r), nums[r]
+            nums = family_numbers(FamilyParams(FamilyKind.BERNOULLI, 1, l, hh), max_degree, precision)
+            yield [multinomial_number_product(l, hh, r) for r in range(max_degree + 1)], nums
     return {"h": h, "max_index": max_degree}
 
 
@@ -589,10 +632,9 @@ def suite_genocchi_euler(precision, alpha, lam, max_degree):
         for l in lam:
             pg = FamilyParams(FamilyKind.GENOCCHI, a, l)
             pe = FamilyParams(FamilyKind.EULER, a, l)
+            _top_series([pg, pe], max_degree, precision)
             for n in range(1, max_degree + 1):
-                g = family_polynomial(pg, n, precision)
-                e = family_polynomial(pe, n - 1, precision).scale(n)
-                yield from zip_longest(g, e, fillvalue=0)
+                yield family_polynomial(pg, n, precision), family_polynomial(pe, n - 1, precision).scale(n)
     return {"max_degree": max_degree}
 
 

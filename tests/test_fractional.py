@@ -59,11 +59,18 @@ def multinomial_numbers(lam, h, top):
     return Coefficients([multinomial_number_product(lam, h, r) for r in range(top + 1)])
 
 
+def aligned_values(a, b):
+    """(exponent, raw coefficient in a, raw coefficient in b) over the
+    union of the exponents, an exact zero where one side has no term."""
+    zero = Fraction(0)
+    return [(e, zero if i is None else a[i], zero if j is None else b[j]) for e, i, j in aligned_terms(a, b)]
+
+
 def mismatched_exponents(a, b, tol):
     """Exponents where the coefficients of a and b differ by more than tol,
     relative to max(1, |a|, |b|)."""
     out = []
-    for e, ca, cb in aligned_terms(a, b):
+    for e, ca, cb in aligned_values(a, b):
         ca, cb = mpf_to_fraction(ca), mpf_to_fraction(cb)
         if abs(ca - cb) > tol * max(1, abs(ca), abs(cb)):
             out.append(e)
@@ -670,7 +677,7 @@ def dict_aligned_terms(a, b):
 def test_aligned_terms_matches_the_dict_merge(a_exps, b_exps, precision):
     a = FracExpansion([(Fraction(k + 2, 3), x) for k, x in enumerate(a_exps)], precision)
     b = FracExpansion([(Fraction(-k - 1, 5), x) for k, x in enumerate(b_exps)], precision)
-    got, want = aligned_terms(a, b), dict_aligned_terms(a, b)
+    got, want = aligned_values(a, b), dict_aligned_terms(a, b)
     assert [(e, type(ca), type(cb)) for e, ca, cb in got] == [(e, type(ca), type(cb)) for e, ca, cb in want]
     assert [(e, mpf_to_fraction(ca), mpf_to_fraction(cb)) for e, ca, cb in got] == \
         [(e, mpf_to_fraction(ca), mpf_to_fraction(cb)) for e, ca, cb in want]

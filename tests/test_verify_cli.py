@@ -264,23 +264,38 @@ def test_verify_all_with_warm_memos_matches_golden(runner, monkeypatch):
 def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # a cold 128-bit `verify all` asks for 1/gamma 6,943 times at 229
     # arguments, 106 of them non-integers (the 123 integers are exact
-    # factorials, not memoized), and for 636 distinct polynomials 2,803 times
+    # factorials, not memoized), for 636 distinct polynomials 2,803 times,
+    # and for number series under 43 cache keys, each built at its top order
     import fracpoly.families as families
     import fracpoly.gammafns as gammafns
 
     _cold_memos(monkeypatch)
-    builds = []
-    real = families._family_polynomial
+    builds, series = [], []
+    real, real_series = families._family_polynomial, families._number_series
 
     def counting(p, n, precision):
         builds.append((p, n, precision))
         return real(p, n, precision)
 
+    def counting_series(p, order, precision):
+        series.append((p, order, precision))
+        return real_series(p, order, precision)
+
     monkeypatch.setattr(families, "_family_polynomial", counting)
+    monkeypatch.setattr(families, "_number_series", counting_series)
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
     assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
     assert len(builds) <= 636
+    assert len(series) <= 45
+
+
+def test_verify_float_alpha_matches_golden(runner):
+    # no default grid has a non-integer family alpha: this pins the float
+    # family path, where exact values meet float ones in every suite
+    r = invoke(runner, "verify", "theorem1", "appell", "theorem3", "genocchi-euler", "--alpha", "1/2")
+    assert r.exit_code == 0
+    assert r.stdout == (GOLDEN / "verify_alpha_half.txt").read_text()
 
 
 @pytest.mark.parametrize("precision", ["64", "72"])
@@ -680,7 +695,7 @@ def reference_check(pairs, override):
 @pytest.mark.parametrize("override", [None, Fraction(0), Fraction(1, 10**20)])
 def test_check_bookkeeping_matches_fraction_arithmetic(override):
     # raw values, as the suites yield them: ints and Fractions are exact,
-    # mpfs are floats
+    # mpfs are floats; the runner turns each pair into integer-pair entries
     tiny = Fraction(1, 10**60)
     float_tol = Fraction(1, 2**100)
     pairs = [
@@ -702,7 +717,8 @@ def test_check_bookkeeping_matches_fraction_arithmetic(override):
     ]
     check = verify._Check(override)
     for got, want in pairs:
-        check.values(got, want, float_tol)
+        for a, b in verify._compared(got, want):
+            check.values(a, b, float_tol)
     want = reference_check([(g, w, float_tol) for g, w in pairs], override)
     assert (check.comparisons, check.failures, check.max_abs, check.max_rel, check.max_tol) == want
     assert want[1] > 0  # the list holds failing pairs, so the maxima moved
