@@ -12,9 +12,22 @@ both gammas through reciprocal_gamma, in the float domain.
 The quadrature oracle at the bottom integrates the defining formula
 directly with a Gauss-Jacobi rule and shares no code path with the closed
 forms above it.  It does its set-up once per (polynomial, order) for all
-the points asked for.  An expansion is evaluated with its powers t^x taken
-from a memo keyed by t, x (as integer pairs) and the working precision, at
-most 1024 values (about 1.1 MB at the 8192-bit cap).
+the points asked for.
+
+Two memos hold repeated values; each key holds every input a value's bits
+depend on, so a hit returns the bits of a fresh call, and
+``fracpoly.clear_caches()`` empties both:
+
+- ``_power_rule`` holds the pair of :func:`rl_derivative_term`, keyed by
+  the exact exponent, the exact order and the precision, at most 1024
+  entries, least recently used evicted.  A float coefficient takes at most
+  about 1.1 kB at the 8192-bit cap, so float entries take at most about
+  1.1 MB.  An exact one, at an integer order, is a falling factorial of at
+  most 2^15 factors: the orders of ``verify all`` make it a few bytes, and
+  the integral of order 2^15 of t^200 about 58 kB.
+- ``_power`` holds the powers t^x of :func:`eval_frac_expansion`, keyed by
+  t, x (as integer pairs) and the working precision, at most 1024 values
+  (about 1.1 MB at the 8192-bit cap).
 """
 
 from __future__ import annotations
@@ -149,10 +162,18 @@ def rl_derivative_term(
     an exact zero at a pole of the denominator gamma.  Non-integer alpha
     gives beta! / gamma(beta-alpha+1) at an integer beta, the exact
     factorial rounded once before it multiplies, and the quotient of two
-    reciprocal gammas elsewhere.
+    reciprocal gammas elsewhere.  The pair comes from the memo
+    :func:`_power_rule`.
     """
     check_precision(precision)
-    b, a = as_rational(beta), as_rational(alpha)
+    return _power_rule(as_rational(beta), as_rational(alpha), precision)
+
+
+@lru_cache(maxsize=1024)
+def _power_rule(b: Fraction, a: Fraction, precision: int) -> tuple:
+    """The pair of :func:`rl_derivative_term` for exact b and a.  Every
+    rounding runs at a working precision the key fixes, so a hit returns
+    the bits of a fresh call."""
     if b <= -1:
         raise DomainError(f"exponent must exceed -1, got {b}")
     if a.denominator == 1:

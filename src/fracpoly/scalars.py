@@ -106,8 +106,10 @@ def as_rational(x: NumberLike) -> Fraction:
     """A parameter, order, exponent or evaluation point as the exact
     rational it stands for; a Python float gives its exact binary value.
     An mpmath float is refused: only a container takes one, with its
-    precision."""
-    if isinstance(x, (int, Fraction)):
+    precision.  A Fraction is returned as it is: it is immutable."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):

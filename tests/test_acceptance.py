@@ -122,17 +122,11 @@ def test_criterion_09_specialization_chain():
 def test_criterion_10_mutation_sensitivity(monkeypatch):
     # corrupt the single storage point every consumer reads: the cached
     # generating series (number k is k! times ordinary coefficient k)
-    from collections import OrderedDict
-
     import fracpoly.families as families
+    from fracpoly import clear_caches
     from fracpoly.series import TruncatedSeries
 
     real = families._family_series_cached
-
-    def forget_polynomials():
-        # the polynomial memo holds what the series gave before the patch
-        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
-        monkeypatch.setattr(families, "_polynomial_held", 0)
 
     def body():
         for kind in (FamilyKind.BERNOULLI, FamilyKind.EULER, FamilyKind.GENOCCHI):
@@ -147,7 +141,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
                     return series
 
                 monkeypatch.setattr(families, "_family_series_cached", corrupted)
-                forget_polynomials()
+                clear_caches()  # the memos hold what the series gave before the patch
                 detected = run_suite("classical-numbers", RunConfig()).verdict == "fail"
                 if not detected:
                     # escalate to the other gating suites before giving up
@@ -156,7 +150,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
                             detected = True
                             break
                 monkeypatch.setattr(families, "_family_series_cached", real)
-                forget_polynomials()
+                clear_caches()
                 if not detected:
                     return False, f"corruption of {kind} number {idx} went unnoticed"
         return True, ""

@@ -3,10 +3,10 @@ mixing working precisions."""
 
 import sys
 import threading
-from collections import OrderedDict
 from fractions import Fraction
 
 import fracpoly.families as families
+from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, family_numbers
 from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval
@@ -83,9 +83,9 @@ def test_concurrent_prefix_series_cache(monkeypatch):
     serial = {}
     for job in jobs:
         for p, order, prec in job:
-            monkeypatch.setattr(families, "_series_cache", OrderedDict())
+            clear_caches()
             serial[p, order, prec] = numbers(p, order, prec)
-    monkeypatch.setattr(families, "_series_cache", OrderedDict())
+    clear_caches()
     monkeypatch.setattr(families, "_SERIES_CACHE_SIZE", 4)
     start = threading.Barrier(len(jobs))
     failures = []
@@ -118,15 +118,7 @@ def test_concurrent_mixed_precision_memos(monkeypatch):
     # threads mixing precisions through the reciprocal_gamma entry memo and
     # the polynomial memo, which evicts under a small budget, get the bits a
     # serial cold call gets
-    import fracpoly.gammafns as gammafns
     from fracpoly.families import family_polynomial
-
-    def cold():
-        gammafns._reciprocal_gamma_memo.cache_clear()
-        gammafns._spouge_memo.cache_clear()
-        monkeypatch.setattr(families, "_series_cache", OrderedDict())
-        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
-        monkeypatch.setattr(families, "_polynomial_held", 0)
 
     def gamma(x, prec):
         return reciprocal_gamma(x, prec)._mpf_
@@ -141,9 +133,9 @@ def test_concurrent_mixed_precision_memos(monkeypatch):
     jobs = [(fn, arg, prec) for fn, arg in args for prec in (64, 128, 256)]
     serial = {}
     for fn, arg, prec in jobs:
-        cold()
+        clear_caches()
         serial[fn.__name__, arg, prec] = fn(arg, prec)
-    cold()
+    clear_caches()
     monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 27)
     start = threading.Barrier(6)
     failures = []

@@ -638,15 +638,16 @@ def reference_eval(e, t, precision):
 
 def test_power_memo_hit_equals_a_cold_call():
     import fracpoly.fractional as fractional
+    from fracpoly import clear_caches
 
     e = FracExpansion([(Fraction(3, 7), HALF), (-2, Fraction(7, 10)), (Fraction(5, 3), Fraction(5, 2))])
     cases = [(t, precision) for precision in (512, 64, 128) for t in (HALF, 1, 2, Fraction(7, 3))]
     cold = {}
     for t, precision in cases:
-        fractional._power.cache_clear()
+        clear_caches()
         cold[t, precision] = eval_frac_expansion(e, t, precision)._mpf_
         assert cold[t, precision] == reference_eval(e, t, precision)._mpf_
-    fractional._power.cache_clear()
+    clear_caches()
     for t, precision in cases:
         eval_frac_expansion(e, t, precision)
     misses = fractional._power.cache_info().misses

@@ -1,19 +1,24 @@
-"""The Spouge memo and the reciprocal_gamma entry memo hand out the bits a
-fresh evaluation computes, the Spouge memo keyed per working precision,
-also under threads mixing precisions, and one sum serves every argument
-with the same fractional part."""
+"""The Spouge memo, the reciprocal_gamma entry memo (which ml_eval's terms
+share) and the memos of the power rule and of the closed-form routes hand
+out the bits a fresh evaluation computes, the Spouge memo keyed per working
+precision, also under threads mixing precisions, and one sum serves every
+argument with the same fractional part."""
 
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
-from fracpoly.fractional import rl_derivative_term
+import fracpoly.verify as verify
+from fracpoly import clear_caches
+from fracpoly.families import FamilyParams
+from fracpoly.fractional import CaputoOrder, _power_rule, rl_derivative_term
 from fracpoly.gammafns import (_gamma_positive, _reciprocal_gamma_memo, _spouge, _spouge_memo, _spouge_wp,
                                reciprocal_gamma)
 from fracpoly.mittag import MLParams, ml_eval, ml_series
-from fracpoly.scalars import fraction_to_mpf, working_precision
+from fracpoly.scalars import Coefficients, fraction_to_mpf, working_precision
 
 # the reflection branch (x < 0), the step up from below 1 and rising products
 ARGS = (Fraction(1, 3), Fraction(-7, 5), Fraction(11, 4), Fraction(5, 2))
@@ -41,11 +46,12 @@ def _bits(values):
 @pytest.mark.parametrize("prec", (64, 128, 512))
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_memo_hit_equals_fresh_evaluation(route, prec):
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     fresh = ROUTES[route](prec)
     hits = _spouge_memo.cache_info().hits
-    _reciprocal_gamma_memo.cache_clear()  # the second pass reaches the Spouge memo
+    # the second pass reaches the Spouge memo: empty the memos above it
+    _reciprocal_gamma_memo.cache_clear()
+    _power_rule.cache_clear()
     memoized = ROUTES[route](prec)
     assert _spouge_memo.cache_info().hits > hits
     assert memoized == fresh
@@ -60,16 +66,14 @@ ENTRY_ARGS = (Fraction(5), Fraction(-7, 5), Fraction(1, 3), Fraction(23, 4))
 @pytest.mark.parametrize("prec", (64, 128, 512))
 @pytest.mark.parametrize("x", ENTRY_ARGS)
 def test_entry_memo_hit_equals_fresh_evaluation(x, prec):
-    # the first call runs inside a wider caller scope: the key holds no
-    # working precision, since the entry sets its own from the precision
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    # the first call runs inside a wider caller scope: the key holds the
+    # working precision the entry sets from the precision, not the caller's
+    clear_caches()
     with working_precision(4 * prec):
         cold = reciprocal_gamma(x, prec)
     info = _reciprocal_gamma_memo.cache_info()
     hit = reciprocal_gamma(x, prec)
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     fresh = reciprocal_gamma(x, prec)
     if x.denominator == 1:
         # exact, one factorial, and not memoized
@@ -81,12 +85,53 @@ def test_entry_memo_hit_equals_fresh_evaluation(x, prec):
         assert hit is cold
 
 
+# a route through each memo added over the gamma memos, and that memo: the
+# power rule at integer and non-integer orders, exponents, derivatives and
+# integrals; ml_eval at non-integer and integer term arguments; and the two
+# closed-form routes of one family polynomial
+MEMOS = {
+    "power_rule": (lambda prec: [rl_derivative_term(b, a, prec) for b in (2, Fraction(7, 4))
+                                 for a in (Fraction(1, 5), 2, -3, Fraction(-3, 2))], _power_rule),
+    "ml_eval_terms": (lambda prec: [ml_eval(p, Fraction(3, 2), precision=prec) for p in (ML, MLParams(2, 3))],
+                      _reciprocal_gamma_memo),
+    "closed_form_routes": (lambda prec: verify._routes(FamilyParams("euler", 1, 2), 5, CaputoOrder(Fraction(3, 2)),
+                                                       prec), verify._routes),
+}
+
+
+def _flat(v):
+    """The bits of a route's values: an mpf as its tuple, a sequence or
+    container item by item, an exact value as it is."""
+    if isinstance(v, mp.mpf):
+        return v._mpf_
+    if isinstance(v, (tuple, list, Coefficients)):
+        return [_flat(x) for x in v]
+    return v
+
+
+@pytest.mark.parametrize("prec", (64, 128, 512))
+@pytest.mark.parametrize("memo", sorted(MEMOS))
+def test_route_memo_hit_equals_fresh_evaluation(memo, prec):
+    # the first pass runs inside a wider caller scope, the second only hits,
+    # and a pass after emptying every memo gives the same bits
+    route, cache = MEMOS[memo]
+    clear_caches()
+    with working_precision(4 * prec):
+        cold = route(prec)
+    info = cache.cache_info()
+    hit = route(prec)
+    assert cache.cache_info().misses == info.misses
+    assert cache.cache_info().hits > info.hits
+    clear_caches()
+    fresh = route(prec)
+    assert _flat(hit) == _flat(cold) == _flat(fresh)
+
+
 def test_working_precision_is_part_of_the_key():
     prec = 128
     x0 = Fraction(7, 4)
     values = {}
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     for wp in (prec + 16, _spouge_wp(prec)):
         with working_precision(wp):
             values[wp] = (_spouge(x0, prec), _gamma_positive(fraction_to_mpf(x0, wp), prec))
@@ -98,19 +143,15 @@ def test_working_precision_is_part_of_the_key():
 
 def test_ml_eval_and_ml_series_keep_their_own_values():
     prec = 128
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     series_alone = _bits(ml_series(ML_DYADIC, 10, prec))
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     eval_alone = ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec)._mpf_
     # each route first, then the other one on the same shared arguments
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     assert ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec)._mpf_ == eval_alone
     assert _bits(ml_series(ML_DYADIC, 10, prec)) == series_alone
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     assert _bits(ml_series(ML_DYADIC, 10, prec)) == series_alone
     assert ml_eval(ML_DYADIC, Fraction(1, 2), precision=prec)._mpf_ == eval_alone
 
@@ -120,11 +161,9 @@ def test_concurrent_mixed_precision_memo():
     jobs = [(kind, prec) for kind in ("reciprocal_gamma", "ml_series") for prec in precs]
     serial = {}
     for kind, prec in jobs:
-        _spouge_memo.cache_clear()
-        _reciprocal_gamma_memo.cache_clear()
+        clear_caches()
         serial[(kind, prec)] = _bits(ROUTES[kind](prec))
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     results = []
     errors = []
 
@@ -156,8 +195,7 @@ def test_concurrent_mixed_precision_memo():
 def test_one_sum_per_fractional_part():
     # 7/11 n + 6/5 = (35 n + 66)/55 takes 11 fractional parts over n = 0..80
     p = MLParams(Fraction(7, 11), Fraction(6, 5))
-    _spouge_memo.cache_clear()
-    _reciprocal_gamma_memo.cache_clear()
+    clear_caches()
     ml_series(p, 80, 128)
     info = _spouge_memo.cache_info()
     assert info.misses <= 11

@@ -4,10 +4,11 @@ import pytest
 from mpmath import mp
 
 import fracpoly.fractional as fractional
+from fracpoly import clear_caches
 from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.families import FamilyParams, Polynomial, family_polynomial
 from fracpoly.fractional import CaputoOrder, caputo_derivative_poly, caputo_quadrature_oracle, eval_frac_expansion
-from fracpoly.quadrature import _rule_cached, gauss_jacobi_rule
+from fracpoly.quadrature import gauss_jacobi_rule
 from fracpoly.scalars import mpf_to_fraction, working_precision
 from fracpoly.verify import RunConfig, run_suite
 
@@ -126,7 +127,9 @@ def test_rule_26_nodes_at_511_bits_integrates_degree_51_exactly():
 
 @pytest.fixture()
 def oracle_rules(monkeypatch):
-    """The (a, npoints, precision) of every rule the oracle asks for, in order."""
+    """The (a, npoints, precision) of every rule the oracle asks for, in
+    order, from emptied memos, so that no held route skips the oracle."""
+    clear_caches()
     keys = []
 
     def recording_rule(a_exponent, npoints, precision):
@@ -185,4 +188,4 @@ def test_rule_invariant_violation_raises(defect, monkeypatch):
         with pytest.raises(ToleranceUnreachable):
             gauss_jacobi_rule(Fraction(-1, 9), 5, 97)
     finally:
-        _rule_cached.cache_clear()
+        clear_caches()

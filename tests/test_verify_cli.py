@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import fracpoly.verify as verify
+from fracpoly import clear_caches
 from fracpoly.cli import cli
 from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, working_precision
 from fracpoly.errors import DomainError
@@ -234,28 +235,10 @@ def test_verify_all_json_matches_golden_bit_for_bit(runner, precision):
     assert r.stdout == (GOLDEN / f"verify_all_{precision}.json").read_text()
 
 
-def _cold_memos(monkeypatch):
-    """Empty every memo and cache that `verify all` reads across suites."""
-    from collections import OrderedDict
-
-    import fracpoly.families as families
-    import fracpoly.fractional as fractional
-    import fracpoly.gammafns as gammafns
-    import fracpoly.quadrature as quadrature
-
-    fractional._power.cache_clear()
-    gammafns._reciprocal_gamma_memo.cache_clear()
-    gammafns._spouge_memo.cache_clear()
-    quadrature._rule_cached.cache_clear()
-    monkeypatch.setattr(families, "_series_cache", OrderedDict())
-    monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
-    monkeypatch.setattr(families, "_polynomial_held", 0)
-
-
-def test_verify_all_with_warm_memos_matches_golden(runner, monkeypatch):
+def test_verify_all_with_warm_memos_matches_golden(runner):
     # one process: each run finds the memos as the runs before it left them,
     # and a hit must give the bits a cold run computes
-    _cold_memos(monkeypatch)
+    clear_caches()
     for precision in (512, 64, 128):
         r = invoke(runner, "verify", "all", "--precision", str(precision), "--format", "json")
         assert r.stdout == (GOLDEN / f"verify_all_{precision}.json").read_text()
@@ -265,13 +248,18 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # a cold 128-bit `verify all` asks for 1/gamma 6,943 times at 229
     # arguments, 106 of them non-integers (the 123 integers are exact
     # factorials, not memoized), for 636 distinct polynomials 2,803 times,
-    # and for number series under 43 cache keys, each built at its top order
+    # and for number series under 43 cache keys, each built at its top order.
+    # It takes 1,741 power-rule steps at 121 keys, 3,734 Mittag-Leffler term
+    # gammas in ml_eval at 103 keys of the shared gamma memo, and 493
+    # closed-form routes at 377 keys
     import fracpoly.families as families
+    import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
+    from mpmath import mp
 
-    _cold_memos(monkeypatch)
-    builds, series = [], []
-    real, real_series = families._family_polynomial, families._number_series
+    clear_caches()
+    builds, series, gammas = [], [], []
+    real, real_series, real_rgamma = families._family_polynomial, families._number_series, gammafns._rgamma
 
     def counting(p, n, precision):
         builds.append((p, n, precision))
@@ -281,13 +269,23 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
         series.append((p, order, precision))
         return real_series(p, order, precision)
 
+    def counting_rgamma(x, precision):  # a miss of the gamma memo, at its working precision
+        gammas.append(mp.prec)
+        return real_rgamma(x, precision)
+
     monkeypatch.setattr(families, "_family_polynomial", counting)
     monkeypatch.setattr(families, "_number_series", counting_series)
+    monkeypatch.setattr(gammafns, "_rgamma", counting_rgamma)
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
-    assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
+    # the entry's misses run at _spouge_wp(128), ml_eval's at 128 + 16
+    assert gammafns._reciprocal_gamma_memo.cache_info().misses == len(gammas)
+    assert gammas.count(gammafns._spouge_wp(128)) <= 106
+    assert gammas.count(128 + 16) <= 103
     assert len(builds) <= 636
     assert len(series) <= 45
+    assert fractional._power_rule.cache_info().misses <= 121
+    assert verify._routes.cache_info().misses <= 377
 
 
 def test_verify_float_alpha_matches_golden(runner):
@@ -570,8 +568,12 @@ def test_closed_form_suites_catch_a_relative_error_of_2_to_the_minus_40(monkeypa
             factor = fraction_to_mpf(1 + Fraction(1, 2 ** 40), precision)
             return [x * factor for x in v] if isinstance(v, list) else v * factor
 
+    clear_caches()  # a held route would hide the biased one
     monkeypatch.setattr(verify, name, biased)
-    report = run_suite("theorem4", RunConfig(lam=Fraction(2), orders=(Fraction(1, 2),), max_degree=3))
+    try:
+        report = run_suite("theorem4", RunConfig(lam=Fraction(2), orders=(Fraction(1, 2),), max_degree=3))
+    finally:
+        clear_caches()  # and must not outlive the bias
     assert report.verdict == "fail"
     assert report.tolerance < 2.0 ** -40
 
@@ -730,20 +732,9 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
     # either gamma route must flip a suite to fail.  The same check at 64
     # bits waits for tolerances from an error budget (ROADMAP): the
     # identity class 2^(48-p) is 2^-16 there and passes this error.
-    from collections import OrderedDict
-
     from mpmath import mp
 
-    import fracpoly.families as families
     import fracpoly.gammafns as gammafns
-    import fracpoly.mittag as mittag
-
-    def clear_caches():
-        gammafns._spouge_memo.cache_clear()
-        gammafns._reciprocal_gamma_memo.cache_clear()
-        families._series_cache.clear()
-        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
-        monkeypatch.setattr(families, "_polynomial_held", 0)
 
     real = getattr(gammafns, name)
 
@@ -752,9 +743,7 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
 
     assert run_suite(suite, RunConfig(precision=128)).verdict == "pass"
     clear_caches()
-    monkeypatch.setattr(gammafns, name, biased)
-    if hasattr(mittag, name):  # mittag binds _rgamma by name at import
-        monkeypatch.setattr(mittag, name, biased)
+    monkeypatch.setattr(gammafns, name, biased)  # ml_eval reaches _rgamma through the gamma memo
     try:
         assert run_suite(suite, RunConfig(precision=128)).verdict == "fail"
     finally:
