@@ -30,23 +30,20 @@ Two memos hold repeated values; each key holds everything a value's bits
 depend on, so a hit returns the very bits a fresh evaluation would and the
 error bound is untouched:
 
-- ``_reciprocal_gamma_memo`` holds 1/gamma keyed by the exact argument,
-  the precision, the working precision and the precision of the value,
-  at most 1024 entries, least recently used evicted.  The whole
-  evaluation runs at the working precision the key fixes, and rounds once,
-  whatever the caller's scope.  It serves two callers: the public value at
-  a non-integer argument, at the working precision _spouge_wp(precision)
-  and rounded to the precision, and each term of ``ml_eval``, integer
-  arguments included, at precision + 16 bits throughout.  The values take
-  at most about 1.1 MB (mpfs of at most 8208 bits); the keys hold the
-  arguments as given.  At the integers the public value is exact, one
-  factorial, and not memoized: its denominator can have up to 2^15 factors.
+- ``_reciprocal_gamma_memo`` holds the public value at a non-integer
+  argument, keyed by the exact argument and the precision, at most 1024
+  entries, least recently used evicted.  The whole evaluation runs at the
+  working precision _spouge_wp(precision), fixed by the key, and rounds
+  once to the precision, whatever the caller's scope.  The values take at
+  most about 1.1 MB (mpfs of at most 8192 bits); the keys hold the
+  arguments as given.  At the integers the value is exact, one factorial,
+  and not memoized: its denominator can have up to 2^15 factors.
 - ``_spouge_memo`` holds the Spouge value gamma(x0) on (x0, precision,
   working precision), at most 4096 entries, so every argument with the same
   fractional part shares one sum: the working precision fixes every
   rounding after it.  It serves the arguments the entry memo does not
   share, the terms alpha n + beta of a Mittag-Leffler series at a
-  non-integer alpha (``ml_series``, and ``ml_eval`` on a miss).
+  non-integer alpha (``ml_series``, ``ml_eval``).
 
 ``fracpoly.clear_caches()`` empties both.
 """
@@ -211,19 +208,16 @@ def reciprocal_gamma(x: NumberLike, precision: int = DEFAULT_PRECISION):
     if x.denominator == 1:
         n = x.numerator
         return Fraction(0) if n <= 0 else Fraction(1, math.factorial(_bounded(n - 1)))
-    return _reciprocal_gamma_memo(x, precision, _spouge_wp(precision), precision)
+    return _reciprocal_gamma_memo(x, precision)
 
 
 @lru_cache(maxsize=1024)
-def _reciprocal_gamma_memo(x: Fraction, precision: int, wp: int, out: int):
-    """:func:`_rgamma` of x with the Spouge sum of ``precision``, evaluated
-    at the working precision wp and rounded once to ``out`` bits: the key
-    fixes every rounding, whatever the caller's scope.  The public value
-    has wp = _spouge_wp(precision) and out = precision; a Mittag-Leffler
-    term of ml_eval has wp = out = precision + 16."""
-    with working_precision(wp):
+def _reciprocal_gamma_memo(x: Fraction, precision: int):
+    """1/gamma at a non-integer x, rounded once to the precision from the
+    working precision _spouge_wp(precision), which the key fixes."""
+    with working_precision(_spouge_wp(precision)):
         v = _rgamma(x, precision)
-    return mp.mpf(v, prec=out)
+    return mp.mpf(v, prec=precision)
 
 
 def generalized_binomial(alpha: NumberLike, k: int) -> Fraction:

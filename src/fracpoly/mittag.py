@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
-from .gammafns import _bounded, _reciprocal_gamma_memo, reciprocal_gamma
+from .gammafns import _bounded, _rgamma, reciprocal_gamma
 from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf,
                       positive_rational, raw_in, working_precision)
 from .series import TruncatedSeries
@@ -109,14 +109,14 @@ def ml_eval(
         tolm = mp.mpf(tol_fr.numerator) / tol_fr.denominator
         total = mp.mpf(0)
         peak = mp.mpf(0)
-        term = _reciprocal_gamma_memo(p.beta, precision, wp, wp)  # n = 0, z^0
+        term = _rgamma(p.beta, precision)  # n = 0, z^0
         zpow = mp.mpf(1)
         n = 0
         while True:
             total += term
             peak = max(peak, abs(term))
             zpow *= zm
-            nxt = zpow * _reciprocal_gamma_memo(p.alpha * (n + 1) + p.beta, precision, wp, wp)
+            nxt = zpow * _rgamma(p.alpha * (n + 1) + p.beta, precision)
             if abs(nxt) < tolm * abs(total) and abs(term) > 0:
                 ratio = abs(nxt) / abs(term)
                 if ratio < mp.mpf(1) / 2:

@@ -83,15 +83,20 @@ def mpf_to_fraction(x) -> Fraction:
     Fraction, a finite mpmath float as the dyadic rational it holds."""
     if isinstance(x, EXACT_TYPES):
         return Fraction(x)
+    return Fraction(*mpf_to_pair(x))
+
+
+def mpf_to_pair(x) -> tuple[int, int]:
+    """A finite mpmath float as the reduced (numerator, denominator) of the
+    dyadic rational it holds: m and 2^-e, or m 2^e and 1.  mpmath keeps
+    the mantissa m odd, so the pair needs no gcd."""
     sign, man, exp, _ = x._mpf_
     if man == 0:
         if x == 0:
-            return Fraction(0)
+            return 0, 1
         raise DomainError(f"cannot convert non-finite float {x!r} to a rational")
     num = -man if sign else man
-    if exp >= 0:
-        return Fraction(num << exp)
-    return Fraction(num, 1 << -exp)
+    return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
 
 
 def fraction_to_mpf(q: Fraction, bits: int):

@@ -40,7 +40,6 @@ from .families import (
     FamilyKind,
     FamilyParams,
     Polynomial,
-    _exact_horner,
     check_compositions,
     family_numbers,
     family_polynomial,
@@ -62,7 +61,7 @@ from .fractional import (
 )
 from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
 from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, as_rational, check_precision, domain_scope,
-                      mpf_to_fraction, raw_in, working_precision)
+                      mpf_to_pair, raw_in, working_precision)
 from .series import cauchy_product, exp_series
 from mpmath import mp
 
@@ -133,17 +132,10 @@ _EXACT_ZERO = (0, 1, True)
 
 def _entry(v) -> tuple[int, int, bool]:
     """A raw value as the runner compares it: (numerator, denominator,
-    exact), a nonzero float's pair being m and 2^-e, or m 2^e and 1, read
-    off its mpf: the mantissa m is odd, so the pair is reduced."""
+    exact), a float's pair read off its mpf by :func:`mpf_to_pair`."""
     if isinstance(v, EXACT_TYPES):
         return v.numerator, v.denominator, True
-    sign, man, exp, _ = v._mpf_
-    if not man:  # zero, or refused as non-finite
-        q = mpf_to_fraction(v)
-        return q.numerator, q.denominator, False
-    if sign:
-        man = -man
-    return (man << exp, 1, False) if exp >= 0 else (man, 1 << -exp, False)
+    return (*mpf_to_pair(v), False)
 
 
 def _entries(side) -> list:
@@ -474,11 +466,13 @@ def suite_ml_consistency(precision):
             # truncation tolerance; 2^(14-p) is below it from 64 bits up and
             # above the 2^(12-p) floor ml_eval accepts
             tol = Fraction(1, 2 ** (precision - 14))
+            # an exact series is summed as a polynomial, by one integer Horner pass
+            exact = Polynomial(series) if prec is None else None
             for z in zs:
-                if prec is None:
-                    acc = _exact_horner(series._values, series._den, Fraction(z))
+                if exact is not None:
+                    acc = exact.evaluate(z)
                 else:
-                    with working_precision(prec):
+                    with domain_scope(prec):
                         acc = sum(c * raw_in(Fraction(z) ** k, prec) for k, c in enumerate(series))
                 yield acc, ml_eval(p, z, tol=tol, precision=precision)
     return {"order": order}
@@ -543,23 +537,21 @@ def _closed_forms(precision: int, families: Sequence[FamilyParams], orders, m_ma
             ord_ = CaputoOrder(a)
             for m in range(ord_.n, m_max + 1):
                 closed = caputo_closed_form(p, m, ord_, precision, table)
-                termwise, oracle = _routes(p, m, ord_, precision)
-                yield closed, termwise, tol
-                for t, want in zip(_EVAL_POINTS, oracle):
+                poly = family_polynomial(p, m, precision)
+                yield closed, caputo_derivative_poly(poly, ord_, precision), tol
+                for t, want in zip(_EVAL_POINTS, _oracle_values(p, m, ord_, precision)):
                     yield eval_frac_expansion(closed, t, precision), want
 
 
 @lru_cache(maxsize=512)
-def _routes(p: FamilyParams, m: int, ord_: CaputoOrder, precision: int) -> tuple:
-    """The two routes the closed form of the degree-m polynomial meets:
-    its termwise Caputo derivative and its quadrature values at
-    _EVAL_POINTS.  theorem5 and theorem6 ask again for families that
-    theorem4 and theorem5 checked; the key fixes every bit of both routes,
-    so a hit returns the values of a fresh call, and the memo holds only
-    finished values."""
+def _oracle_values(p: FamilyParams, m: int, ord_: CaputoOrder, precision: int) -> tuple:
+    """The quadrature values at _EVAL_POINTS of the Caputo derivative of
+    the degree-m polynomial.  theorem5 and theorem6 ask again for families
+    that theorem4 and theorem5 checked; the key fixes every bit, so a hit
+    returns the values of a fresh call, and the memo holds only finished
+    values."""
     poly = family_polynomial(p, m, precision)
-    return (caputo_derivative_poly(poly, ord_, precision),
-            tuple(caputo_quadrature_points(poly, ord_, _EVAL_POINTS, precision)))
+    return tuple(caputo_quadrature_points(poly, ord_, _EVAL_POINTS, precision))
 
 
 @_suite("theorem4", float_tol=_tol_oracle, lam=(2, 3), orders=_CLOSED_FORM_ORDERS, max_degree=8)

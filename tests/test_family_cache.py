@@ -4,12 +4,12 @@ reproduce, bit for bit, what a cold computation or a per-coefficient
 raw-value loop gives."""
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
 import fracpoly.families as families
+from fracpoly import clear_caches
 from fracpoly.families import (FamilyParams, Polynomial, family_numbers, family_polynomial, family_series,
                                multinomial_number_product)
 from fracpoly.scalars import as_rational, domain_scope, fraction_to_mpf, raw_in, working_precision
@@ -21,11 +21,10 @@ def bits(values):
 
 
 @pytest.fixture
-def empty_cache(monkeypatch):
-    def reset():
-        monkeypatch.setattr(families, "_series_cache", OrderedDict())
-    reset()
-    return reset
+def empty_caches():
+    """Empties every cache and memo, first of all and again on each call."""
+    clear_caches()
+    return clear_caches
 
 
 CASES = [
@@ -40,12 +39,12 @@ CASES = [
 
 @pytest.mark.parametrize("p,prec", CASES)
 @pytest.mark.parametrize("orders", [(10, 40), (40, 10), (0, 3), (3, 0)])
-def test_prefix_slices_equal_cold_series(empty_cache, p, prec, orders):
+def test_prefix_slices_equal_cold_series(empty_caches, p, prec, orders):
     cold = {}
     for n in orders:
-        empty_cache()
+        empty_caches()
         cold[n] = bits(family_series(p, n, prec))
-    empty_cache()
+    empty_caches()
     for n in orders:
         s = family_series(p, n, prec)
         assert s.order == n
@@ -53,14 +52,14 @@ def test_prefix_slices_equal_cold_series(empty_cache, p, prec, orders):
     assert len(families._series_cache) == 1
 
 
-def test_order_zero_keeps_the_domain_of_the_parameters(empty_cache):
+def test_order_zero_keeps_the_domain_of_the_parameters(empty_caches):
     # at alpha = 1/2 the Euler number N_0 reads only 1/gamma(1), an exact
     # value, yet it is a float like the rest of the series whatever ran before
     from fracpoly.mittag import MLParams, ml_series
 
     p = FamilyParams("euler", Fraction(1, 2), Fraction(7, 5))
     fresh = bits(family_numbers(p, 0))
-    empty_cache()
+    empty_caches()
     assert bits(family_numbers(p, 3))[:1] == fresh
     assert fresh[0][0] == 128
     assert bits(ml_series(MLParams(Fraction(1, 2), 1), 0)) == bits(
@@ -68,7 +67,7 @@ def test_order_zero_keeps_the_domain_of_the_parameters(empty_cache):
     assert bits(ml_series(MLParams(2, 3), 0)) == [(None, Fraction(1, 2))]
 
 
-def test_cache_keeps_at_most_256_keys(empty_cache):
+def test_cache_keeps_at_most_256_keys(empty_caches):
     # the Euler series at alpha = 1 are exact, so their keys hold no precision
     keys = [(FamilyParams("euler", 1, lam), None) for lam in range(1, 301)]
     for p, _ in keys:
@@ -79,7 +78,7 @@ def test_cache_keeps_at_most_256_keys(empty_cache):
     assert keys[-1] in cache
 
 
-def test_exact_series_shared_across_precisions(empty_cache, monkeypatch):
+def test_exact_series_shared_across_precisions(empty_caches, monkeypatch):
     # at an integer alpha the series is exact, so one computation serves
     # every precision: the 64-bit request and the default 128-bit one
     calls = []
@@ -95,27 +94,16 @@ def test_exact_series_shared_across_precisions(empty_cache, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    def reset():
-        monkeypatch.setattr(families, "_polynomial_memo", OrderedDict())
-        monkeypatch.setattr(families, "_polynomial_held", 0)
-    reset()
-    return reset
-
-
-def test_polynomial_memo_keys_like_the_series(empty_cache, empty_memo, monkeypatch):
+def test_polynomial_memo_keys_like_the_series(empty_caches, monkeypatch):
     # an integer alpha gives an exact polynomial, one entry for every
     # precision; a non-integer alpha gives one entry per precision
     exact, floats = FamilyParams("euler", 2, Fraction(2, 3)), FamilyParams("genocchi", Fraction(1, 2), 2)
     calls = [(p, prec) for p in (exact, floats) for prec in (64, 128, 512)]
     cold = {}
     for p, prec in calls:
-        empty_cache()
-        empty_memo()
+        empty_caches()
         cold[p, prec] = bits(family_polynomial(p, 9, prec))
-    empty_cache()
-    empty_memo()
+    empty_caches()
     builds = []
     real = families._family_polynomial
 
@@ -134,7 +122,7 @@ def test_polynomial_memo_keys_like_the_series(empty_cache, empty_memo, monkeypat
                                                (floats, 9, 512)]
 
 
-def test_equal_params_hash_alike_and_share_a_memo_entry(empty_cache, empty_memo, monkeypatch):
+def test_equal_params_hash_alike_and_share_a_memo_entry(empty_caches, monkeypatch):
     # the hash is computed once per instance; two equal instances built
     # apart must still hash alike, compare and print alike, and hit one entry
     a, b = FamilyParams("euler", Fraction(1, 2), Fraction(2, 3)), FamilyParams("euler", "1/2", Fraction(4, 6))
@@ -154,7 +142,7 @@ def test_equal_params_hash_alike_and_share_a_memo_entry(empty_cache, empty_memo,
     assert list(families._polynomial_memo) == [(a, 5, 128)]
 
 
-def test_polynomial_memo_keeps_at_most_its_coefficient_budget(empty_memo, monkeypatch):
+def test_polynomial_memo_keeps_at_most_its_coefficient_budget(empty_caches, monkeypatch):
     monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 20)
     p = FamilyParams("bernoulli", 1, 2)
     for n in (5, 6, 7):  # 6 + 7 + 8 coefficients: the first is evicted

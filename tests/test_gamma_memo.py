@@ -1,9 +1,12 @@
-"""The Spouge memo, the reciprocal_gamma entry memo (which ml_eval's terms
-share) and the memos of the power rule and of the closed-form routes hand
-out the bits a fresh evaluation computes, the Spouge memo keyed per working
-precision, also under threads mixing precisions, and one sum serves every
-argument with the same fractional part."""
+"""The Spouge memo, the reciprocal_gamma entry memo and the memos of the
+power rule and of the quadrature values hand out the bits a fresh
+evaluation computes, the Spouge memo keyed per working precision, also
+under threads mixing precisions, and one sum serves every argument with
+the same fractional part; clear_caches() empties every memo of the
+package."""
 
+import importlib
+import pkgutil
 import sys
 import threading
 from fractions import Fraction
@@ -11,9 +14,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import fracpoly
+import fracpoly.families as families
 import fracpoly.verify as verify
 from fracpoly import clear_caches
-from fracpoly.families import FamilyParams
+from fracpoly.families import FamilyParams, family_polynomial
 from fracpoly.fractional import CaputoOrder, _power_rule, rl_derivative_term
 from fracpoly.gammafns import (_gamma_positive, _reciprocal_gamma_memo, _spouge, _spouge_memo, _spouge_wp,
                                reciprocal_gamma)
@@ -85,17 +90,14 @@ def test_entry_memo_hit_equals_fresh_evaluation(x, prec):
         assert hit is cold
 
 
-# a route through each memo added over the gamma memos, and that memo: the
-# power rule at integer and non-integer orders, exponents, derivatives and
-# integrals; ml_eval at non-integer and integer term arguments; and the two
-# closed-form routes of one family polynomial
+# a route through each memo added over the gamma memos: the power rule at
+# integer and non-integer orders, exponents, derivatives and integrals, and
+# the quadrature values of one family polynomial
 MEMOS = {
     "power_rule": (lambda prec: [rl_derivative_term(b, a, prec) for b in (2, Fraction(7, 4))
                                  for a in (Fraction(1, 5), 2, -3, Fraction(-3, 2))], _power_rule),
-    "ml_eval_terms": (lambda prec: [ml_eval(p, Fraction(3, 2), precision=prec) for p in (ML, MLParams(2, 3))],
-                      _reciprocal_gamma_memo),
-    "closed_form_routes": (lambda prec: verify._routes(FamilyParams("euler", 1, 2), 5, CaputoOrder(Fraction(3, 2)),
-                                                       prec), verify._routes),
+    "oracle_values": (lambda prec: verify._oracle_values(FamilyParams("euler", 1, 2), 5, CaputoOrder(Fraction(3, 2)),
+                                                         prec), verify._oracle_values),
 }
 
 
@@ -200,3 +202,31 @@ def test_one_sum_per_fractional_part():
     info = _spouge_memo.cache_info()
     assert info.misses <= 11
     assert info.hits >= 81 - 11
+
+
+def test_clear_caches_empties_every_memo_of_the_package(monkeypatch):
+    # a module-level memo that clear_caches() leaves out would let a test
+    # that patches a route run on values held from before the patch
+    family_polynomial(FamilyParams("euler", 1, 2), 5)
+    found, cleared = [], []
+
+    class Spy:
+        def __init__(self, name):
+            self.name = name
+
+        def cache_clear(self):
+            cleared.append(self.name)
+
+    for info in pkgutil.iter_modules(fracpoly.__path__, "fracpoly."):
+        if info.name == "fracpoly.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in list(vars(module).items()):
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
+                found.append(f"{module.__name__}.{name}")
+                monkeypatch.setattr(module, name, Spy(found[-1]))
+    clear_caches()
+    assert len(found) >= 7
+    assert sorted(cleared) == sorted(found)
+    assert not families._series_cache and not families._polynomial_memo
+    assert families._polynomial_held == 0

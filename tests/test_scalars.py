@@ -17,6 +17,7 @@ from fracpoly.scalars import (
     decimal_str,
     fraction_to_mpf,
     mpf_to_fraction,
+    mpf_to_pair,
     render,
     working_precision,
 )
@@ -133,6 +134,16 @@ def test_mpf_fraction_roundtrip(q):
     back = mpf_to_fraction(x)
     # the stored float is some dyadic close to q; converting back is exact
     assert fraction_to_mpf(back, 128)._mpf_ == x._mpf_
+    # the pair is the reduced one a Fraction holds, with no gcd taken
+    assert mpf_to_pair(x) == (back.numerator, back.denominator)
+
+
+def test_mpf_to_pair_of_zero_and_non_finite_floats():
+    assert mpf_to_pair(mp.mpf(0)) == (0, 1)
+    assert mpf_to_pair(mp.mpf(-96)) == (-96, 1)
+    for x in (mp.inf, -mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            mpf_to_pair(x)
 
 
 def test_fraction_to_mpf_rounds_once():

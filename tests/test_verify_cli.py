@@ -249,17 +249,15 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # arguments, 106 of them non-integers (the 123 integers are exact
     # factorials, not memoized), for 636 distinct polynomials 2,803 times,
     # and for number series under 43 cache keys, each built at its top order.
-    # It takes 1,741 power-rule steps at 121 keys, 3,734 Mittag-Leffler term
-    # gammas in ml_eval at 103 keys of the shared gamma memo, and 493
-    # closed-form routes at 377 keys
+    # It takes 2,110 power-rule steps at 121 keys and 493 quadrature oracle
+    # set-ups at 377 keys
     import fracpoly.families as families
     import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
-    from mpmath import mp
 
     clear_caches()
-    builds, series, gammas = [], [], []
-    real, real_series, real_rgamma = families._family_polynomial, families._number_series, gammafns._rgamma
+    builds, series = [], []
+    real, real_series = families._family_polynomial, families._number_series
 
     def counting(p, n, precision):
         builds.append((p, n, precision))
@@ -269,23 +267,15 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
         series.append((p, order, precision))
         return real_series(p, order, precision)
 
-    def counting_rgamma(x, precision):  # a miss of the gamma memo, at its working precision
-        gammas.append(mp.prec)
-        return real_rgamma(x, precision)
-
     monkeypatch.setattr(families, "_family_polynomial", counting)
     monkeypatch.setattr(families, "_number_series", counting_series)
-    monkeypatch.setattr(gammafns, "_rgamma", counting_rgamma)
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
-    # the entry's misses run at _spouge_wp(128), ml_eval's at 128 + 16
-    assert gammafns._reciprocal_gamma_memo.cache_info().misses == len(gammas)
-    assert gammas.count(gammafns._spouge_wp(128)) <= 106
-    assert gammas.count(128 + 16) <= 103
+    assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
     assert len(builds) <= 636
     assert len(series) <= 45
     assert fractional._power_rule.cache_info().misses <= 121
-    assert verify._routes.cache_info().misses <= 377
+    assert verify._oracle_values.cache_info().misses <= 377
 
 
 def test_verify_float_alpha_matches_golden(runner):
@@ -735,6 +725,7 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
     from mpmath import mp
 
     import fracpoly.gammafns as gammafns
+    import fracpoly.mittag as mittag
 
     real = getattr(gammafns, name)
 
@@ -743,7 +734,9 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
 
     assert run_suite(suite, RunConfig(precision=128)).verdict == "pass"
     clear_caches()
-    monkeypatch.setattr(gammafns, name, biased)  # ml_eval reaches _rgamma through the gamma memo
+    monkeypatch.setattr(gammafns, name, biased)
+    if hasattr(mittag, name):  # mittag binds _rgamma by name at import
+        monkeypatch.setattr(mittag, name, biased)
     try:
         assert run_suite(suite, RunConfig(precision=128)).verdict == "fail"
     finally:
