@@ -58,20 +58,18 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package and both hand-rolled caches of
-    :mod:`fracpoly.families` (the number series and the polynomials), so
-    that the next call computes every value afresh.  A memo hit returns
+    """Empty every memo of the package and the family cache of
+    :mod:`fracpoly.families` (number series and polynomials), so that the
+    next call computes every value afresh.  A memo hit returns
     the bits of a fresh call, so this changes no result, only what the
     next call computes: a test that patches a route calls it first, so
     that no value held from before the patch hides the patched route."""
     for memo in (gammafns._spouge_coeffs, gammafns._spouge_memo, gammafns._reciprocal_gamma_memo,
                  quadrature._rule_cached, fractional._power, fractional._power_rule, verify._oracle_values):
         memo.cache_clear()
-    with families._series_lock:
-        families._series_cache.clear()
-    with families._polynomial_lock:
-        families._polynomial_memo.clear()
-        families._polynomial_held = 0
+    with families._family_lock:
+        families._family_cache.clear()
+        families._family_held = 0
 
 __all__ = [
     "DEFAULT_PRECISION",

@@ -56,8 +56,9 @@ class FamilyKind(str, Enum):
 @dataclass(frozen=True)
 class FamilyParams:
     """Selects one generating function: kind, alpha > 0, lambda > 0, order h.
-    alpha and lambda are exact rationals.  The hash is computed once, since
-    every memo and cache lookup hashes its key."""
+    alpha and lambda are exact rationals.  The hash and an integer key for
+    equality are computed once, since every memo and cache lookup hashes
+    and compares its key."""
 
     kind: FamilyKind
     alpha: Fraction
@@ -78,9 +79,13 @@ class FamilyParams:
         object.__setattr__(self, "lam", l)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "_hash", hash((kind, a, l, h)))
+        object.__setattr__(self, "_key", (kind, a.numerator, a.denominator, l.numerator, l.denominator, h))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        return self is other or (self._key == other._key if isinstance(other, FamilyParams) else NotImplemented)
 
 
 def _check_h(h) -> None:
@@ -183,36 +188,54 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     return inverse.scale(c).shift_up(k - v)
 
 
-# (params, precision) pairs whose longest series is kept, least recently used first
-_SERIES_CACHE_SIZE = 256
-_series_cache: OrderedDict = OrderedDict()
-_series_lock = threading.Lock()
+# the family cache: (p, key) holds p's longest number series computed, (p,
+# n, key) its degree-n polynomial, least recently used first, within
+# _FAMILY_BUDGET coefficients in all (_family_held); a float coefficient
+# takes at most about 1.1 kB (8192 bits), so at most about 36 MB in all
+_FAMILY_BUDGET = 1 << 15
+_family_cache: OrderedDict = OrderedDict()
+_family_lock = threading.Lock()
+_family_held = 0
+
+
+def _cached(p: FamilyParams, precision: int, *n: int):
+    """The key of p's series, or with n of its degree-n polynomial, and the
+    value held there or None, made the most recently used.  The key's
+    precision is None at an integer alpha: exact values serve every precision."""
+    key = (p, *n, None if p.alpha.denominator == 1 else precision)
+    with _family_lock:
+        value = _family_cache.get(key)
+        if value is not None:
+            _family_cache.move_to_end(key)
+    return key, value
+
+
+def _store(key, value: Coefficients) -> None:
+    """Hold a value computed outside the lock, unless one as long is held
+    there or it alone is over the budget, and evict to the budget; a longer
+    series keeps the place its lookup gave the shorter one."""
+    global _family_held
+    size = len(value._values)
+    with _family_lock:
+        old = len(_family_cache[key]._values) if key in _family_cache else 0
+        if old < size <= _FAMILY_BUDGET:
+            _family_cache[key] = value
+            _family_held += size - old
+            while _family_held > _FAMILY_BUDGET:
+                _family_held -= len(_family_cache.popitem(last=False)[1]._values)
 
 
 def _family_series_cached(p: FamilyParams, order: int, precision: int) -> TruncatedSeries:
-    """The series through ``order``, sliced from the longest one computed
-    for (p, precision), with the precision None when alpha is an integer:
-    the series is then exact, and one entry serves every precision.  The
-    order-n series is a prefix of every longer one bit for bit: the
-    Mittag-Leffler coefficients, the triangular reciprocal and the h-fold
-    Cauchy product each read only lower indices.  A higher order is
-    computed outside the lock and replaces the entry."""
-    key = (p, None if p.alpha.denominator == 1 else precision)
-    with _series_lock:
-        longest = _series_cache.get(key)
-        if longest is not None:
-            _series_cache.move_to_end(key)
+    """The series through ``order``, sliced from the longest one held in
+    the family cache, which a longer one replaces.  The order-n series is a
+    prefix of every longer one bit for bit: the Mittag-Leffler coefficients,
+    the triangular reciprocal and the h-fold Cauchy product read only lower indices."""
+    key, longest = _cached(p, precision)
     if longest is None or longest.order < order:
         longest = base = _number_series(p, order, precision)
         for _ in range(p.h - 1):
             longest = cauchy_product(longest, base)
-        with _series_lock:
-            held = _series_cache.get(key)
-            if held is None or held.order < order:
-                _series_cache[key] = longest
-            _series_cache.move_to_end(key)
-            while len(_series_cache) > _SERIES_CACHE_SIZE:
-                _series_cache.popitem(last=False)
+        _store(key, longest)
     return longest if longest.order == order else longest[: order + 1]
 
 
@@ -229,45 +252,22 @@ def family_numbers(p: FamilyParams, max_index: int, precision: int = DEFAULT_PRE
     return family_series(p, max_index, precision).egf()
 
 
-# the most coefficients the polynomial memo holds, summed over its entries;
-# _polynomial_held is that sum, so the two are only ever reset together
-_POLYNOMIAL_MEMO_COEFFS = 1 << 14
-_polynomial_memo: OrderedDict = OrderedDict()
-_polynomial_lock = threading.Lock()
-_polynomial_held = 0
-
-
 def family_polynomial(p: FamilyParams, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
     """Degree-n family polynomial: coefficient of x^{n-k} is binom(n,k) times number k.
 
-    Memoized on the key of the number series, (p, n, None) at an integer
-    alpha, where the polynomial is exact and one entry serves every
-    precision, else (p, n, precision): the key fixes every value the
-    polynomial reads, so a hit returns the bits of a fresh call.  The memo
-    holds at most 2^14 coefficients over its entries, least recently used
-    evicted, so `verify all`'s 636 polynomials (5,640 coefficients) fit.
-    A float coefficient takes at most about 1.1 kB (8192 bits), so float
-    entries take at most about 18 MB.  An exact one grows with the degree
-    and the sizes of alpha and lambda: at the CLI's degree cap of 200,
-    alpha 3 and lambda 7/5 it averages 0.6 kB.
+    Held in the family cache under its series' key plus n, which fixes
+    every value it reads, so a hit returns the bits of a fresh call.  An
+    exact coefficient grows with the degree and the sizes of alpha and
+    lambda: at the CLI's degree cap of 200, alpha 3 and lambda 7/5 it
+    averages 0.6 kB.
     """
-    global _polynomial_held
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     check_precision(precision)
-    key = (p, n, None if p.alpha.denominator == 1 else precision)
-    with _polynomial_lock:
-        poly = _polynomial_memo.get(key)
-        if poly is not None:
-            _polynomial_memo.move_to_end(key)
-            return poly
-    poly = _family_polynomial(p, n, precision)
-    with _polynomial_lock:
-        if key not in _polynomial_memo and n < _POLYNOMIAL_MEMO_COEFFS:
-            _polynomial_memo[key] = poly
-            _polynomial_held += n + 1
-            while _polynomial_held > _POLYNOMIAL_MEMO_COEFFS:
-                _polynomial_held -= _polynomial_memo.popitem(last=False)[1].degree + 1
+    key, poly = _cached(p, precision, n)
+    if poly is None:
+        poly = _family_polynomial(p, n, precision)
+        _store(key, poly)
     return poly
 
 

@@ -86,7 +86,7 @@ def test_concurrent_prefix_series_cache(monkeypatch):
             clear_caches()
             serial[p, order, prec] = numbers(p, order, prec)
     clear_caches()
-    monkeypatch.setattr(families, "_SERIES_CACHE_SIZE", 4)
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 100)
     start = threading.Barrier(len(jobs))
     failures = []
 
@@ -111,12 +111,13 @@ def test_concurrent_prefix_series_cache(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    assert len(families._series_cache) <= 4
+    assert families._family_held <= 100
+    assert families._family_held == sum(len(s._values) for s in families._family_cache.values())
 
 
 def test_concurrent_mixed_precision_memos(monkeypatch):
     # threads mixing precisions through the reciprocal_gamma entry memo and
-    # the polynomial memo, which evicts under a small budget, get the bits a
+    # the family cache, which evicts under a small budget, get the bits a
     # serial cold call gets
     from fracpoly.families import family_polynomial
 
@@ -136,7 +137,7 @@ def test_concurrent_mixed_precision_memos(monkeypatch):
         clear_caches()
         serial[fn.__name__, arg, prec] = fn(arg, prec)
     clear_caches()
-    monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 27)
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 27)
     start = threading.Barrier(6)
     failures = []
 
@@ -162,8 +163,8 @@ def test_concurrent_mixed_precision_memos(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    assert families._polynomial_held <= 27
-    assert families._polynomial_held == sum(q.degree + 1 for q in families._polynomial_memo.values())
+    assert families._family_held <= 27
+    assert families._family_held == sum(len(q._values) for q in families._family_cache.values())
 
 
 def _float_jobs():

@@ -1,4 +1,4 @@
-"""The prefix-shared family series cache, the polynomial memo, the
+"""The family cache of prefix-shared number series and polynomials, the
 raw-value numbers and polynomials, and exact Horner evaluation: each must
 reproduce, bit for bit, what a cold computation or a per-coefficient
 raw-value loop gives."""
@@ -27,6 +27,16 @@ def empty_caches():
     return clear_caches
 
 
+def polynomial_keys():
+    """The family cache's polynomial keys, (p, n, precision or None), least recently used first."""
+    return [key for key in families._family_cache if len(key) == 3]
+
+
+def held_sizes():
+    """Each held value's coefficient count, least recently used first."""
+    return [len(v._values) for v in families._family_cache.values()]
+
+
 CASES = [
     (FamilyParams("bernoulli", 2, Fraction(2, 3)), 128),
     (FamilyParams("euler", Fraction(1, 2), 2), 128),
@@ -49,7 +59,7 @@ def test_prefix_slices_equal_cold_series(empty_caches, p, prec, orders):
         s = family_series(p, n, prec)
         assert s.order == n
         assert bits(s) == cold[n]
-    assert len(families._series_cache) == 1
+    assert len(families._family_cache) == 1
 
 
 def test_order_zero_keeps_the_domain_of_the_parameters(empty_caches):
@@ -67,13 +77,17 @@ def test_order_zero_keeps_the_domain_of_the_parameters(empty_caches):
     assert bits(ml_series(MLParams(2, 3), 0)) == [(None, Fraction(1, 2))]
 
 
-def test_cache_keeps_at_most_256_keys(empty_caches):
-    # the Euler series at alpha = 1 are exact, so their keys hold no precision
+def test_cache_keeps_at_most_256_keys(empty_caches, monkeypatch):
+    # the Euler series at alpha = 1 are exact, so their keys hold no
+    # precision; a budget of 256 series of 3 coefficients holds 256 keys
+    assert families._FAMILY_BUDGET == 1 << 15
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 256 * 3)
     keys = [(FamilyParams("euler", 1, lam), None) for lam in range(1, 301)]
     for p, _ in keys:
         family_series(p, 2, 128)
-    cache = families._series_cache
-    assert len(cache) == families._SERIES_CACHE_SIZE == 256
+    cache = families._family_cache
+    assert len(cache) == 256
+    assert families._family_held == 256 * 3
     assert keys[0] not in cache
     assert keys[-1] in cache
 
@@ -118,8 +132,7 @@ def test_polynomial_memo_keys_like_the_series(empty_caches, monkeypatch):
         assert hit is first[p, prec]
         assert bits(hit) == cold[p, prec]
     assert builds == [(exact, 64), (floats, 64), (floats, 128), (floats, 512)]
-    assert list(families._polynomial_memo) == [(exact, 9, None), (floats, 9, 64), (floats, 9, 128),
-                                               (floats, 9, 512)]
+    assert polynomial_keys() == [(exact, 9, None), (floats, 9, 64), (floats, 9, 128), (floats, 9, 512)]
 
 
 def test_equal_params_hash_alike_and_share_a_memo_entry(empty_caches, monkeypatch):
@@ -139,22 +152,119 @@ def test_equal_params_hash_alike_and_share_a_memo_entry(empty_caches, monkeypatc
     monkeypatch.setattr(families, "_family_polynomial", counting)
     assert family_polynomial(b, 5, 128) is family_polynomial(a, 5, 128)
     assert builds == [a]
-    assert list(families._polynomial_memo) == [(a, 5, 128)]
+    assert polynomial_keys() == [(a, 5, 128)]
+
+
+def test_equal_params_compare_by_their_integer_key(monkeypatch):
+    # params built apart compare equal on their held integers, with no
+    # Fraction comparison; a change in any field makes them unequal
+    pairs = [(FamilyParams("euler", "1/2", 2), FamilyParams("euler", Fraction(1, 2), 2)),
+             (FamilyParams("bernoulli", 1, Fraction(4, 6), 2), FamilyParams("bernoulli", 1, Fraction(2, 3), 2))]
+    base = FamilyParams("bernoulli", 1, Fraction(2, 3))
+    others = [FamilyParams("euler", 1, Fraction(2, 3)), FamilyParams("bernoulli", 2, Fraction(2, 3)),
+              FamilyParams("bernoulli", Fraction(1, 2), Fraction(2, 3)), FamilyParams("bernoulli", 1, 2),
+              FamilyParams("bernoulli", 1, Fraction(2, 5)), FamilyParams("bernoulli", 1, Fraction(2, 3), 2)]
+
+    def refused(self, other):
+        raise AssertionError("Fraction.__eq__ called")
+
+    monkeypatch.setattr(Fraction, "__eq__", refused)
+    for a, b in pairs:
+        assert a is not b and a == b and b == a and not a != b
+    assert base == base
+    for other in others:
+        assert base != other and other != base
+    assert base != (base.kind, base.alpha, base.lam, base.h)
 
 
 def test_polynomial_memo_keeps_at_most_its_coefficient_budget(empty_caches, monkeypatch):
-    monkeypatch.setattr(families, "_POLYNOMIAL_MEMO_COEFFS", 20)
+    # the series through 20 (21 coefficients) is built first, as the
+    # suites build it, and every polynomial below reads a prefix of it
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 21 + 20)
     p = FamilyParams("bernoulli", 1, 2)
+    family_series(p, 20)
+
+    def polynomial_held():
+        return sum(v.degree + 1 for key, v in families._family_cache.items() if len(key) == 3)
+
     for n in (5, 6, 7):  # 6 + 7 + 8 coefficients: the first is evicted
         family_polynomial(p, n)
-    assert list(families._polynomial_memo) == [(p, 6, None), (p, 7, None)]
-    assert families._polynomial_held == 15
-    family_polynomial(p, 20)  # 21 coefficients: more than the budget, not held
-    assert list(families._polynomial_memo) == [(p, 6, None), (p, 7, None)]
+    assert polynomial_keys() == [(p, 6, None), (p, 7, None)]
+    assert polynomial_held() == 15
+    family_polynomial(p, 41)  # 42 coefficients: more than the budget, not held
+    assert polynomial_keys() == [(p, 6, None), (p, 7, None)]
     family_polynomial(p, 6)  # a hit moves its entry to the end
     family_polynomial(p, 8)
-    assert list(families._polynomial_memo) == [(p, 6, None), (p, 8, None)]
-    assert families._polynomial_held == 16
+    assert polynomial_keys() == [(p, 6, None), (p, 8, None)]
+    assert polynomial_held() == 16
+    assert families._family_held == 16 + 21
+
+
+def test_series_and_polynomials_are_evicted_together(empty_caches, monkeypatch):
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 30)
+    p, q, r = FamilyParams("bernoulli", 1, 2), FamilyParams("euler", 1, 3), FamilyParams("genocchi", 2, 1)
+    family_polynomial(p, 4)
+    family_polynomial(q, 9)
+    assert list(families._family_cache) == [(p, None), (p, 4, None), (q, None), (q, 9, None)]
+    assert held_sizes() == [5, 5, 10, 10]
+    family_series(p, 4)  # a hit: the least recently used is now p's polynomial
+    family_series(r, 4)
+    assert list(families._family_cache) == [(q, None), (q, 9, None), (p, None), (r, None)]
+    family_polynomial(r, 4)  # q's series is now the least recently used, before q's polynomial
+    assert list(families._family_cache) == [(q, 9, None), (p, None), (r, None), (r, 4, None)]
+    assert families._family_held == 25
+
+
+def test_polynomial_miss_touches_its_series(empty_caches, monkeypatch):
+    # the suites build a series once at its top order; each polynomial miss
+    # reads it again, so it outlives the older polynomials
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 20)
+    p = FamilyParams("bernoulli", 1, 2)
+    family_series(p, 9)
+    for n in (3, 4, 5):  # 4 + 5 + 6 coefficients beside the series' 10
+        family_polynomial(p, n)
+    assert list(families._family_cache) == [(p, None), (p, 5, None)]
+    assert held_sizes() == [10, 6]
+
+
+def test_longer_series_replaces_shorter_and_never_the_reverse(empty_caches):
+    p = FamilyParams("euler", Fraction(1, 2), 2)
+    key = (p, 128)
+    family_series(p, 8)
+    assert family_series(p, 3).order == 3
+    assert families._family_cache[key].order == 8
+    longer = family_series(p, 12)
+    assert families._family_cache[key] is longer
+    # a shorter or an equal value computed by a racing caller is dropped
+    families._store(key, family_series(p, 5))
+    families._store(key, longer[:13])
+    assert families._family_cache[key] is longer
+    assert held_sizes() == [13] and families._family_held == 13
+
+
+def test_value_over_the_budget_is_returned_but_not_held(empty_caches, monkeypatch):
+    p = FamilyParams("bernoulli", 1, Fraction(1, 2))
+    cold = bits(family_polynomial(p, 12))
+    empty_caches()
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 10)
+    assert bits(family_polynomial(p, 12)) == cold
+    assert not families._family_cache and families._family_held == 0
+    family_polynomial(p, 9)  # 10 coefficients each: the polynomial evicts its series
+    assert list(families._family_cache) == [(p, 9, None)]
+    assert families._family_held == 10
+
+
+def test_held_count_is_the_sum_over_held_values(empty_caches, monkeypatch):
+    monkeypatch.setattr(families, "_FAMILY_BUDGET", 40)
+    params = [FamilyParams("bernoulli", 1, 2), FamilyParams("euler", Fraction(1, 2), 3),
+              FamilyParams("genocchi", 2, Fraction(1, 3))]
+    for i in range(60):
+        p, n, prec = params[i % 3], (7 * i) % 23, (64, 128)[i % 2]
+        if i % 4:
+            family_polynomial(p, n, prec)
+        else:
+            family_series(p, n, prec)
+        assert families._family_held == sum(held_sizes()) <= 40
 
 
 @pytest.mark.parametrize("n", [40, 60])

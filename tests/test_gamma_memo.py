@@ -228,5 +228,5 @@ def test_clear_caches_empties_every_memo_of_the_package(monkeypatch):
     clear_caches()
     assert len(found) >= 7
     assert sorted(cleared) == sorted(found)
-    assert not families._series_cache and not families._polynomial_memo
-    assert families._polynomial_held == 0
+    assert not families._family_cache
+    assert families._family_held == 0

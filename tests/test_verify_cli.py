@@ -250,7 +250,8 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # factorials, not memoized), for 636 distinct polynomials 2,803 times,
     # and for number series under 43 cache keys, each built at its top order.
     # It takes 2,110 power-rule steps at 121 keys and 493 quadrature oracle
-    # set-ups at 377 keys
+    # set-ups at 377 keys.  The family cache evicts none of its series and
+    # polynomials: 6,351 coefficients in all, below its budget
     import fracpoly.families as families
     import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
@@ -276,6 +277,10 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     assert len(series) <= 45
     assert fractional._power_rule.cache_info().misses <= 121
     assert verify._oracle_values.cache_info().misses <= 377
+    held = list(families._family_cache)
+    assert [len(key) for key in held].count(2) == 43 and len(held) == 43 + 636
+    assert families._family_held == sum(len(v._values) for v in families._family_cache.values()) == 6351
+    assert families._family_held < families._FAMILY_BUDGET
 
 
 def test_verify_float_alpha_matches_golden(runner):
