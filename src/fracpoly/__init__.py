@@ -11,17 +11,7 @@ quadrature oracle.  The ``fracpoly`` CLI exposes tables, evaluation and the
 verification suites.
 """
 
-from .errors import (
-    ConvergenceEnvelopeExceeded,
-    DegenerateDenominator,
-    DegreeTooLow,
-    DomainError,
-    FracPolyError,
-    OrderMismatch,
-    ToleranceUnreachable,
-    ValuationError,
-    ZeroConstantTerm,
-)
+from .errors import DomainError, FracPolyError, ToleranceUnreachable
 from .scalars import DEFAULT_PRECISION, working_precision
 from .gammafns import generalized_binomial, multinomial, reciprocal_gamma
 from .series import (
@@ -106,12 +96,6 @@ __all__ = [
     "run_suite",
     "FracPolyError",
     "DomainError",
-    "OrderMismatch",
-    "ZeroConstantTerm",
-    "ValuationError",
-    "DegenerateDenominator",
-    "ConvergenceEnvelopeExceeded",
     "ToleranceUnreachable",
-    "DegreeTooLow",
     "clear_caches",
 ]

@@ -1,4 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Each class names one reason to refuse a call; the CLI reports either one
+as a single ``error:`` line and exit 2.
+"""
 
 from __future__ import annotations
 
@@ -8,33 +12,11 @@ class FracPolyError(Exception):
 
 
 class DomainError(FracPolyError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class OrderMismatch(FracPolyError, ValueError):
-    """Two truncated series of different truncation order were combined."""
-
-
-class ZeroConstantTerm(FracPolyError, ZeroDivisionError):
-    """Reciprocal of a series whose constant term vanishes."""
-
-
-class ValuationError(FracPolyError, ValueError):
-    """A series division cannot cancel the denominator's leading power."""
-
-
-class DegenerateDenominator(FracPolyError, ZeroDivisionError):
-    """A family generating-function denominator vanishes identically."""
-
-
-class ConvergenceEnvelopeExceeded(FracPolyError, ValueError):
-    """Evaluation point outside the documented series-summation envelope."""
+    """An input the operation refuses: a parameter outside its domain or
+    cap, series of different orders, a series that cannot be inverted or
+    divided, a point outside the evaluation envelope, a degree below the
+    order."""
 
 
 class ToleranceUnreachable(FracPolyError, ArithmeticError):
-    """The requested tolerance cannot be met at the working precision."""
-
-
-class DegreeTooLow(FracPolyError, ValueError):
-    """Closed-form fractional derivative requested for degree < ceil(order)."""
-
+    """A valid input whose result the working precision cannot certify."""

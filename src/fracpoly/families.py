@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DegenerateDenominator, DomainError, ZeroConstantTerm
+from .errors import DomainError, ToleranceUnreachable
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
 from .scalars import (DEFAULT_PRECISION, Coefficients, NumberLike, as_rational, check_precision, domain_scope,
@@ -178,14 +178,15 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     v = 1 if (p.kind is FamilyKind.BERNOULLI and p.lam == 1) else 0
     m = order + v
     e_alpha = ml_series(MLParams(p.alpha, 1), m, precision)
-    den = series_add(e_alpha.scale(p.lam), TruncatedSeries.constant(shift, m))
-    try:
-        inverse = reciprocal(den.shift_down(v))
-    except ZeroConstantTerm as exc:
-        raise DegenerateDenominator(
-            f"generating denominator vanishes through order {m} for {p}"
-        ) from exc
-    return inverse.scale(c).shift_up(k - v)
+    den = series_add(e_alpha.scale(p.lam), TruncatedSeries.constant(shift, m)).shift_down(v)
+    # the exact constant term is nonzero; a float one cancels only when a
+    # Bernoulli lambda != 1 rounds to 1
+    if not den._values[0]:
+        raise ToleranceUnreachable(
+            f"lambda = {p.lam} rounds to 1 at {precision} bits, where the nonzero constant "
+            f"term lambda - 1 of lambda E_alpha(z) - 1 cancels"
+        )
+    return reciprocal(den).scale(c).shift_up(k - v)
 
 
 # the family cache: (p, key) holds p's longest number series computed, (p,

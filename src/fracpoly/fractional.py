@@ -43,7 +43,7 @@ from typing import Iterable
 import mpmath
 from mpmath import libmp, mp
 
-from .errors import DegreeTooLow, DomainError
+from .errors import DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
@@ -129,6 +129,12 @@ class FracExpansion(Coefficients):
 
     def __iter__(self):
         return zip(super().__iter__(), self._exponents)
+
+    def __getitem__(self, k):
+        raise TypeError("a FracExpansion is not indexed; iterate its (coefficient, exponent) pairs")
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self._exponents == other._exponents
 
     def scale(self, factor: NumberLike) -> "FracExpansion":
         f = as_rational(factor)
@@ -303,7 +309,7 @@ def caputo_closed_form(
     check_precision(precision)
     n = ord.n
     if m < n:
-        raise DegreeTooLow(f"degree {m} below ceil(order) = {n}")
+        raise DomainError(f"degree {m} below ceil(order) = {n}")
     if numbers is None:
         numbers = family_numbers(p, m - n, precision)
     rgs = [reciprocal_gamma(n + k + 1 - ord.alpha, precision) for k in range(m - n + 1)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
+from .errors import DomainError, ToleranceUnreachable
 from .gammafns import _bounded, _rgamma, reciprocal_gamma
 from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf,
                       positive_rational, raw_in, working_precision)
@@ -78,7 +78,7 @@ def ml_eval(
     """Sum the defining series until the geometric tail bound is below tol;
     the sum is an mpf rounded once to the given precision.
 
-    Raises ConvergenceEnvelopeExceeded for |z| > 50 and ToleranceUnreachable
+    Raises DomainError for |z| > 50 and ToleranceUnreachable
     when the requested relative tolerance cannot be met at this precision
     (either statically, or because cancellation ate too many bits).
     """
@@ -86,7 +86,7 @@ def ml_eval(
     z = as_rational(z)
     z_abs = abs(z)
     if z_abs > EVAL_ENVELOPE:
-        raise ConvergenceEnvelopeExceeded(f"|z| = {z_abs} exceeds the evaluation envelope {EVAL_ENVELOPE}")
+        raise DomainError(f"|z| = {z_abs} exceeds the evaluation envelope {EVAL_ENVELOPE}")
     tol_fr = Fraction(1, 2 ** (precision - 24)) if tol is None else positive_rational(tol, "tolerance")
     if tol_fr < Fraction(1, 2 ** (precision - 12)):
         raise ToleranceUnreachable(

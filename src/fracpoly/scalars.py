@@ -290,8 +290,7 @@ class Coefficients:
         # a 53-bit float, so a raw comparison across domains can lie; exact
         # values over two denominators compare by cross-multiplying
         if (type(other) is not type(self) or self._prec != other._prec
-                or len(self._values) != len(other._values)
-                or getattr(self, "_exponents", None) != getattr(other, "_exponents", None)):
+                or len(self._values) != len(other._values)):
             return False
         if self._prec is not None:
             return self._values == other._values

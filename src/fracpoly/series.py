@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .errors import OrderMismatch, ValuationError, ZeroConstantTerm
+from .errors import DomainError
 from .scalars import Coefficients, NumberLike, as_rational, domain_scope, raw_in, render
 
 __all__ = [
@@ -41,9 +41,9 @@ class TruncatedSeries(Coefficients):
     def shift_down(self, v: int) -> "TruncatedSeries":
         """Divide by z^v; the first v coefficients must vanish."""
         if any(self._values[:v]):
-            raise ValuationError(f"series has valuation < {v}, cannot divide by z^{v}")
+            raise DomainError(f"series has valuation < {v}, cannot divide by z^{v}")
         if v > self.order:
-            raise ValuationError(f"cannot shift a series of order {self.order} down by {v}")
+            raise DomainError(f"cannot shift a series of order {self.order} down by {v}")
         return self[v:]
 
     def shift_up(self, v: int) -> "TruncatedSeries":
@@ -75,7 +75,7 @@ class TruncatedSeries(Coefficients):
 def _joined(a: TruncatedSeries, b: TruncatedSeries):
     """The held values of two series of one order in their common domain."""
     if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+        raise DomainError(f"orders differ: {a.order} vs {b.order}")
     return a._joined(b)
 
 
@@ -116,7 +116,7 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     recurrence).  The exact recurrence runs on the normalised Fractions and
     its output is brought over one lcm denominator."""
     if a._values[0] == 0:
-        raise ZeroConstantTerm("cannot invert a series with zero constant term")
+        raise DomainError("cannot invert a series with zero constant term")
     x = list(a) if a._prec is None else a._values
     with domain_scope(a._prec):
         inv0 = 1 / x[0]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fracpoly.errors import DomainError
+from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.families import (
     FamilyKind,
     FamilyParams,
@@ -339,6 +339,17 @@ def test_equal_params_give_equal_results():
                  (MLParams(0.5, 1.0), MLParams(Fraction(1, 2), 1))):
         assert a == b and hash(a) == hash(b)
         assert _domains_and_values(ml_series(a, 6)) == _domains_and_values(ml_series(b, 6))
+
+
+def test_lambda_rounding_to_one_is_refused_as_unreachable():
+    # lambda = 1 + 10^-60 rounds to 1 at 128 bits, where the float constant
+    # term lambda - 1 of the Bernoulli denominator cancels; the exact one is
+    # nonzero, so a wider precision computes the numbers
+    p = FamilyParams(B, Fraction(1, 2), 1 + Fraction(1, 10 ** 60))
+    with pytest.raises(ToleranceUnreachable, match=r"lambda = 10{59}1/10{60} rounds to 1 at 128 bits"):
+        family_numbers(p, 3, 128)
+    nums = family_numbers(p, 3, 256)
+    assert list(nums)[0] == 0 and all(list(nums)[1:])
 
 
 def test_float_alpha_lambda_one_valuation():

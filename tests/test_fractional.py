@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fracpoly.errors import DegreeTooLow, DomainError
+from fracpoly.errors import DomainError
 from fracpoly.families import (
     FamilyKind,
     FamilyParams,
@@ -62,8 +62,8 @@ def multinomial_numbers(lam, h, top):
 def aligned_values(a, b):
     """(exponent, raw coefficient in a, raw coefficient in b) over the
     union of the exponents, an exact zero where one side has no term."""
-    zero = Fraction(0)
-    return [(e, zero if i is None else a[i], zero if j is None else b[j]) for e, i, j in aligned_terms(a, b)]
+    zero, ca, cb = Fraction(0), [c for c, _ in a], [c for c, _ in b]
+    return [(e, zero if i is None else ca[i], zero if j is None else cb[j]) for e, i, j in aligned_terms(a, b)]
 
 
 def mismatched_exponents(a, b, tol):
@@ -370,7 +370,7 @@ def test_theorem4_matches_direct():
 
 
 def test_theorem4_degree_too_low():
-    with pytest.raises(DegreeTooLow):
+    with pytest.raises(DomainError, match=r"degree 1 below ceil\(order\) = 2"):
         caputo_closed_form(bernoulli(2), 1, CaputoOrder(Fraction(3, 2)))
 
 
@@ -436,7 +436,7 @@ def test_theorem6_euler_example():
 
 def test_theorem6_degree_precondition():
     p = FamilyParams(FamilyKind.GENOCCHI, 1, 2)
-    with pytest.raises(DegreeTooLow):
+    with pytest.raises(DomainError, match=r"degree 1 below ceil\(order\) = 3"):
         caputo_closed_form(p, 1, CaputoOrder(Fraction(5, 2)))
 
 
@@ -700,3 +700,20 @@ def test_oracle_reaches_neither_series_nor_spouge(monkeypatch):
     for q in polys:
         value = caputo_quadrature_oracle(q, CaputoOrder(Fraction(3, 2)), Fraction(1, 2), 128)
         assert isinstance(value, mp.mpf) and value != 0
+
+
+def test_expansion_refuses_indexing():
+    # iteration pairs each coefficient with its exponent: an index would
+    # return a bare coefficient, and a slice would lose the exponents
+    e = FracExpansion([(1, HALF), (2, 1), (3, Fraction(3, 2))])
+    with pytest.raises(TypeError, match="not indexed"):
+        e[0]
+    with pytest.raises(TypeError, match="not indexed"):
+        e[1:]
+    assert list(e) == [(1, HALF), (2, 1), (3, Fraction(3, 2))]
+
+
+def test_expansions_with_other_exponents_differ():
+    assert FracExpansion([(1, HALF), (2, 1)]) == FracExpansion([(2, 1), (1, HALF)])
+    assert FracExpansion([(1, HALF), (2, 1)]) != FracExpansion([(1, HALF), (2, 2)])
+    assert FracExpansion([(1, HALF)]) != Polynomial([1])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fracpoly.errors import ConvergenceEnvelopeExceeded, DomainError, ToleranceUnreachable
+from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.mittag import MLParams, ml_eval, ml_one_m_closed, ml_series
 from fracpoly.scalars import mpf_to_fraction, working_precision
 
@@ -79,7 +79,7 @@ def test_eval_at_zero():
 
 
 def test_eval_envelope():
-    with pytest.raises(ConvergenceEnvelopeExceeded):
+    with pytest.raises(DomainError, match="exceeds the evaluation envelope 50"):
         ml_eval(MLParams(1, 1), 51)
     ml_eval(MLParams(1, 1), 50)  # boundary included
 

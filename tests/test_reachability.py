@@ -25,6 +25,8 @@ ALLOWED = {
     "families.Polynomial.__repr__": "debugging aid; no output renders a repr",
     "fractional.FracExpansion.__repr__": "debugging aid; no output renders a repr",
     "fractional.FracExpansion.scale": "Coefficients.scale for an expansion, whose exponents the inherited one drops",
+    "fractional.FracExpansion.__getitem__": "refuses the inherited indexing, which drops the exponents",
+    "fractional.FracExpansion.__eq__": "Coefficients.__eq__ for an expansion, which also compares the exponents",
     "scalars.Coefficients.__eq__": "without it two equal containers compare unequal",
     "cli.main": "the console-script entry point; the calls below invoke the click group directly",
     "__init__.clear_caches": "empties every memo for a caller that patches a route; no result depends on it",

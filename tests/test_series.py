@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from fracpoly.errors import OrderMismatch, ZeroConstantTerm
+from fracpoly.errors import DomainError
 from fracpoly.scalars import domain_scope, fraction_to_mpf, join_precision, mpf_to_fraction, raw_in, working_precision
 from fracpoly.series import (
     TruncatedSeries,
@@ -49,7 +49,7 @@ def test_series_add_examples():
 
 
 def test_series_add_order_mismatch():
-    with pytest.raises(OrderMismatch):
+    with pytest.raises(DomainError, match="orders differ: 1 vs 2"):
         series_add(ts(1, 2), ts(1, 2, 3))
 
 
@@ -76,8 +76,16 @@ def test_reciprocal_examples():
 
 
 def test_reciprocal_zero_constant():
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(DomainError, match="cannot invert a series with zero constant term"):
         reciprocal(ts(0, 1, 2))
+
+
+def test_shift_down_refusals():
+    with pytest.raises(DomainError, match=r"series has valuation < 2, cannot divide by z\^2"):
+        ts(0, 1, 2).shift_down(2)
+    with pytest.raises(DomainError, match="cannot shift a series of order 2 down by 3"):
+        ts(0, 0, 0).shift_down(3)
+    assert ts(0, 0, 5).shift_down(2) == ts(5)
 
 
 def bernoulli_generating_series(n):

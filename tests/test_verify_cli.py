@@ -421,6 +421,15 @@ def test_package_errors_exit_two_without_traceback(runner, args):
     assert r.output.startswith("error: ")
 
 
+def test_lambda_rounding_to_one_exits_two_naming_lambda_and_precision(runner):
+    r = runner.invoke(cli, ["numbers", "--alpha", "1/2", "--lambda", "1." + "0" * 59 + "1", "--max", "3"])
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    (line,) = r.output.splitlines()
+    assert line.startswith("error: lambda = 1" + "0" * 59 + "1/1" + "0" * 60 + " rounds to 1 at 128 bits")
+
+
 def test_specialization_refuses_lambda_one(runner):
     r = runner.invoke(cli, ["verify", "specialization", "--lambda", "1"])
     assert r.exit_code == 2
