@@ -14,6 +14,14 @@ directly with a Gauss-Jacobi rule and shares no code path with the closed
 forms above it.  It does its set-up once per (polynomial, order) for all
 the points asked for.
 
+The products and sums of an expansion's coefficients, the sum of
+:func:`eval_frac_expansion` and the oracle's Horner passes run on mpmath's
+libmp tuples with the precision passed to each operation, rounded to
+nearest as the mpf operators round in a scope of that precision, and take
+no precision scope.  The power-rule step, the powers t^x and the oracle's
+gamma and final power still run in :func:`working_precision`: they use mpf
+operators or mpmath functions, which read mpmath's global precision.
+
 Two memos hold repeated values; each key holds every input a value's bits
 depend on, so a hit returns the bits of a fresh call, and
 ``fracpoly.clear_caches()`` empties both:
@@ -48,7 +56,7 @@ from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
 from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, NumberLike, as_rational, check_precision,
-                      domain_scope, fraction_to_mpf, join_precision, positive_rational, precision_of, raw_in,
+                      dot_tuples, fraction_to_mpf, join_precision, positive_rational, precision_of, raw_in,
                       raw_value, render, working_precision)
 
 __all__ = [
@@ -92,8 +100,8 @@ class FracExpansion(Coefficients):
     The constructor takes each coefficient as a number or as a tuple of
     factors, and each exponent as :func:`as_rational` reads it.  It
     computes every coefficient in one domain, joined over all factors
-    (exact when every factor is exact, else floats at ``precision``), in
-    one precision scope.  A product follows one rounding rule:
+    (exact when every factor is exact, else floats at ``precision``, on
+    libmp tuples rounded to nearest).  A product follows one rounding rule:
     the exact factors up to the first float are multiplied exactly and
     rounded once, and each later factor is rounded before it multiplies.
     Nonzero terms of equal exponent merge, their coefficients summed in
@@ -117,14 +125,26 @@ class FracExpansion(Coefficients):
     def _merge(self, terms, prec: int | None) -> None:
         """Sum the products of each exponent over the terms stably sorted
         by exponent, so that each sum keeps its input order, and drop the
-        zero sums.  A sum starts from an exact 0, which changes no product:
-        each has at most ``prec`` bits."""
+        zero sums.  A float sum runs on libmp tuples at ``prec``, rounded
+        to nearest, as the mpf operators round in a ``prec``-bit scope; it
+        starts from zero, which changes no product: each has at most
+        ``prec`` bits."""
         exponent = itemgetter(1)
-        with domain_scope(prec):
-            merged = [(e, sum(_product(factors, prec) for factors, _ in group))
-                      for e, group in groupby(sorted(terms, key=exponent), key=exponent)]
-        merged = [(e, c) for e, c in merged if c]
-        self._hold([c for _, c in merged], prec)
+        groups = groupby(sorted(terms, key=exponent), key=exponent)
+        if prec is None:
+            merged = [(e, sum(math.prod(factors) for factors, _ in group)) for e, group in groups]
+            merged = [(e, c) for e, c in merged if c]
+            self._hold([c for _, c in merged], None)
+        else:
+            rnd, fzero = libmp.round_nearest, libmp.fzero
+            merged = []
+            for e, group in groups:
+                total = fzero
+                for factors, _ in group:
+                    total = libmp.mpf_add(total, _rounded_product(factors, prec, rnd), prec, rnd)
+                if total != fzero:
+                    merged.append((e, total))
+            self._hold([mp.make_mpf(c) for _, c in merged], prec)
         self._exponents = tuple([e for e, _ in merged])
 
     def __iter__(self):
@@ -145,13 +165,21 @@ class FracExpansion(Coefficients):
         return f"FracExpansion({body or '0'})"
 
 
-def _product(factors, prec: int | None):
-    """The raw product of raw factors in the domain ``prec`` by the one
-    rounding rule of :class:`FracExpansion`."""
-    first_float = next((i for i, f in enumerate(factors) if not isinstance(f, EXACT_TYPES)), len(factors))
-    acc = raw_in(math.prod(factors[:first_float]), prec)
-    for f in factors[first_float:]:
-        acc *= raw_in(f, prec)
+def _rounded_product(factors, prec: int, rnd):
+    """The product of raw factors as a libmp tuple at ``prec`` by the one
+    rounding rule of :class:`FracExpansion`: the exact prefix multiplied
+    as one integer numerator and denominator and rounded once, then each
+    later factor rounded before it multiplies."""
+    num = den = 1
+    k = 0
+    for f in factors:
+        if not isinstance(f, EXACT_TYPES):
+            break
+        num, den, k = num * f.numerator, den * f.denominator, k + 1
+    acc = libmp.from_rational(num, den, prec, rnd)
+    for f in factors[k:]:
+        f = libmp.from_rational(f.numerator, f.denominator, prec, rnd) if isinstance(f, EXACT_TYPES) else f._mpf_
+        acc = libmp.mpf_mul(acc, f, prec, rnd)
     return acc
 
 
@@ -358,7 +386,7 @@ def caputo_quadrature_points(
     a_exp = ord.alpha
     nodes, weights = gauss_jacobi_rule(n - a_exp - 1, (dq.degree + 2) // 2 + 1, precision)
     nodes, weights = [x._mpf_ for x in nodes], [w._mpf_ for w in weights]
-    coeffs = [c._mpf_ for c in dq._values_in(wp)[::-1]]
+    coeffs = dq._tuples_in(wp)[::-1]
     with working_precision(wp):
         power = mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator
         gamma = mpmath.gamma(power)
@@ -385,15 +413,13 @@ def eval_frac_expansion(
     e: FracExpansion, t: NumberLike, precision: int = DEFAULT_PRECISION
 ):
     """Sum c_k t^{e_k} at t > 0, powers via exp(e log t) from the memo
-    :func:`_power`, as an mpf rounded once to the given precision."""
+    :func:`_power`, as an mpf rounded once to the given precision.  The
+    sum runs on libmp tuples at the working precision precision + 16."""
     check_precision(precision)
     t = positive_rational(t, "evaluation point")
     wp = precision + 16
-    with working_precision(wp):
-        acc = mp.mpf(0)
-        for c, x in zip(e._values_in(wp), e._exponents):
-            acc += c * _power(t.numerator, t.denominator, x.numerator, x.denominator, wp)
-    return mp.mpf(acc, prec=precision)
+    powers = [_power(t.numerator, t.denominator, x.numerator, x.denominator, wp)._mpf_ for x in e._exponents]
+    return mp.make_mpf(libmp.mpf_pos(dot_tuples(e._tuples_in(wp), powers, wp), precision, libmp.round_nearest))
 
 
 @lru_cache(maxsize=1024)

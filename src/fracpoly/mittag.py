@@ -4,6 +4,12 @@ E_{a,b}(z) = sum z^n / gamma(a n + b) with a, b > 0.  Coefficients are
 exact rationals exactly when a and b are integers (every gamma argument
 a n + b is then an integer, where 1/gamma is exact); otherwise they live
 in the float domain at the requested precision.
+
+:func:`ml_eval` sums on mpmath's libmp tuples at the working precision
+precision + 16, each operation rounded to nearest as the mpf operators
+round in a scope of that precision.  One precision scope around the whole
+loop serves the reciprocal gammas of the terms, which work at mpmath's
+global precision; the closed form runs in a scope of its own.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DomainError, ToleranceUnreachable
 from .gammafns import _bounded, _rgamma, reciprocal_gamma
@@ -104,25 +110,32 @@ def ml_eval(
             f"(alpha={p.alpha}, z={z})"
         )
     wp = precision + 16
-    with working_precision(wp):
-        zm = fraction_to_mpf(z, wp)
-        tolm = mp.mpf(tol_fr.numerator) / tol_fr.denominator
-        total = mp.mpf(0)
-        peak = mp.mpf(0)
-        term = _rgamma(p.beta, precision)  # n = 0, z^0
-        zpow = mp.mpf(1)
-        n = 0
+    rnd, fzero = libmp.round_nearest, libmp.fzero
+    add, mul, div, lt, mag = libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div, libmp.mpf_lt, libmp.mpf_abs
+    zm = libmp.from_rational(z.numerator, z.denominator, wp, rnd)
+    tolm = div(libmp.from_int(tol_fr.numerator, wp, rnd), libmp.from_int(tol_fr.denominator), wp, rnd)
+    an, ad, bn, bd = p.alpha.numerator, p.alpha.denominator, p.beta.numerator, p.beta.denominator
+    total = peak = fzero
+    zpow = libmp.fone
+    n = 0
+    with working_precision(wp):  # for _rgamma, which works at mpmath's global precision
+        term = _rgamma(p.beta, precision)._mpf_  # n = 0, z^0
         while True:
-            total += term
-            peak = max(peak, abs(term))
-            zpow *= zm
-            nxt = zpow * _rgamma(p.alpha * (n + 1) + p.beta, precision)
-            if abs(nxt) < tolm * abs(total) and abs(term) > 0:
-                ratio = abs(nxt) / abs(term)
-                if ratio < mp.mpf(1) / 2:
-                    tail = abs(nxt) / (1 - ratio)
-                    if tail < tolm * abs(total):
-                        total += nxt
+            total = add(total, term, wp, rnd)
+            term_abs = mag(term, wp, rnd)
+            if lt(peak, term_abs):
+                peak = term_abs
+            zpow = mul(zpow, zm, wp, rnd)
+            # the argument alpha (n + 1) + beta
+            nxt = mul(zpow, _rgamma(Fraction((an * bd) * (n + 1) + bn * ad, ad * bd), precision)._mpf_, wp, rnd)
+            nxt_abs = mag(nxt, wp, rnd)
+            bound = mul(tolm, mag(total, wp, rnd), wp, rnd)
+            if lt(nxt_abs, bound) and term != fzero:
+                ratio = div(nxt_abs, term_abs, wp, rnd)
+                if lt(ratio, libmp.fhalf):
+                    tail = div(nxt_abs, libmp.mpf_sub(libmp.fone, ratio, wp, rnd), wp, rnd)
+                    if lt(tail, bound):
+                        total = add(total, nxt, wp, rnd)
                         break
             term = nxt
             n += 1
@@ -131,13 +144,13 @@ def ml_eval(
                     f"series did not settle within {_MAX_TERMS} terms "
                     f"(alpha={p.alpha}, z={z})"
                 )
-        # bits destroyed by cancellation must leave room for the tolerance
-        if total == 0 or peak / abs(total) > mp.mpf(2) ** (precision - 8) * tolm:
-            raise ToleranceUnreachable(
-                f"cancellation in the alternating sum exceeds the {precision}-bit budget "
-                f"for tolerance {float(tolm):.3e}"
-            )
-    return mp.mpf(total, prec=precision)
+    # bits destroyed by cancellation must leave room for the tolerance
+    if total == fzero or lt(libmp.mpf_shift(tolm, precision - 8), div(peak, mag(total, wp, rnd), wp, rnd)):
+        raise ToleranceUnreachable(
+            f"cancellation in the alternating sum exceeds the {precision}-bit budget "
+            f"for tolerance {libmp.to_float(tolm, rnd=rnd):.3e}"
+        )
+    return mp.make_mpf(libmp.mpf_pos(total, precision, rnd))
 
 
 def ml_one_m_closed(m: int, z: NumberLike, precision: int = DEFAULT_PRECISION):

@@ -5,7 +5,9 @@ A computed value is a raw value whose type is its domain: an int or a
 container or of the call that made it (:func:`precision_of`).  A
 computation joins its operands' domains (:func:`join_precision`): exact
 when every operand is exact, else floats at the largest precision, and it
-runs on the raw values in one precision scope.  A container of many
+runs on the raw values in one precision scope, or on their libmp tuples
+with the precision passed to each operation (:func:`dot_tuples`,
+:meth:`Coefficients._tuples_in`).  A container of many
 values (:class:`Coefficients`) holds its exact values as integer
 numerators over one denominator instead, and hands them out as raw
 values.  A float leaves the package raw and prints through :func:`render`
@@ -102,6 +104,17 @@ def mpf_to_pair(x) -> tuple[int, int]:
 def fraction_to_mpf(q: Fraction, bits: int):
     """Fraction converted to an mpf, correctly rounded to ``bits``."""
     return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
+
+
+def dot_tuples(xs: Iterable[tuple], ys: Iterable[tuple], prec: int) -> tuple:
+    """sum x y over pairs of libmp tuples, from zero in input order, each
+    product and partial sum rounded to nearest at ``prec``: the bits of
+    the mpf loop ``sum(x * y ...)`` in a ``prec``-bit scope, with no scope."""
+    rnd, add, mul = libmp.round_nearest, libmp.mpf_add, libmp.mpf_mul
+    acc = libmp.fzero
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y, prec, rnd), prec, rnd)
+    return acc
 
 
 NumberLike = Union[int, Fraction, float, str]
@@ -238,7 +251,8 @@ class Coefficients:
     Coercion happens once, in the constructor (:func:`raw_value`): the
     values are exact when every one is exact, else floats at
     ``precision``, each rounded once to it.  Subclasses compute on the
-    held values inside at most one precision scope per operation.  A value
+    held values inside at most one precision scope per operation, or on
+    their libmp tuples with no scope.  A value
     leaves as a raw value: iteration and indexing yield normalised
     Fractions when exact, and the mpfs otherwise.
     """
@@ -302,8 +316,15 @@ class Coefficients:
         wider: an exact num/D rounded once to a float domain."""
         if prec is None or self._prec is not None:
             return self._values
+        return tuple([mp.make_mpf(v) for v in self._tuples_in(prec)])
+
+    def _tuples_in(self, prec: int) -> list:
+        """The held values as libmp tuples in the float domain ``prec``,
+        which is this one or wider: an exact num/D rounded once to it."""
+        if self._prec is not None:
+            return [v._mpf_ for v in self._values]
         d, rnd = self._den, libmp.round_nearest
-        return tuple([mp.make_mpf(libmp.from_rational(n, d, prec, rnd)) for n in self._values])
+        return [libmp.from_rational(n, d, prec, rnd) for n in self._values]
 
     def _joined(self, other: "Coefficients") -> tuple:
         """Both held value tuples in the common domain, and its precision."""

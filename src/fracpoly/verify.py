@@ -61,9 +61,9 @@ from .fractional import (
 )
 from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
 from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, as_rational, check_precision, domain_scope,
-                      mpf_to_pair, raw_in, working_precision)
+                      dot_tuples, mpf_to_pair, raw_in, working_precision)
 from .series import cauchy_product, exp_series
-from mpmath import mp
+from mpmath import libmp, mp
 
 __all__ = [
     "RunConfig",
@@ -472,8 +472,9 @@ def suite_ml_consistency(precision):
                 if exact is not None:
                     acc = exact.evaluate(z)
                 else:
-                    with domain_scope(prec):
-                        acc = sum(c * raw_in(Fraction(z) ** k, prec) for k, c in enumerate(series))
+                    powers = [libmp.from_rational(z.numerator ** k, z.denominator ** k, prec, libmp.round_nearest)
+                              for k in range(order + 1)]
+                    acc = mp.make_mpf(dot_tuples(series._tuples_in(prec), powers, prec))
                 yield acc, ml_eval(p, z, tol=tol, precision=precision)
     return {"order": order}
 

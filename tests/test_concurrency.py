@@ -168,10 +168,13 @@ def test_concurrent_mixed_precision_memos(monkeypatch):
 
 
 def _float_jobs():
-    """Lock-guarded float paths at several precisions, each returning raw
-    mpf tuples or strings, so that equal results are equal bit for bit."""
+    """Float paths at several precisions, each returning raw mpf tuples or
+    strings, so that equal results are equal bit for bit.  Some run in
+    precision scopes; the expansion kernels and the Mittag-Leffler sum do
+    their arithmetic on libmp tuples, outside the precision lock."""
     from fracpoly.families import Polynomial
-    from fracpoly.fractional import FracExpansion, eval_frac_expansion
+    from fracpoly.fractional import (CaputoOrder, FracExpansion, caputo_closed_form, eval_frac_expansion,
+                                     leibniz_product)
     from fracpoly.scalars import decimal_str, fraction_to_mpf, working_precision
 
     def products(prec):
@@ -195,7 +198,22 @@ def _float_jobs():
                            for k in range(6)), prec)
         return [eval_frac_expansion(e, t, prec)._mpf_ for t in (Fraction(1, 2), 1, 3)]
 
-    return [(fn, prec) for fn in (products, decimal, polynomial, expansion) for prec in (64, 128, 256)]
+    def mittag_leffler(prec):
+        return [ml_eval(MLParams(a, b), z, precision=prec)._mpf_
+                for a, b, z in ((Fraction(1, 2), 1, Fraction(-3, 2)), (Fraction(7, 3), Fraction(5, 4), 2), (1, 3, 0))]
+
+    def closed_form(prec):
+        p = FamilyParams("euler", Fraction(1, 2), Fraction(7, 5))
+        return [c._mpf_ for order in (Fraction(1, 2), Fraction(5, 3)) for c, _ in
+                caputo_closed_form(p, 7, CaputoOrder(order), prec)]
+
+    def leibniz(prec):
+        f = Polynomial([Fraction(1, 3), -2, Fraction(5, 7), 1])
+        g = Polynomial([fraction_to_mpf(Fraction(k - 3, 2 * k + 5), prec) for k in range(5)], prec)
+        return [c._mpf_ for c, _ in leibniz_product(f, g, Fraction(3, 2), prec)]
+
+    return [(fn, prec) for fn in (products, decimal, polynomial, expansion, mittag_leffler, closed_form, leibniz)
+            for prec in (64, 128, 256)]
 
 
 def test_concurrent_float_paths_match_serial_bit_for_bit():

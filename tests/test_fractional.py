@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from mpmath import mp
@@ -29,8 +31,8 @@ from fracpoly.fractional import (
 )
 from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.quadrature import gauss_jacobi_rule
-from fracpoly.scalars import (DEFAULT_PRECISION, Coefficients, fraction_to_mpf, mpf_to_fraction, raw_in,
-                              working_precision)
+from fracpoly.scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, domain_scope, fraction_to_mpf,
+                              mpf_to_fraction, raw_in, working_precision)
 
 HALF = Fraction(1, 2)
 TOL = Fraction(1, 10 ** 24)
@@ -169,6 +171,76 @@ def test_expansion_products_follow_one_rounding_rule():
     with working_precision(prec):
         total = want + x * fraction_to_mpf(p, prec)
     assert [(c._mpf_, e) for c, e in merged] == [(total._mpf_, 0), (fraction_to_mpf(r, prec)._mpf_, 1)]
+
+
+def reference_merge(terms, prec):
+    """The (coefficient, exponent) pairs of raw (factors, exponent) terms by
+    mpf operators in one prec-bit scope: the exact factors up to the first
+    float multiplied by math.prod and rounded once, each later factor
+    rounded before it multiplies, the products of each exponent summed in
+    input order from 0, and the zero sums dropped."""
+    exponent = itemgetter(1)
+    out = []
+    with domain_scope(prec):
+        for e, group in groupby(sorted(terms, key=exponent), key=exponent):
+            total = 0
+            for factors, _ in group:
+                k = next((i for i, f in enumerate(factors) if not isinstance(f, EXACT_TYPES)), len(factors))
+                acc = raw_in(math.prod(factors[:k]), prec)
+                for f in factors[k:]:
+                    acc *= raw_in(f, prec)
+                total += acc
+            if total:
+                out.append((e, total))
+    return out
+
+
+def raw_bits(c):
+    """A raw value as comparable bits: an mpf's tuple, an exact value as a Fraction."""
+    return Fraction(c) if isinstance(c, EXACT_TYPES) else c._mpf_
+
+
+def mixed_terms(prec):
+    """Terms whose factors mix ints, Fractions and mpfs made at a lower
+    precision, in several orders; the terms of exponent 1/2 cancel to zero."""
+    low = prec // 2
+    x, y = fraction_to_mpf(Fraction(1, 3), low), fraction_to_mpf(Fraction(-22, 7), low)
+    terms = [((Fraction(3, 8), Fraction(24, 49), x, Fraction(5, 12), y), 0), ((x, 3), HALF),
+             ((1,), Fraction(3, 2)), ((Fraction(5, 11), 7, Fraction(2, 3)), 0), ((4, 5), 2)]
+    terms += [((-3, x), HALF), ((y, Fraction(1, 9), x), Fraction(3, 2)), ((2, x, y, Fraction(7, 13)), 0),
+              ((y,), 3), ((-1,), Fraction(3, 2)), ((Fraction(-1, 7), y), 0), ((x, x, x), Fraction(3, 2))]
+    for k in range(1, 9):
+        terms.append(((Fraction(2 * k + 1, 3 * k + 2), Fraction(k, 17), y, k, x), 4))
+        terms.append(((fraction_to_mpf(Fraction(-k, 2 * k + 7), low + k), Fraction(7, k + 2)), 4))
+        terms.append(((Fraction(k, 3 * k + 1), Fraction(5 * k + 2, 7), Fraction(1, 2 * k + 9), (x, y)[k % 2]), 5))
+        terms.append(((fraction_to_mpf(Fraction(k * k - 20, 11 * k + 3), low + 2 * k), Fraction(3, 5)), 5))
+        terms.append(((Fraction(k + 4, 3 * k + 1), Fraction(k, 13), Fraction(5 * k + 2, 9), y), 5 + k))
+    return terms
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512, 1024])
+def test_expansion_merge_rounds_like_mpf_operator_loops(prec):
+    terms = mixed_terms(prec)
+    want = [(e, raw_bits(c)) for e, c in reference_merge(terms, prec)]
+    assert HALF not in [e for e, _ in want]
+    for got in (FracExpansion(terms, prec), FracExpansion._products(terms, prec)):
+        assert got.precision == prec
+        assert [(e, raw_bits(c)) for c, e in got] == want
+    # the exact domain: the terms' exact factors alone
+    exact = [(tuple(f for f in factors if isinstance(f, EXACT_TYPES)), e) for factors, e in terms]
+    got = FracExpansion(exact)
+    assert got.precision is None
+    assert [(e, raw_bits(c)) for c, e in got] == [(e, raw_bits(c)) for e, c in reference_merge(exact, None)]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512, 1024])
+def test_eval_frac_expansion_rounds_like_mpf_operator_loops(prec):
+    exact = FracExpansion([(Fraction(3, 7), HALF), (-2, 1), (Fraction(5, 3), Fraction(7, 3)), (Fraction(1, 9), 4)])
+    floats = FracExpansion(mixed_terms(prec), prec)
+    for e in (exact, floats):
+        for t in (Fraction(1, 3), 1, Fraction(17, 5)):
+            for precision in (prec, 64):
+                assert eval_frac_expansion(e, t, precision)._mpf_ == reference_eval(e, t, precision)._mpf_
 
 
 def test_expansion_scale_keeps_the_exponents():

@@ -5,8 +5,10 @@ import pytest
 from mpmath import mp
 
 from fracpoly.errors import DomainError, ToleranceUnreachable
+from fracpoly.gammafns import _rgamma
 from fracpoly.mittag import MLParams, ml_eval, ml_one_m_closed, ml_series
-from fracpoly.scalars import mpf_to_fraction, working_precision
+from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, raw_in, working_precision
+from fracpoly.verify import suite_ml_consistency
 
 
 def rel(a, b):
@@ -199,3 +201,81 @@ def test_series_coefficients_match_mpmath_at_large_arguments(alpha, prec):
                 arg = alpha * n + beta
                 want = mpf_to_fraction(mp.rgamma(mp.mpf(arg.numerator) / arg.denominator))
                 assert rel(list(s)[n], want) <= tol, (beta, n)
+
+
+def reference_ml_sum(p, z, tol, precision):
+    """ml_eval's sum by mpf operators in one wp-bit scope, past its static
+    checks: the tolerance rounded as mp.mpf(num) / den, the stopping rule
+    and the cancellation check, then one rounding to the precision."""
+    wp = precision + 16
+    with working_precision(wp):
+        zm = fraction_to_mpf(z, wp)
+        tolm = mp.mpf(tol.numerator) / tol.denominator
+        total, peak = mp.mpf(0), mp.mpf(0)
+        term = _rgamma(p.beta, precision)
+        zpow, n = mp.mpf(1), 0
+        while True:
+            total += term
+            peak = max(peak, abs(term))
+            zpow *= zm
+            nxt = zpow * _rgamma(p.alpha * (n + 1) + p.beta, precision)
+            if abs(nxt) < tolm * abs(total) and abs(term) > 0:
+                ratio = abs(nxt) / abs(term)
+                if ratio < mp.mpf(1) / 2 and abs(nxt) / (1 - ratio) < tolm * abs(total):
+                    total += nxt
+                    break
+            term = nxt
+            n += 1
+        if total == 0 or peak / abs(total) > mp.mpf(2) ** (precision - 8) * tolm:
+            raise ToleranceUnreachable(
+                f"cancellation in the alternating sum exceeds the {precision}-bit budget "
+                f"for tolerance {float(tolm):.3e}"
+            )
+    return mp.mpf(total, prec=precision)
+
+
+def outcome(fn, *args):
+    """The bits of fn's value, or the message of its ToleranceUnreachable."""
+    try:
+        return fn(*args)._mpf_
+    except ToleranceUnreachable as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512, 1024])
+@pytest.mark.parametrize("tol", [None, Fraction(1, 10 ** 20), Fraction(3, 7 * 2 ** 100)])
+@pytest.mark.parametrize("alpha, beta, z", [
+    (Fraction(1, 2), 1, Fraction(-3, 2)),  # z < 0
+    (2, 1, 0),
+    (Fraction(7, 3), Fraction(5, 4), Fraction(9, 4)),  # non-integer alpha and beta
+    (Fraction(3, 2), Fraction(2, 3), -7),  # z < 0, cancellation
+    (1, 3, Fraction(-5, 2)),
+    (1, 1, -15),  # cancellation refused at the default tolerance
+])
+def test_ml_eval_rounds_like_the_mpf_operator_loop(prec, tol, alpha, beta, z):
+    p = MLParams(alpha, beta)
+    tol_fr = Fraction(1, 2 ** (prec - 24)) if tol is None else tol
+    if tol_fr < Fraction(1, 2 ** (prec - 12)):
+        with pytest.raises(ToleranceUnreachable, match="below the resolution"):
+            ml_eval(p, z, tol, prec)
+        return
+    assert outcome(ml_eval, p, z, tol, prec) == outcome(reference_ml_sum, p, Fraction(z), tol_fr, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512, 1024])
+def test_ml_consistency_partial_sums_round_like_the_mpf_operator_loop(prec):
+    # the float partial sums the ml-consistency suite compares with ml_eval
+    pairs = suite_ml_consistency(prec)
+    seen = 0
+    for a in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+        for b in (1, 2, 3):
+            series = ml_series(MLParams(a, b), 60, prec)
+            for z in (Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2):
+                got, _ = next(pairs)
+                if series.precision is None:
+                    continue
+                with working_precision(prec):
+                    want = sum(c * raw_in(Fraction(z) ** k, prec) for k, c in enumerate(series))
+                assert got._mpf_ == want._mpf_
+                seen += 1
+    assert seen == 2 * 3 * 6  # the non-integer alphas 1/2 and 3/2
