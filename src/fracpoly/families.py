@@ -7,6 +7,9 @@ generating functions to the lambda-weighted (Apostol) families and
 alpha = lambda = 1 to the classical ones.  Higher order h >= 2 is defined
 for the Bernoulli kind at alpha = 1 only, as the h-fold product of the
 order-1 series.
+
+Float numbers and polynomials hold libmp tuples, and each of their
+kernels passes the precision to every libmp call.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
+from mpmath import libmp, mp
+
 from .errors import DomainError, ToleranceUnreachable
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
-from .scalars import (DEFAULT_PRECISION, Coefficients, NumberLike, as_rational, check_precision, domain_scope,
-                      positive_rational, raw_in, render, working_precision)
+from .scalars import (DEFAULT_PRECISION, ZEROS, Coefficients, NumberLike, as_rational, check_precision,
+                      positive_rational, render, tuple_in)
 from .series import TruncatedSeries, cauchy_product, reciprocal, series_add
 
 __all__ = [
@@ -108,7 +113,7 @@ class Polynomial(Coefficients):
         return len(self._values) - 1
 
     def is_zero(self) -> bool:
-        return not any(self._values)
+        return all(c in ZEROS for c in self._values)
 
     def evaluate(self, x: NumberLike):
         """The value at a rational x, in the polynomial's domain."""
@@ -116,19 +121,17 @@ class Polynomial(Coefficients):
         prec = self._prec
         if prec is None:
             return _exact_horner(self._values, self._den, x)
-        xv = raw_in(x, prec)
-        acc = 0
-        with domain_scope(prec):
-            for c in reversed(self._values):
-                acc = acc * xv + c
-        return acc
+        xv, rnd, add, mul = tuple_in(x, prec), libmp.round_nearest, libmp.mpf_add, libmp.mpf_mul
+        acc = libmp.fzero
+        for c in reversed(self._values):
+            acc = add(mul(acc, xv, prec, rnd), c, prec, rnd)
+        return mp.make_mpf(acc)
 
     def derivative(self) -> "Polynomial":
         """The derivative; exact numerators are multiplied over the same D."""
-        prec = self._prec
-        with domain_scope(prec):
-            out = [c * k for k, c in enumerate(self._values) if k]
-        return self._raw(out or [0 if prec is None else raw_in(0, prec)], prec, self._den)
+        prec, rnd = self._prec, libmp.round_nearest
+        out = [c * k if prec is None else libmp.mpf_mul_int(c, k, prec, rnd) for k, c in enumerate(self._values) if k]
+        return self._raw(out or [0 if prec is None else libmp.fzero], prec, self._den)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative vanishing at 0; exact numerators c_k become
@@ -138,14 +141,14 @@ class Polynomial(Coefficients):
             lcm = math.lcm(*range(1, len(self._values) + 1))
             out = [c * (lcm // (k + 1)) for k, c in enumerate(self._values)]
             return self._raw([0] + out, None, self._den * lcm)
-        with working_precision(prec):
-            out = [c / (k + 1) for k, c in enumerate(self._values)]
-        return self._raw([raw_in(0, prec)] + out, prec)
+        div, rnd = libmp.mpf_div, libmp.round_nearest
+        out = [div(c, libmp.from_int(k + 1), prec, rnd) for k, c in enumerate(self._values)]
+        return self._raw([libmp.fzero] + out, prec)
 
     def monomials(self):
         """Yield raw (coefficient, power) pairs for nonzero coefficients."""
         for k, c in enumerate(self._values):
-            if c:
+            if c not in ZEROS:
                 yield self[k], k
 
     def __repr__(self):
@@ -181,7 +184,7 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     den = series_add(e_alpha.scale(p.lam), TruncatedSeries.constant(shift, m)).shift_down(v)
     # the exact constant term is nonzero; a float one cancels only when a
     # Bernoulli lambda != 1 rounds to 1
-    if not den._values[0]:
+    if den._values[0] in ZEROS:
         raise ToleranceUnreachable(
             f"lambda = {p.lam} rounds to 1 at {precision} bits, where the nonzero constant "
             f"term lambda - 1 of lambda E_alpha(z) - 1 cancels"
@@ -280,9 +283,9 @@ def _family_polynomial(p: FamilyParams, n: int, precision: int) -> Polynomial:
     prec, values = nums._prec, nums._values
     if prec is None:
         return Polynomial._raw([math.comb(n, k) * values[k] for k in range(n, -1, -1)], None, nums._den)
-    with working_precision(prec):
-        coeffs = [raw_in(math.comb(n, k), prec) * values[k] for k in range(n, -1, -1)]
-    return Polynomial._raw(coeffs, prec)
+    rnd, mul = libmp.round_nearest, libmp.mpf_mul
+    return Polynomial._raw([mul(libmp.from_int(math.comb(n, k), prec, rnd), values[k], prec, rnd)
+                            for k in range(n, -1, -1)], prec)
 
 
 def integral_over_unit_interval(
@@ -296,8 +299,9 @@ def integral_over_unit_interval(
     x = as_rational(x)
     anti = family_polynomial(p, n, precision).antiderivative()
     hi, lo = anti.evaluate(x + 1), anti.evaluate(x)
-    with domain_scope(anti._prec):
+    if anti._prec is None:
         return hi - lo
+    return mp.make_mpf(libmp.mpf_sub(hi._mpf_, lo._mpf_, anti._prec, libmp.round_nearest))
 
 
 def _compositions(total: int, parts: int):

@@ -14,13 +14,15 @@ directly with a Gauss-Jacobi rule and shares no code path with the closed
 forms above it.  It does its set-up once per (polynomial, order) for all
 the points asked for.
 
-The products and sums of an expansion's coefficients, the sum of
-:func:`eval_frac_expansion` and the oracle's Horner passes run on mpmath's
-libmp tuples with the precision passed to each operation, rounded to
-nearest as the mpf operators round in a scope of that precision, and take
-no precision scope.  The power-rule step, the powers t^x and the oracle's
-gamma and final power still run in :func:`working_precision`: they use mpf
-operators or mpmath functions, which read mpmath's global precision.
+An expansion's float coefficients are libmp tuples, as in every
+:class:`~fracpoly.scalars.Coefficients`.  Their products and sums, the
+power-rule step's product and quotient, the sum of
+:func:`eval_frac_expansion` and the oracle's Horner passes pass the
+precision to each libmp call, rounded to nearest as the mpf operators
+round in a scope of that precision, and take no precision scope.  The
+powers t^x and the oracle's gamma and final power still run in
+:func:`working_precision`: they call mpmath functions or mpf operators,
+which read mpmath's global precision.
 
 Two memos hold repeated values; each key holds every input a value's bits
 depend on, so a hit returns the bits of a fresh call, and
@@ -55,9 +57,9 @@ from .errors import DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, NumberLike, as_rational, check_precision,
-                      dot_tuples, fraction_to_mpf, join_precision, positive_rational, precision_of, raw_in,
-                      raw_value, render, working_precision)
+from .scalars import (DEFAULT_PRECISION, ZEROS, Coefficients, NumberLike, as_rational, check_precision, dot_tuples,
+                      fraction_to_mpf, join_precision, positive_rational, precision_of, raw_value, render, tuple_in,
+                      working_precision)
 
 __all__ = [
     "CaputoOrder",
@@ -133,18 +135,15 @@ class FracExpansion(Coefficients):
         groups = groupby(sorted(terms, key=exponent), key=exponent)
         if prec is None:
             merged = [(e, sum(math.prod(factors) for factors, _ in group)) for e, group in groups]
-            merged = [(e, c) for e, c in merged if c]
-            self._hold([c for _, c in merged], None)
         else:
-            rnd, fzero = libmp.round_nearest, libmp.fzero
-            merged = []
+            rnd, merged = libmp.round_nearest, []
             for e, group in groups:
-                total = fzero
+                total = libmp.fzero
                 for factors, _ in group:
                     total = libmp.mpf_add(total, _rounded_product(factors, prec, rnd), prec, rnd)
-                if total != fzero:
-                    merged.append((e, total))
-            self._hold([mp.make_mpf(c) for _, c in merged], prec)
+                merged.append((e, total))
+        merged = [(e, c) for e, c in merged if c not in ZEROS]
+        self._hold([c for _, c in merged], prec)
         self._exponents = tuple([e for e, _ in merged])
 
     def __iter__(self):
@@ -173,13 +172,12 @@ def _rounded_product(factors, prec: int, rnd):
     num = den = 1
     k = 0
     for f in factors:
-        if not isinstance(f, EXACT_TYPES):
+        if hasattr(f, "_mpf_"):
             break
         num, den, k = num * f.numerator, den * f.denominator, k + 1
     acc = libmp.from_rational(num, den, prec, rnd)
     for f in factors[k:]:
-        f = libmp.from_rational(f.numerator, f.denominator, prec, rnd) if isinstance(f, EXACT_TYPES) else f._mpf_
-        acc = libmp.mpf_mul(acc, f, prec, rnd)
+        acc = libmp.mpf_mul(acc, tuple_in(f, prec), prec, rnd)
     return acc
 
 
@@ -216,16 +214,14 @@ def _power_rule(b: Fraction, a: Fraction, precision: int) -> tuple:
             coeff = math.prod((b - i for i in range(_bounded(k))), start=Fraction(1))
         else:
             coeff = 1 / math.prod(b + i for i in range(1, 1 + _bounded(-k)))
-    elif b.denominator == 1:
-        # reciprocal_gamma refuses an argument above its cap before the factorial runs
-        top = reciprocal_gamma(b - a + 1, precision)
-        with working_precision(precision):
-            coeff = top * raw_in(math.factorial(b.numerator), precision)
     else:
-        top = raw_in(reciprocal_gamma(b - a + 1, precision), precision)
-        bottom = reciprocal_gamma(b + 1, precision)
-        with working_precision(precision):
-            coeff = top / bottom
+        # reciprocal_gamma refuses an argument above its cap before the factorial runs
+        top, rnd = tuple_in(reciprocal_gamma(b - a + 1, precision), precision), libmp.round_nearest
+        if b.denominator == 1:
+            coeff = libmp.mpf_mul(top, libmp.from_int(math.factorial(b.numerator), precision, rnd), precision, rnd)
+        else:
+            coeff = libmp.mpf_div(top, tuple_in(reciprocal_gamma(b + 1, precision), precision), precision, rnd)
+        coeff = mp.make_mpf(coeff)
     return coeff, b - a
 
 
@@ -386,7 +382,7 @@ def caputo_quadrature_points(
     a_exp = ord.alpha
     nodes, weights = gauss_jacobi_rule(n - a_exp - 1, (dq.degree + 2) // 2 + 1, precision)
     nodes, weights = [x._mpf_ for x in nodes], [w._mpf_ for w in weights]
-    coeffs = dq._tuples_in(wp)[::-1]
+    coeffs = dq._values_in(wp)[::-1]
     with working_precision(wp):
         power = mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator
         gamma = mpmath.gamma(power)
@@ -419,7 +415,7 @@ def eval_frac_expansion(
     t = positive_rational(t, "evaluation point")
     wp = precision + 16
     powers = [_power(t.numerator, t.denominator, x.numerator, x.denominator, wp)._mpf_ for x in e._exponents]
-    return mp.make_mpf(libmp.mpf_pos(dot_tuples(e._tuples_in(wp), powers, wp), precision, libmp.round_nearest))
+    return mp.make_mpf(libmp.mpf_pos(dot_tuples(e._values_in(wp), powers, wp), precision, libmp.round_nearest))
 
 
 @lru_cache(maxsize=1024)

@@ -23,7 +23,7 @@ from mpmath import libmp, mp
 from .errors import DomainError, ToleranceUnreachable
 from .gammafns import _bounded, _rgamma, reciprocal_gamma
 from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf,
-                      positive_rational, raw_in, working_precision)
+                      positive_rational, working_precision)
 from .series import TruncatedSeries
 
 __all__ = ["MLParams", "ml_series", "ml_eval", "ml_one_m_closed", "EVAL_ENVELOPE"]
@@ -68,10 +68,10 @@ def ml_series(p: MLParams, order: int, precision: int = DEFAULT_PRECISION) -> Tr
             nums[n] = nums[n + 1] * math.prod(range(a * n + b, a * n + a + b))
         return TruncatedSeries._raw(nums, None, nums[0] * math.factorial(b - 1))
     # exact term arguments: every argument with the same fractional part
-    # shares one Spouge sum; an integer argument's exact value is rounded
-    # once to the precision
-    s = TruncatedSeries([raw_in(reciprocal_gamma(p.alpha * n + p.beta, precision), precision)
-                         for n in range(max(order, 1) + 1)], precision)
+    # shares one Spouge sum; the constructor rounds an integer argument's
+    # exact value once to the precision
+    s = TruncatedSeries([reciprocal_gamma(p.alpha * n + p.beta, precision) for n in range(max(order, 1) + 1)],
+                        precision)
     return s if s.order == order else s[:1]
 
 

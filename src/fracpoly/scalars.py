@@ -4,14 +4,13 @@ A computed value is a raw value whose type is its domain: an int or a
 ``Fraction`` is exact, an mpmath float is a float at the precision of its
 container or of the call that made it (:func:`precision_of`).  A
 computation joins its operands' domains (:func:`join_precision`): exact
-when every operand is exact, else floats at the largest precision, and it
-runs on the raw values in one precision scope, or on their libmp tuples
-with the precision passed to each operation (:func:`dot_tuples`,
-:meth:`Coefficients._tuples_in`).  A container of many
-values (:class:`Coefficients`) holds its exact values as integer
-numerators over one denominator instead, and hands them out as raw
-values.  A float leaves the package raw and prints through :func:`render`
-at the precision it was made at.
+when every operand is exact, else floats at the largest precision.  A
+container of many values (:class:`Coefficients`) holds its exact values as
+integer numerators over one denominator, and its float values as mpmath's
+libmp tuples, on which every operation takes its precision as an argument
+(``mpf_add``, ``mpf_mul``, :func:`dot_tuples`) and no precision scope; it
+hands its values out as raw values.  A float leaves the package raw and
+prints through :func:`render` at the precision it was made at.
 Parameters, orders, exponents and evaluation points are not computed: they
 are plain Fractions, coerced once by :func:`as_rational`.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Union
@@ -40,8 +39,8 @@ MAX_PRECISION = 8192
 # value could not be printed
 MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
-# the types of the exact domain's raw values; every other raw value is an mpf
-EXACT_TYPES = (int, Fraction)
+# the held zero of each domain: an exact numerator, a float libmp tuple
+ZEROS = (0, libmp.fzero)
 
 # mpmath keeps its precision in a process-global context, so precision
 # scopes are serialized; the lock is reentrant to allow nesting.
@@ -58,12 +57,6 @@ def working_precision(bits: int):
             yield mp
         finally:
             mp.prec = saved
-
-
-def domain_scope(precision: int | None):
-    """The scope raw arithmetic in a domain runs in: none for the exact
-    domain (``precision`` None), else :func:`working_precision`."""
-    return nullcontext() if precision is None else working_precision(precision)
 
 
 def join_precision(*precisions: int | None) -> int | None:
@@ -83,20 +76,18 @@ def check_precision(bits: int) -> int:
 def mpf_to_fraction(x) -> Fraction:
     """Exact rational value of a raw value: an int or a Fraction as a
     Fraction, a finite mpmath float as the dyadic rational it holds."""
-    if isinstance(x, EXACT_TYPES):
-        return Fraction(x)
-    return Fraction(*mpf_to_pair(x))
+    return Fraction(*mpf_to_pair(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
 
 
-def mpf_to_pair(x) -> tuple[int, int]:
-    """A finite mpmath float as the reduced (numerator, denominator) of the
+def mpf_to_pair(t: tuple) -> tuple[int, int]:
+    """A finite libmp tuple as the reduced (numerator, denominator) of the
     dyadic rational it holds: m and 2^-e, or m 2^e and 1.  mpmath keeps
     the mantissa m odd, so the pair needs no gcd."""
-    sign, man, exp, _ = x._mpf_
+    sign, man, exp, _ = t
     if man == 0:
-        if x == 0:
+        if t == libmp.fzero:
             return 0, 1
-        raise DomainError(f"cannot convert non-finite float {x!r} to a rational")
+        raise DomainError(f"cannot convert non-finite float {mp.make_mpf(t)!r} to a rational")
     num = -man if sign else man
     return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
 
@@ -104,6 +95,14 @@ def mpf_to_pair(x) -> tuple[int, int]:
 def fraction_to_mpf(q: Fraction, bits: int):
     """Fraction converted to an mpf, correctly rounded to ``bits``."""
     return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
+
+
+def tuple_in(v, prec: int) -> tuple:
+    """The raw value v as a libmp tuple in the float domain ``prec``, its
+    own or a wider one: a float's own tuple, an exact v correctly rounded."""
+    if hasattr(v, "_mpf_"):
+        return v._mpf_
+    return libmp.from_rational(v.numerator, v.denominator, prec, libmp.round_nearest)
 
 
 def dot_tuples(xs: Iterable[tuple], ys: Iterable[tuple], prec: int) -> tuple:
@@ -124,11 +123,12 @@ def as_rational(x: NumberLike) -> Fraction:
     """A parameter, order, exponent or evaluation point as the exact
     rational it stands for; a Python float gives its exact binary value.
     An mpmath float is refused: only a container takes one, with its
-    precision.  A Fraction is returned as it is: it is immutable."""
-    if isinstance(x, Fraction):
-        return x
+    precision.  A Fraction is returned as it is: it is immutable.  An int
+    is tested first: ``isinstance`` against an ABC is slow on a non-instance."""
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         if not math.isfinite(x):
             raise DomainError(f"non-finite value {x!r}")
@@ -163,21 +163,13 @@ def raw_value(v, precision: int | None):
 def precision_of(v, precision: int | None) -> int | None:
     """The domain of a raw value v made at ``precision``: exact (None) for
     an int or a Fraction, else floats at ``precision``."""
-    return None if isinstance(v, EXACT_TYPES) else precision
-
-
-def raw_in(v, precision: int | None):
-    """The raw value v in the domain ``precision``, its own or a wider one:
-    a float as it is, an exact v as a Fraction or correctly rounded to an mpf."""
-    if not isinstance(v, EXACT_TYPES):
-        return v
-    return Fraction(v) if precision is None else fraction_to_mpf(v, precision)
+    return precision if hasattr(v, "_mpf_") else None
 
 
 def render(v, precision: int | None) -> str:
     """A raw value as it prints: p/q when exact, else :func:`decimal_str`
     at ``precision``."""
-    return str(v) if isinstance(v, EXACT_TYPES) else decimal_str(v, precision)
+    return decimal_str(v, precision) if hasattr(v, "_mpf_") else str(v)
 
 
 def decimal_str(x, prec: int) -> str:
@@ -190,18 +182,18 @@ def decimal_str(x, prec: int) -> str:
     significant digits of any decimal in [|x|-u, |x|+u], every d below L
     fails, and the scan from L returns the string a scan from 1 returns.
     """
-    if x == 0:
+    t = x._mpf_
+    if t == libmp.fzero:
         return "0.0"
     max_digits = int(math.ceil(prec * math.log10(2))) + 2
-    with working_precision(prec):
-        for digits in range(_min_digits(x, prec, max_digits), max_digits + 1):
-            cand = mp.nstr(x, digits, strip_zeros=True)
-            if mp.mpf(cand) == x:
-                return cand
-        return mp.nstr(x, max_digits, strip_zeros=False)
+    for digits in range(_min_digits(t, prec, max_digits), max_digits + 1):
+        cand = libmp.to_str(t, digits, strip_zeros=True)
+        if libmp.from_str(cand, prec, libmp.round_nearest) == t:
+            return cand
+    return libmp.to_str(t, max_digits, strip_zeros=False)
 
 
-def _min_digits(x, prec: int, max_digits: int) -> int:
+def _min_digits(t: tuple, prec: int, max_digits: int) -> int:
     """The fewest significant digits of a decimal in [|x|-u, |x|+u], u one
     ulp of x's binade, or max_digits + 1 when it needs more.
 
@@ -210,7 +202,7 @@ def _min_digits(x, prec: int, max_digits: int) -> int:
     10^E itself inside.  Having a multiple is monotone in q, so binary
     search finds q; each test is a floor and a ceiling of integers.
     """
-    _, man, exp, bc = x._mpf_
+    _, man, exp, bc = t
     ulp = exp + bc - prec
     scale = min(exp, ulp, 0)  # the interval is [lo, hi] / 2^-scale
     mid, u = man << (exp - scale), 1 << (ulp - scale)
@@ -241,20 +233,20 @@ class Coefficients:
     """One tuple of coefficient values in one domain.  An exact container
     holds integer numerators over one positive integer denominator D, as
     FLINT's ``fmpq_poly`` does, so its operations run on integers and
-    normalise nothing; a float container holds mpfs at its precision.  The
-    constructor brings exact input over the lcm of its denominators, and a
-    computed container keeps whatever common D its operation produced.
-    Tuples are built from lists, whose length is known: a tuple grown from
-    a generator is resized, which keeps filling the interpreter's tuple
-    free lists.
+    normalise nothing; a float container holds libmp tuples at its
+    precision, so its operations pass that precision to each libmp call
+    and take no precision scope.  The constructor brings exact input over
+    the lcm of its denominators, and a computed container keeps whatever
+    common D its operation produced.  Tuples are built from lists, whose
+    length is known: a tuple grown from a generator is resized, which
+    keeps filling the interpreter's tuple free lists.
 
     Coercion happens once, in the constructor (:func:`raw_value`): the
     values are exact when every one is exact, else floats at
-    ``precision``, each rounded once to it.  Subclasses compute on the
-    held values inside at most one precision scope per operation, or on
-    their libmp tuples with no scope.  A value
-    leaves as a raw value: iteration and indexing yield normalised
-    Fractions when exact, and the mpfs otherwise.
+    ``precision``, each rounded once to it.  A float operation rounds to
+    nearest at the container's precision, as the mpf operators round in a
+    scope of that precision.  A value leaves as a raw value: iteration and
+    indexing yield normalised Fractions when exact, and mpfs otherwise.
     """
 
     __slots__ = ("_values", "_prec", "_den")
@@ -264,11 +256,11 @@ class Coefficients:
         if not values:
             raise ValueError(f"a {type(self).__name__} needs at least one coefficient")
         prec = join_precision(*[precision_of(v, precision) for v in values])
-        self._hold([raw_in(v, prec) for v in values], prec)
+        self._hold(values if prec is None else [tuple_in(v, prec) for v in values], prec)
 
     def _hold(self, values: list, prec: int | None) -> None:
-        """Hold raw values of the domain ``prec``: mpfs as they are, exact
-        values as integer numerators over the lcm of their denominators."""
+        """Hold values of the domain ``prec``: libmp tuples as they are,
+        exact values as integer numerators over the lcm of their denominators."""
         den = None
         if prec is None:
             den = math.lcm(*[v.denominator for v in values])
@@ -278,7 +270,7 @@ class Coefficients:
     @classmethod
     def _raw(cls, values: Iterable, precision: int | None, den: int | None = None):
         """A container around held values: integer numerators over ``den``
-        when ``precision`` is None, else mpfs at that precision."""
+        when ``precision`` is None, else libmp tuples at that precision."""
         out = object.__new__(cls)
         out._values, out._prec, out._den = tuple(values), precision, den
         return out
@@ -291,13 +283,13 @@ class Coefficients:
     def __iter__(self):
         if self._prec is None:
             return map(Fraction, self._values, repeat(self._den))
-        return iter(self._values)
+        return map(mp.make_mpf, self._values)
 
     def __getitem__(self, k):
         """Value k as a raw value, or a slice as a container of its class."""
         if isinstance(k, slice):
             return self._raw(self._values[k], self._prec, self._den)
-        return Fraction(self._values[k], self._den) if self._prec is None else self._values[k]
+        return Fraction(self._values[k], self._den) if self._prec is None else mp.make_mpf(self._values[k])
 
     def __eq__(self, other):
         # the domains first: mpmath compares an mpf with a Fraction through
@@ -311,18 +303,11 @@ class Coefficients:
         d, e = self._den, other._den
         return all(a * e == b * d for a, b in zip(self._values, other._values))
 
-    def _values_in(self, prec: int | None) -> tuple:
+    def _values_in(self, prec: int | None):
         """The held values in the domain ``prec``, which is this one or
-        wider: an exact num/D rounded once to a float domain."""
+        wider: an exact num/D rounded once to a libmp tuple in a float domain."""
         if prec is None or self._prec is not None:
             return self._values
-        return tuple([mp.make_mpf(v) for v in self._tuples_in(prec)])
-
-    def _tuples_in(self, prec: int) -> list:
-        """The held values as libmp tuples in the float domain ``prec``,
-        which is this one or wider: an exact num/D rounded once to it."""
-        if self._prec is not None:
-            return [v._mpf_ for v in self._values]
         d, rnd = self._den, libmp.round_nearest
         return [libmp.from_rational(n, d, prec, rnd) for n in self._values]
 
@@ -335,8 +320,8 @@ class Coefficients:
         """The values times an exact factor: p/q multiplies the numerators
         by p and D by q, and is rounded once to a float domain."""
         f = as_rational(factor)
-        if self._prec is None:
+        prec = self._prec
+        if prec is None:
             return self._raw([f.numerator * v for v in self._values], None, self._den * f.denominator)
-        f = fraction_to_mpf(f, self._prec)
-        with working_precision(self._prec):
-            return self._raw([f * v for v in self._values], self._prec)
+        f, mul, rnd = tuple_in(f, prec), libmp.mpf_mul, libmp.round_nearest
+        return self._raw([mul(f, v, prec, rnd) for v in self._values], prec)

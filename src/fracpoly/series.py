@@ -5,7 +5,8 @@ convolution; a reader of an exponential generating function applies the
 factorial itself.  A series holds one coefficient domain (mixed input is
 promoted once, in the constructor): integer numerators over one positive
 denominator D, on which every exact operation but the reciprocal runs in
-integers, or mpfs at one precision.
+integers, or libmp tuples at one precision, which every float operation
+passes to each libmp call.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import math
 from operator import mul
 
+from mpmath import libmp
+
 from .errors import DomainError
-from .scalars import Coefficients, NumberLike, as_rational, domain_scope, raw_in, render
+from .scalars import ZEROS, Coefficients, NumberLike, as_rational, dot_tuples, render
 
 __all__ = [
     "TruncatedSeries",
@@ -40,7 +43,7 @@ class TruncatedSeries(Coefficients):
 
     def shift_down(self, v: int) -> "TruncatedSeries":
         """Divide by z^v; the first v coefficients must vanish."""
-        if any(self._values[:v]):
+        if any(c not in ZEROS for c in self._values[:v]):
             raise DomainError(f"series has valuation < {v}, cannot divide by z^{v}")
         if v > self.order:
             raise DomainError(f"cannot shift a series of order {self.order} down by {v}")
@@ -48,7 +51,7 @@ class TruncatedSeries(Coefficients):
 
     def shift_up(self, v: int) -> "TruncatedSeries":
         """Multiply by z^v, keeping the truncation order."""
-        zero = 0 if self._prec is None else raw_in(0, self._prec)
+        zero = 0 if self._prec is None else libmp.fzero
         return self._raw(((zero,) * v + self._values)[: self.order + 1], self._prec, self._den)
 
     def egf(self) -> Coefficients:
@@ -56,15 +59,11 @@ class TruncatedSeries(Coefficients):
         function: coefficient k times k!, exact by a running int factorial
         on the numerators, or the factorial rounded once to a float domain
         before it multiplies."""
-        prec = self._prec
-        if prec is None:
-            out, fact = [], 1
-            for k, v in enumerate(self._values):
-                fact *= k or 1
-                out.append(v * fact)
-            return Coefficients._raw(out, None, self._den)
-        with domain_scope(prec):
-            return Coefficients._raw([v * raw_in(math.factorial(k), prec) for k, v in enumerate(self._values)], prec)
+        prec, rnd, out, fact = self._prec, libmp.round_nearest, [], 1
+        for k, v in enumerate(self._values):
+            fact *= k or 1
+            out.append(v * fact if prec is None else libmp.mpf_mul(v, libmp.from_int(fact, prec, rnd), prec, rnd))
+        return Coefficients._raw(out, prec, self._den)
 
     def __repr__(self):
         shown = ", ".join(render(c, self._prec) for c in self[:6])
@@ -86,8 +85,8 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         den = math.lcm(a._den, b._den)
         u, v = den // a._den, den // b._den
         return TruncatedSeries._raw([s * u + t * v for s, t in zip(x, y)], None, den)
-    with domain_scope(prec):
-        return TruncatedSeries._raw([u + v for u, v in zip(x, y)], prec)
+    add, rnd = libmp.mpf_add, libmp.round_nearest
+    return TruncatedSeries._raw([add(u, v, prec, rnd) for u, v in zip(x, y)], prec)
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -95,9 +94,9 @@ def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
     Exact operands convolve their numerators over Dx*Dy, and the result is
     reduced by one gcd of the whole vector, so that an h-fold product does
-    not carry D^h.  In the float domain each sum starts from zero and adds
-    its products in order of k, so it rounds every product and every
-    partial sum once.
+    not carry D^h.  In the float domain each sum is a :func:`dot_tuples`:
+    it starts from zero and adds its products in order of k, so it rounds
+    every product and every partial sum once.
     """
     x, y, prec = _joined(a, b)
     if prec is None:
@@ -105,26 +104,29 @@ def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         den = a._den * b._den
         g = math.gcd(den, *nums)
         return TruncatedSeries._raw([c // g for c in nums] if g > 1 else nums, None, den // g)
-    with domain_scope(prec):
-        return TruncatedSeries._raw(
-            [sum(map(mul, x[: n + 1], y[n::-1])) for n in range(len(x))], prec
-        )
+    return TruncatedSeries._raw([dot_tuples(x[: n + 1], y[n::-1], prec) for n in range(len(x))], prec)
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse through the truncation order (triangular
     recurrence).  The exact recurrence runs on the normalised Fractions and
     its output is brought over one lcm denominator."""
-    if a._values[0] == 0:
+    prec, x = a._prec, a._values
+    if x[0] in ZEROS:
         raise DomainError("cannot invert a series with zero constant term")
-    x = list(a) if a._prec is None else a._values
-    with domain_scope(a._prec):
+    if prec is None:
+        x = list(a)
         inv0 = 1 / x[0]
-        neg_inv0 = -inv0
-        out = [inv0]
+        neg_inv0, out = -inv0, [inv0]
         for n in range(1, len(x)):
             out.append(neg_inv0 * sum(map(mul, x[1 : n + 1], out[n - 1 :: -1])))
-    return TruncatedSeries(out, a._prec)
+        return TruncatedSeries(out)
+    rnd = libmp.round_nearest
+    inv0 = libmp.mpf_rdiv_int(1, x[0], prec, rnd)
+    neg_inv0, out = libmp.mpf_neg(inv0), [inv0]
+    for n in range(1, len(x)):
+        out.append(libmp.mpf_mul(neg_inv0, dot_tuples(x[1 : n + 1], out[n - 1 :: -1], prec), prec, rnd))
+    return TruncatedSeries._raw(out, prec)
 
 
 def exp_series(x: NumberLike, order: int) -> TruncatedSeries:

@@ -60,8 +60,8 @@ from .fractional import (
     rl_derivative_term,
 )
 from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
-from .scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, as_rational, check_precision, domain_scope,
-                      dot_tuples, mpf_to_pair, raw_in, working_precision)
+from .scalars import (DEFAULT_PRECISION, Coefficients, as_rational, check_precision, dot_tuples, mpf_to_pair,
+                      working_precision)
 from .series import cauchy_product, exp_series
 from mpmath import libmp, mp
 
@@ -132,20 +132,20 @@ _EXACT_ZERO = (0, 1, True)
 
 def _entry(v) -> tuple[int, int, bool]:
     """A raw value as the runner compares it: (numerator, denominator,
-    exact), a float's pair read off its mpf by :func:`mpf_to_pair`."""
-    if isinstance(v, EXACT_TYPES):
-        return v.numerator, v.denominator, True
-    return (*mpf_to_pair(v), False)
+    exact), a float's pair read off its libmp tuple by :func:`mpf_to_pair`."""
+    if hasattr(v, "_mpf_"):
+        return (*mpf_to_pair(v._mpf_), False)
+    return v.numerator, v.denominator, True
 
 
 def _entries(side) -> list:
-    """The entries of a container, an exact one's read off its numerators
-    over D, or of a sequence of raw values."""
+    """The entries of a container, read off its held numerators over D or
+    libmp tuples, or of a sequence of raw values."""
     if not isinstance(side, Coefficients):
         return [_entry(v) for v in side]
     if side.precision is None:
         return list(zip(side._values, repeat(side._den), repeat(True)))
-    return [_entry(v) for v in side._values]
+    return [(*mpf_to_pair(t), False) for t in side._values]
 
 
 class _Check:
@@ -418,8 +418,13 @@ def _unit_interval(precision, families, n_max: int, lag: int):
         for n in range(n_max + 1):
             for x in _THEOREM3_XS:
                 prec = polys[n + 1].precision
-                with domain_scope(prec):
-                    want = (polys[n + 1].evaluate(x + 1) - polys[n + 1 - lag].evaluate(x)) / raw_in(n + 1, prec)
+                hi, lo = polys[n + 1].evaluate(x + 1), polys[n + 1 - lag].evaluate(x)
+                if prec is None:
+                    want = (hi - lo) / (n + 1)
+                else:
+                    rnd = libmp.round_nearest
+                    want = mp.make_mpf(libmp.mpf_div(libmp.mpf_sub(hi._mpf_, lo._mpf_, prec, rnd),
+                                                     libmp.from_int(n + 1), prec, rnd))
                 yield integral_over_unit_interval(p, n, x, precision), want
 
 
@@ -474,7 +479,7 @@ def suite_ml_consistency(precision):
                 else:
                     powers = [libmp.from_rational(z.numerator ** k, z.denominator ** k, prec, libmp.round_nearest)
                               for k in range(order + 1)]
-                    acc = mp.make_mpf(dot_tuples(series._tuples_in(prec), powers, prec))
+                    acc = mp.make_mpf(dot_tuples(series._values, powers, prec))
                 yield acc, ml_eval(p, z, tol=tol, precision=precision)
     return {"order": order}
 

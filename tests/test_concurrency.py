@@ -169,10 +169,11 @@ def test_concurrent_mixed_precision_memos(monkeypatch):
 
 def _float_jobs():
     """Float paths at several precisions, each returning raw mpf tuples or
-    strings, so that equal results are equal bit for bit.  Some run in
-    precision scopes; the expansion kernels and the Mittag-Leffler sum do
-    their arithmetic on libmp tuples, outside the precision lock."""
-    from fracpoly.families import Polynomial
+    strings, so that equal results are equal bit for bit.  The series,
+    polynomial and expansion kernels, the Mittag-Leffler sum and decimal
+    printing do their arithmetic on libmp tuples, outside the precision
+    lock; gamma and the powers still take it."""
+    from fracpoly.families import Polynomial, family_polynomial
     from fracpoly.fractional import (CaputoOrder, FracExpansion, caputo_closed_form, eval_frac_expansion,
                                      leibniz_product)
     from fracpoly.scalars import decimal_str, fraction_to_mpf, working_precision
@@ -212,13 +213,23 @@ def _float_jobs():
         g = Polynomial([fraction_to_mpf(Fraction(k - 3, 2 * k + 5), prec) for k in range(5)], prec)
         return [c._mpf_ for c, _ in leibniz_product(f, g, Fraction(3, 2), prec)]
 
+    def numbers(prec):
+        nums = family_numbers(FamilyParams("genocchi", Fraction(2, 3), Fraction(7, 5)), 14, prec)
+        return [c._mpf_ for c in nums] + [decimal_str(c, prec) for c in nums]
+
+    def family_values(prec):
+        q = family_polynomial(FamilyParams("euler", Fraction(5, 3), 3), 9, prec)
+        values = [q.evaluate(t) for t in (Fraction(-5, 3), Fraction(1, 2), 4)]
+        return [v._mpf_ for v in values] + [decimal_str(v, prec) for v in values]
+
     return [(fn, prec) for fn in (products, decimal, polynomial, expansion, mittag_leffler, closed_form, leibniz)
-            for prec in (64, 128, 256)]
+            for prec in (64, 128, 256)] + [(fn, prec) for fn in (numbers, family_values) for prec in (80, 128, 333)]
 
 
 def test_concurrent_float_paths_match_serial_bit_for_bit():
     jobs = _float_jobs()
     serial = {(fn.__name__, prec): fn(prec) for fn, prec in jobs}
+    clear_caches()  # the threads compute the memoized values again
     start = threading.Barrier(6)
     failures = []
 

@@ -107,7 +107,7 @@ def test_polynomial_operations_match_fraction_loops(values, x, g):
 def test_rounding_into_a_float_domain_matches_fraction_to_mpf(values, g, precision):
     c = re_denominated(TruncatedSeries(values), g)
     want = [fraction_to_mpf(v, precision)._mpf_ for v in values]
-    assert [v._mpf_ for v in c._values_in(precision)] == want
+    assert list(c._values_in(precision)) == want
     # the same join through a public operation: adding a float zero series
     zeros = TruncatedSeries([fraction_to_mpf(Fraction(0), precision)] * len(values), precision)
     joined = series_add(c, zeros)

@@ -12,7 +12,9 @@ import fracpoly.families as families
 from fracpoly import clear_caches
 from fracpoly.families import (FamilyParams, Polynomial, family_numbers, family_polynomial, family_series,
                                multinomial_number_product)
-from fracpoly.scalars import as_rational, domain_scope, fraction_to_mpf, raw_in, working_precision
+from fracpoly.scalars import fraction_to_mpf, working_precision
+
+import reference_loops as ref
 
 
 def bits(values):
@@ -288,20 +290,9 @@ def fraction_horner(coeffs, x):
     return acc
 
 
-def scalar_loop_horner(q, x):
-    """Polynomial.evaluate as one raw-value loop in the polynomial's domain."""
-    prec = q.precision
-    xv = raw_in(as_rational(x), prec)
-    acc = 0
-    with domain_scope(prec):
-        for c in reversed(list(q)):
-            acc = acc * xv + c
-    return acc
-
-
 def in_floats(q, prec):
     """q with each coefficient rounded once to prec bits."""
-    return Polynomial([raw_in(c, prec) for c in q], prec)
+    return Polynomial([ref.raw_in(c, prec) for c in q], prec)
 
 
 EXACT_POLYS = [
@@ -332,6 +323,6 @@ def test_exact_horner_matches_fraction_horner(q, x):
     (family_polynomial(FamilyParams("bernoulli", Fraction(1, 2), 1), 8, 256), 5),
 ])
 def test_mixed_domain_evaluation_rounds_like_loop(q, x):
-    got, want = q.evaluate(x), scalar_loop_horner(q, x)
+    got, want = q.evaluate(x), ref.horner(list(q), q.precision, x)
     assert q.precision is not None
     assert got._mpf_ == want._mpf_

@@ -31,8 +31,9 @@ from fracpoly.fractional import (
 )
 from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.quadrature import gauss_jacobi_rule
-from fracpoly.scalars import (DEFAULT_PRECISION, EXACT_TYPES, Coefficients, domain_scope, fraction_to_mpf,
-                              mpf_to_fraction, raw_in, working_precision)
+from fracpoly.scalars import DEFAULT_PRECISION, Coefficients, fraction_to_mpf, mpf_to_fraction, working_precision
+
+import reference_loops as ref
 
 HALF = Fraction(1, 2)
 TOL = Fraction(1, 10 ** 24)
@@ -181,14 +182,14 @@ def reference_merge(terms, prec):
     input order from 0, and the zero sums dropped."""
     exponent = itemgetter(1)
     out = []
-    with domain_scope(prec):
+    with ref.scope(prec):
         for e, group in groupby(sorted(terms, key=exponent), key=exponent):
             total = 0
             for factors, _ in group:
-                k = next((i for i, f in enumerate(factors) if not isinstance(f, EXACT_TYPES)), len(factors))
-                acc = raw_in(math.prod(factors[:k]), prec)
+                k = next((i for i, f in enumerate(factors) if not ref.is_exact(f)), len(factors))
+                acc = ref.raw_in(math.prod(factors[:k]), prec)
                 for f in factors[k:]:
-                    acc *= raw_in(f, prec)
+                    acc *= ref.raw_in(f, prec)
                 total += acc
             if total:
                 out.append((e, total))
@@ -197,7 +198,7 @@ def reference_merge(terms, prec):
 
 def raw_bits(c):
     """A raw value as comparable bits: an mpf's tuple, an exact value as a Fraction."""
-    return Fraction(c) if isinstance(c, EXACT_TYPES) else c._mpf_
+    return Fraction(c) if ref.is_exact(c) else c._mpf_
 
 
 def mixed_terms(prec):
@@ -227,7 +228,7 @@ def test_expansion_merge_rounds_like_mpf_operator_loops(prec):
         assert got.precision == prec
         assert [(e, raw_bits(c)) for c, e in got] == want
     # the exact domain: the terms' exact factors alone
-    exact = [(tuple(f for f in factors if isinstance(f, EXACT_TYPES)), e) for factors, e in terms]
+    exact = [(tuple(f for f in factors if ref.is_exact(f)), e) for factors, e in terms]
     got = FracExpansion(exact)
     assert got.precision is None
     assert [(e, raw_bits(c)) for c, e in got] == [(e, raw_bits(c)) for e, c in reference_merge(exact, None)]
@@ -638,7 +639,7 @@ def reference_oracle(q, ord, t, precision):
     nodes, weights = gauss_jacobi_rule(n - ord.alpha - 1, (dq.degree + 2) // 2 + 1, precision)
     # the coefficients in the nodes' domain; each node is a wp-bit float,
     # so its exact value is the point itself
-    dq = Polynomial([raw_in(c, wp) for c in dq], wp)
+    dq = Polynomial([ref.raw_in(c, wp) for c in dq], wp)
     with working_precision(wp):
         tm = fraction_to_mpf(t, wp)
         acc = mp.mpf(0)
@@ -704,7 +705,7 @@ def reference_eval(e, t, precision):
         logt = mp.log(fraction_to_mpf(t, wp))
         acc = mp.mpf(0)
         for c, x in e:
-            acc += raw_in(c, wp) * mp.exp(fraction_to_mpf(x, wp) * logt)
+            acc += ref.raw_in(c, wp) * mp.exp(fraction_to_mpf(x, wp) * logt)
     return mp.mpf(acc, prec=precision)
 
 

@@ -135,15 +135,15 @@ def test_mpf_fraction_roundtrip(q):
     # the stored float is some dyadic close to q; converting back is exact
     assert fraction_to_mpf(back, 128)._mpf_ == x._mpf_
     # the pair is the reduced one a Fraction holds, with no gcd taken
-    assert mpf_to_pair(x) == (back.numerator, back.denominator)
+    assert mpf_to_pair(x._mpf_) == (back.numerator, back.denominator)
 
 
 def test_mpf_to_pair_of_zero_and_non_finite_floats():
-    assert mpf_to_pair(mp.mpf(0)) == (0, 1)
-    assert mpf_to_pair(mp.mpf(-96)) == (-96, 1)
+    assert mpf_to_pair(mp.mpf(0)._mpf_) == (0, 1)
+    assert mpf_to_pair(mp.mpf(-96)._mpf_) == (-96, 1)
     for x in (mp.inf, -mp.inf, mp.nan):
-        with pytest.raises(DomainError):
-            mpf_to_pair(x)
+        with pytest.raises(DomainError, match="non-finite float"):
+            mpf_to_pair(x._mpf_)
 
 
 def test_fraction_to_mpf_rounds_once():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from fracpoly.errors import DomainError
-from fracpoly.scalars import domain_scope, fraction_to_mpf, join_precision, mpf_to_fraction, raw_in, working_precision
+from fracpoly.scalars import fraction_to_mpf, join_precision, mpf_to_fraction, working_precision
 from fracpoly.series import (
     TruncatedSeries,
     cauchy_product,
@@ -14,6 +14,8 @@ from fracpoly.series import (
     reciprocal,
     series_add,
 )
+
+import reference_loops as ref
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -144,34 +146,19 @@ def test_egf_coefficient_examples():
 def joined_values(*series):
     """The raw coefficient values of the series in their joined domain, and its precision."""
     prec = join_precision(*[s.precision for s in series])
-    return [[raw_in(c, prec) for c in s] for s in series], prec
+    return [[ref.raw_in(c, prec) for c in s] for s in series], prec
 
 
 def loop_product(a, b):
     """Reference: the Cauchy product one raw-value operation at a time."""
     (x, y), prec = joined_values(a, b)
-    out = []
-    with domain_scope(prec):
-        for n in range(len(x)):
-            s = 0
-            for k in range(n + 1):
-                s = s + x[k] * y[n - k]
-            out.append(s)
-    return out, prec
+    return ref.cauchy_product(x, y, prec), prec
 
 
 def loop_reciprocal(a):
     """Reference: the reciprocal recurrence one raw-value operation at a time."""
     (x,), prec = joined_values(a)
-    with domain_scope(prec):
-        inv0 = 1 / x[0]
-        out = [inv0]
-        for n in range(1, len(x)):
-            s = 0
-            for k in range(1, n + 1):
-                s = s + x[k] * out[n - k]
-            out.append((0 - inv0) * s)
-    return out, prec
+    return ref.reciprocal(x, prec), prec
 
 
 def same_bits(got, want, prec):
@@ -192,15 +179,11 @@ def test_float_kernels_round_like_scalar_loops(prec_a, prec_b):
     a, b = series(prec_a, 2), series(prec_b, 5)
     assert same_bits(cauchy_product(a, b), *loop_product(a, b))
     (x, y), prec = joined_values(a, b)
-    with domain_scope(prec):
-        sums = [u + v for u, v in zip(x, y)]
-    assert same_bits(series_add(a, b), sums, prec)
+    assert same_bits(series_add(a, b), ref.series_add(x, y, prec), prec)
     assert same_bits(reciprocal(a), *loop_reciprocal(a))
     # an exact factor, rounded once to a float domain before it multiplies
     f = Fraction(5, 7)
-    with domain_scope(prec_a):
-        scaled = [raw_in(f, prec_a) * c for c in a]
-    assert same_bits(a.scale(f), scaled, prec_a)
+    assert same_bits(a.scale(f), ref.scale(list(a), prec_a, f), prec_a)
     x = Fraction(-3, 7)
     want = [Fraction(1)]
     for k in range(1, 13):
