@@ -55,7 +55,8 @@ def clear_caches() -> None:
     next call computes: a test that patches a route calls it first, so
     that no value held from before the patch hides the patched route."""
     for memo in (gammafns._spouge_coeffs, gammafns._spouge_memo, gammafns._reciprocal_gamma_memo,
-                 quadrature._rule_cached, fractional._power, fractional._power_rule, verify._oracle_values):
+                 quadrature._rule_cached, fractional._oracle_setup, fractional._power, fractional._power_rule,
+                 verify._oracle_values):
         memo.cache_clear()
     with families._family_lock:
         families._family_cache.clear()

@@ -11,8 +11,7 @@ both gammas through reciprocal_gamma, in the float domain.
 
 The quadrature oracle at the bottom integrates the defining formula
 directly with a Gauss-Jacobi rule and shares no code path with the closed
-forms above it.  It does its set-up once per (polynomial, order) for all
-the points asked for.
+forms above it.  A memo holds its set-up, which no polynomial changes.
 
 An expansion's float coefficients are libmp tuples, as in every
 :class:`~fracpoly.scalars.Coefficients`.  Their products and sums, the
@@ -20,13 +19,13 @@ power-rule step's product and quotient, the sum of
 :func:`eval_frac_expansion` and the oracle's Horner passes pass the
 precision to each libmp call, rounded to nearest as the mpf operators
 round in a scope of that precision, and take no precision scope.  The
-powers t^x and the oracle's gamma and final power still run in
+powers t^x and the oracle set-up's gamma and powers still run in
 :func:`working_precision`: they call mpmath functions or mpf operators,
 which read mpmath's global precision.
 
-Two memos hold repeated values; each key holds every input a value's bits
-depend on, so a hit returns the bits of a fresh call, and
-``fracpoly.clear_caches()`` empties both:
+Three memos hold repeated values; each key holds every input a value's
+bits depend on, so a hit returns the bits of a fresh call, and
+``fracpoly.clear_caches()`` empties all three:
 
 - ``_power_rule`` holds the pair of :func:`rl_derivative_term`, keyed by
   the exact exponent, the exact order and the precision, at most 1024
@@ -38,6 +37,9 @@ depend on, so a hit returns the bits of a fresh call, and
 - ``_power`` holds the powers t^x of :func:`eval_frac_expansion`, keyed by
   t, x (as integer pairs) and the working precision, at most 1024 values
   (about 1.1 MB at the 8192-bit cap).
+- ``_oracle_setup`` holds the set-up of :func:`caputo_quadrature_points`
+  by order, node count N, points (P of them) and precision, at most 128
+  entries of (N + 1)(P + 1) floats; ``verify all`` makes 15, N <= 5, P = 3.
 """
 
 from __future__ import annotations
@@ -362,47 +364,54 @@ def caputo_quadrature_points(
     rule has (d + 2) // 2 + 1 nodes for d = deg(q^(n)): the exactness minimum
     ceil((d + 1) / 2) plus one guard node, so the polynomial factor is
     integrated exactly by construction.  Integer orders bypass to the
-    ordinary derivative, in q's domain.  The set-up is done once for all
-    points: q^(n), its coefficients at the working precision, the rule and
-    gamma(n - alpha).  Each point then runs one Horner pass per node and
-    its own (t/2)^(n-alpha), so a point's value has the bits of a one-point
-    call.  No code is shared with the closed-form routes.
+    ordinary derivative, in q's domain.  The set-up comes from the memo
+    :func:`_oracle_setup`; q adds its coefficients at the working precision
+    and one Horner pass per node and point, so a point's value has the bits
+    of a one-point call.  No code is shared with the closed-form routes.
     """
     check_precision(precision)
-    ts = [positive_rational(t, "evaluation point") for t in ts]
-    n = ord.n
+    ts = tuple(positive_rational(t, "evaluation point") for t in ts)
     dq = q
-    for _ in range(n):
+    for _ in range(ord.n):
         dq = dq.derivative()
     if ord.is_integer:
         return [dq.evaluate(t) for t in ts]
     if dq.is_zero():
         return [mp.mpf(0, prec=precision) for _ in ts]
     wp = precision + 32
-    a_exp = ord.alpha
-    nodes, weights = gauss_jacobi_rule(n - a_exp - 1, (dq.degree + 2) // 2 + 1, precision)
-    nodes, weights = [x._mpf_ for x in nodes], [w._mpf_ for w in weights]
+    weights, images, scales, gamma = _oracle_setup(ord.alpha, (dq.degree + 2) // 2 + 1, ts, precision)
     coeffs = dq._values_in(wp)[::-1]
-    with working_precision(wp):
-        power = mp.mpf(n) - mp.mpf(a_exp.numerator) / a_exp.denominator
-        gamma = mpmath.gamma(power)
     # the Horner passes on libmp tuples, each operation rounded to nearest
     # at wp: the bits the mpf operators give in a wp-bit scope
     rnd, add, mul = libmp.round_nearest, libmp.mpf_add, libmp.mpf_mul
     out = []
-    for t in ts:
-        tm = libmp.from_rational(t.numerator, t.denominator, wp, rnd)
+    for us, scale in zip(images, scales):
         acc = libmp.fzero
-        for x, w in zip(nodes, weights):
-            u = libmp.mpf_shift(mul(tm, add(x, libmp.fone, wp, rnd), wp, rnd), -1)
+        for u, w in zip(us, weights):
             val = libmp.fzero
             for c in coeffs:
                 val = add(mul(val, u, wp, rnd), c, wp, rnd)
             acc = add(acc, mul(w, val, wp, rnd), wp, rnd)
-        with working_precision(wp):
-            total = mp.make_mpf(acc) * (mp.make_mpf(tm) / 2) ** power / gamma
-        out.append(mp.mpf(total, prec=precision))
+        total = libmp.mpf_div(mul(acc, scale, wp, rnd), gamma, wp, rnd)
+        out.append(mp.make_mpf(libmp.mpf_pos(total, precision, rnd)))
     return out
+
+
+@lru_cache(maxsize=128)
+def _oracle_setup(alpha: Fraction, npoints: int, ts: tuple, precision: int) -> tuple:
+    """The oracle's weights, each node x mapped to each point t as
+    t (x + 1) / 2, each point's (t/2)^(n-alpha) and gamma(n-alpha), as libmp
+    tuples rounded at wp = precision + 32, which the key fixes."""
+    n, wp, rnd = math.ceil(alpha), precision + 32, libmp.round_nearest
+    nodes, weights = gauss_jacobi_rule(n - alpha - 1, npoints, precision)
+    tms = [libmp.from_rational(t.numerator, t.denominator, wp, rnd) for t in ts]
+    images = tuple(tuple(libmp.mpf_shift(libmp.mpf_mul(tm, libmp.mpf_add(x._mpf_, libmp.fone, wp, rnd), wp, rnd), -1)
+                         for x in nodes) for tm in tms)
+    with working_precision(wp):
+        power = mp.mpf(n) - mp.mpf(alpha.numerator) / alpha.denominator
+        scales = tuple(((mp.make_mpf(tm) / 2) ** power)._mpf_ for tm in tms)
+        gamma = mpmath.gamma(power)._mpf_
+    return tuple(w._mpf_ for w in weights), images, scales, gamma
 
 
 def eval_frac_expansion(

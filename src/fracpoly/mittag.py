@@ -5,7 +5,9 @@ exact rationals exactly when a and b are integers (every gamma argument
 a n + b is then an integer, where 1/gamma is exact); otherwise they live
 in the float domain at the requested precision.
 
-:func:`ml_eval` sums on mpmath's libmp tuples at the working precision
+:func:`ml_eval_points` sums at several points, each term's 1/gamma
+computed once for all of them; :func:`ml_eval` is its one-point case.
+The sums run on mpmath's libmp tuples at the working precision
 precision + 16, each operation rounded to nearest as the mpf operators
 round in a scope of that precision.  One precision scope around the whole
 loop serves the reciprocal gammas of the terms, which work at mpmath's
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from mpmath import libmp, mp
 
@@ -26,7 +29,7 @@ from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precisio
                       positive_rational, working_precision)
 from .series import TruncatedSeries
 
-__all__ = ["MLParams", "ml_series", "ml_eval", "ml_one_m_closed", "EVAL_ENVELOPE"]
+__all__ = ["MLParams", "ml_series", "ml_eval", "ml_eval_points", "ml_one_m_closed", "EVAL_ENVELOPE"]
 
 # |z| beyond which the plain Taylor sum is not offered (cancellation grows
 # linearly in |z| for negative arguments; see README caveats)
@@ -82,13 +85,32 @@ def ml_eval(
     precision: int = DEFAULT_PRECISION,
 ):
     """Sum the defining series until the geometric tail bound is below tol;
-    the sum is an mpf rounded once to the given precision.
+    the sum is an mpf rounded once to the given precision: the one-point
+    case of :func:`ml_eval_points`.
 
     Raises DomainError for |z| > 50 and ToleranceUnreachable
     when the requested relative tolerance cannot be met at this precision
     (either statically, or because cancellation ate too many bits).
     """
+    return ml_eval_points(p, (z,), tol, precision)[0]
+
+
+def ml_eval_points(p: MLParams, zs: Iterable[NumberLike], tol: NumberLike | None = None,
+                   precision: int = DEFAULT_PRECISION) -> list:
+    """:func:`ml_eval` at each point of zs, in order.  Each term's
+    1/gamma(alpha n + beta) is computed once, by the first sum that reaches
+    it, and shared with the sums after it; each point keeps its own sum,
+    stopping rule and refusal, so it gets the bits of a one-point call, and
+    the first point refused raises the refusal of its one-point call."""
     check_precision(precision)
+    rgs = []
+    with working_precision(precision + 16):  # for _rgamma, which works at mpmath's global precision
+        return [_ml_sum(p, z, tol, precision, rgs) for z in zs]
+
+
+def _ml_sum(p: MLParams, z: NumberLike, tol: NumberLike | None, precision: int, rgs: list):
+    """One point's sum, reading the term n's 1/gamma from rgs[n] and
+    appending to rgs the ones no earlier sum reached."""
     z = as_rational(z)
     z_abs = abs(z)
     if z_abs > EVAL_ENVELOPE:
@@ -118,32 +140,34 @@ def ml_eval(
     total = peak = fzero
     zpow = libmp.fone
     n = 0
-    with working_precision(wp):  # for _rgamma, which works at mpmath's global precision
-        term = _rgamma(p.beta, precision)._mpf_  # n = 0, z^0
-        while True:
-            total = add(total, term, wp, rnd)
-            term_abs = mag(term, wp, rnd)
-            if lt(peak, term_abs):
-                peak = term_abs
-            zpow = mul(zpow, zm, wp, rnd)
-            # the argument alpha (n + 1) + beta
-            nxt = mul(zpow, _rgamma(Fraction((an * bd) * (n + 1) + bn * ad, ad * bd), precision)._mpf_, wp, rnd)
-            nxt_abs = mag(nxt, wp, rnd)
-            bound = mul(tolm, mag(total, wp, rnd), wp, rnd)
-            if lt(nxt_abs, bound) and term != fzero:
-                ratio = div(nxt_abs, term_abs, wp, rnd)
-                if lt(ratio, libmp.fhalf):
-                    tail = div(nxt_abs, libmp.mpf_sub(libmp.fone, ratio, wp, rnd), wp, rnd)
-                    if lt(tail, bound):
-                        total = add(total, nxt, wp, rnd)
-                        break
-            term = nxt
-            n += 1
-            if n > _MAX_TERMS:
-                raise ToleranceUnreachable(
-                    f"series did not settle within {_MAX_TERMS} terms "
-                    f"(alpha={p.alpha}, z={z})"
-                )
+    if not rgs:
+        rgs.append(_rgamma(p.beta, precision)._mpf_)
+    term = rgs[0]  # n = 0, z^0
+    while True:
+        total = add(total, term, wp, rnd)
+        term_abs = mag(term, wp, rnd)
+        if lt(peak, term_abs):
+            peak = term_abs
+        zpow = mul(zpow, zm, wp, rnd)
+        if n + 1 == len(rgs):  # the argument alpha (n + 1) + beta
+            rgs.append(_rgamma(Fraction((an * bd) * (n + 1) + bn * ad, ad * bd), precision)._mpf_)
+        nxt = mul(zpow, rgs[n + 1], wp, rnd)
+        nxt_abs = mag(nxt, wp, rnd)
+        bound = mul(tolm, mag(total, wp, rnd), wp, rnd)
+        if lt(nxt_abs, bound) and term != fzero:
+            ratio = div(nxt_abs, term_abs, wp, rnd)
+            if lt(ratio, libmp.fhalf):
+                tail = div(nxt_abs, libmp.mpf_sub(libmp.fone, ratio, wp, rnd), wp, rnd)
+                if lt(tail, bound):
+                    total = add(total, nxt, wp, rnd)
+                    break
+        term = nxt
+        n += 1
+        if n > _MAX_TERMS:
+            raise ToleranceUnreachable(
+                f"series did not settle within {_MAX_TERMS} terms "
+                f"(alpha={p.alpha}, z={z})"
+            )
     # bits destroyed by cancellation must leave room for the tolerance
     if total == fzero or lt(libmp.mpf_shift(tolm, precision - 8), div(peak, mag(total, wp, rnd), wp, rnd)):
         raise ToleranceUnreachable(

@@ -7,7 +7,9 @@ matrix of the weight's three-term recurrence, and the weights are the
 squared first eigenvector components times the weight's total mass.  The
 eigensolver runs 32 bits above the requested precision.  Each rule is
 checked before it is handed out: its weights must add up to the mass
-2^(a+1)/(a+1), and its nodes must increase strictly inside (-1, 1).
+2^(a+1)/(a+1), and its nodes must increase strictly inside (-1, 1).  A memo
+of 128 rules sits under the oracle's set-up memo in :mod:`fracpoly.fractional`:
+orders of one a, such as 1/2, 3/2 and 5/2 (a = -1/2), share their rules.
 
 Everything here deliberately leans on mpmath's own eigensolver and gamma,
 so the quadrature route shares no code with the package's Spouge gamma or

@@ -59,7 +59,7 @@ from .fractional import (
     leibniz_product,
     rl_derivative_term,
 )
-from .mittag import MLParams, _subtracted_exponential, ml_eval, ml_one_m_closed, ml_series
+from .mittag import MLParams, _subtracted_exponential, ml_eval_points, ml_one_m_closed, ml_series
 from .scalars import (DEFAULT_PRECISION, Coefficients, as_rational, check_precision, dot_tuples, mpf_to_pair,
                       working_precision)
 from .series import cauchy_product, exp_series
@@ -448,8 +448,8 @@ def suite_eq5(precision):
     """Series evaluation against the subtracted-exponential closed forms."""
     zs = [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2]
     for m in range(2, 7):
-        for z in zs:
-            yield ml_eval(MLParams(1, m), z, precision=precision), ml_one_m_closed(m, z, precision)
+        for z, got in zip(zs, ml_eval_points(MLParams(1, m), zs, precision=precision)):
+            yield got, ml_one_m_closed(m, z, precision)
         # cancellation fallback region: compare against a high-precision
         # direct subtraction, which is only trustworthy with extra bits
         z_small, wp = Fraction(1, 10**6), precision + 200
@@ -473,24 +473,22 @@ def suite_ml_consistency(precision):
             tol = Fraction(1, 2 ** (precision - 14))
             # an exact series is summed as a polynomial, by one integer Horner pass
             exact = Polynomial(series) if prec is None else None
-            for z in zs:
+            for z, want in zip(zs, ml_eval_points(p, zs, tol=tol, precision=precision)):
                 if exact is not None:
                     acc = exact.evaluate(z)
                 else:
                     powers = [libmp.from_rational(z.numerator ** k, z.denominator ** k, prec, libmp.round_nearest)
                               for k in range(order + 1)]
                     acc = mp.make_mpf(dot_tuples(series._values, powers, prec))
-                yield acc, ml_eval(p, z, tol=tol, precision=precision)
+                yield acc, want
     return {"order": order}
 
 
 @_suite("mleval-exp", float_tol=_tol_ml)
 def suite_mleval_exp(precision):
     """E_{1,1} equals the exponential on a grid in [-2, 2]."""
-    p = MLParams(1, 1)
-    for num in range(-8, 9):
-        z = Fraction(num, 4)
-        got = ml_eval(p, z, precision=precision)
+    zs = [Fraction(num, 4) for num in range(-8, 9)]
+    for z, got in zip(zs, ml_eval_points(MLParams(1, 1), zs, precision=precision)):
         with working_precision(precision + 16):
             ref = mp.mpf(mp.exp(mp.mpf(z.numerator) / z.denominator), prec=precision)
         yield got, ref

@@ -6,6 +6,7 @@ from operator import itemgetter
 import pytest
 from mpmath import mp
 
+from fracpoly import clear_caches
 from fracpoly.errors import DomainError
 from fracpoly.families import (
     FamilyKind,
@@ -16,6 +17,7 @@ from fracpoly.families import (
     multinomial_number_product,
 )
 from fracpoly.fractional import (
+    _oracle_setup,
     CaputoOrder,
     FracExpansion,
     aligned_terms,
@@ -30,7 +32,7 @@ from fracpoly.fractional import (
     rl_integral_poly,
 )
 from fracpoly.gammafns import reciprocal_gamma
-from fracpoly.quadrature import gauss_jacobi_rule
+from fracpoly.quadrature import _rule_cached, gauss_jacobi_rule
 from fracpoly.scalars import DEFAULT_PRECISION, Coefficients, fraction_to_mpf, mpf_to_fraction, working_precision
 
 import reference_loops as ref
@@ -685,6 +687,32 @@ def test_multi_point_oracle_equals_one_point_calls_bit_for_bit(precision, order,
         for want in (caputo_quadrature_oracle(q, ord_, t, precision), reference_oracle(q, ord_, t, precision)):
             assert type(value) is type(want)
             assert value == want if isinstance(value, Fraction) else value._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512])
+@pytest.mark.parametrize("order", [Fraction(3, 10), HALF, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)])
+@pytest.mark.parametrize("alpha", [1, HALF])  # exact and float-alpha polynomials
+def test_oracle_set_up_memo_gives_the_bits_of_a_cold_call(precision, order, alpha):
+    q = family_polynomial(FamilyParams(FamilyKind.EULER, alpha, 2), 7, precision)
+    ord_, points = CaputoOrder(order), _ORACLE_POINTS[:3]
+
+    def bits(values):
+        return [v._mpf_ for v in values]
+
+    clear_caches()
+    assert _oracle_setup.cache_info().currsize == 0
+    cold = bits(caputo_quadrature_points(q, ord_, points, precision))
+    assert _oracle_setup.cache_info().misses == 1
+    assert cold == bits(caputo_quadrature_points(q, ord_, points, precision))  # warm
+    assert _oracle_setup.cache_info().hits == 1
+    assert cold == bits(reference_oracle(q, ord_, t, precision) for t in points)
+    one_point = [caputo_quadrature_oracle(q, ord_, t, precision)._mpf_ for t in points]
+    assert one_point == cold
+    # a cold one-point set-up, with the rule built afresh, gives the same bits
+    clear_caches()
+    assert _oracle_setup.cache_info().currsize == _rule_cached.cache_info().currsize == 0
+    assert [caputo_quadrature_oracle(q, ord_, t, precision)._mpf_ for t in points] == cold
+    assert _oracle_setup.cache_info().misses == len(points)
 
 
 @pytest.mark.parametrize("precision", [64, 128, 512])

@@ -6,7 +6,7 @@ from mpmath import mp
 
 from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.gammafns import _rgamma
-from fracpoly.mittag import MLParams, ml_eval, ml_one_m_closed, ml_series
+from fracpoly.mittag import MLParams, ml_eval, ml_eval_points, ml_one_m_closed, ml_series
 from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, working_precision
 from fracpoly.verify import suite_ml_consistency
 
@@ -281,3 +281,35 @@ def test_ml_consistency_partial_sums_round_like_the_mpf_operator_loop(prec):
                 assert got._mpf_ == want._mpf_
                 seen += 1
     assert seen == 2 * 3 * 6  # the non-integer alphas 1/2 and 3/2
+
+
+_ML_POINTS = (0, Fraction(1, 2), Fraction(-1, 2), 2, -2, Fraction(1, 10 ** 6))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(10, 13)])
+def test_multi_point_ml_eval_equals_one_point_calls_bit_for_bit(prec, alpha, beta):
+    # the points share each term's gamma; each keeps its own sum and stopping rule
+    p = MLParams(alpha, beta)
+    got = [v._mpf_ for v in ml_eval_points(p, _ML_POINTS, precision=prec)]
+    assert got == [ml_eval(p, z, precision=prec)._mpf_ for z in _ML_POINTS]
+    tol = Fraction(1, 2 ** (prec - 24))
+    assert got == [outcome(reference_ml_sum, p, Fraction(z), tol, prec) for z in _ML_POINTS]
+    assert ml_eval_points(p, (), precision=prec) == []
+
+
+@pytest.mark.parametrize("zs, refused", [
+    ((Fraction(1, 2), 51, -50), 51),  # the envelope
+    ((Fraction(1, 2), -50, 51), -50),  # cancellation, before a later point's envelope refusal
+    ((51, -50), 51),
+    ((-50, 1, -51), -50),
+])
+def test_multi_point_ml_eval_raises_the_first_refusal_in_order(zs, refused):
+    p, tol = MLParams(1, 1), Fraction(1, 10 ** 6)
+    with pytest.raises((DomainError, ToleranceUnreachable)) as one:
+        ml_eval(p, refused, tol, 64)
+    with pytest.raises((DomainError, ToleranceUnreachable)) as many:
+        ml_eval_points(p, zs, tol, 64)
+    assert type(many.value) is type(one.value)
+    assert str(many.value) == str(one.value)

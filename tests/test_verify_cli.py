@@ -250,15 +250,35 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # factorials, not memoized), for 636 distinct polynomials 2,803 times,
     # and for number series under 43 cache keys, each built at its top order.
     # It takes 2,110 power-rule steps at 121 keys and 493 quadrature oracle
-    # set-ups at 377 keys.  The family cache evicts none of its series and
-    # polynomials: 6,351 coefficients in all, below its budget
+    # set-ups at 377 keys; the 337 with a nonzero n-th derivative share 15
+    # set-ups of (order, node count, points, precision) over 8 rules.
+    # Its Mittag-Leffler sums ask for a term's 1/gamma once per (alpha,
+    # beta) and suite: 789 times at 103 arguments.  It takes mpmath's
+    # precision lock 247 times.  The family cache evicts none of its series
+    # and polynomials: 6,351 coefficients in all, below its budget
     import fracpoly.families as families
     import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
+    import fracpoly.mittag as mittag
+    import fracpoly.quadrature as quadrature
+    import fracpoly.scalars as scalars
 
     clear_caches()
-    builds, series = [], []
+    builds, series, terms, locks = [], [], [], []
     real, real_series = families._family_polynomial, families._number_series
+    real_rgamma, real_lock = mittag._rgamma, scalars._PREC_LOCK
+
+    class CountingLock:
+        def __enter__(self):
+            locks.append(1)
+            return real_lock.__enter__()
+
+        def __exit__(self, *exc):
+            return real_lock.__exit__(*exc)
+
+    def counting_rgamma(x, precision):
+        terms.append(x)
+        return real_rgamma(x, precision)
 
     def counting(p, n, precision):
         builds.append((p, n, precision))
@@ -270,8 +290,14 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
 
     monkeypatch.setattr(families, "_family_polynomial", counting)
     monkeypatch.setattr(families, "_number_series", counting_series)
+    monkeypatch.setattr(mittag, "_rgamma", counting_rgamma)
+    monkeypatch.setattr(scalars, "_PREC_LOCK", CountingLock())
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
+    assert fractional._oracle_setup.cache_info().misses <= 15
+    assert quadrature._rule_cached.cache_info().misses <= 8
+    assert len(terms) <= 789 and len(set(terms)) == 103
+    assert len(locks) <= 247
     assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
     assert len(builds) <= 636
     assert len(series) <= 45
