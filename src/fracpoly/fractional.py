@@ -16,12 +16,11 @@ forms above it.  A memo holds its set-up, which no polynomial changes.
 An expansion's float coefficients are libmp tuples, as in every
 :class:`~fracpoly.scalars.Coefficients`.  Their products and sums, the
 power-rule step's product and quotient, the sum of
-:func:`eval_frac_expansion` and the oracle's Horner passes pass the
-precision to each libmp call, rounded to nearest as the mpf operators
-round in a scope of that precision, and take no precision scope.  The
-powers t^x and the oracle set-up's gamma and powers still run in
-:func:`working_precision`: they call mpmath functions or mpf operators,
-which read mpmath's global precision.
+:func:`eval_frac_expansion`, its powers t^x and the oracle's set-up and
+Horner passes pass the precision to each libmp call, rounded to nearest
+as the mpf operators round in a scope of that precision, and take no
+precision scope.  The oracle's gamma is libmp's ``mpf_gamma``, which
+mpmath's gamma calls: it shares no code with the package's Spouge gamma.
 
 Three memos hold repeated values; each key holds every input a value's
 bits depend on, so a hit returns the bits of a fresh call, and
@@ -52,16 +51,14 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
-import mpmath
 from mpmath import libmp, mp
 
 from .errors import DomainError
 from .families import FamilyParams, Polynomial, family_numbers
 from .gammafns import _bounded, generalized_binomial, reciprocal_gamma
 from .quadrature import gauss_jacobi_rule
-from .scalars import (DEFAULT_PRECISION, ZEROS, Coefficients, NumberLike, as_rational, check_precision, dot_tuples,
-                      fraction_to_mpf, join_precision, positive_rational, precision_of, raw_value, render, tuple_in,
-                      working_precision)
+from .scalars import (_PREC_LOCK, DEFAULT_PRECISION, ZEROS, Coefficients, NumberLike, as_rational, check_precision,
+                      dot_tuples, join_precision, positive_rational, precision_of, raw_value, render, tuple_in)
 
 __all__ = [
     "CaputoOrder",
@@ -407,10 +404,11 @@ def _oracle_setup(alpha: Fraction, npoints: int, ts: tuple, precision: int) -> t
     tms = [libmp.from_rational(t.numerator, t.denominator, wp, rnd) for t in ts]
     images = tuple(tuple(libmp.mpf_shift(libmp.mpf_mul(tm, libmp.mpf_add(x._mpf_, libmp.fone, wp, rnd), wp, rnd), -1)
                          for x in nodes) for tm in tms)
-    with working_precision(wp):
-        power = mp.mpf(n) - mp.mpf(alpha.numerator) / alpha.denominator
-        scales = tuple(((mp.make_mpf(tm) / 2) ** power)._mpf_ for tm in tms)
-        gamma = mpmath.gamma(power)._mpf_
+    frac = libmp.mpf_div(libmp.from_int(alpha.numerator, wp, rnd), libmp.from_int(alpha.denominator), wp, rnd)
+    power = libmp.mpf_sub(libmp.from_int(n), frac, wp, rnd)
+    with _PREC_LOCK:
+        scales = tuple(libmp.mpf_pow(libmp.mpf_shift(tm, -1), power, wp, rnd) for tm in tms)
+        gamma = libmp.mpf_gamma(power, wp, rnd)
     return tuple(w._mpf_ for w in weights), images, scales, gamma
 
 
@@ -423,14 +421,16 @@ def eval_frac_expansion(
     check_precision(precision)
     t = positive_rational(t, "evaluation point")
     wp = precision + 16
-    powers = [_power(t.numerator, t.denominator, x.numerator, x.denominator, wp)._mpf_ for x in e._exponents]
+    powers = [_power(t.numerator, t.denominator, x.numerator, x.denominator, wp) for x in e._exponents]
     return mp.make_mpf(libmp.mpf_pos(dot_tuples(e._values_in(wp), powers, wp), precision, libmp.round_nearest))
 
 
 @lru_cache(maxsize=1024)
-def _power(tn: int, td: int, xn: int, xd: int, wp: int):
-    """t^x for t = tn/td and x = xn/xd as exp(x log t), each step rounded
-    at wp bits; a hit returns the bits of a fresh call.  The key is
-    integers, which hash faster than Fractions."""
-    with working_precision(wp):
-        return mp.exp(fraction_to_mpf(Fraction(xn, xd), wp) * mp.log(fraction_to_mpf(Fraction(tn, td), wp)))
+def _power(tn: int, td: int, xn: int, xd: int, wp: int) -> tuple:
+    """t^x for t = tn/td and x = xn/xd as exp(x log t), a libmp tuple with
+    each step rounded at wp bits; a hit returns the bits of a fresh call.
+    The key is integers, which hash faster than Fractions."""
+    rnd = libmp.round_nearest
+    x, t = libmp.from_rational(xn, xd, wp, rnd), libmp.from_rational(tn, td, wp, rnd)
+    with _PREC_LOCK:
+        return libmp.mpf_exp(libmp.mpf_mul(x, libmp.mpf_log(t, wp, rnd), wp, rnd), wp, rnd)

@@ -8,16 +8,17 @@ non-integer x is split as x0 + m with x0 in [1, 2), which pins the
 cancellation of the alternating Spouge sum at roughly 0.17*precision bits,
 and gamma(x) = gamma(x0) x0 (x0 + 1) ... (x0 + m - 1): the rising product
 is an exact integer ratio, brought to the working precision by one
-division.  Negative arguments go through
-the reflection formula with 1 - x exact too.
+division.  Negative arguments go through the reflection formula with
+1 - x exact too.  Every step runs on mpmath's libmp tuples at a working
+precision passed as an argument.
 
 The sum runs in fixed point: the coefficients are integers scaled by 2^F,
 built once per precision, and each term c_k/(z+k) is one integer floor
 division, since z = x0 - 1 rounded to the working precision is a dyadic
 rational.  F is the Spouge working precision precision + 48 + precision/5,
 taken from the requested precision alone, so the sum is within 3a 2^-F of
-its value (relative, since it is at least 1) under any caller's working
-precision; the cancellation costs no bits of it.  The sum is rounded once
+its value (relative, since it is at least 1) at any working precision;
+the cancellation costs no bits of it.  The sum is rounded once
 to the working precision, where the power and exponential factors are
 computed.  Past the Spouge truncation and the sum, the error budget is a
 few roundings at the working precision (at least precision + 16 bits):
@@ -34,7 +35,7 @@ error bound is untouched:
   argument, keyed by the exact argument and the precision, at most 1024
   entries, least recently used evicted.  The whole evaluation runs at the
   working precision _spouge_wp(precision), fixed by the key, and rounds
-  once to the precision, whatever the caller's scope.  The values take at
+  once to the precision.  The values take at
   most about 1.1 MB (mpfs of at most 8192 bits); the keys hold the
   arguments as given.  At the integers the value is exact, one factorial,
   and not memoized: its denominator can have up to 2^15 factors.
@@ -57,7 +58,7 @@ from functools import lru_cache
 from mpmath import libmp, mp
 
 from .errors import DomainError
-from .scalars import DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf, working_precision
+from .scalars import _PREC_LOCK, DEFAULT_PRECISION, NumberLike, as_rational, check_precision, tuple_in
 
 __all__ = ["reciprocal_gamma", "generalized_binomial", "multinomial", "MAX_GAMMA_ARGUMENT"]
 
@@ -101,8 +102,9 @@ def _spouge_coeffs(precision: int) -> tuple[int, tuple[int, ...]]:
     a = _spouge_a(precision)
     F = _spouge_wp(precision)
     G = F + 2 * a + (4 * a).bit_length()
-    e = libmp.to_fixed(libmp.mpf_e(G + 8), G)
-    two_pi = libmp.mpf_shift(libmp.mpf_pi(G + 8), 1)
+    with _PREC_LOCK:
+        e, pi = libmp.mpf_e(G + 8), libmp.mpf_pi(G + 8)
+    e, two_pi = libmp.to_fixed(e, G), libmp.mpf_shift(pi, 1)
     coeffs = [libmp.to_fixed(libmp.mpf_sqrt(two_pi, G + 8), F)]
     exp_j = [1 << G, e]  # e^j 2^G
     for _ in range(2, a):
@@ -116,39 +118,36 @@ def _spouge_coeffs(precision: int) -> tuple[int, tuple[int, ...]]:
     return F, tuple(coeffs)
 
 
-def _gamma_positive(x, precision: int):
-    """Gamma of an mpf x in [1, 2) at the current (elevated) working precision, uncached.
+def _gamma_positive(x: tuple, precision: int, wp: int) -> tuple:
+    """Gamma of a libmp tuple x in [1, 2) at the working precision wp, uncached.
 
     The Spouge sum s = c_0 + sum c_k/(z+k) runs in fixed point at F bits:
     z = x - 1 = M 2^e is exact, so each term is (C_k 2^-e) // (M + k 2^-e),
     within three units of 2^-F with its coefficient's error.  So s is within
-    3a 2^-F of its value, relative since |s| >= 1, whatever the working
-    precision, and is rounded to the working precision once.
+    3a 2^-F of its value, relative since |s| >= 1, whatever wp, and is
+    rounded to wp once.
     """
     F, coeffs = _spouge_coeffs(precision)
-    a = len(coeffs)
-    z = x - 1
-    _, man, exp, _ = z._mpf_
+    a, rnd = len(coeffs), libmp.round_nearest
+    z = libmp.mpf_sub(x, libmp.fone, wp, rnd)
+    _, man, exp, _ = z
     shift = max(-exp, 0)
     zfix = man << max(exp, 0)
     acc = coeffs[0]
     for k in range(1, a):
         acc += (coeffs[k] << shift) // (zfix + (k << shift))
-    s = mp.make_mpf(libmp.from_man_exp(acc, -F, mp.prec, libmp.round_nearest))
-    return mp.power(z + a, z + mp.mpf(1) / 2) * mp.exp(-(z + a)) * s
+    s = libmp.from_man_exp(acc, -F, wp, rnd)
+    za, zh = libmp.mpf_add(z, libmp.from_int(a), wp, rnd), libmp.mpf_add(z, libmp.fhalf, wp, rnd)
+    with _PREC_LOCK:
+        power, decay = libmp.mpf_pow(za, zh, wp, rnd), libmp.mpf_exp(libmp.mpf_neg(za), wp, rnd)
+    return libmp.mpf_mul(libmp.mpf_mul(power, decay, wp, rnd), s, wp, rnd)
 
 
 @lru_cache(maxsize=4096)
-def _spouge_memo(x0: Fraction, precision: int, wp: int):
-    # wp is the caller's mp.prec: the rounded x0, the power and the rounded
-    # sum all round to it, so it belongs in the key alongside the argument
-    # and the target precision
-    return _gamma_positive(fraction_to_mpf(x0, wp), precision)
-
-
-def _spouge(x0: Fraction, precision: int):
-    """Memoized gamma(x0) for x0 in [1, 2) at the current working precision."""
-    return _spouge_memo(x0, precision, mp.prec)
+def _spouge_memo(x0: Fraction, precision: int, wp: int) -> tuple:
+    """gamma(x0) for x0 in [1, 2) at the working precision wp: x0 and
+    every step after the sum round to wp, so wp belongs in the key."""
+    return _gamma_positive(tuple_in(x0, wp), precision, wp)
 
 
 def _shift(x: Fraction) -> tuple[Fraction, int, int]:
@@ -175,28 +174,33 @@ def _rising(p0: int, q: int, m: int) -> int:
     return _rising(p0, q, h) * _rising(p0 + h * q, q, m - h)
 
 
-def _ratio(num: int, den: int):
-    """num/den at the working precision.  Both are cut to 32 guard bits
+def _ratio(num: int, den: int, wp: int) -> tuple:
+    """num/den at the working precision wp.  Both are cut to 32 guard bits
     first (exact while they fit), so a long product costs no long division;
-    the quotient is then within 2^-(prec+30) of num/den before its one
+    the quotient is then within 2^-(wp+30) of num/den before its one
     rounding."""
-    g = mp.prec + 32
-    rnd = libmp.round_nearest
-    return mp.make_mpf(libmp.mpf_div(libmp.from_int(num, g, rnd), libmp.from_int(den, g, rnd), mp.prec, rnd))
+    g, rnd = wp + 32, libmp.round_nearest
+    return libmp.mpf_div(libmp.from_int(num, g, rnd), libmp.from_int(den, g, rnd), wp, rnd)
 
 
-def _rgamma(x: Fraction, precision: int):
-    """1/gamma(x) for any rational x at the current working precision: the
+def _rgamma(x: Fraction, precision: int, wp: int) -> tuple:
+    """1/gamma(x) for any rational x at the working precision wp: the
     integers take the factorial path (0 at the poles), negative arguments
     the reflection formula sin(pi x) gamma(1-x) / pi, which is entire."""
+    rnd = libmp.round_nearest
     if x.denominator == 1:
         n = x.numerator
-        return mp.zero if n <= 0 else 1 / mp.mpf(math.factorial(_bounded(n - 1)))
+        if n <= 0:
+            return libmp.fzero
+        return libmp.mpf_rdiv_int(1, libmp.from_int(math.factorial(_bounded(n - 1)), wp, rnd), wp, rnd)
     if x < 0:
         x0, num, den = _shift(1 - x)
-        return mp.sinpi(fraction_to_mpf(x, mp.prec)) * (_spouge(x0, precision) * _ratio(num, den)) / mp.pi
+        with _PREC_LOCK:
+            sin, pi = libmp.mpf_sin_pi(tuple_in(x, wp), wp, rnd), libmp.mpf_pi(wp, rnd)
+        g = libmp.mpf_mul(_spouge_memo(x0, precision, wp), _ratio(num, den, wp), wp, rnd)
+        return libmp.mpf_div(libmp.mpf_mul(sin, g, wp, rnd), pi, wp, rnd)
     x0, num, den = _shift(x)
-    return _ratio(den, num) / _spouge(x0, precision)
+    return libmp.mpf_div(_ratio(den, num, wp), _spouge_memo(x0, precision, wp), wp, rnd)
 
 
 def reciprocal_gamma(x: NumberLike, precision: int = DEFAULT_PRECISION):
@@ -215,9 +219,7 @@ def reciprocal_gamma(x: NumberLike, precision: int = DEFAULT_PRECISION):
 def _reciprocal_gamma_memo(x: Fraction, precision: int):
     """1/gamma at a non-integer x, rounded once to the precision from the
     working precision _spouge_wp(precision), which the key fixes."""
-    with working_precision(_spouge_wp(precision)):
-        v = _rgamma(x, precision)
-    return mp.mpf(v, prec=precision)
+    return mp.make_mpf(libmp.mpf_pos(_rgamma(x, precision, _spouge_wp(precision)), precision, libmp.round_nearest))
 
 
 def generalized_binomial(alpha: NumberLike, k: int) -> Fraction:

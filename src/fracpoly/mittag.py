@@ -7,11 +7,10 @@ in the float domain at the requested precision.
 
 :func:`ml_eval_points` sums at several points, each term's 1/gamma
 computed once for all of them; :func:`ml_eval` is its one-point case.
-The sums run on mpmath's libmp tuples at the working precision
-precision + 16, each operation rounded to nearest as the mpf operators
-round in a scope of that precision.  One precision scope around the whole
-loop serves the reciprocal gammas of the terms, which work at mpmath's
-global precision; the closed form runs in a scope of its own.
+The sums, the terms' reciprocal gammas and the closed form of
+:func:`ml_one_m_closed` run on mpmath's libmp tuples at an explicit
+working precision (precision + 16 for the sums), each operation rounded
+to nearest as the mpf operators round in a scope of that precision.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from mpmath import libmp, mp
 
 from .errors import DomainError, ToleranceUnreachable
 from .gammafns import _bounded, _rgamma, reciprocal_gamma
-from .scalars import (DEFAULT_PRECISION, NumberLike, as_rational, check_precision, fraction_to_mpf,
-                      positive_rational, working_precision)
+from .scalars import (_PREC_LOCK, DEFAULT_PRECISION, NumberLike, as_rational, check_precision, positive_rational,
+                      tuple_in)
 from .series import TruncatedSeries
 
 __all__ = ["MLParams", "ml_series", "ml_eval", "ml_eval_points", "ml_one_m_closed", "EVAL_ENVELOPE"]
@@ -104,8 +103,7 @@ def ml_eval_points(p: MLParams, zs: Iterable[NumberLike], tol: NumberLike | None
     the first point refused raises the refusal of its one-point call."""
     check_precision(precision)
     rgs = []
-    with working_precision(precision + 16):  # for _rgamma, which works at mpmath's global precision
-        return [_ml_sum(p, z, tol, precision, rgs) for z in zs]
+    return [_ml_sum(p, z, tol, precision, rgs) for z in zs]
 
 
 def _ml_sum(p: MLParams, z: NumberLike, tol: NumberLike | None, precision: int, rgs: list):
@@ -141,7 +139,7 @@ def _ml_sum(p: MLParams, z: NumberLike, tol: NumberLike | None, precision: int, 
     zpow = libmp.fone
     n = 0
     if not rgs:
-        rgs.append(_rgamma(p.beta, precision)._mpf_)
+        rgs.append(_rgamma(p.beta, precision, wp))
     term = rgs[0]  # n = 0, z^0
     while True:
         total = add(total, term, wp, rnd)
@@ -150,7 +148,7 @@ def _ml_sum(p: MLParams, z: NumberLike, tol: NumberLike | None, precision: int, 
             peak = term_abs
         zpow = mul(zpow, zm, wp, rnd)
         if n + 1 == len(rgs):  # the argument alpha (n + 1) + beta
-            rgs.append(_rgamma(Fraction((an * bd) * (n + 1) + bn * ad, ad * bd), precision)._mpf_)
+            rgs.append(_rgamma(Fraction((an * bd) * (n + 1) + bn * ad, ad * bd), precision, wp))
         nxt = mul(zpow, rgs[n + 1], wp, rnd)
         nxt_abs = mag(nxt, wp, rnd)
         bound = mul(tolm, mag(total, wp, rnd), wp, rnd)
@@ -190,14 +188,16 @@ def ml_one_m_closed(m: int, z: NumberLike, precision: int = DEFAULT_PRECISION):
     z = as_rational(z)
     if abs(z) < Fraction(1, 4):
         return ml_eval(MLParams(1, m), z, precision=precision)
-    return mp.mpf(_subtracted_exponential(m, z, precision + 8 * m + 16), prec=precision)
+    return mp.make_mpf(libmp.mpf_pos(_subtracted_exponential(m, z, precision + 8 * m + 16), precision,
+                                     libmp.round_nearest))
 
 
-def _subtracted_exponential(m: int, z: Fraction, wp: int):
-    """(e^z - sum_{k<=m-2} z^k/k!) / z^{m-1} as an mpf at wp bits."""
-    with working_precision(wp):
-        zm = fraction_to_mpf(z, wp)
-        partial = mp.mpf(0)
-        for k in range(m - 1):
-            partial += zm ** k / math.factorial(k)
-        return (mp.exp(zm) - partial) / zm ** (m - 1)
+def _subtracted_exponential(m: int, z: Fraction, wp: int) -> tuple:
+    """(e^z - sum_{k<=m-2} z^k/k!) / z^{m-1} as a libmp tuple at wp bits."""
+    rnd, partial, zm = libmp.round_nearest, libmp.fzero, tuple_in(z, wp)
+    for k in range(m - 1):
+        term = libmp.mpf_div(libmp.mpf_pow_int(zm, k, wp, rnd), libmp.from_int(math.factorial(k)), wp, rnd)
+        partial = libmp.mpf_add(partial, term, wp, rnd)
+    with _PREC_LOCK:
+        ez = libmp.mpf_exp(zm, wp, rnd)
+    return libmp.mpf_div(libmp.mpf_sub(ez, partial, wp, rnd), libmp.mpf_pow_int(zm, m - 1, wp, rnd), wp, rnd)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Union
@@ -42,21 +42,21 @@ _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
 # the held zero of each domain: an exact numerator, a float libmp tuple
 ZEROS = (0, libmp.fzero)
 
-# mpmath keeps its precision in a process-global context, so precision
-# scopes are serialized; the lock is reentrant to allow nesting.
+# One reentrant lock guards two pieces of mpmath's process-global state:
+# its context precision, which only working_precision sets, and its
+# constant memos (pi, e, ln2, ln10), where constant_memo writes memo_val
+# before memo_prec, so a reader without the lock can pair a new value with
+# an old precision.  Every libmp call that can reach such a memo (mpf_pow,
+# mpf_exp, mpf_log, mpf_sin_pi, mpf_pi, mpf_e, mpf_gamma, and to_str beyond
+# 2^3500) holds it, and no other code takes it.
 _PREC_LOCK = threading.RLock()
 
 
 @contextmanager
 def working_precision(bits: int):
     """Run a block with mpmath's context set to ``bits`` of precision."""
-    with _PREC_LOCK:
-        saved = mp.prec
-        mp.prec = int(bits)
-        try:
-            yield mp
-        finally:
-            mp.prec = saved
+    with _PREC_LOCK, mp.workprec(int(bits)):
+        yield mp
 
 
 def join_precision(*precisions: int | None) -> int | None:
@@ -90,11 +90,6 @@ def mpf_to_pair(t: tuple) -> tuple[int, int]:
         raise DomainError(f"cannot convert non-finite float {mp.make_mpf(t)!r} to a rational")
     num = -man if sign else man
     return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
-
-
-def fraction_to_mpf(q: Fraction, bits: int):
-    """Fraction converted to an mpf, correctly rounded to ``bits``."""
-    return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
 
 
 def tuple_in(v, prec: int) -> tuple:
@@ -186,11 +181,13 @@ def decimal_str(x, prec: int) -> str:
     if t == libmp.fzero:
         return "0.0"
     max_digits = int(math.ceil(prec * math.log10(2))) + 2
-    for digits in range(_min_digits(t, prec, max_digits), max_digits + 1):
-        cand = libmp.to_str(t, digits, strip_zeros=True)
-        if libmp.from_str(cand, prec, libmp.round_nearest) == t:
-            return cand
-    return libmp.to_str(t, max_digits, strip_zeros=False)
+    # beyond 2^3500 to_str scales by a power of ten it finds with mpf_ln2 and mpf_ln10
+    with _PREC_LOCK if abs(t[2] + t[3]) > 3500 else nullcontext():
+        for digits in range(_min_digits(t, prec, max_digits), max_digits + 1):
+            cand = libmp.to_str(t, digits, strip_zeros=True)
+            if libmp.from_str(cand, prec, libmp.round_nearest) == t:
+                return cand
+        return libmp.to_str(t, max_digits, strip_zeros=False)
 
 
 def _min_digits(t: tuple, prec: int, max_digits: int) -> int:

@@ -60,8 +60,7 @@ from .fractional import (
     rl_derivative_term,
 )
 from .mittag import MLParams, _subtracted_exponential, ml_eval_points, ml_one_m_closed, ml_series
-from .scalars import (DEFAULT_PRECISION, Coefficients, as_rational, check_precision, dot_tuples, mpf_to_pair,
-                      working_precision)
+from .scalars import _PREC_LOCK, DEFAULT_PRECISION, Coefficients, as_rational, check_precision, dot_tuples, mpf_to_pair
 from .series import cauchy_product, exp_series
 from mpmath import libmp, mp
 
@@ -453,7 +452,7 @@ def suite_eq5(precision):
         # cancellation fallback region: compare against a high-precision
         # direct subtraction, which is only trustworthy with extra bits
         z_small, wp = Fraction(1, 10**6), precision + 200
-        yield ml_one_m_closed(m, z_small, precision=precision), _subtracted_exponential(m, z_small, wp)
+        yield ml_one_m_closed(m, z_small, precision=precision), mp.make_mpf(_subtracted_exponential(m, z_small, wp))
     return {"m": "2..6", "z": [str(z) for z in zs] + ["1/10^6"]}
 
 
@@ -488,10 +487,11 @@ def suite_ml_consistency(precision):
 def suite_mleval_exp(precision):
     """E_{1,1} equals the exponential on a grid in [-2, 2]."""
     zs = [Fraction(num, 4) for num in range(-8, 9)]
+    wp, rnd = precision + 16, libmp.round_nearest
     for z, got in zip(zs, ml_eval_points(MLParams(1, 1), zs, precision=precision)):
-        with working_precision(precision + 16):
-            ref = mp.mpf(mp.exp(mp.mpf(z.numerator) / z.denominator), prec=precision)
-        yield got, ref
+        with _PREC_LOCK:
+            ref = libmp.mpf_exp(libmp.from_rational(z.numerator, z.denominator, wp, rnd), wp, rnd)
+        yield got, mp.make_mpf(libmp.mpf_pos(ref, precision, rnd))
     return {"z": "-2..2 step 1/4"}
 
 

@@ -12,9 +12,14 @@ import math
 from contextlib import nullcontext
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import libmp, mp
 
-from fracpoly.scalars import fraction_to_mpf, working_precision
+from fracpoly.scalars import working_precision
+
+
+def fraction_to_mpf(q: Fraction, bits: int):
+    """The exact q as an mpf correctly rounded to ``bits``."""
+    return mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest))
 
 
 def is_exact(v) -> bool:

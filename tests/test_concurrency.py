@@ -172,11 +172,13 @@ def _float_jobs():
     strings, so that equal results are equal bit for bit.  The series,
     polynomial and expansion kernels, the Mittag-Leffler sum and decimal
     printing do their arithmetic on libmp tuples, outside the precision
-    lock; gamma and the powers still take it."""
+    lock; gamma and the powers take it only around their transcendental
+    libmp calls."""
     from fracpoly.families import Polynomial, family_polynomial
     from fracpoly.fractional import (CaputoOrder, FracExpansion, caputo_closed_form, eval_frac_expansion,
                                      leibniz_product)
-    from fracpoly.scalars import decimal_str, fraction_to_mpf, working_precision
+    from fracpoly.scalars import decimal_str, working_precision
+    from reference_loops import fraction_to_mpf
 
     def products(prec):
         x, y = fraction_to_mpf(Fraction(1, 3), prec), fraction_to_mpf(Fraction(-2, 7), prec)

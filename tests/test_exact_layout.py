@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from fracpoly.families import Polynomial
 from fracpoly.mittag import MLParams, ml_series
-from fracpoly.scalars import Coefficients, fraction_to_mpf
+from fracpoly.scalars import Coefficients
 from fracpoly.series import TruncatedSeries, cauchy_product, exp_series, series_add
+from reference_loops import fraction_to_mpf
 
 # numerators and denominators drawn independently, so that the
 # denominators of one list are unrelated and their lcm is large

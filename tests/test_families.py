@@ -14,7 +14,8 @@ from fracpoly.families import (
     integral_over_unit_interval,
     multinomial_number_product,
 )
-from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, render, working_precision
+from fracpoly.scalars import mpf_to_fraction, render, working_precision
+from reference_loops import fraction_to_mpf
 
 
 def bernoulli_recurrence(n_max):

@@ -20,10 +20,9 @@ import fracpoly.verify as verify
 from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, family_polynomial
 from fracpoly.fractional import CaputoOrder, _power_rule, rl_derivative_term
-from fracpoly.gammafns import (_gamma_positive, _reciprocal_gamma_memo, _spouge, _spouge_memo, _spouge_wp,
-                               reciprocal_gamma)
+from fracpoly.gammafns import _gamma_positive, _reciprocal_gamma_memo, _spouge_memo, _spouge_wp, reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval, ml_series
-from fracpoly.scalars import Coefficients, fraction_to_mpf, working_precision
+from fracpoly.scalars import Coefficients, tuple_in, working_precision
 
 # the reflection branch (x < 0), the step up from below 1 and rising products
 ARGS = (Fraction(1, 3), Fraction(-7, 5), Fraction(11, 4), Fraction(5, 2))
@@ -135,12 +134,11 @@ def test_working_precision_is_part_of_the_key():
     values = {}
     clear_caches()
     for wp in (prec + 16, _spouge_wp(prec)):
-        with working_precision(wp):
-            values[wp] = (_spouge(x0, prec), _gamma_positive(fraction_to_mpf(x0, wp), prec))
+        values[wp] = (_spouge_memo(x0, prec, wp), _gamma_positive(tuple_in(x0, wp), prec, wp))
     (memo_lo, fresh_lo), (memo_hi, fresh_hi) = values[prec + 16], values[_spouge_wp(prec)]
-    assert memo_lo._mpf_ == fresh_lo._mpf_
-    assert memo_hi._mpf_ == fresh_hi._mpf_
-    assert memo_lo._mpf_ != memo_hi._mpf_
+    assert memo_lo == fresh_lo
+    assert memo_hi == fresh_hi
+    assert memo_lo != memo_hi
 
 
 def test_ml_eval_and_ml_series_keep_their_own_values():

@@ -7,7 +7,7 @@ from mpmath import mp
 
 from fracpoly.errors import DomainError
 from fracpoly.gammafns import _rgamma, _spouge_wp, generalized_binomial, multinomial, reciprocal_gamma
-from fracpoly.scalars import mpf_to_fraction, working_precision
+from fracpoly.scalars import mpf_to_fraction, mpf_to_pair, working_precision
 
 
 def rel_err(got, want):
@@ -213,15 +213,14 @@ def test_spouge_accuracy_sweep(prec):
 
 @pytest.mark.parametrize("prec", [64, 128, 256, 511, 1024])
 def test_spouge_core_accuracy_under_any_scope(prec):
-    # the accuracy must not hinge on the caller's working precision:
-    # ml_eval calls the core at prec + 16, reciprocal_gamma at the Spouge
-    # working precision; the arguments are exact, so the reference is
-    # mpmath's gamma at the same rational
+    # the accuracy must not hinge on the working precision: ml_eval calls
+    # the core at prec + 16, reciprocal_gamma at the Spouge working
+    # precision; the arguments are exact, so the reference is mpmath's
+    # gamma at the same rational
     tol = Fraction(1, 2 ** (prec - 8))
     for wp in (prec + 16, _spouge_wp(prec)):
         for x in SWEEP_ARGS:
-            with working_precision(wp):
-                got = mpf_to_fraction(_rgamma(x, prec))
+            got = Fraction(*mpf_to_pair(_rgamma(x, prec, wp)))
             want = 1 / _mpmath_gamma(x, prec)
             assert abs(got - want) / abs(want) <= tol, (wp, x)
 

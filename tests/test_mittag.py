@@ -7,10 +7,11 @@ from mpmath import mp
 from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.gammafns import _rgamma
 from fracpoly.mittag import MLParams, ml_eval, ml_eval_points, ml_one_m_closed, ml_series
-from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, working_precision
+from fracpoly.scalars import mpf_to_fraction, working_precision
 from fracpoly.verify import suite_ml_consistency
 
 import reference_loops as ref
+from reference_loops import fraction_to_mpf
 
 
 def rel(a, b):
@@ -214,13 +215,13 @@ def reference_ml_sum(p, z, tol, precision):
         zm = fraction_to_mpf(z, wp)
         tolm = mp.mpf(tol.numerator) / tol.denominator
         total, peak = mp.mpf(0), mp.mpf(0)
-        term = _rgamma(p.beta, precision)
+        term = mp.make_mpf(_rgamma(p.beta, precision, wp))
         zpow, n = mp.mpf(1), 0
         while True:
             total += term
             peak = max(peak, abs(term))
             zpow *= zm
-            nxt = zpow * _rgamma(p.alpha * (n + 1) + p.beta, precision)
+            nxt = zpow * mp.make_mpf(_rgamma(p.alpha * (n + 1) + p.beta, precision, wp))
             if abs(nxt) < tolm * abs(total) and abs(term) > 0:
                 ratio = abs(nxt) / abs(term)
                 if ratio < mp.mpf(1) / 2 and abs(nxt) / (1 - ratio) < tolm * abs(total):

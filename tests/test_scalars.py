@@ -15,13 +15,14 @@ from fracpoly.scalars import (
     as_rational,
     check_precision,
     decimal_str,
-    fraction_to_mpf,
     mpf_to_fraction,
     mpf_to_pair,
     render,
+    tuple_in,
     working_precision,
 )
 from fracpoly.series import TruncatedSeries, cauchy_product, reciprocal, series_add
+from reference_loops import fraction_to_mpf
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -146,12 +147,12 @@ def test_mpf_to_pair_of_zero_and_non_finite_floats():
             mpf_to_pair(x._mpf_)
 
 
-def test_fraction_to_mpf_rounds_once():
+def test_tuple_in_rounds_an_exact_value_once():
     # q lies 3e-6 of a unit in the last place below the midpoint of two
     # 64-bit neighbours, so rounding at 80 bits first and then at 64 picks
     # the upper one (...401 * 2^7); the nearest is ...400 * 2^7
     q = Fraction(353434878672652946128304890531, 169136543)
-    got = mpf_to_fraction(fraction_to_mpf(q, 64))
+    got = Fraction(*mpf_to_pair(tuple_in(q, 64)))
     assert got == 16325330650929179400 * 2 ** 7
     below, above = got - 2 ** 7, got + 2 ** 7
     assert abs(q - got) < min(abs(q - below), abs(q - above))

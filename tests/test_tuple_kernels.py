@@ -21,10 +21,11 @@ from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, Polynomial, family_numbers, family_polynomial, integral_over_unit_interval
 from fracpoly.fractional import rl_derivative_term
 from fracpoly.gammafns import reciprocal_gamma
-from fracpoly.scalars import _PREC_LOCK, Coefficients, decimal_str, fraction_to_mpf, working_precision
+from fracpoly.scalars import _PREC_LOCK, Coefficients, decimal_str, working_precision
 from fracpoly.series import TruncatedSeries, cauchy_product, reciprocal, series_add
 
 import reference_loops as ref
+from reference_loops import fraction_to_mpf
 
 PRECISIONS = st.sampled_from([64, 80, 333, 1024])
 # an odd denominator of at least 3: the binary expansion does not end
@@ -133,6 +134,27 @@ def test_decimal_str_matches_the_mpf_scan_from_one_digit(q, e, prec):
               fraction_to_mpf(Fraction(10) ** (e // 8) + Fraction(1, 2 ** prec), prec)):
         assert decimal_str(x, prec) == ref.decimal_str(x, prec)
     assert decimal_str(mp.mpf(0), prec) == "0.0"
+
+
+def test_decimal_str_holds_the_lock_where_to_str_reads_constant_memos(monkeypatch):
+    # beyond 2^3500 libmp.to_str finds its power of ten with mpf_ln2 and
+    # mpf_ln10, which read and fill mpmath's constant memos
+    from mpmath.libmp import libelefun
+
+    owned = []
+
+    def watched(real):
+        def call(*args, **kwargs):
+            owned.append(_PREC_LOCK._is_owned())
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("mpf_ln2", "mpf_ln10"):
+        monkeypatch.setattr(libelefun, name, watched(getattr(libelefun, name)))
+    for q, prec in ((Fraction(7, 3) * Fraction(10) ** 1100, 128), (Fraction(-2, 9) / Fraction(10) ** 1100, 200)):
+        x = fraction_to_mpf(q, prec)
+        assert fraction_to_mpf(Fraction(decimal_str(x, prec)), prec)._mpf_ == x._mpf_
+    assert owned and all(owned)
 
 
 def kernel_results(prec: int) -> list:

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import fracpoly.verify as verify
 from fracpoly import clear_caches
 from fracpoly.cli import cli
-from fracpoly.scalars import fraction_to_mpf, mpf_to_fraction, working_precision
+from fracpoly.scalars import mpf_to_fraction, working_precision
 from fracpoly.errors import DomainError
 from fracpoly.verify import SUITES, RunConfig, check_grids, run_suite, unread_fields
+from reference_loops import fraction_to_mpf
 
 
 @pytest.fixture()
@@ -254,8 +256,9 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # set-ups of (order, node count, points, precision) over 8 rules.
     # Its Mittag-Leffler sums ask for a term's 1/gamma once per (alpha,
     # beta) and suite: 789 times at 103 arguments.  It takes mpmath's
-    # precision lock 247 times.  The family cache evicts none of its series
-    # and polynomials: 6,351 coefficients in all, below its budget
+    # precision lock 123 times, in every module that holds it.  The family
+    # cache evicts none of its series and polynomials: 6,351 coefficients in
+    # all, below its budget
     import fracpoly.families as families
     import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
@@ -276,9 +279,9 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
         def __exit__(self, *exc):
             return real_lock.__exit__(*exc)
 
-    def counting_rgamma(x, precision):
+    def counting_rgamma(x, precision, wp):
         terms.append(x)
-        return real_rgamma(x, precision)
+        return real_rgamma(x, precision, wp)
 
     def counting(p, n, precision):
         builds.append((p, n, precision))
@@ -291,13 +294,16 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     monkeypatch.setattr(families, "_family_polynomial", counting)
     monkeypatch.setattr(families, "_number_series", counting_series)
     monkeypatch.setattr(mittag, "_rgamma", counting_rgamma)
-    monkeypatch.setattr(scalars, "_PREC_LOCK", CountingLock())
+    counting_lock = CountingLock()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracpoly.") and getattr(module, "_PREC_LOCK", None) is real_lock:
+            monkeypatch.setattr(module, "_PREC_LOCK", counting_lock)
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
     assert fractional._oracle_setup.cache_info().misses <= 15
     assert quadrature._rule_cached.cache_info().misses <= 8
     assert len(terms) <= 789 and len(set(terms)) == 103
-    assert len(locks) <= 247
+    assert len(locks) <= 123
     assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
     assert len(builds) <= 636
     assert len(series) <= 45
@@ -307,6 +313,45 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     assert [len(key) for key in held].count(2) == 43 and len(held) == 43 + 636
     assert families._family_held == sum(len(v._values) for v in families._family_cache.values()) == 6351
     assert families._family_held < families._FAMILY_BUDGET
+
+
+# float requests of the benchmark's kinds at 128 to 511 bits: a table, a
+# reflected gamma argument, a Mittag-Leffler sum and closed form, both
+# operators and a print beyond 2^3500
+FLOAT_CALLS = (
+    "numbers --family euler --alpha 16/11 --lambda 5/8 --max 8 --precision 301",
+    "mleval --alpha 17/11 --beta 8/5 --z -5/8 --precision 337",
+    "mleval --alpha 1 --beta 3 --z 2 --closed-form --precision 200",
+    "fracint --family genocchi --alpha 4/11 --lambda 5/6 --degree 5 --order 11/7 --at 3/4 --precision 153",
+    "fracderiv --family bernoulli --alpha 1/3 --lambda 5/8 --degree 4 --order 1/7 --at 1/3 --precision 488",
+    "eval --alpha 1/2 --degree 120 --at 1e30",
+)
+
+
+def test_only_the_rule_eigensolver_sets_mpmath_precision(runner, monkeypatch):
+    # every float kernel passes its precision to libmp; only the Gauss-Jacobi
+    # rule build sets mpmath's global precision, which its eigensolver reads
+    from mpmath import mp
+
+    import fracpoly.quadrature as quadrature
+
+    rule, prec = quadrature._rule_cached.__wrapped__.__code__, type(mp).prec
+    writes = []
+
+    def watched(ctx, bits):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not rule:
+            frame = frame.f_back
+        writes.append(frame is not None)
+        prec.fset(ctx, bits)
+
+    clear_caches()
+    monkeypatch.setattr(type(mp), "prec", property(prec.fget, watched))
+    r = invoke(runner, "verify", "all", "--format", "json")
+    assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
+    for args in FLOAT_CALLS:
+        assert invoke(runner, *args.split()).exit_code == 0
+    assert writes and all(writes)
 
 
 def test_verify_float_alpha_matches_golden(runner):
@@ -762,15 +807,16 @@ def test_gamma_route_biased_by_2_to_the_minus_40_fails_at_128_bits(monkeypatch, 
     # either gamma route must flip a suite to fail.  The same check at 64
     # bits waits for tolerances from an error budget (ROADMAP): the
     # identity class 2^(48-p) is 2^-16 there and passes this error.
-    from mpmath import mp
+    from mpmath import libmp
 
     import fracpoly.gammafns as gammafns
     import fracpoly.mittag as mittag
 
     real = getattr(gammafns, name)
 
-    def biased(x, precision):
-        return real(x, precision) * (1 + mp.mpf(2) ** -40)
+    def biased(*args):  # each route takes the working precision last
+        wp, rnd = args[-1], libmp.round_nearest
+        return libmp.mpf_mul(real(*args), libmp.from_rational(2 ** 40 + 1, 2 ** 40, wp, rnd), wp, rnd)
 
     assert run_suite(suite, RunConfig(precision=128)).verdict == "pass"
     clear_caches()
