@@ -12,7 +12,7 @@ verification suites.
 """
 
 from .errors import DomainError, FracPolyError, ToleranceUnreachable
-from .scalars import DEFAULT_PRECISION, working_precision
+from .scalars import DEFAULT_PRECISION
 from .gammafns import generalized_binomial, multinomial, reciprocal_gamma
 from .series import (
     TruncatedSeries,
@@ -64,7 +64,6 @@ def clear_caches() -> None:
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "working_precision",
     "reciprocal_gamma",
     "generalized_binomial",
     "multinomial",

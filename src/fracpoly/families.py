@@ -24,7 +24,7 @@ from typing import Iterable
 
 from mpmath import libmp, mp
 
-from .errors import DomainError, ToleranceUnreachable
+from .errors import DomainError
 from .gammafns import multinomial
 from .mittag import MLParams, ml_series
 from .scalars import (DEFAULT_PRECISION, ZEROS, Coefficients, NumberLike, as_rational, check_precision,
@@ -175,20 +175,18 @@ def _number_series(p: FamilyParams, order: int, precision: int) -> TruncatedSeri
     c z^k / (lambda E_alpha(z) -+ 1), as c z^(k-v) times the reciprocal of
     the denominator over z^v, its valuation."""
     c, k = _NUMERATORS[p.kind]
-    shift = -1 if p.kind is FamilyKind.BERNOULLI else 1
     # the z coefficient of lambda*E_alpha -+ 1 is lambda/gamma(alpha+1) != 0,
     # so the denominator valuation is 1 exactly when the constant term dies
     v = 1 if (p.kind is FamilyKind.BERNOULLI and p.lam == 1) else 0
     m = order + v
     e_alpha = ml_series(MLParams(p.alpha, 1), m, precision)
-    den = series_add(e_alpha.scale(p.lam), TruncatedSeries.constant(shift, m)).shift_down(v)
-    # the exact constant term is nonzero; a float one cancels only when a
-    # Bernoulli lambda != 1 rounds to 1
-    if den._values[0] in ZEROS:
-        raise ToleranceUnreachable(
-            f"lambda = {p.lam} rounds to 1 at {precision} bits, where the nonzero constant "
-            f"term lambda - 1 of lambda E_alpha(z) - 1 cancels"
-        )
+    constant = 1
+    if p.kind is FamilyKind.BERNOULLI:
+        # lambda (E_alpha - 1) + (lambda - 1): a float constant term is the
+        # exact lambda - 1 rounded once, not a rounded lambda minus 1, which
+        # cancels as lambda nears 1
+        e_alpha, constant = series_add(e_alpha, TruncatedSeries.constant(-1, m)), p.lam - 1
+    den = series_add(e_alpha.scale(p.lam), TruncatedSeries.constant(constant, m)).shift_down(v)
     return reciprocal(den).scale(c).shift_up(k - v)
 
 

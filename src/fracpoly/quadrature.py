@@ -5,8 +5,9 @@ degree <= 2Q - 1.  They are built by the Golub-Welsch method (Math. Comp.
 23, 1969): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
 matrix of the weight's three-term recurrence, and the weights are the
 squared first eigenvector components times the weight's total mass.  The
-eigensolver runs 32 bits above the requested precision.  Each rule is
-checked before it is handed out: its weights must add up to the mass
+eigensolver runs 32 bits above the requested precision on a private mpmath
+context, so mpmath's global precision is never set.  Each rule is checked
+before it is handed out: its weights must add up to the mass
 2^(a+1)/(a+1), and its nodes must increase strictly inside (-1, 1).  A memo
 of 128 rules sits under the oracle's set-up memo in :mod:`fracpoly.fractional`:
 orders of one a, such as 1/2, 3/2 and 5/2 (a = -1/2), share their rules.
@@ -21,23 +22,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp
+from mpmath import MPContext, mp
 
 from .errors import DomainError, ToleranceUnreachable
-from .scalars import working_precision
+from .scalars import _PREC_LOCK
 
 __all__ = ["gauss_jacobi_rule"]
+
+# one context for every build: a context holds reference cycles, so one per
+# build would stay alive until the garbage collector ran
+_RULE_CTX = MPContext()
 
 
 @lru_cache(maxsize=128)
 def _rule_cached(a_key, npoints: int, precision: int):
-    a_fr = Fraction(a_key)
-    with working_precision(precision + 32):
-        a = mp.mpf(a_fr.numerator) / a_fr.denominator
-        xs, ws = mp.gauss_quadrature(npoints, "jacobi", a, 0)
-        nodes, weights = zip(*sorted(zip(xs, ws)))
-        mass = mp.mpf(2) ** (a + 1) / (a + 1)
-        if abs(mp.fsum(weights) - mass) > mp.mpf(2) ** (16 - precision) * mass:
+    a_fr, ctx = Fraction(a_key), _RULE_CTX
+    with _PREC_LOCK:  # the context's precision and mpmath's constant memos
+        ctx.prec = precision + 32
+        a = ctx.mpf(a_fr.numerator) / a_fr.denominator
+        xs, ws = ctx.gauss_quadrature(npoints, "jacobi", a, 0)
+        # handed out in mpmath's global context, whose arithmetic rounds at the caller's precision
+        nodes, weights = (tuple(mp.make_mpf(x._mpf_) for x in v) for v in zip(*sorted(zip(xs, ws))))
+        mass = ctx.mpf(2) ** (a + 1) / (a + 1)
+        if abs(ctx.fsum(weights) - mass) > ctx.mpf(2) ** (16 - precision) * mass:
             raise ToleranceUnreachable(
                 f"Gauss-Jacobi rule (a={a_fr}, {npoints} nodes) misses its weight "
                 f"mass at {precision} bits"

@@ -8,9 +8,10 @@ when every operand is exact, else floats at the largest precision.  A
 container of many values (:class:`Coefficients`) holds its exact values as
 integer numerators over one denominator, and its float values as mpmath's
 libmp tuples, on which every operation takes its precision as an argument
-(``mpf_add``, ``mpf_mul``, :func:`dot_tuples`) and no precision scope; it
-hands its values out as raw values.  A float leaves the package raw and
-prints through :func:`render` at the precision it was made at.
+(``mpf_add``, ``mpf_mul``, :func:`dot_tuples`), and none reads or sets
+mpmath's global precision; it hands its values out as raw values.  A float
+leaves the package raw and prints through :func:`render` at the precision
+it was made at.
 Parameters, orders, exponents and evaluation points are not computed: they
 are plain Fractions, coerced once by :func:`as_rational`.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Union
@@ -42,21 +43,13 @@ _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
 # the held zero of each domain: an exact numerator, a float libmp tuple
 ZEROS = (0, libmp.fzero)
 
-# One reentrant lock guards two pieces of mpmath's process-global state:
-# its context precision, which only working_precision sets, and its
-# constant memos (pi, e, ln2, ln10), where constant_memo writes memo_val
-# before memo_prec, so a reader without the lock can pair a new value with
-# an old precision.  Every libmp call that can reach such a memo (mpf_pow,
-# mpf_exp, mpf_log, mpf_sin_pi, mpf_pi, mpf_e, mpf_gamma, and to_str beyond
-# 2^3500) holds it, and no other code takes it.
+# One reentrant lock guards mpmath's constant memos (pi, e, ln2, ln10),
+# where constant_memo writes memo_val before memo_prec, so a reader without
+# the lock can pair a new value with an old precision, and the precision of
+# quadrature's private rule context.  Every libmp call that can reach such a
+# memo (mpf_pow, mpf_exp, mpf_log, mpf_sin_pi, mpf_pi, mpf_e, mpf_gamma, and
+# to_str beyond 2^3500) and every rule build holds it; no other code takes it.
 _PREC_LOCK = threading.RLock()
-
-
-@contextmanager
-def working_precision(bits: int):
-    """Run a block with mpmath's context set to ``bits`` of precision."""
-    with _PREC_LOCK, mp.workprec(int(bits)):
-        yield mp
 
 
 def join_precision(*precisions: int | None) -> int | None:

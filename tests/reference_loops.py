@@ -9,12 +9,21 @@ list of raw values in the domain ``prec`` (None when exact).
 """
 
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 from mpmath import libmp, mp
 
-from fracpoly.scalars import working_precision
+from fracpoly.scalars import _PREC_LOCK
+
+
+@contextmanager
+def working_precision(bits: int):
+    """Run a block with mpmath's global context at ``bits`` of precision,
+    under the package's lock on mpmath's constant memos.  The package
+    itself never sets that precision."""
+    with _PREC_LOCK, mp.workprec(int(bits)):
+        yield mp
 
 
 def fraction_to_mpf(q: Fraction, bits: int):

@@ -1,15 +1,23 @@
 """The concurrency contract: pure functions, safe under concurrent callers
 mixing working precisions."""
 
+import ast
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import fracpoly.families as families
 from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, family_numbers
 from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval
+from fracpoly.quadrature import gauss_jacobi_rule
+
+# the libmp calls that can read or fill mpmath's constant memos, and the
+# rule eigensolver, whose private context's precision the lock also guards
+LOCKED_CALLS = {"mpf_pow", "mpf_exp", "mpf_log", "mpf_sin_pi", "mpf_pi", "mpf_e", "mpf_gamma", "to_str",
+                "gauss_quadrature"}
 
 
 def test_concurrent_mixed_precision_gamma():
@@ -173,12 +181,12 @@ def _float_jobs():
     polynomial and expansion kernels, the Mittag-Leffler sum and decimal
     printing do their arithmetic on libmp tuples, outside the precision
     lock; gamma and the powers take it only around their transcendental
-    libmp calls."""
+    libmp calls, and a Gauss-Jacobi rule build around its private context."""
     from fracpoly.families import Polynomial, family_polynomial
     from fracpoly.fractional import (CaputoOrder, FracExpansion, caputo_closed_form, eval_frac_expansion,
                                      leibniz_product)
-    from fracpoly.scalars import decimal_str, working_precision
-    from reference_loops import fraction_to_mpf
+    from fracpoly.scalars import decimal_str
+    from reference_loops import fraction_to_mpf, working_precision
 
     def products(prec):
         x, y = fraction_to_mpf(Fraction(1, 3), prec), fraction_to_mpf(Fraction(-2, 7), prec)
@@ -215,6 +223,10 @@ def _float_jobs():
         g = Polynomial([fraction_to_mpf(Fraction(k - 3, 2 * k + 5), prec) for k in range(5)], prec)
         return [c._mpf_ for c, _ in leibniz_product(f, g, Fraction(3, 2), prec)]
 
+    def rule(prec):
+        nodes, weights = gauss_jacobi_rule(Fraction(-2, 7), 7, prec)
+        return [v._mpf_ for v in nodes + weights]
+
     def numbers(prec):
         nums = family_numbers(FamilyParams("genocchi", Fraction(2, 3), Fraction(7, 5)), 14, prec)
         return [c._mpf_ for c in nums] + [decimal_str(c, prec) for c in nums]
@@ -224,7 +236,7 @@ def _float_jobs():
         values = [q.evaluate(t) for t in (Fraction(-5, 3), Fraction(1, 2), 4)]
         return [v._mpf_ for v in values] + [decimal_str(v, prec) for v in values]
 
-    return [(fn, prec) for fn in (products, decimal, polynomial, expansion, mittag_leffler, closed_form, leibniz)
+    return [(fn, prec) for fn in (products, decimal, polynomial, expansion, mittag_leffler, closed_form, leibniz, rule)
             for prec in (64, 128, 256)] + [(fn, prec) for fn in (numbers, family_values) for prec in (80, 128, 333)]
 
 
@@ -257,3 +269,54 @@ def test_concurrent_float_paths_match_serial_bit_for_bit():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
+
+
+def test_memo_reading_calls_sit_inside_the_precision_lock():
+    # a source scan: each such call must be lexically inside a ``with``
+    # that names _PREC_LOCK; a function body is scanned as unlocked, since
+    # it runs where it is called
+    found, unlocked = set(), []
+
+    def visit(node, locked, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            locked = False
+        elif isinstance(node, ast.With):
+            locked = locked or any("_PREC_LOCK" in ast.unparse(item.context_expr) for item in node.items)
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in LOCKED_CALLS:
+                found.add(name)
+                if not locked:
+                    unlocked.append(f"{path.name}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, locked, path)
+
+    for path in sorted(Path(families.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), False, path)
+    assert found == LOCKED_CALLS
+    assert not unlocked
+
+
+def test_rule_builds_leave_another_threads_mpmath_precision_alone():
+    # a thread that runs mpmath without the package's lock sees only its
+    # own precision while the package builds rules at 48 precisions
+    from mpmath import mp
+
+    own, seen, done = mp.prec, set(), threading.Event()
+
+    def watcher():
+        while not done.wait(0.0002):
+            seen.add(mp.prec)
+
+    clear_caches()
+    thread = threading.Thread(target=watcher)
+    thread.start()
+    try:
+        for prec in range(128, 505, 8):
+            gauss_jacobi_rule(Fraction(-1, 2), 6, prec)
+    finally:
+        done.set()
+        thread.join(timeout=30)
+        clear_caches()
+    assert not thread.is_alive()
+    assert seen == {own}

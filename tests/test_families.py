@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fracpoly.errors import DomainError, ToleranceUnreachable
+from fracpoly.errors import DomainError
 from fracpoly.families import (
     FamilyKind,
     FamilyParams,
@@ -14,8 +14,8 @@ from fracpoly.families import (
     integral_over_unit_interval,
     multinomial_number_product,
 )
-from fracpoly.scalars import mpf_to_fraction, render, working_precision
-from reference_loops import fraction_to_mpf
+from fracpoly.scalars import mpf_to_fraction, render
+from reference_loops import fraction_to_mpf, working_precision
 
 
 def bernoulli_recurrence(n_max):
@@ -342,15 +342,17 @@ def test_equal_params_give_equal_results():
         assert _domains_and_values(ml_series(a, 6)) == _domains_and_values(ml_series(b, 6))
 
 
-def test_lambda_rounding_to_one_is_refused_as_unreachable():
-    # lambda = 1 + 10^-60 rounds to 1 at 128 bits, where the float constant
-    # term lambda - 1 of the Bernoulli denominator cancels; the exact one is
-    # nonzero, so a wider precision computes the numbers
-    p = FamilyParams(B, Fraction(1, 2), 1 + Fraction(1, 10 ** 60))
-    with pytest.raises(ToleranceUnreachable, match=r"lambda = 10{59}1/10{60} rounds to 1 at 128 bits"):
-        family_numbers(p, 3, 128)
-    nums = family_numbers(p, 3, 256)
-    assert list(nums)[0] == 0 and all(list(nums)[1:])
+def test_lambda_rounding_to_one_agrees_with_1024_bits():
+    # 1 + 10^-60 rounds to 1 at 128 bits, and 1 + 2^-100/3 to a float that
+    # keeps 27 bits of lambda - 1; the float constant term of the Bernoulli
+    # denominator is the exact lambda - 1 rounded once, so it keeps them all
+    for lam in (1 + Fraction(1, 10 ** 60), 1 + Fraction(1, 3 * 2 ** 100)):
+        p = FamilyParams(B, Fraction(1, 2), lam)
+        got, want = map(list, (family_numbers(p, 3, 128), family_numbers(p, 3, 1024)))
+        assert got[0] == want[0] == 0
+        for g, w in zip(got[1:], want[1:]):
+            w = mpf_to_fraction(w)
+            assert abs(mpf_to_fraction(g) - w) <= abs(w) / 2 ** 127
 
 
 def test_float_alpha_lambda_one_valuation():
@@ -358,7 +360,6 @@ def test_float_alpha_lambda_one_valuation():
     # cancel exactly (gamma at integer arguments is exact) so the division
     # takes the valuation-shift path; the leading number is gamma(alpha+1)
     from mpmath import mp
-    from fracpoly.scalars import mpf_to_fraction, working_precision
 
     nums = family_numbers(FamilyParams(B, Fraction(1, 2), 1), 4)
     assert nums.precision is not None

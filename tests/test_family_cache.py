@@ -12,10 +12,9 @@ import fracpoly.families as families
 from fracpoly import clear_caches
 from fracpoly.families import (FamilyParams, Polynomial, family_numbers, family_polynomial, family_series,
                                multinomial_number_product)
-from fracpoly.scalars import working_precision
 
 import reference_loops as ref
-from reference_loops import fraction_to_mpf
+from reference_loops import fraction_to_mpf, working_precision
 
 
 def bits(values):

@@ -33,10 +33,10 @@ from fracpoly.fractional import (
 )
 from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.quadrature import _rule_cached, gauss_jacobi_rule
-from fracpoly.scalars import DEFAULT_PRECISION, Coefficients, mpf_to_fraction, working_precision
+from fracpoly.scalars import DEFAULT_PRECISION, Coefficients, mpf_to_fraction
 
 import reference_loops as ref
-from reference_loops import fraction_to_mpf
+from reference_loops import fraction_to_mpf, working_precision
 
 HALF = Fraction(1, 2)
 TOL = Fraction(1, 10 ** 24)

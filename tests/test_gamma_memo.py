@@ -22,7 +22,8 @@ from fracpoly.families import FamilyParams, family_polynomial
 from fracpoly.fractional import CaputoOrder, _power_rule, rl_derivative_term
 from fracpoly.gammafns import _gamma_positive, _reciprocal_gamma_memo, _spouge_memo, _spouge_wp, reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval, ml_series
-from fracpoly.scalars import Coefficients, tuple_in, working_precision
+from fracpoly.scalars import Coefficients, tuple_in
+from reference_loops import working_precision
 
 # the reflection branch (x < 0), the step up from below 1 and rising products
 ARGS = (Fraction(1, 3), Fraction(-7, 5), Fraction(11, 4), Fraction(5, 2))

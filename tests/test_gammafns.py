@@ -7,7 +7,8 @@ from mpmath import mp
 
 from fracpoly.errors import DomainError
 from fracpoly.gammafns import _rgamma, _spouge_wp, generalized_binomial, multinomial, reciprocal_gamma
-from fracpoly.scalars import mpf_to_fraction, mpf_to_pair, working_precision
+from fracpoly.scalars import mpf_to_fraction, mpf_to_pair
+from reference_loops import working_precision
 
 
 def rel_err(got, want):

@@ -7,11 +7,11 @@ from mpmath import mp
 from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.gammafns import _rgamma
 from fracpoly.mittag import MLParams, ml_eval, ml_eval_points, ml_one_m_closed, ml_series
-from fracpoly.scalars import mpf_to_fraction, working_precision
+from fracpoly.scalars import mpf_to_fraction
 from fracpoly.verify import suite_ml_consistency
 
 import reference_loops as ref
-from reference_loops import fraction_to_mpf
+from reference_loops import fraction_to_mpf, working_precision
 
 
 def rel(a, b):

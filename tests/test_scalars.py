@@ -19,10 +19,9 @@ from fracpoly.scalars import (
     mpf_to_pair,
     render,
     tuple_in,
-    working_precision,
 )
 from fracpoly.series import TruncatedSeries, cauchy_product, reciprocal, series_add
-from reference_loops import fraction_to_mpf
+from reference_loops import fraction_to_mpf, working_precision
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from fracpoly.errors import DomainError
-from fracpoly.scalars import join_precision, mpf_to_fraction, working_precision
+from fracpoly.scalars import join_precision, mpf_to_fraction
 from fracpoly.series import (
     TruncatedSeries,
     cauchy_product,
@@ -16,7 +16,7 @@ from fracpoly.series import (
 )
 
 import reference_loops as ref
-from reference_loops import fraction_to_mpf
+from reference_loops import fraction_to_mpf, working_precision
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 

@@ -21,11 +21,11 @@ from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, Polynomial, family_numbers, family_polynomial, integral_over_unit_interval
 from fracpoly.fractional import rl_derivative_term
 from fracpoly.gammafns import reciprocal_gamma
-from fracpoly.scalars import _PREC_LOCK, Coefficients, decimal_str, working_precision
+from fracpoly.scalars import _PREC_LOCK, Coefficients, decimal_str
 from fracpoly.series import TruncatedSeries, cauchy_product, reciprocal, series_add
 
 import reference_loops as ref
-from reference_loops import fraction_to_mpf
+from reference_loops import fraction_to_mpf, working_precision
 
 PRECISIONS = st.sampled_from([64, 80, 333, 1024])
 # an odd denominator of at least 3: the binary expansion does not end
