@@ -48,7 +48,8 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package and the family cache of
+    """Empty every memo of the package, the Spouge root table of
+    :mod:`fracpoly.gammafns` and the family cache of
     :mod:`fracpoly.families` (number series and polynomials), so that the
     next call computes every value afresh.  A memo hit returns
     the bits of a fresh call, so this changes no result, only what the
@@ -58,6 +59,7 @@ def clear_caches() -> None:
                  quadrature._rule_cached, fractional._oracle_setup, fractional._power, fractional._power_rule,
                  verify._oracle_values):
         memo.cache_clear()
+    gammafns._roots = (0, ())
     with families._family_lock:
         families._family_cache.clear()
         families._family_held = 0

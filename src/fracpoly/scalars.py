@@ -45,10 +45,10 @@ ZEROS = (0, libmp.fzero)
 
 # One reentrant lock guards mpmath's constant memos (pi, e, ln2, ln10),
 # where constant_memo writes memo_val before memo_prec, so a reader without
-# the lock can pair a new value with an old precision, and the precision of
-# quadrature's private rule context.  Every libmp call that can reach such a
-# memo (mpf_pow, mpf_exp, mpf_log, mpf_sin_pi, mpf_pi, mpf_e, mpf_gamma, and
-# to_str beyond 2^3500) and every rule build holds it; no other code takes it.
+# the lock can pair a new value with an old precision.  Every libmp call
+# that can reach such a memo (mpf_pow, mpf_exp, mpf_log, mpf_sin_pi, mpf_pi,
+# mpf_e, mpf_gamma, and to_str beyond 2^3500) holds it; no other code takes
+# it, and no code sets the precision of an mpmath context.
 _PREC_LOCK = threading.RLock()
 
 

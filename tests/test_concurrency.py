@@ -14,10 +14,8 @@ from fracpoly.gammafns import reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval
 from fracpoly.quadrature import gauss_jacobi_rule
 
-# the libmp calls that can read or fill mpmath's constant memos, and the
-# rule eigensolver, whose private context's precision the lock also guards
-LOCKED_CALLS = {"mpf_pow", "mpf_exp", "mpf_log", "mpf_sin_pi", "mpf_pi", "mpf_e", "mpf_gamma", "to_str",
-                "gauss_quadrature"}
+# the libmp calls that can read or fill mpmath's constant memos
+LOCKED_CALLS = {"mpf_pow", "mpf_exp", "mpf_log", "mpf_sin_pi", "mpf_pi", "mpf_e", "mpf_gamma", "to_str"}
 
 
 def test_concurrent_mixed_precision_gamma():

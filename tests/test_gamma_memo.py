@@ -2,11 +2,13 @@
 power rule and of the quadrature values hand out the bits a fresh
 evaluation computes, the Spouge memo keyed per working precision, also
 under threads mixing precisions, and one sum serves every argument with
-the same fractional part; clear_caches() empties every memo of the
-package."""
+the same fractional part; the Spouge coefficients read from the shared
+root table are those of a cold build in any build order; clear_caches()
+empties every memo of the package."""
 
 import importlib
 import pkgutil
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -16,6 +18,7 @@ from mpmath import mp
 
 import fracpoly
 import fracpoly.families as families
+import fracpoly.gammafns as gammafns
 import fracpoly.verify as verify
 from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, family_polynomial
@@ -203,10 +206,93 @@ def test_one_sum_per_fractional_part():
     assert info.hits >= 81 - 11
 
 
+# the precisions of the root-table builds: below, at and above the default
+SPOUGE_PRECISIONS = (64, 90, 128, 333, 511, 700)
+
+
+@pytest.fixture(scope="module")
+def cold_spouge():
+    """Each precision's coefficients, built alone in an empty root table,
+    and the root precision of that table, which is the build's own G."""
+    cold = {}
+    try:
+        for prec in SPOUGE_PRECISIONS:
+            clear_caches()
+            cold[prec] = gammafns._spouge_coeffs(prec), gammafns._roots[0]
+    finally:
+        clear_caches()
+    return cold
+
+
+@pytest.mark.parametrize("order", [
+    SPOUGE_PRECISIONS,
+    SPOUGE_PRECISIONS[::-1],
+    tuple(random.Random(5).sample(SPOUGE_PRECISIONS, len(SPOUGE_PRECISIONS))),
+], ids=("ascending", "descending", "shuffled"))
+def test_spouge_coefficients_from_the_root_table_equal_a_cold_build(order, cold_spouge):
+    clear_caches()
+    try:
+        for prec in order:
+            assert gammafns._spouge_coeffs(prec) == cold_spouge[prec][0]
+        # the table has grown to the largest G and length asked for
+        assert gammafns._roots[0] == max(g for _, g in cold_spouge.values())
+        assert len(gammafns._roots[1]) == max(len(c[1]) for c, _ in cold_spouge.values())
+    finally:
+        clear_caches()
+
+
+def test_threads_building_spouge_coefficients_at_once(cold_spouge):
+    # each of four threads (more than the cores of a small CI machine)
+    # builds every precision, uncached, in its own order, so they grow and
+    # read the root table at the same time
+    built, errors = [], []
+
+    def worker(order):
+        try:
+            for prec in order:
+                built.append((prec, gammafns._spouge_coeffs.__wrapped__(prec)))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    clear_caches()
+    orders = [SPOUGE_PRECISIONS, SPOUGE_PRECISIONS[::-1]]
+    orders += [random.Random(seed).sample(SPOUGE_PRECISIONS, len(SPOUGE_PRECISIONS)) for seed in (6, 7)]
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+        clear_caches()
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(built) == len(orders) * len(SPOUGE_PRECISIONS)
+    for prec, coeffs in built:
+        assert coeffs == cold_spouge[prec][0]
+
+
+def test_spouge_build_after_clear_caches_starts_a_new_root_table(cold_spouge):
+    clear_caches()
+    try:
+        gammafns._spouge_coeffs(700)
+        clear_caches()
+        assert gammafns._roots == (0, ())
+        assert gammafns._spouge_coeffs(64) == cold_spouge[64][0]
+        assert gammafns._roots[0] == cold_spouge[64][1]
+    finally:
+        clear_caches()
+
+
 def test_clear_caches_empties_every_memo_of_the_package(monkeypatch):
     # a module-level memo that clear_caches() leaves out would let a test
     # that patches a route run on values held from before the patch
     family_polynomial(FamilyParams("euler", 1, 2), 5)
+    reciprocal_gamma(Fraction(1, 3), 128)
+    assert gammafns._roots[1]
     found, cleared = [], []
 
     class Spy:
@@ -229,3 +315,4 @@ def test_clear_caches_empties_every_memo_of_the_package(monkeypatch):
     assert sorted(cleared) == sorted(found)
     assert not families._family_cache
     assert families._family_held == 0
+    assert gammafns._roots == (0, ())

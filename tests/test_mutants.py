@@ -1,5 +1,5 @@
-"""The mutant catalogue: slips in the family construction that the verifier
-is known to miss, each a strict ``xfail`` row.
+"""The mutant catalogue: slips in the family construction and the Spouge
+gamma that the verifier is known to miss, each a strict ``xfail`` row.
 
 A row names a patch target in :mod:`fracpoly`, a replacement built from the
 real function, the precisions, and the suites whose default grids reach
@@ -17,6 +17,7 @@ if its slip never acted.
 import importlib
 
 import pytest
+from mpmath import libmp
 
 from fracpoly import clear_caches
 from fracpoly.families import FamilyParams
@@ -45,6 +46,30 @@ def lambda_squared_for_lambda(real, hits):
     return mutant
 
 
+def gamma_times_one_plus_2_to_the_minus_40(real, hits):
+    """_gamma_positive's Spouge value gamma(x0) times (1 + 2^-40)."""
+    def mutant(x, precision, wp):
+        hits.append(x)
+        bias = libmp.from_rational(2 ** 40 + 1, 2 ** 40, wp, libmp.round_nearest)
+        return libmp.mpf_mul(real(x, precision, wp), bias, wp, libmp.round_nearest)
+    return mutant
+
+
+def spouge_sum_at_three_halves_times_one_plus_2_to_the_minus_60(real, hits):
+    """_gamma_positive's Spouge sum at x0 = 3/2 times (1 + 2^-60): the sum is
+    a factor of the value, so the value carries the bias."""
+    three_halves = libmp.from_rational(3, 2, 2)
+
+    def mutant(x, precision, wp):
+        value = real(x, precision, wp)
+        if x != three_halves:
+            return value
+        hits.append(x)
+        bias = libmp.from_rational(2 ** 60 + 1, 2 ** 60, wp, libmp.round_nearest)
+        return libmp.mpf_mul(value, bias, wp, libmp.round_nearest)
+    return mutant
+
+
 def missed(item: str, what: str):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item {item}: {what}")
 
@@ -61,6 +86,14 @@ MUTANTS = [
     pytest.param("families._number_series", lambda_squared_for_lambda, (64, 128), ALPHA_ABOVE_ONE,
                  id="lambda-squared",
                  marks=missed("7", "no suite checks the generating function at alpha != 1")),
+    # at 128 bits this bias fails eq10 and theorem4
+    pytest.param("gammafns._gamma_positive", gamma_times_one_plus_2_to_the_minus_40, (64, 80),
+                 ("eq10", "theorem4"), id="gamma-2^-40-below-128-bits",
+                 marks=missed("2 and 15", "the identity and oracle tolerances pass a 2^-40 gamma error "
+                              "at 64 and 80 bits")),
+    pytest.param("gammafns._gamma_positive", spouge_sum_at_three_halves_times_one_plus_2_to_the_minus_60, (128,),
+                 ("ml-consistency",), id="spouge-sum-2^-60-at-3/2",
+                 marks=missed("12", "both ml-consistency routes read the same Spouge gamma")),
 ]
 
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import MPContext, mp
+from mpmath import MPContext, libmp, mp
 
 import fracpoly.fractional as fractional
+import fracpoly.quadrature as quadrature
 from fracpoly import clear_caches
 from fracpoly.errors import DomainError, ToleranceUnreachable
 from fracpoly.families import FamilyParams, Polynomial, family_polynomial
@@ -174,19 +175,46 @@ def test_rules_built_by_the_suites_meet_the_invariant(oracle_rules):
 
 @pytest.mark.parametrize("defect", ("mass", "order"))
 def test_rule_invariant_violation_raises(defect, monkeypatch):
-    real = MPContext.gauss_quadrature
+    real = quadrature._tridiag_ql
 
-    def broken(ctx, n, qtype, a, b):
-        xs, ws = real(ctx, n, qtype, a, b)
+    def broken(d, e, wp):
+        z = real(d, e, wp)
         if defect == "mass":
-            ws = [w * (1 + ctx.mpf(2) ** -40) for w in ws]
+            bias = libmp.from_rational(2 ** 40 + 1, 2 ** 40, wp, libmp.round_nearest)
+            z = [libmp.mpf_mul(v, bias, wp, libmp.round_nearest) for v in z]
         else:
-            xs = [xs[0]] + list(xs[:-1])
-        return xs, ws
+            d[:] = [d[0]] + d[:-1]
+        return z
 
-    monkeypatch.setattr(MPContext, "gauss_quadrature", broken)
+    clear_caches()
+    monkeypatch.setattr(quadrature, "_tridiag_ql", broken)
     try:
         with pytest.raises(ToleranceUnreachable):
             gauss_jacobi_rule(Fraction(-1, 9), 5, 97)
+    finally:
+        clear_caches()
+
+
+# the grid of the bit-for-bit comparison with mpmath's own rule builder
+MPMATH_GRID = [(Fraction(a), n, prec) for a in ("-1/2", "-5/7", "-3/10", "1/3") for n in (1, 2, 3, 5, 8, 13)
+               for prec in (64, 128, 191, 511)] + [(Fraction(-1, 2), 26, 511)]
+
+
+@pytest.mark.parametrize("a, npoints, precision", MPMATH_GRID, ids=[f"a={a}-n={n}-{p}bits" for a, n, p in MPMATH_GRID])
+def test_rule_is_mpmaths_gauss_jacobi_rule_bit_for_bit(a, npoints, precision):
+    ctx = MPContext()
+    ctx.prec = precision + 32
+    xs, ws = ctx.gauss_quadrature(npoints, "jacobi", ctx.mpf(a.numerator) / a.denominator, 0)
+    want = [tuple(v._mpf_ for v in col) for col in zip(*sorted(zip(xs, ws)))]
+    nodes, weights = gauss_jacobi_rule(a, npoints, precision)
+    assert [tuple(v._mpf_ for v in nodes), tuple(v._mpf_ for v in weights)] == want
+
+
+def test_eigensolver_past_its_sweep_limit_is_unreachable(monkeypatch):
+    clear_caches()
+    monkeypatch.setattr(quadrature, "SWEEPS_PER_DIGIT", 0)
+    try:
+        with pytest.raises(ToleranceUnreachable, match="QL sweeps"):
+            gauss_jacobi_rule(Fraction(-1, 2), 4, 128)
     finally:
         clear_caches()

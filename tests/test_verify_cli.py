@@ -329,26 +329,30 @@ FLOAT_CALLS = (
 
 
 def test_no_code_sets_mpmath_precision(runner, monkeypatch):
-    # every float kernel passes its precision to libmp, and the Gauss-Jacobi
-    # rule's eigensolver reads the precision of a private context: no code
-    # sets mpmath's global precision
-    from mpmath import mp
+    # every float kernel, the Gauss-Jacobi rule's eigensolver included,
+    # passes its precision to libmp: no code creates an mpmath context or
+    # sets the precision of one
+    from mpmath import MPContext, mp
 
-    prec = type(mp).prec
+    prec, init = type(mp).prec, MPContext.__init__
     writes = []
 
     def watched(ctx, bits):
-        writes.append(ctx is mp)
+        writes.append((ctx is mp, bits))
         prec.fset(ctx, bits)
+
+    def created(ctx):
+        writes.append("a new context")
+        init(ctx)
 
     clear_caches()
     monkeypatch.setattr(type(mp), "prec", property(prec.fget, watched))
+    monkeypatch.setattr(MPContext, "__init__", created)
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
     for args in FLOAT_CALLS:
         assert invoke(runner, *args.split()).exit_code == 0
-    # the rule builds set their private context's precision, and only that
-    assert writes and not any(writes)
+    assert not writes
 
 
 def test_verify_float_alpha_matches_golden(runner):
