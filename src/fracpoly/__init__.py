@@ -42,7 +42,7 @@ from .fractional import (
     rl_integral_poly,
 )
 from .verify import RunConfig, VerificationReport, run_suite
-from . import families, fractional, gammafns, quadrature, verify
+from . import families, fractional, gammafns, verify
 
 __version__ = "0.1.0"
 
@@ -51,12 +51,13 @@ def clear_caches() -> None:
     """Empty every memo of the package, the Spouge root table of
     :mod:`fracpoly.gammafns` and the family cache of
     :mod:`fracpoly.families` (number series and polynomials), so that the
-    next call computes every value afresh.  A memo hit returns
+    next call computes every value afresh (the oracle's set-up memo holds
+    the Gauss-Jacobi rules; :mod:`fracpoly.quadrature` holds none).  A memo hit returns
     the bits of a fresh call, so this changes no result, only what the
     next call computes: a test that patches a route calls it first, so
     that no value held from before the patch hides the patched route."""
     for memo in (gammafns._spouge_coeffs, gammafns._spouge_memo, gammafns._reciprocal_gamma_memo,
-                 quadrature._rule_cached, fractional._oracle_setup, fractional._power, fractional._power_rule,
+                 fractional.rl_derivative_term, fractional._oracle_setup, fractional._power,
                  verify._oracle_values):
         memo.cache_clear()
     gammafns._roots = (0, ())

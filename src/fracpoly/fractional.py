@@ -26,9 +26,10 @@ Three memos hold repeated values; each key holds every input a value's
 bits depend on, so a hit returns the bits of a fresh call, and
 ``fracpoly.clear_caches()`` empties all three:
 
-- ``_power_rule`` holds the pair of :func:`rl_derivative_term`, keyed by
-  the exact exponent, the exact order and the precision, at most 1024
-  entries, least recently used evicted.  A float coefficient takes at most
+- :func:`rl_derivative_term` is itself the memo of its pairs, keyed by
+  its arguments as given, at most 1024 entries, least recently used
+  evicted.  An int, a Fraction and a float of one value hash and compare
+  alike, so they share an entry.  A float coefficient takes at most
   about 1.1 kB at the 8192-bit cap, so float entries take at most about
   1.1 MB.  An exact one, at an integer order, is a falling factorial of at
   most 2^15 factors: the orders of ``verify all`` make it a few bytes, and
@@ -37,8 +38,11 @@ bits depend on, so a hit returns the bits of a fresh call, and
   t, x (as integer pairs) and the working precision, at most 1024 values
   (about 1.1 MB at the 8192-bit cap).
 - ``_oracle_setup`` holds the set-up of :func:`caputo_quadrature_points`
-  by order, node count N, points (P of them) and precision, at most 128
-  entries of (N + 1)(P + 1) floats; ``verify all`` makes 15, N <= 5, P = 3.
+  by nu = n - alpha, node count N, points (P of them) and precision, at
+  most 128 entries of (N + 1)(P + 1) floats.  The set-up reads the order
+  only through nu, so orders such as 1/2, 3/2 and 5/2 share an entry, and
+  each entry builds its Gauss-Jacobi rule afresh; ``verify all`` makes 8,
+  N <= 5, P = 3.
 """
 
 from __future__ import annotations
@@ -180,6 +184,7 @@ def _rounded_product(factors, prec: int, rnd):
     return acc
 
 
+@lru_cache(maxsize=1024)
 def rl_derivative_term(
     beta: NumberLike, alpha: NumberLike, precision: int = DEFAULT_PRECISION
 ) -> tuple:
@@ -193,18 +198,13 @@ def rl_derivative_term(
     an exact zero at a pole of the denominator gamma.  Non-integer alpha
     gives beta! / gamma(beta-alpha+1) at an integer beta, the exact
     factorial rounded once before it multiplies, and the quotient of two
-    reciprocal gammas elsewhere.  The pair comes from the memo
-    :func:`_power_rule`.
+    reciprocal gammas elsewhere.  The function is a memo: the pair depends
+    only on the exact values of beta and alpha, and every rounding runs at
+    a working precision the precision fixes, so a hit returns the bits of
+    a fresh call.
     """
     check_precision(precision)
-    return _power_rule(as_rational(beta), as_rational(alpha), precision)
-
-
-@lru_cache(maxsize=1024)
-def _power_rule(b: Fraction, a: Fraction, precision: int) -> tuple:
-    """The pair of :func:`rl_derivative_term` for exact b and a.  Every
-    rounding runs at a working precision the key fixes, so a hit returns
-    the bits of a fresh call."""
+    b, a = as_rational(beta), as_rational(alpha)
     if b <= -1:
         raise DomainError(f"exponent must exceed -1, got {b}")
     if a.denominator == 1:
@@ -224,14 +224,15 @@ def _power_rule(b: Fraction, a: Fraction, precision: int) -> tuple:
     return coeff, b - a
 
 
-def _termwise(pairs: Iterable[tuple], prec: int | None, order: NumberLike, precision: int) -> FracExpansion:
-    """sum c D^order t^e over raw (c, e) pairs in the domain ``prec``, one power-rule step each."""
+def _termwise(pairs: Iterable[tuple], prec: int | None, order: int | Fraction, precision: int) -> FracExpansion:
+    """sum c D^order t^e over raw (c, e) pairs, one power-rule step each,
+    in the domain ``prec`` joined with the steps' domain, which is exact
+    exactly when the order is an integer."""
     terms = []
     for c, e in pairs:
         d, de = rl_derivative_term(e, order, precision)
-        prec = join_precision(prec, precision_of(d, precision))
         terms.append(((c, d), de))
-    return FracExpansion._products(terms, prec)
+    return FracExpansion._products(terms, join_precision(prec, None if order.denominator == 1 else precision))
 
 
 def caputo_derivative_poly(
@@ -297,7 +298,7 @@ def leibniz_product(
     check_precision(precision)
     a = positive_rational(alpha, "order")
     terms = []
-    prec = join_precision(f._prec, g._prec)
+    prec = join_precision(f._prec, g._prec, None if a.denominator == 1 else precision)
     fk = f
     for k in range(f.degree + 1):
         w = generalized_binomial(a, k)
@@ -305,7 +306,6 @@ def leibniz_product(
             for cf, i in fk.monomials():
                 for cg, j in g.monomials():
                     d, de = rl_derivative_term(j, a - k, precision)
-                    prec = join_precision(prec, precision_of(d, precision))
                     terms.append(((w, cf, cg, d), i + de))
         fk = fk.derivative()
         if fk.is_zero():
@@ -338,7 +338,7 @@ def caputo_closed_form(
     rgs = [reciprocal_gamma(n + k + 1 - ord.alpha, precision) for k in range(m - n + 1)]
     terms = [((math.perm(m, n), math.factorial(k), math.comb(m - n, k), numbers[m - n - k], rg),
               k + n - ord.alpha) for k, rg in enumerate(rgs)]
-    return FracExpansion._products(terms, join_precision(numbers._prec, *[precision_of(rg, precision) for rg in rgs]))
+    return FracExpansion._products(terms, join_precision(numbers._prec, None if ord.is_integer else precision))
 
 
 def caputo_quadrature_oracle(
@@ -373,10 +373,8 @@ def caputo_quadrature_points(
         dq = dq.derivative()
     if ord.is_integer:
         return [dq.evaluate(t) for t in ts]
-    if dq.is_zero():
-        return [mp.mpf(0, prec=precision) for _ in ts]
     wp = precision + 32
-    weights, images, scales, gamma = _oracle_setup(ord.alpha, (dq.degree + 2) // 2 + 1, ts, precision)
+    weights, images, scales, gamma = _oracle_setup(ord.n - ord.alpha, (dq.degree + 2) // 2 + 1, ts, precision)
     coeffs = dq._values_in(wp)[::-1]
     # the Horner passes on libmp tuples, each operation rounded to nearest
     # at wp: the bits the mpf operators give in a wp-bit scope
@@ -395,17 +393,18 @@ def caputo_quadrature_points(
 
 
 @lru_cache(maxsize=128)
-def _oracle_setup(alpha: Fraction, npoints: int, ts: tuple, precision: int) -> tuple:
-    """The oracle's weights, each node x mapped to each point t as
-    t (x + 1) / 2, each point's (t/2)^(n-alpha) and gamma(n-alpha), as libmp
-    tuples rounded at wp = precision + 32, which the key fixes."""
-    n, wp, rnd = math.ceil(alpha), precision + 32, libmp.round_nearest
-    nodes, weights = gauss_jacobi_rule(n - alpha - 1, npoints, precision)
+def _oracle_setup(nu: Fraction, npoints: int, ts: tuple, precision: int) -> tuple:
+    """The oracle's set-up for nu = n - alpha, all it reads of the order:
+    the weights of the rule for (1-u)^(nu-1), each node x mapped to each
+    point t as t (x + 1) / 2, each point's (t/2)^nu and gamma(nu), as libmp
+    tuples rounded at wp = precision + 32, which the key fixes; nu itself
+    is rounded once to wp."""
+    wp, rnd = precision + 32, libmp.round_nearest
+    nodes, weights = gauss_jacobi_rule(nu - 1, npoints, precision)
     tms = [libmp.from_rational(t.numerator, t.denominator, wp, rnd) for t in ts]
     images = tuple(tuple(libmp.mpf_shift(libmp.mpf_mul(tm, libmp.mpf_add(x._mpf_, libmp.fone, wp, rnd), wp, rnd), -1)
                          for x in nodes) for tm in tms)
-    frac = libmp.mpf_div(libmp.from_int(alpha.numerator, wp, rnd), libmp.from_int(alpha.denominator), wp, rnd)
-    power = libmp.mpf_sub(libmp.from_int(n), frac, wp, rnd)
+    power = libmp.from_rational(nu.numerator, nu.denominator, wp, rnd)
     with _PREC_LOCK:
         scales = tuple(libmp.mpf_pow(libmp.mpf_shift(tm, -1), power, wp, rnd) for tm in tms)
         gamma = libmp.mpf_gamma(power, wp, rnd)

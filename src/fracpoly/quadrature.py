@@ -13,9 +13,9 @@ no mpmath context is created or written.  Each rule is checked before it is
 handed out: its weights must add up to the mass 2^(a+1)/(a+1), and its
 nodes must increase strictly inside (-1, 1).  A QL iteration that takes
 more than mpmath's limit of sweeps for one eigenvalue raises
-ToleranceUnreachable.  A memo of 128 rules sits under the oracle's set-up
-memo in :mod:`fracpoly.fractional`: orders of one a, such as 1/2, 3/2 and
-5/2 (a = -1/2), share their rules.
+ToleranceUnreachable.  The module holds no memo: the oracle's set-up memo
+in :mod:`fracpoly.fractional` is keyed by the weight exponent, so orders
+of one a, such as 1/2, 3/2 and 5/2 (a = -1/2), share one rule there.
 
 Everything here deliberately leans on libmp's arithmetic and mpmath's own
 gamma, so the quadrature route shares no code with the package's Spouge
@@ -25,7 +25,6 @@ gamma or series machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import libmp, mp
 from mpmath.libmp import (fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_hypot, mpf_lt,
@@ -118,9 +117,19 @@ def _tridiag_ql(d: list, e: list, wp: int) -> list:
     return z
 
 
-@lru_cache(maxsize=128)
-def _rule_cached(a_key, npoints: int, precision: int):
-    a_fr, wp = Fraction(a_key), precision + 32
+def gauss_jacobi_rule(a_exponent: Fraction, npoints: int, precision: int):
+    """Nodes (ascending) and weights for weight (1-u)^a on [-1, 1].
+
+    Requires a > -1 (integrable singularity) and npoints >= 1.  Raises
+    ToleranceUnreachable if the built rule fails its weight-mass or node
+    ordering check, or if its eigensolver does not converge.
+    """
+    a_fr = Fraction(a_exponent)
+    if a_fr <= -1:
+        raise DomainError(f"weight exponent must exceed -1, got {a_fr}")
+    if npoints < 1:
+        raise DomainError(f"need at least one node, got {npoints}")
+    wp = precision + 32
     alpha = mpf_div(from_int(a_fr.numerator), from_int(a_fr.denominator), wp, RND)
     d, e, w, mass = _jacobi_matrix(alpha, npoints, wp)
     weights = [mpf_mul(w, mpf_mul(v, v, wp, RND), wp, RND) for v in _tridiag_ql(d, e, wp)]
@@ -137,18 +146,3 @@ def _rule_cached(a_key, npoints: int, precision: int):
             f"not strictly increasing inside (-1, 1) at {precision} bits"
         )
     return nodes, weights
-
-
-def gauss_jacobi_rule(a_exponent: Fraction, npoints: int, precision: int):
-    """Nodes (ascending) and weights for weight (1-u)^a on [-1, 1].
-
-    Requires a > -1 (integrable singularity) and npoints >= 1.  Raises
-    ToleranceUnreachable if the built rule fails its weight-mass or node
-    ordering check, or if its eigensolver does not converge.
-    """
-    a_fr = Fraction(a_exponent)
-    if a_fr <= -1:
-        raise DomainError(f"weight exponent must exceed -1, got {a_fr}")
-    if npoints < 1:
-        raise DomainError(f"need at least one node, got {npoints}")
-    return _rule_cached(a_fr, npoints, precision)

@@ -32,7 +32,7 @@ from fracpoly.fractional import (
     rl_integral_poly,
 )
 from fracpoly.gammafns import reciprocal_gamma
-from fracpoly.quadrature import _rule_cached, gauss_jacobi_rule
+from fracpoly.quadrature import gauss_jacobi_rule
 from fracpoly.scalars import DEFAULT_PRECISION, Coefficients, mpf_to_fraction
 
 import reference_loops as ref
@@ -711,9 +711,31 @@ def test_oracle_set_up_memo_gives_the_bits_of_a_cold_call(precision, order, alph
     assert one_point == cold
     # a cold one-point set-up, with the rule built afresh, gives the same bits
     clear_caches()
-    assert _oracle_setup.cache_info().currsize == _rule_cached.cache_info().currsize == 0
+    assert _oracle_setup.cache_info().currsize == 0
     assert [caputo_quadrature_oracle(q, ord_, t, precision)._mpf_ for t in points] == cold
     assert _oracle_setup.cache_info().misses == len(points)
+
+
+# two orders of one nu = n - alpha (1/2 and 3/2; 1/3 and 7/3, whose nu = 2/3
+# is not dyadic), each on a polynomial whose n-th derivative has degree 4,
+# so that both ask for 4 nodes; each pair in both call orders
+_ONE_NU = [(Fraction(1, 2), 5), (Fraction(3, 2), 6)], [(Fraction(1, 3), 5), (Fraction(7, 3), 7)]
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512])
+@pytest.mark.parametrize("pair", [p[::step] for p in _ONE_NU for step in (1, -1)])
+def test_orders_of_one_nu_share_one_oracle_set_up(precision, pair):
+    def bits(order, degree):
+        q = Polynomial((_ORACLE_COEFFS * 2)[:degree + 1])
+        return [v._mpf_ for v in caputo_quadrature_points(q, CaputoOrder(order), _ORACLE_POINTS, precision)]
+
+    clear_caches()
+    shared = [bits(*case) for case in pair]
+    assert (_oracle_setup.cache_info().misses, _oracle_setup.cache_info().hits) == (1, 1)
+    # a shared set-up does not depend on which order came first
+    for case, got in zip(pair, shared):
+        clear_caches()
+        assert bits(*case) == got
 
 
 @pytest.mark.parametrize("precision", [64, 128, 512])

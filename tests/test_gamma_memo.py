@@ -22,7 +22,7 @@ import fracpoly.gammafns as gammafns
 import fracpoly.verify as verify
 from fracpoly import clear_caches
 from fracpoly.families import FamilyParams, family_polynomial
-from fracpoly.fractional import CaputoOrder, _power_rule, rl_derivative_term
+from fracpoly.fractional import CaputoOrder, rl_derivative_term
 from fracpoly.gammafns import _gamma_positive, _reciprocal_gamma_memo, _spouge_memo, _spouge_wp, reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval, ml_series
 from fracpoly.scalars import Coefficients, tuple_in
@@ -59,7 +59,7 @@ def test_memo_hit_equals_fresh_evaluation(route, prec):
     hits = _spouge_memo.cache_info().hits
     # the second pass reaches the Spouge memo: empty the memos above it
     _reciprocal_gamma_memo.cache_clear()
-    _power_rule.cache_clear()
+    rl_derivative_term.cache_clear()
     memoized = ROUTES[route](prec)
     assert _spouge_memo.cache_info().hits > hits
     assert memoized == fresh
@@ -98,7 +98,7 @@ def test_entry_memo_hit_equals_fresh_evaluation(x, prec):
 # the quadrature values of one family polynomial
 MEMOS = {
     "power_rule": (lambda prec: [rl_derivative_term(b, a, prec) for b in (2, Fraction(7, 4))
-                                 for a in (Fraction(1, 5), 2, -3, Fraction(-3, 2))], _power_rule),
+                                 for a in (Fraction(1, 5), 2, -3, Fraction(-3, 2))], rl_derivative_term),
     "oracle_values": (lambda prec: verify._oracle_values(FamilyParams("euler", 1, 2), 5, CaputoOrder(Fraction(3, 2)),
                                                          prec), verify._oracle_values),
 }

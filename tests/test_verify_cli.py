@@ -252,23 +252,22 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
     # factorials, not memoized), for 636 distinct polynomials 2,803 times,
     # and for number series under 43 cache keys, each built at its top order.
     # It takes 2,110 power-rule steps at 121 keys and 493 quadrature oracle
-    # set-ups at 377 keys; the 337 with a nonzero n-th derivative share 15
-    # set-ups of (order, node count, points, precision) over 8 rules.
+    # calls at 377 keys, which share 8 set-ups of (nu = n - alpha, node
+    # count, points, precision), each building one rule.
     # Its Mittag-Leffler sums ask for a term's 1/gamma once per (alpha,
     # beta) and suite: 789 times at 103 arguments.  It takes mpmath's
-    # precision lock 123 times, in every module that holds it.  The family
+    # precision lock 116 times, in every module that holds it.  The family
     # cache evicts none of its series and polynomials: 6,351 coefficients in
     # all, below its budget
     import fracpoly.families as families
     import fracpoly.fractional as fractional
     import fracpoly.gammafns as gammafns
     import fracpoly.mittag as mittag
-    import fracpoly.quadrature as quadrature
     import fracpoly.scalars as scalars
 
     clear_caches()
-    builds, series, terms, locks = [], [], [], []
-    real, real_series = families._family_polynomial, families._number_series
+    builds, series, terms, locks, rules = [], [], [], [], []
+    real, real_series, real_rule = families._family_polynomial, families._number_series, fractional.gauss_jacobi_rule
     real_rgamma, real_lock = mittag._rgamma, scalars._PREC_LOCK
 
     class CountingLock:
@@ -291,23 +290,28 @@ def test_verify_all_computes_each_repeated_value_once(runner, monkeypatch):
         series.append((p, order, precision))
         return real_series(p, order, precision)
 
+    def counting_rule(a, npoints, precision):
+        rules.append((a, npoints, precision))
+        return real_rule(a, npoints, precision)
+
     monkeypatch.setattr(families, "_family_polynomial", counting)
     monkeypatch.setattr(families, "_number_series", counting_series)
     monkeypatch.setattr(mittag, "_rgamma", counting_rgamma)
+    monkeypatch.setattr(fractional, "gauss_jacobi_rule", counting_rule)
     counting_lock = CountingLock()
     for name, module in list(sys.modules.items()):
         if name.startswith("fracpoly.") and getattr(module, "_PREC_LOCK", None) is real_lock:
             monkeypatch.setattr(module, "_PREC_LOCK", counting_lock)
     r = invoke(runner, "verify", "all", "--format", "json")
     assert r.stdout == (GOLDEN / "verify_all_128.json").read_text()
-    assert fractional._oracle_setup.cache_info().misses <= 15
-    assert quadrature._rule_cached.cache_info().misses <= 8
+    assert fractional._oracle_setup.cache_info().misses <= 8
+    assert len(rules) <= 8
     assert len(terms) <= 789 and len(set(terms)) == 103
-    assert len(locks) <= 123
+    assert len(locks) <= 116
     assert gammafns._reciprocal_gamma_memo.cache_info().misses <= 106
     assert len(builds) <= 636
     assert len(series) <= 45
-    assert fractional._power_rule.cache_info().misses <= 121
+    assert fractional.rl_derivative_term.cache_info().misses <= 121
     assert verify._oracle_values.cache_info().misses <= 377
     held = list(families._family_cache)
     assert [len(key) for key in held].count(2) == 43 and len(held) == 43 + 636
