@@ -15,19 +15,19 @@ precision passed as an argument.
 The sum runs in fixed point: the coefficients are integers scaled by 2^F,
 built once per precision from one table of square roots floor(sqrt(j) 2^R)
 shared by every precision (a build at G <= R bits reads floor(sqrt(j) 2^G)
-as the root shifted right by R - G, the same integer), and each term
-c_k/(z+k) is one integer floor division, since z = x0 - 1 rounded to the
-working precision is a dyadic rational.  F is the Spouge working precision
-precision + 48 + precision/5, taken from the requested precision alone, so
-the sum is within 3a 2^-F of its value (relative, since it is at least 1)
-at any working precision; the cancellation costs no bits of it.  The sum is rounded once
-to the working precision, where the power and exponential factors are
-computed.  Past the Spouge truncation and the sum, the error budget is a
-few roundings at the working precision (at least precision + 16 bits):
-x0 itself (which moves gamma(x0) by x0 |psi(x0)| < 0.85 units on [1, 2)),
-the power and exponential, the rising product (exact, then cut to 32
-guard bits and divided once) and the product or quotient with gamma(x0),
-all well inside 2^(8-precision).
+as the root shifted right by R - G, the same integer).  x0 enters the sum
+exactly: with z = x0 - 1 = u/q, each term c_k/(z+k) is (C_k q) // (u + k q),
+one floor division by an integer about the size of q.  F is the Spouge
+working precision precision + 48 + precision/5, taken from the requested
+precision alone, so the sum is within 3a 2^-F of its value (relative, since
+it is at least 1) at any working precision; the cancellation costs no bits
+of it.  The sum is rounded once to the working precision, where z + a and
+z + 1/2 are each rounded once from their exact values and the power and
+exponential factors are computed.  Past the Spouge truncation and the sum,
+the error budget is a few roundings at the working precision (at least
+precision + 16 bits): z + a and z + 1/2, the power and exponential, the
+rising product (exact, then cut to 32 guard bits and divided once) and the
+product or quotient with gamma(x0), all well inside 2^(8-precision).
 
 Two memos hold repeated values; each key holds everything a value's bits
 depend on, so a hit returns the very bits a fresh evaluation would and the
@@ -126,7 +126,8 @@ def _spouge_coeffs(precision: int) -> tuple[int, tuple[int, ...]]:
     and that error is below one unit of 2^-F; the final floor adds one more.
     The isqrt floor(sqrt(j) 2^G) is read from the root table at R >= G as
     roots[j] >> (R - G), which is the same integer: floor(floor(y 2^R) /
-    2^(R-G)) = floor(y 2^G).
+    2^(R-G)) = floor(y 2^G).  k runs downward, so j rises: e^j is one
+    running product and (k-1)! one exact division per term.
     """
     a = _spouge_a(precision)
     F = _spouge_wp(precision)
@@ -135,39 +136,35 @@ def _spouge_coeffs(precision: int) -> tuple[int, tuple[int, ...]]:
     with _PREC_LOCK:
         e, pi = libmp.mpf_e(G + 8), libmp.mpf_pi(G + 8)
     e, two_pi = libmp.to_fixed(e, G), libmp.mpf_shift(pi, 1)
-    coeffs = [libmp.to_fixed(libmp.mpf_sqrt(two_pi, G + 8), F)]
-    exp_j = [1 << G, e]  # e^j 2^G
-    for _ in range(2, a):
-        exp_j.append((exp_j[-1] * e) >> G)
-    fact = 1  # (k-1)!
-    for k in range(1, a):
+    coeffs = []
+    exp_j, fact = 1 << G, math.factorial(a - 1)  # e^j 2^G and (k-1)! after the updates
+    for k in range(a - 1, 0, -1):
         j = a - k
-        c = (j ** (k - 1) * (roots[j] >> (R - G)) * exp_j[j]) // (fact << (2 * G - F))
+        exp_j, fact = (exp_j * e) >> G, fact // k
+        c = (j ** (k - 1) * (roots[j] >> (R - G)) * exp_j) // (fact << (2 * G - F))
         coeffs.append(c if k % 2 == 1 else -c)
-        fact *= k
-    return F, tuple(coeffs)
+    coeffs.append(libmp.to_fixed(libmp.mpf_sqrt(two_pi, G + 8), F))
+    return F, tuple(reversed(coeffs))
 
 
-def _gamma_positive(x: tuple, precision: int, wp: int) -> tuple:
-    """Gamma of a libmp tuple x in [1, 2) at the working precision wp, uncached.
+def _gamma_positive(x0: Fraction, precision: int, wp: int) -> tuple:
+    """Gamma of an exact x0 in [1, 2) at the working precision wp, uncached.
 
-    The Spouge sum s = c_0 + sum c_k/(z+k) runs in fixed point at F bits:
-    z = x - 1 = M 2^e is exact, so each term is (C_k 2^-e) // (M + k 2^-e),
-    within three units of 2^-F with its coefficient's error.  So s is within
-    3a 2^-F of its value, relative since |s| >= 1, whatever wp, and is
-    rounded to wp once.
+    The Spouge sum s = c_0 + sum c_k/(z+k) runs in fixed point at F bits
+    over the exact z = x0 - 1 = u/q: each term is (C_k q) // (u + k q), one
+    division by an integer of about the size of q, within three units of
+    2^-F with its coefficient's error.  So s is within 3a 2^-F of its value,
+    relative since |s| >= 1, whatever wp, and is rounded to wp once; z + a
+    and z + 1/2 are each rounded once from their exact values.
     """
     F, coeffs = _spouge_coeffs(precision)
     a, rnd = len(coeffs), libmp.round_nearest
-    z = libmp.mpf_sub(x, libmp.fone, wp, rnd)
-    _, man, exp, _ = z
-    shift = max(-exp, 0)
-    zfix = man << max(exp, 0)
+    u, q = x0.numerator - x0.denominator, x0.denominator
     acc = coeffs[0]
     for k in range(1, a):
-        acc += (coeffs[k] << shift) // (zfix + (k << shift))
+        acc += (coeffs[k] * q) // (u + k * q)
     s = libmp.from_man_exp(acc, -F, wp, rnd)
-    za, zh = libmp.mpf_add(z, libmp.from_int(a), wp, rnd), libmp.mpf_add(z, libmp.fhalf, wp, rnd)
+    za, zh = libmp.from_rational(u + a * q, q, wp, rnd), libmp.from_rational(2 * u + q, 2 * q, wp, rnd)
     with _PREC_LOCK:
         power, decay = libmp.mpf_pow(za, zh, wp, rnd), libmp.mpf_exp(libmp.mpf_neg(za), wp, rnd)
     return libmp.mpf_mul(libmp.mpf_mul(power, decay, wp, rnd), s, wp, rnd)
@@ -175,9 +172,10 @@ def _gamma_positive(x: tuple, precision: int, wp: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _spouge_memo(x0: Fraction, precision: int, wp: int) -> tuple:
-    """gamma(x0) for x0 in [1, 2) at the working precision wp: x0 and
-    every step after the sum round to wp, so wp belongs in the key."""
-    return _gamma_positive(tuple_in(x0, wp), precision, wp)
+    """gamma(x0) for x0 in [1, 2) at the working precision wp: x0 = 1 + u/q
+    enters exactly, each term divides by u + k q, and the sum is within
+    3a 2^-F; every step after it rounds to wp, so wp is in the key."""
+    return _gamma_positive(x0, precision, wp)
 
 
 def _shift(x: Fraction) -> tuple[Fraction, int, int]:

@@ -25,7 +25,7 @@ from fracpoly.families import FamilyParams, family_polynomial
 from fracpoly.fractional import CaputoOrder, rl_derivative_term
 from fracpoly.gammafns import _gamma_positive, _reciprocal_gamma_memo, _spouge_memo, _spouge_wp, reciprocal_gamma
 from fracpoly.mittag import MLParams, ml_eval, ml_series
-from fracpoly.scalars import Coefficients, tuple_in
+from fracpoly.scalars import Coefficients
 from reference_loops import working_precision
 
 # the reflection branch (x < 0), the step up from below 1 and rising products
@@ -138,7 +138,7 @@ def test_working_precision_is_part_of_the_key():
     values = {}
     clear_caches()
     for wp in (prec + 16, _spouge_wp(prec)):
-        values[wp] = (_spouge_memo(x0, prec, wp), _gamma_positive(tuple_in(x0, wp), prec, wp))
+        values[wp] = (_spouge_memo(x0, prec, wp), _gamma_positive(x0, prec, wp))
     (memo_lo, fresh_lo), (memo_hi, fresh_hi) = values[prec + 16], values[_spouge_wp(prec)]
     assert memo_lo == fresh_lo
     assert memo_hi == fresh_hi

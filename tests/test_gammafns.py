@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
+import fracpoly.gammafns as gammafns
 from fracpoly.errors import DomainError
 from fracpoly.gammafns import _rgamma, _spouge_wp, generalized_binomial, multinomial, reciprocal_gamma
 from fracpoly.scalars import mpf_to_fraction, mpf_to_pair
@@ -238,3 +240,47 @@ def test_gamma_accuracy_at_large_arguments(prec):
     for x in LARGE_ARGS:
         want = _mpmath_gamma(x, prec)
         assert rel_err(reciprocal_gamma(x, prec), 1 / want) <= tol, x
+
+
+# the Spouge sum divides by u + k q over the exact x0 - 1 = u/q, so wide
+# denominators (3^2000, 10^4000) and a float's dyadic value (Fraction(0.1),
+# q = 2^55) must keep the bound; each base x0 in [1, 2) is also shifted
+# into (0, 1), above 7 and below -2, and the memos are emptied before each
+# call, so every call sums afresh
+WIDE_BASES = [Fraction(3 ** 2000 + 3 ** 1999 + 1, 3 ** 2000),
+              Fraction(10 ** 4000 + 10 ** 4000 // 3, 10 ** 4000),
+              1 + Fraction(0.1)]
+WIDE_ARGS = [x0 + shift for x0 in WIDE_BASES for shift in (-4, -1, 0, 6)]
+
+
+@pytest.mark.parametrize("prec", [64, 1024])
+def test_spouge_accuracy_at_wide_denominators(prec):
+    tol = Fraction(1, 2 ** (prec - 8))
+    routes = {"reciprocal_gamma": lambda x: mpf_to_fraction(reciprocal_gamma(x, prec)),
+              "_rgamma": lambda x: Fraction(*mpf_to_pair(_rgamma(x, prec, prec + 16)))}
+    for x in WIDE_ARGS:
+        want = 1 / _mpmath_gamma(x, prec)
+        for name, route in routes.items():
+            gammafns._spouge_memo.cache_clear()
+            gammafns._reciprocal_gamma_memo.cache_clear()
+            start = time.perf_counter()
+            got = route(x)
+            assert time.perf_counter() - start < 1.0, (name, float(x))
+            assert abs(got - want) / abs(want) <= tol, (name, float(x))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 333, 511])
+def test_spouge_coefficients_within_two_units(prec):
+    # c_0 = sqrt(2 pi), c_k = (-1)^(k-1) j^(k-1/2) e^j / (k-1)! with
+    # j = a - k; |c_k| < 2^(1.85a), so 2a more bits than F + 64 put the
+    # reference c_k 2^F within 2^-64 units
+    F, coeffs = gammafns._spouge_coeffs(prec)
+    a = len(coeffs)
+    assert a == gammafns._spouge_a(prec)
+    with working_precision(F + 64 + 2 * a):
+        want = [mp.sqrt(2 * mp.pi)]
+        for k in range(1, a):
+            j = a - k
+            want.append((-1) ** (k - 1) * mp.mpf(j ** (k - 1)) * mp.sqrt(j) * mp.exp(j) / math.factorial(k - 1))
+        for k, (got, c) in enumerate(zip(coeffs, want)):
+            assert abs(got - mp.ldexp(c, F)) <= 2, k

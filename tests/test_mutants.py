@@ -15,6 +15,7 @@ if its slip never acted.
 """
 
 import importlib
+from fractions import Fraction
 
 import pytest
 from mpmath import libmp
@@ -58,11 +59,9 @@ def gamma_times_one_plus_2_to_the_minus_40(real, hits):
 def spouge_sum_at_three_halves_times_one_plus_2_to_the_minus_60(real, hits):
     """_gamma_positive's Spouge sum at x0 = 3/2 times (1 + 2^-60): the sum is
     a factor of the value, so the value carries the bias."""
-    three_halves = libmp.from_rational(3, 2, 2)
-
     def mutant(x, precision, wp):
         value = real(x, precision, wp)
-        if x != three_halves:
+        if x != Fraction(3, 2):
             return value
         hits.append(x)
         bias = libmp.from_rational(2 ** 60 + 1, 2 ** 60, wp, libmp.round_nearest)
